@@ -19,6 +19,7 @@ import numpy as np
 from . import registry
 from .errors import (
     MissingReference,
+    OracleMismatch,
     SampledLQError,
     UnknownProblem,
     ValidationError,
@@ -325,9 +326,7 @@ def cmd_oracle_check(args) -> int:
             f.write("\n")
 
     if report.max_rel_diff > ORACLE_REL_TOL:
-        print(f"oracle disagreement: max rel diff {report.max_rel_diff:.3e} > {ORACLE_REL_TOL:g}",
-              file=sys.stderr)
-        return 4
+        raise OracleMismatch(f"oracle disagreement: max rel diff {report.max_rel_diff:.3e} > {ORACLE_REL_TOL:g}")
     return 0
 
 

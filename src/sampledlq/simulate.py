@@ -1,10 +1,15 @@
 """Trajectories, cost evaluation, stationarity residuals, averaged controls.
 
-State and costate use the same fixed-step RK4 scheme and node layout as the
-interval propagation (2M half-steps, 2M+1 stored nodes per interval), so the
-cost quadrature here and the block quadrature integrate the same discrete
-functional.  The costate runs backward from p(b) = -S (q(b) - q_b); RK4
-stages falling between stored state nodes use linear interpolation of q.
+Every simulation here runs the interval propagation's RK4 kernel
+(`transition._rk4_linear`) with its node layout (2M half-steps, 2M+1 stored
+nodes per interval), so the cost quadrature here and the block quadrature
+integrate the same discrete functional.  The costate runs backward from
+p(b) = -S (q(b) - q_b): the same kernel, fed -A^T and the forcing on the
+reversed half grid with step -delta.  RK4 stages falling between stored state
+nodes still use linear interpolation of q.
+
+State runs carry a trailing batch axis L of controls (one control is a batch
+of one), and one Simpson quadrature gives the running cost of every run.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .blocks import simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
 from .problem import LQProblem, SamplingGrid
+from .transition import _rk4_linear
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,51 +83,61 @@ def _same_grid(g1: SamplingGrid, g2: SamplingGrid) -> bool:
     return g1 is g2 or (np.array_equal(g1.s, g2.s))
 
 
-def _rk4_forward(As, Cs, y0, delta):
-    """Nodes of y' = A(t) y + C(t): coefficient values on the half-step grid."""
-    steps = (As.shape[0] - 1) // 2
-    out = np.empty((steps + 1,) + y0.shape)
-    out[0] = y0
-    y = y0
-    hd = 0.5 * delta
-    sixth = delta / 6.0
-    for k in range(steps):
-        j = 2 * k
-        A0, A1, A2 = As[j], As[j + 1], As[j + 2]
-        C0, C1, C2 = Cs[j], Cs[j + 1], Cs[j + 2]
-        k1 = A0 @ y + C0
-        k2 = A1 @ (y + hd * k1) + C1
-        k3 = A1 @ (y + hd * k2) + C1
-        k4 = A2 @ (y + delta * k3) + C2
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[k + 1] = y
-    return out
+def _half_grid(lo: float, hi: float, h: float, M: int):
+    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M."""
+    if M < 1:
+        raise ValidationError(f"need M >= 1, got {M}")
+    return np.linspace(lo, hi, 4 * M + 1), h / (2 * M)
 
 
-def _half_grid(grid: SamplingGrid, i: int, M: int) -> np.ndarray:
-    return np.linspace(grid.s[i], grid.s[i + 1], 4 * M + 1)
+def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
+    return _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+
+
+def _check_control_dim(p: LQProblem, m: int) -> None:
+    if m != p.m:
+        raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
+
+
+def _states(p: LQProblem, half: np.ndarray, delta: float, q: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """State nodes (2M+1, n, L) of dq/dt = A q + B u + omega from q (n, L).
+
+    U holds the controls as (m, L), constant over half, or as (4M+1, m, L).
+    """
+    _check_control_dim(p, U.shape[-2])
+    Cs = p.B.eval_many(half) @ U + p.omega.eval_many(half)[..., None]
+    return _rk4_linear(p.A.eval_many(half), Cs, q, delta)
+
+
+def _running_cost(p: LQProblem, nodes: np.ndarray, delta: float, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per run.
+
+    qs (2M+1, n, L) are state nodes; us holds the controls as (m, L) or (2M+1, m, L).
+    """
+    _check_control_dim(p, us.shape[-2])
+    w = simpson_weights(nodes.shape[0], delta)
+    e = qs - p.x_ref.eval_many(nodes)[..., None]
+    du = us - p.v_ref.eval_many(nodes)[..., None]
+    We = p.W.eval_many(nodes) @ e
+    Rdu = p.R.eval_many(nodes) @ du
+    return 0.5 * (np.einsum("k,kal,kal->l", w, We, e) + np.einsum("k,kal,kal->l", w, Rdu, du))
 
 
 def simulate_state(p: LQProblem, u: PiecewiseConstantControl, M: int = 64) -> Trajectory:
     """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a."""
-    if M < 1:
-        raise ValidationError(f"need M >= 1, got {M}")
     grid = u.grid
-    q = np.asarray(p.q_a, dtype=float)
+    q = np.asarray(p.q_a, dtype=float)[:, None]
     times = []
     qs = []
     for i in range(grid.N):
-        half = _half_grid(grid, i, M)
-        delta = float(grid.h[i]) / (2 * M)
-        As = p.A.eval_many(half)
-        Cs = (p.B.eval_many(half) @ u.U[i]) + p.omega.eval_many(half)
-        nodes = _rk4_forward(As, Cs, q, delta)
+        half, delta = _interval_half_grid(grid, i, M)
+        nodes = _states(p, half, delta, q, u.U[i][:, None])
         times.append(half[::2])
-        qs.append(nodes)
+        qs.append(nodes[..., 0])
         q = nodes[-1]
     if not np.all(np.isfinite(q)):
         raise NonFinite("state simulation diverged")
-    return Trajectory(grid=grid, times=tuple(times), qs=tuple(qs), q_end=q)
+    return Trajectory(grid=grid, times=tuple(times), qs=tuple(qs), q_end=q[:, 0])
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -137,17 +153,8 @@ def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -
     out = np.empty(grid.N)
     for i in range(grid.N):
         nodes = traj.times[i]
-        num = nodes.shape[0]
-        w = simpson_weights(num, float(grid.h[i]) / (num - 1))
-        Wk = p.W.eval_many(nodes)
-        Rk = p.R.eval_many(nodes)
-        e = traj.qs[i] - p.x_ref.eval_many(nodes)
-        We = (Wk @ e[..., None])[..., 0]
-        du = u.U[i] - p.v_ref.eval_many(nodes)
-        Rdu = (Rk @ du[..., None])[..., 0]
-        out[i] = 0.5 * (
-            np.einsum("k,ka,ka->", w, We, e) + np.einsum("k,ka,ka->", w, Rdu, du)
-        )
+        delta = float(grid.h[i]) / (nodes.shape[0] - 1)
+        out[i] = _running_cost(p, nodes, delta, traj.qs[i][..., None], u.U[i][:, None])[0]
     return out
 
 
@@ -156,34 +163,18 @@ def evaluate_cost(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -
     return float(np.sum(running_costs(p, u, traj)) + terminal_cost(p, traj.q_end))
 
 
-def _costate_nodes(As, Ws, xs, qs, p_hi, delta):
-    """Backward RK4 nodes of dp/dt = -A^T p + W (q - x) on one interval.
+def _costate_nodes(p: LQProblem, half: np.ndarray, delta: float, qs: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """RK4 nodes of dp/dt = -A^T p + W (q - x), run backward from p_hi at half[-1].
 
-    As, Ws, xs are half-grid values; qs are the 2M+1 stored state nodes, and
-    q at half-step stages is the average of the adjacent nodes.
+    qs are the 2M+1 stored state nodes, and q at half-step stages is the
+    average of the adjacent nodes.
     """
-    num_half = As.shape[0]
-    q_half = np.empty((num_half,) + qs.shape[1:])
+    q_half = np.empty(half.shape + qs.shape[1:])
     q_half[::2] = qs
     q_half[1::2] = 0.5 * (qs[:-1] + qs[1:])
-    forcing = (Ws @ (q_half - xs)[..., None])[..., 0]
-    steps = (num_half - 1) // 2
-    out = np.empty((steps + 1,) + p_hi.shape)
-    out[-1] = p_hi
-    pvec = p_hi
-    hd = 0.5 * delta
-    sixth = delta / 6.0
-    for k in range(steps - 1, -1, -1):
-        j = 2 * k
-        At0, At1, At2 = As[j].T, As[j + 1].T, As[j + 2].T
-        g0, g1, g2 = forcing[j], forcing[j + 1], forcing[j + 2]
-        k1 = -(At2 @ pvec) + g2
-        k2 = -(At1 @ (pvec - hd * k1)) + g1
-        k3 = -(At1 @ (pvec - hd * k2)) + g1
-        k4 = -(At0 @ (pvec - delta * k3)) + g0
-        pvec = pvec - sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[k] = pvec
-    return out
+    forcing = (p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None])[..., 0]
+    minus_At = -np.swapaxes(p.A.eval_many(half), 1, 2)
+    return _rk4_linear(minus_At[::-1], forcing[::-1], p_hi, -delta)[::-1]
 
 
 def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
@@ -195,12 +186,8 @@ def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTraj
     ps = [None] * grid.N
     p_hi = p_end
     for i in range(grid.N - 1, -1, -1):
-        half = _half_grid(grid, i, M)
-        delta = float(grid.h[i]) / (2 * M)
-        As = p.A.eval_many(half)
-        Ws = p.W.eval_many(half)
-        xs = p.x_ref.eval_many(half)
-        nodes = _costate_nodes(As, Ws, xs, traj.qs[i], p_hi, delta)
+        half, delta = _interval_half_grid(grid, i, M)
+        nodes = _costate_nodes(p, half, delta, traj.qs[i], p_hi)
         ps[i] = nodes
         p_hi = nodes[0]
     if not np.all(np.isfinite(p_hi)):
@@ -235,16 +222,23 @@ def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.nd
 def _eval_control_function(u_fn: Callable, ts: np.ndarray, m: int) -> np.ndarray:
     vals = np.empty((ts.shape[0], m))
     for k, t in enumerate(ts):
-        vals[k] = np.atleast_1d(np.asarray(u_fn(float(t)), dtype=float))
+        val = np.atleast_1d(np.asarray(u_fn(float(t)), dtype=float))
+        if val.shape != (m,):
+            raise DimensionMismatch(f"control function returned shape {val.shape}, expected ({m},)")
+        vals[k] = val
     if not np.all(np.isfinite(vals)):
         raise NonFinite("control function returned non-finite values")
     return vals
 
 
-def _dense_state(p: LQProblem, u_half: np.ndarray, half: np.ndarray, delta: float) -> np.ndarray:
-    As = p.A.eval_many(half)
-    Cs = (p.B.eval_many(half) @ u_half[..., None])[..., 0] + p.omega.eval_many(half)
-    return _rk4_forward(As, Cs, np.asarray(p.q_a, dtype=float), delta)
+def _dense_state(p: LQProblem, u_fn: Callable, M: int):
+    """Half grid, step, control values on it and state nodes of u_fn over [a, b], 2M RK4 steps."""
+    half, delta = _half_grid(p.a, p.b, p.b - p.a, M)
+    u_half = _eval_control_function(u_fn, half, p.m)
+    qs = _states(p, half, delta, np.asarray(p.q_a, dtype=float)[:, None], u_half[..., None])[..., 0]
+    if not np.all(np.isfinite(qs[-1])):
+        raise NonFinite("state simulation diverged")
+    return half, delta, u_half, qs
 
 
 def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
@@ -252,19 +246,8 @@ def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
 
     State and costate are integrated densely over [a, b] with 2M RK4 steps.
     """
-    if M < 1:
-        raise ValidationError(f"need M >= 1, got {M}")
-    half = np.linspace(p.a, p.b, 4 * M + 1)
-    delta = (p.b - p.a) / (2 * M)
-    u_half = _eval_control_function(u_fn, half, p.m)
-    qs = _dense_state(p, u_half, half, delta)
-    if not np.all(np.isfinite(qs[-1])):
-        raise NonFinite("state simulation diverged")
-    As = p.A.eval_many(half)
-    Ws = p.W.eval_many(half)
-    xs = p.x_ref.eval_many(half)
-    p_hi = -(p.S @ (qs[-1] - p.q_b))
-    ps = _costate_nodes(As, Ws, xs, qs, p_hi, delta)
+    half, delta, u_half, qs = _dense_state(p, u_fn, M)
+    ps = _costate_nodes(p, half, delta, qs, -(p.S @ (qs[-1] - p.q_b)))
 
     nodes = half[::2]
     Rn = p.R.eval_many(nodes)
@@ -278,19 +261,8 @@ def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
 
 def cost_of_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
     """C(u_fn) for an arbitrary (not piecewise-constant) control, densely simulated."""
-    half = np.linspace(p.a, p.b, 4 * M + 1)
-    delta = (p.b - p.a) / (2 * M)
-    u_half = _eval_control_function(u_fn, half, p.m)
-    qs = _dense_state(p, u_half, half, delta)
-    nodes = half[::2]
-    w = simpson_weights(nodes.shape[0], (p.b - p.a) / (2 * M))
-    Wk = p.W.eval_many(nodes)
-    Rk = p.R.eval_many(nodes)
-    e = qs - p.x_ref.eval_many(nodes)
-    We = (Wk @ e[..., None])[..., 0]
-    du = u_half[::2] - p.v_ref.eval_many(nodes)
-    Rdu = (Rk @ du[..., None])[..., 0]
-    running = 0.5 * (np.einsum("k,ka,ka->", w, We, e) + np.einsum("k,ka,ka->", w, Rdu, du))
+    half, delta, u_half, qs = _dense_state(p, u_fn, M)
+    running = _running_cost(p, half[::2], delta, qs[..., None], u_half[::2, :, None])[0]
     return float(running + terminal_cost(p, qs[-1]))
 
 
@@ -298,8 +270,9 @@ def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64, m: int = 1
     """Interval means U_i = (1/h_i) int u(s) ds by composite Simpson."""
     U = np.empty((grid.N, m))
     for i in range(grid.N):
-        nodes = _half_grid(grid, i, M)[::2]
-        w = simpson_weights(nodes.shape[0], float(grid.h[i]) / (2 * M))
+        half, delta = _interval_half_grid(grid, i, M)
+        nodes = half[::2]
+        w = simpson_weights(nodes.shape[0], delta)
         vals = _eval_control_function(u_fn, nodes, m)
         U[i] = (w @ vals) / float(grid.h[i])
     return PiecewiseConstantControl(grid=grid, U=U)
@@ -316,28 +289,14 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
         raise DimensionMismatch(f"control batch has shape {Us.shape}, expected (L, {grid.N}, {p.m})")
     L = Us.shape[0]
     q = np.broadcast_to(np.asarray(p.q_a, dtype=float)[:, None], (p.n, L)).copy()
-    run = np.zeros(L)
+    total = np.zeros(L)
     for i in range(grid.N):
-        half = _half_grid(grid, i, M)
-        nodes = half[::2]
-        delta = float(grid.h[i]) / (2 * M)
-        As = p.A.eval_many(half)
+        half, delta = _interval_half_grid(grid, i, M)
         Ucol = Us[:, i, :].T
-        Cs = p.B.eval_many(half) @ Ucol + p.omega.eval_many(half)[..., None]
-        qs = _rk4_forward(As, Cs, q, delta)
+        qs = _states(p, half, delta, q, Ucol)
         q = qs[-1]
-
-        w = simpson_weights(nodes.shape[0], delta)
-        Wk = p.W.eval_many(nodes)
-        Rk = p.R.eval_many(nodes)
-        e = qs - p.x_ref.eval_many(nodes)[..., None]
-        We = Wk @ e
-        run += np.einsum("k,kal,kal->l", w, We, e)
-        du = Ucol[None, :, :] - p.v_ref.eval_many(nodes)[..., None]
-        Rdu = Rk @ du
-        run += np.einsum("k,kal,kal->l", w, Rdu, du)
+        total += _running_cost(p, half[::2], delta, qs, Ucol)
     if not np.all(np.isfinite(q)):
         raise NonFinite("state simulation diverged in batch")
     d = q - p.q_b[:, None]
-    total = 0.5 * run + 0.5 * np.einsum("al,al->l", p.S @ d, d)
-    return total
+    return total + 0.5 * np.einsum("al,al->l", p.S @ d, d)

@@ -96,10 +96,10 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
 def transition_matrix(p: LQProblem, t: float, s: float, M: int = 64) -> np.ndarray:
     """Z(t, s), integrating forward or backward as needed; Z(s, s) = Id."""
     n = p.n
-    if t == s:
-        return np.eye(n)
     if M < 1:
         raise ValidationError(f"need M >= 1, got {M}")
+    if t == s:
+        return np.eye(n)
     delta = (t - s) / (2 * M)
     half = np.linspace(s, t, 4 * M + 1)
     As = np.ascontiguousarray(p.A.eval_many(half))

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +243,10 @@ class TestOracleCheck:
 
 class TestConsoleScript:
     def test_help_runs(self):
+        # the child imports the package under test, also when only pytest's pythonpath finds it
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "sampledlq.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "oracle-check" in proc.stdout

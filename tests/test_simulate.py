@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sampledlq as sq
-from sampledlq.errors import DimensionMismatch, NodeMismatch, NonFinite
+from sampledlq.errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
 from sampledlq.problem import make_problem
 
 E = np.e
@@ -229,3 +229,46 @@ class TestAveragedControl:
         cost_ref = sq.cost_of_permanent(dontchev, dontchev_entry.reference_control, M=512)
         assert cost_ref <= cost_star + 1e-12
         assert cost_star <= cost_avg + 1e-12
+
+
+def _costate_at(p, grid, M):
+    traj = sq.simulate_state(p, zero_control(grid), M=16)
+    return sq.simulate_costate(p, traj, M)
+
+
+TAKES_M = {
+    "simulate_state": lambda p, grid, M: sq.simulate_state(p, zero_control(grid), M),
+    "simulate_costate": _costate_at,
+    "pmp_residual_permanent": lambda p, grid, M: sq.pmp_residual_permanent(p, lambda t: np.zeros(1), M),
+    "cost_of_permanent": lambda p, grid, M: sq.cost_of_permanent(p, lambda t: np.zeros(1), M),
+    "averaged_control": lambda p, grid, M: sq.averaged_control(lambda t: np.zeros(1), grid, M),
+    "costs_of_control_batch": lambda p, grid, M: sq.costs_of_control_batch(p, grid, np.zeros((1, grid.N, 1)), M),
+    "propagate_interval": lambda p, grid, M: sq.propagate_interval(p, grid, 0, M),
+    "transition_matrix": lambda p, grid, M: sq.transition_matrix(p, 1.0, 0.0, M),
+    "transition_matrix_at_s": lambda p, grid, M: sq.transition_matrix(p, 0.5, 0.5, M),
+    "compute_all_blocks": lambda p, grid, M: sq.compute_all_blocks(p, grid, M),
+    "solve": lambda p, grid, M: sq.solve(p, grid, M),
+    "assemble_qp": lambda p, grid, M: sq.assemble_qp(p, grid, M),
+    "cross_check": lambda p, grid, M: sq.cross_check(p, grid, M),
+}
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("M", [0, -1])
+    @pytest.mark.parametrize("name", sorted(TAKES_M))
+    def test_nonpositive_substeps_rejected(self, dontchev, name, M):
+        with pytest.raises(ValidationError):
+            TAKES_M[name](dontchev, sq.uniform_grid(2, 0, 1), M)
+
+    def test_control_dimension_checked(self, dontchev):
+        grid = sq.uniform_grid(2, 0, 1)
+        two = zero_control(grid, m=2)
+        with pytest.raises(DimensionMismatch):
+            sq.simulate_state(dontchev, two, M=8)
+        traj = sq.simulate_state(dontchev, zero_control(grid), M=8)
+        with pytest.raises(DimensionMismatch):
+            sq.running_costs(dontchev, two, traj)
+        with pytest.raises(DimensionMismatch):
+            sq.cost_of_permanent(dontchev, lambda t: np.zeros(2), M=8)
+        with pytest.raises(DimensionMismatch):
+            sq.pmp_residual_permanent(dontchev, lambda t: np.zeros(2), M=8)
