@@ -319,7 +319,8 @@ def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
 
     S, W(t), R(t) are symmetrized as (M + M^T)/2 before the checks.  PSD/PD
     holds only at `probes` equally spaced times; with continuous coefficients
-    this is a practical guard, not a proof.
+    this is a practical guard, not a proof.  Every coefficient is evaluated at
+    all probes before any check, so a builtin that raises does so first.
     """
     if probes < 2:
         raise ValidationError("probes must be at least 2")
@@ -346,25 +347,27 @@ def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
         raise NotPSD("S", p.a, s_min)
 
     ts = np.linspace(p.a, p.b, probes)
-    c_R = np.inf
-    for t in ts:
-        for name, cf in (("A", p.A), ("B", p.B), ("omega", p.omega), ("x", p.x_ref), ("v", p.v_ref)):
-            val = cf(t)
-            if not np.all(np.isfinite(val)):
-                raise ValidationError(f"{name}({t}) is not finite")
-        w_t = W(t)
-        if not np.all(np.isfinite(w_t)):
-            raise ValidationError(f"W({t}) is not finite")
-        w_min = float(np.linalg.eigvalsh(w_t)[0])
-        if w_min < -TOL_PD:
-            raise NotPSD("W", t, w_min)
-        r_t = R(t)
-        if not np.all(np.isfinite(r_t)):
-            raise ValidationError(f"R({t}) is not finite")
-        r_min = float(np.linalg.eigvalsh(r_t)[0])
-        if r_min <= TOL_PD:
-            raise NotPD("R", t, r_min)
-        c_R = min(c_R, r_min)
+    vals = [cf.eval_many(ts) for cf in (p.A, p.B, p.omega, p.x_ref, p.v_ref, W, R)]
+    bad = [~np.isfinite(v).reshape(probes, -1).all(axis=1) for v in vals]
+    # a non-finite W or R probe is decomposed as zero: its finite check fails before its eigenvalue one
+    w_min, r_min = (
+        np.linalg.eigvalsh(np.where(b[:, None, None], 0.0, v))[:, 0] for b, v in zip(bad[5:], vals[5:])
+    )
+    # All probes are checked at once, and the error raised is the one a
+    # probe-by-probe scan meets first: the earliest failing probe, and within
+    # it the first failing check in this order.
+    names = ("A", "B", "omega", "x", "v", "W", None, "R", None)
+    fails = np.stack(bad[:6] + [w_min < -TOL_PD, bad[6], r_min <= TOL_PD], axis=1)
+    if fails.any():
+        k = int(np.argmax(fails.any(axis=1)))
+        check = int(np.argmax(fails[k]))
+        t = ts[k]
+        if check == 6:
+            raise NotPSD("W", t, float(w_min[k]))
+        if check == 8:
+            raise NotPD("R", t, float(r_min[k]))
+        raise ValidationError(f"{names[check]}({t}) is not finite")
+    c_R = np.min(r_min)
 
     return replace(p, S=_readonly(S), W=W, R=R, validated=True, c_R=float(c_R))
 

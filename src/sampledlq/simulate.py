@@ -10,6 +10,8 @@ nodes still use linear interpolation of q.
 
 State runs carry a trailing batch axis L of controls (one control is a batch
 of one), and one Simpson quadrature gives the running cost of every run.
+Piecewise-constant controls, single or batched, go through the step maps of
+the m+1 forcing columns [B | omega], applied to [U; 1] for the whole batch.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .blocks import simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
 from .problem import LQProblem, SamplingGrid
-from .transition import _rk4_linear
+from .transition import _rk4_linear, _run_maps, _step_maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +105,15 @@ def _states(p: LQProblem, half: np.ndarray, delta: float, q: np.ndarray, U: np.n
     """State nodes (2M+1, n, L) of dq/dt = A q + B u + omega from q (n, L).
 
     U holds the controls as (m, L), constant over half, or as (4M+1, m, L).
+    For constant U no L-wide forcing meets the stage formulas.
     """
     _check_control_dim(p, U.shape[-2])
-    Cs = p.B.eval_many(half) @ U + p.omega.eval_many(half)[..., None]
-    return _rk4_linear(p.A.eval_many(half), Cs, q, delta)
+    As = p.A.eval_many(half)
+    B, omega = p.B.eval_many(half), p.omega.eval_many(half)[..., None]
+    if U.ndim == 3:
+        return _rk4_linear(As, B @ U + omega, q, delta)
+    Phi, Psi = _step_maps(As, np.concatenate((B, omega), axis=-1), delta)
+    return _run_maps(Phi, Psi @ np.vstack((U, np.ones((1, U.shape[1])))), q)
 
 
 def _running_cost(p: LQProblem, nodes: np.ndarray, delta: float, qs: np.ndarray, us: np.ndarray) -> np.ndarray:

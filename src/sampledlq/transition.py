@@ -9,6 +9,12 @@ One fixed-step RK4 pass integrates the augmented system
 so that q(tau) = Z(tau) y + Gamma(tau) U + xi(tau) for the interval's constant
 control U and start state y.  The 2M half-steps leave 2M+1 stored nodes whose
 spacing matches composite Simpson quadrature downstream.
+
+Y' = A(t) Y + C(t) is linear, so each RK4 step is an affine map
+Y_{k+1} = Phi_k Y_k + psi_k.  The kernel forms all 2M maps in one vectorized
+pass of the stage formulas over the step axis, then steps the recurrence with
+one matmul and one add per step: for n <= 4 the cost of a step is numpy call
+overhead, not arithmetic, so the loop keeps only the calls that must be serial.
 """
 
 from __future__ import annotations
@@ -36,29 +42,47 @@ class IntervalPropagation:
         return (self.nodes.shape[0] - 1) // 2
 
 
+def _step_maps(As: np.ndarray, Cs: np.ndarray, delta: float):
+    """Affine maps (Phi, psi) of the 2M RK4 steps of Y' = A(t) Y + C(t).
+
+    As (4M+1, n, n) and Cs (4M+1, n, c) hold coefficient values on the
+    half-step grid.  The stage formulas run once over the step axis on
+    Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi[k] Y_k + psi[k] with
+    Phi (2M, n, n) and psi (2M, n, c).
+    """
+    n = As.shape[-1]
+    Y = np.hstack((np.eye(n), np.zeros(Cs.shape[1:])))
+    F = np.concatenate((np.zeros(Cs.shape[:2] + (n,)), Cs), axis=-1)
+    hd = 0.5 * delta
+    sixth = delta / 6.0
+    A0, A1, A2 = As[:-1:2], As[1::2], As[2::2]
+    C0, C1, C2 = F[:-1:2], F[1::2], F[2::2]
+    k1 = A0 @ Y + C0
+    k2 = A1 @ (Y + hd * k1) + C1
+    k3 = A1 @ (Y + hd * k2) + C1
+    k4 = A2 @ (Y + delta * k3) + C2
+    Y = Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return np.ascontiguousarray(Y[..., :n]), np.ascontiguousarray(Y[..., n:])
+
+
+def _run_maps(Phi: np.ndarray, psi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
+    """Node values Y_0 .. Y_2M of the recurrence Y_{k+1} = Phi[k] Y_k + psi[k]."""
+    Y = Y0
+    out = [Y]
+    for P, c in zip(Phi, psi):
+        Y = P @ Y + c
+        out.append(Y)
+    return np.array(out)
+
+
 def _rk4_linear(As: np.ndarray, Cs: np.ndarray, Y0: np.ndarray, delta: float) -> np.ndarray:
     """Integrate Y' = A(t) Y + C(t) over 2M steps of size delta.
 
-    As and Cs hold coefficient values on the half-step grid (4M+1 entries);
-    returns the 2M+1 node values of Y.
+    As and Cs hold coefficient values on the half-step grid (4M+1 entries),
+    each Cs entry shaped like Y0; returns the 2M+1 node values of Y.
     """
-    steps = (As.shape[0] - 1) // 2
-    out = np.empty((steps + 1,) + Y0.shape)
-    out[0] = Y0
-    Y = Y0
-    hd = 0.5 * delta
-    sixth = delta / 6.0
-    for k in range(steps):
-        j = 2 * k
-        A0, A1, A2 = As[j], As[j + 1], As[j + 2]
-        C0, C1, C2 = Cs[j], Cs[j + 1], Cs[j + 2]
-        k1 = A0 @ Y + C0
-        k2 = A1 @ (Y + hd * k1) + C1
-        k3 = A1 @ (Y + hd * k2) + C1
-        k4 = A2 @ (Y + delta * k3) + C2
-        Y = Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[k + 1] = Y
-    return out
+    Phi, psi = _step_maps(As, Cs.reshape(Cs.shape[:2] + (-1,)), delta)
+    return _run_maps(Phi, psi.reshape(psi.shape[:1] + Y0.shape), Y0)
 
 
 def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> IntervalPropagation:

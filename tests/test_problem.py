@@ -118,6 +118,32 @@ class TestValidation:
             assert np.array_equal(again.R(t), dontchev.R(t))
         assert again.c_R == dontchev.c_R
 
+    @pytest.mark.parametrize(
+        "r_root, error, name",
+        [(0.4, NotPD, "R"), (0.6, NotPSD, "W")],
+    )
+    def test_earliest_probe_wins(self, r_root, error, name):
+        # W(t) = 0.6 - t fails PSD from t = 0.625 on; R(t) = r_root - t fails
+        # PD from the first probe past r_root.  R failing first must raise for
+        # R even though W is checked before R within a probe; at the same
+        # probe, W's check comes first.
+        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=CoefficientFunction.poly([[[0.6, -1.0]]]),
+                         R=CoefficientFunction.poly([[[r_root, -1.0]]]), S=[[0.0]], q_a=[1.0])
+        ts = np.linspace(0.0, 1.0, 33)
+        with pytest.raises(error) as info:
+            sq.validate_problem(p, probes=33)
+        assert info.value.name == name
+        k = 13 if name == "R" else 20
+        assert info.value.t == ts[k]
+        assert info.value.eigenvalue == pytest.approx((r_root if name == "R" else 0.6) - ts[k])
+
+    def test_nonfinite_before_definiteness_at_same_probe(self):
+        # A is not finite from t = 0.5 on and R fails PD from t = 0.5 on: A is checked first.
+        p = make_problem(0, 1, A=lambda t: np.array([[np.inf if t >= 0.5 else 0.0]]), B=[[1.0]],
+                         W=[[1.0]], R=CoefficientFunction.poly([[[0.5, -1.0]]]), S=[[0.0]], q_a=[1.0])
+        with pytest.raises(ValidationError, match=r"^A\(0\.5\) is not finite$"):
+            sq.validate_problem(p, probes=33)
+
     def test_c_R_quantified(self):
         rng = np.random.default_rng(5)
         problem, _ = sq.random_problem(11)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sampledlq as sq
+from sampledlq import simulate, transition
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval, transition_matrix
 
@@ -93,3 +94,102 @@ class TestTransitionMatrix:
                 p, mid, p.a, M=128)
             scale = 1.0 + np.linalg.norm(whole)
             assert np.linalg.norm(whole - split) <= 1e-8 * scale
+
+
+# -- the step-map kernel against the stage-by-stage RK4 loop it replaced ------
+
+
+def _reference_rk4_linear(As, Cs, Y0, delta):
+    """Test-only reference: RK4 stage formulas applied step by step to Y."""
+    steps = (As.shape[0] - 1) // 2
+    out = np.empty((steps + 1,) + Y0.shape)
+    out[0] = Y0
+    Y = Y0
+    hd = 0.5 * delta
+    sixth = delta / 6.0
+    for k in range(steps):
+        j = 2 * k
+        A0, A1, A2 = As[j], As[j + 1], As[j + 2]
+        C0, C1, C2 = Cs[j], Cs[j + 1], Cs[j + 2]
+        k1 = A0 @ Y + C0
+        k2 = A1 @ (Y + hd * k1) + C1
+        k3 = A1 @ (Y + hd * k2) + C1
+        k4 = A2 @ (Y + delta * k3) + C2
+        Y = Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out[k + 1] = Y
+    return out
+
+
+def _reference_states(p, half, delta, q, U):
+    """Test-only reference for simulate._states: the forcing B u + omega formed per half-step."""
+    Cs = p.B.eval_many(half) @ U + p.omega.eval_many(half)[..., None]
+    return _reference_rk4_linear(p.A.eval_many(half), Cs, q, delta)
+
+
+def _use_reference_kernel(monkeypatch):
+    monkeypatch.setattr(transition, "_rk4_linear", _reference_rk4_linear)
+    monkeypatch.setattr(simulate, "_rk4_linear", _reference_rk4_linear)
+    monkeypatch.setattr(simulate, "_states", _reference_states)
+
+
+def _kernel_outputs(p, grid, M):
+    """Every RK4-backed public result on one problem, as a flat list of arrays."""
+    rng = np.random.default_rng(M)
+    out = []
+    for i in range(grid.N):
+        prop = propagate_interval(p, grid, i, M)
+        out += [prop.Zs, prop.Gammas, prop.Xis]
+    out += [transition_matrix(p, p.b, p.a, M), transition_matrix(p, p.a, p.b, M)]
+    u = sq.PiecewiseConstantControl(grid, rng.uniform(-1.0, 1.0, size=(grid.N, p.m)))
+    traj = sq.simulate_state(p, u, M)
+    out += list(traj.qs) + [traj.q_end]
+    out += list(sq.simulate_costate(p, traj, M).ps)
+    out.append(sq.costs_of_control_batch(p, grid, rng.uniform(-1.0, 1.0, size=(4, grid.N, p.m)), M))
+    return out
+
+
+def _kernel_case(source):
+    if isinstance(source, int):
+        return sq.random_problem(source)
+    p = sq.get_problem(source).problem
+    return p, sq.grid_from_durations(np.array([0.2, 0.5, 0.3]) * (p.b - p.a), p.a, p.b)
+
+
+@pytest.mark.parametrize("M", [16, 32])
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(30)))
+def test_step_maps_match_stage_loop(source, M, monkeypatch):
+    p, grid = _kernel_case(source)
+    got = _kernel_outputs(p, grid, M)
+    with monkeypatch.context() as mp:
+        _use_reference_kernel(mp)
+        ref = _kernel_outputs(p, grid, M)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
+
+
+@pytest.mark.parametrize("lam_delta", [2.7, 2.78, 3.0])
+def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
+    # Upper-triangular A with eigenvalues -lam and -lam/2, lam * delta near
+    # RK4's real-axis stability limit (about 2.785).  M = 8 on [0, 1]: delta = 1/16.
+    M = 8
+    lam = lam_delta * 2 * M
+    p = sq.validate_problem(make_problem(0, 1, A=[[-lam, 1.0], [0.0, -0.5 * lam]], B=[[1.0], [1.0]],
+                                         W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
+                                         omega=[0.5, -0.5]))
+    grid = sq.uniform_grid(1, 0, 1)
+    prop = propagate_interval(p, grid, 0, M)
+    with monkeypatch.context() as mp:
+        _use_reference_kernel(mp)
+        ref = propagate_interval(p, grid, 0, M)
+    for g, r in ((prop.Zs, ref.Zs), (prop.Gammas, ref.Gammas), (prop.Xis, ref.Xis)):
+        assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+    if lam_delta > 2.785:
+        # Past the limit both kernels grow by the RK4 amplification factor
+        # R(-3) = 1.375 per step, 2M steps, and neither raises: there is no
+        # guard on ||A|| * delta yet (ROADMAP item 3).
+        assert np.all(np.isfinite(prop.Zs))
+        assert prop.Zs[-1][0, 0] == pytest.approx(1.375 ** (2 * M), rel=1e-12)
+    else:
+        assert np.max(np.abs(prop.Zs)) <= 1.0
