@@ -70,9 +70,12 @@ def _parse_grid(spec: str, a: float, b: float) -> SamplingGrid:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        v = np.array([float(x) for x in text.split(",") if x != ""])
     except ValueError:
         raise ValidationError(f"bad vector {text!r}: expected comma-separated numbers") from None
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"bad vector {text!r}: entries must be finite")
+    return v
 
 
 def _parse_seed(text: str) -> int:

@@ -81,19 +81,20 @@ class CoefficientFunction:
     def poly(cls, coeffs) -> "CoefficientFunction":
         """Per-entry polynomial coefficients, lowest degree first.
 
-        coeffs is a nested list matching the target shape, each entry a list
-        [c0, c1, ...]; entries are zero-padded to a common degree.
+        coeffs is a nested list (or array) matching the target shape, each
+        entry a list [c0, c1, ...]; entries are zero-padded to a common degree.
+        An array's last axis is the degree axis; data holds it first.
         """
         lists = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
         shape = _poly_shape(lists)
         flat: list = []
         _poly_flatten(lists, len(shape), flat)
-        deg = max(len(c) for c in flat)
-        stack = np.zeros((deg,) + shape)
-        for idx, c in enumerate(flat):
-            loc = np.unravel_index(idx, shape) if shape else ()
-            for d, cd in enumerate(c):
-                stack[(d,) + loc] = float(cd)
+        if len(flat) != np.prod(shape, dtype=int):
+            raise DimensionMismatch(f"polynomial entries do not fill a grid of shape {shape}")
+        stack = np.zeros((len(flat), max(len(c) for c in flat)))
+        for k, c in enumerate(flat):
+            stack[k, : len(c)] = c
+        stack = np.ascontiguousarray(np.moveaxis(stack.reshape(shape + (-1,)), -1, 0))
         stack.setflags(write=False)
         return cls("poly", shape, stack)
 
@@ -109,22 +110,7 @@ class CoefficientFunction:
         return cls.constant(np.zeros(shape))
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return self.data
-        if self.kind == "poly":
-            out = np.array(self.data[-1])
-            for d in range(self.data.shape[0] - 2, -1, -1):
-                out *= t
-                out += self.data[d]
-            return out
-        out = np.asarray(self.data(t), dtype=float)
-        if out.shape != self.shape:
-            raise DimensionMismatch(
-                f"builtin {self.name!r} returned shape {out.shape}, declared {self.shape}"
-            )
-        if self._sym:
-            out = 0.5 * (out + out.T)
-        return out
+        return self.eval_many(np.array([t], dtype=float))[0]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Values at all times in ts, stacked along a leading axis."""
@@ -138,7 +124,15 @@ class CoefficientFunction:
                 out *= tcol
                 out += self.data[d]
             return out
-        return np.stack([self(t) for t in ts])
+        out = np.empty(ts.shape + self.shape)
+        for k, t in enumerate(ts):
+            v = np.asarray(self.data(t), dtype=float)
+            if v.shape != self.shape:
+                raise DimensionMismatch(f"builtin {self.name!r} returned shape {v.shape}, declared {self.shape}")
+            out[k] = v
+        if self._sym:
+            out = 0.5 * (out + np.swapaxes(out, -1, -2))
+        return out
 
     def symmetrized(self) -> "CoefficientFunction":
         """Coefficient with values replaced by their symmetric parts."""
@@ -146,38 +140,16 @@ class CoefficientFunction:
             return self
         if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
             raise DimensionMismatch(f"cannot symmetrize shape {self.shape}")
-        if self.kind == "constant":
-            return CoefficientFunction(
-                "constant", self.shape, _readonly(0.5 * (self.data + self.data.T)), _sym=True
-            )
-        if self.kind == "poly":
-            sym = 0.5 * (self.data + np.swapaxes(self.data, 1, 2))
-            sym.setflags(write=False)
-            return CoefficientFunction("poly", self.shape, sym, _sym=True)
-        return CoefficientFunction("builtin", self.shape, self.data, name=self.name, _sym=True)
+        data = self.data
+        if self.kind != "builtin":
+            data = _readonly(0.5 * (data + np.swapaxes(data, -1, -2)))
+        return CoefficientFunction(self.kind, self.shape, data, name=self.name, _sym=True)
 
     def is_zero(self) -> bool:
         """True when the coefficient is structurally zero (constant/poly only)."""
         if self.kind in ("constant", "poly"):
             return not np.any(self.data)
         return False
-
-    def to_jsonable(self):
-        if self.kind == "constant":
-            return self.data.tolist()
-        if self.kind == "poly":
-            deg = self.data.shape[0]
-            def entry(loc):
-                return [self.data[(d,) + loc] for d in range(deg)]
-            if len(self.shape) == 1:
-                return {"poly": [entry((i,)) for i in range(self.shape[0])]}
-            return {
-                "poly": [
-                    [entry((i, j)) for j in range(self.shape[1])]
-                    for i in range(self.shape[0])
-                ]
-            }
-        return {"builtin": self.name}
 
 
 def _poly_shape(lists) -> tuple:
@@ -200,19 +172,37 @@ def _poly_flatten(lists, levels: int, out: list) -> None:
         _poly_flatten(sub, levels - 1, out)
 
 
-def as_coefficient(value, shape) -> CoefficientFunction:
-    """Wrap plain arrays/scalars/callables as a CoefficientFunction of  shape."""
-    if isinstance(value, CoefficientFunction):
+def as_coefficient(value, shape, name: str) -> CoefficientFunction:
+    """The CoefficientFunction of one problem field of the given shape.
+
+    Accepted forms of value:
+      - None: zero;
+      - a CoefficientFunction, used as it is;
+      - a callable t -> array, wrapped as a 'builtin' of the given shape;
+      - {"poly": nested coefficient lists} (see `CoefficientFunction.poly`);
+      - {"builtin": name} of a coefficient added by `register_coefficient`;
+      - an array (a scalar counts as a vector of length 1): a constant.
+    The result must have the given shape, else DimensionMismatch; name is
+    used only in error messages.
+    """
+    shape = tuple(shape)
+    if value is None:
+        cf = CoefficientFunction.zeros(shape)
+    elif isinstance(value, CoefficientFunction):
         cf = value
     elif callable(value):
-        cf = CoefficientFunction("builtin", tuple(shape), value, name=getattr(value, "__name__", "callable"))
+        cf = CoefficientFunction("builtin", shape, value, name=getattr(value, "__name__", "callable"))
+    elif isinstance(value, dict):
+        if "poly" in value:
+            cf = CoefficientFunction.poly(value["poly"])
+        elif "builtin" in value:
+            cf = CoefficientFunction.builtin(value["builtin"])
+        else:
+            raise ValidationError(f"{name}: expected a nested array, 'poly' or 'builtin' object")
     else:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(shape, float(arr))
-        cf = CoefficientFunction.constant(arr)
-    if cf.shape != tuple(shape):
-        raise DimensionMismatch(f"coefficient shape {cf.shape}, expected {tuple(shape)}")
+        cf = CoefficientFunction.constant(np.atleast_1d(value))
+    if cf.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {cf.shape}, expected {shape}")
     return cf
 
 
@@ -248,7 +238,12 @@ class LQProblem:
 
 
 def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None) -> LQProblem:
-    """Convenience constructor: wraps plain data, fills zero defaults."""
+    """Convenience constructor: wraps plain data, fills zero defaults.
+
+    Coefficients are arrays, callables or CoefficientFunctions (see
+    `as_coefficient`).  A scalar A, W, R or S stands for that multiple of the
+    identity, and a 1-D B for one column.
+    """
     q_a = np.atleast_1d(np.asarray(q_a, dtype=float))
     n = q_a.shape[0]
     # control dimension comes from B's column count
@@ -259,59 +254,31 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
     else:
         arr = np.asarray(B, dtype=float)
         m = 1 if arr.ndim < 2 else arr.shape[1]
-        B = arr.reshape(n, m)
-    p = LQProblem(
+        B = arr.reshape(-1, m)
+    return LQProblem(
         a=float(a),
         b=float(b),
         n=n,
         m=m,
-        A=as_coefficient(_as_matrix(A, n, n), (n, n)),
-        B=as_coefficient(B, (n, m)),
-        W=as_coefficient(_as_matrix(W, n, n), (n, n)),
-        R=as_coefficient(_as_matrix(R, m, m), (m, m)),
-        S=_readonly(_as_matrix(S, n, n) if not isinstance(S, CoefficientFunction) else S.data),
-        omega=_vector_coefficient(omega, n),
-        x_ref=_vector_coefficient(x, n),
-        v_ref=_vector_coefficient(v, m),
+        A=as_coefficient(_as_matrix(A, n), (n, n), "A"),
+        B=as_coefficient(B, (n, m), "B"),
+        W=as_coefficient(_as_matrix(W, n), (n, n), "W"),
+        R=as_coefficient(_as_matrix(R, m), (m, m), "R"),
+        S=_readonly(_as_matrix(S, n) if not isinstance(S, CoefficientFunction) else S.data),
+        omega=as_coefficient(omega, (n,), "omega"),
+        x_ref=as_coefficient(x, (n,), "x"),
+        v_ref=as_coefficient(v, (m,), "v"),
         q_a=_readonly(q_a),
         q_b=_readonly(np.zeros(n) if q_b is None else np.atleast_1d(np.asarray(q_b, dtype=float))),
     )
-    return p
 
 
-def _as_matrix(value, rows, cols):
+def _as_matrix(value, n):
+    """An n x n matrix field's value, with a scalar standing for that multiple of the identity."""
     if isinstance(value, CoefficientFunction) or callable(value):
         return value
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        if rows != cols and not (rows == 1 or cols == 1):
-            raise DimensionMismatch("scalar shorthand only valid for square or vector shapes")
-        out = np.zeros((rows, cols))
-        if rows == cols:
-            np.fill_diagonal(out, float(arr))
-        else:
-            out[:] = float(arr)
-        return out
-    if arr.ndim == 1:
-        if rows == 1 or cols == 1:
-            return arr.reshape(rows, cols)
-        raise DimensionMismatch(f"expected a {rows}x{cols} matrix")
-    return arr
-
-
-def _vector_coefficient(value, dim) -> CoefficientFunction:
-    if value is None:
-        return CoefficientFunction.zeros((dim,))
-    if isinstance(value, CoefficientFunction):
-        if value.shape != (dim,):
-            raise DimensionMismatch(f"vector coefficient shape {value.shape}, expected ({dim},)")
-        return value
-    if callable(value):
-        return CoefficientFunction("builtin", (dim,), value, name=getattr(value, "__name__", "callable"))
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape != (dim,):
-        raise DimensionMismatch(f"vector coefficient shape {arr.shape}, expected ({dim},)")
-    return CoefficientFunction.constant(arr)
+    return np.diag(np.full(n, float(arr))) if arr.ndim == 0 else np.atleast_2d(arr)
 
 
 def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
@@ -324,8 +291,7 @@ def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
     """
     if probes < 2:
         raise ValidationError("probes must be at least 2")
-    if not p.a < p.b:
-        raise InvalidInterval(f"need a < b, got a={p.a}, b={p.b}")
+    _check_interval(p.a, p.b)
     n, m = p.n, p.m
     _expect_shape("A", p.A.shape, (n, n))
     _expect_shape("B", p.B.shape, (n, m))
@@ -337,6 +303,9 @@ def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
     _expect_shape("v", p.v_ref.shape, (m,))
     _expect_shape("q_a", p.q_a.shape, (n,))
     _expect_shape("q_b", p.q_b.shape, (n,))
+    for name, value in (("S", p.S), ("q_a", p.q_a), ("q_b", p.q_b)):
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} is not finite")
 
     S = 0.5 * (p.S + p.S.T)
     W = p.W.symmetrized()
@@ -370,6 +339,11 @@ def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
     c_R = np.min(r_min)
 
     return replace(p, S=_readonly(S), W=W, R=R, validated=True, c_R=float(c_R))
+
+
+def _check_interval(a, b) -> None:
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise InvalidInterval(f"need finite a < b, got a={a}, b={b}")
 
 
 def _expect_shape(name, got, want):
@@ -413,7 +387,7 @@ class SamplingGrid:
 
 def _grid_from_nodes(s: np.ndarray) -> SamplingGrid:
     h = np.diff(s)
-    if np.any(h <= 0):
+    if not np.all(h > 0):
         raise NonPositiveDuration("sample times must be strictly increasing")
     s.setflags(write=False)
     h.setflags(write=False)
@@ -421,8 +395,7 @@ def _grid_from_nodes(s: np.ndarray) -> SamplingGrid:
 
 
 def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got a={a}, b={b}")
+    _check_interval(a, b)
     if N < 1:
         raise InvalidInterval(f"need N >= 1, got {N}")
     s = np.linspace(float(a), float(b), N + 1)
@@ -431,10 +404,9 @@ def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
 
 def grid_from_durations(h, a: float, b: float) -> SamplingGrid:
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    if np.any(h <= 0):
+    if not np.all(h > 0):
         raise NonPositiveDuration(f"durations must be positive, got {h.tolist()}")
-    if not a < b:
-        raise InvalidInterval(f"need a < b, got a={a}, b={b}")
+    _check_interval(a, b)
     total = float(np.sum(h))
     span = float(b) - float(a)
     if abs(total - span) > 1e-12 * max(1.0, abs(span)):
@@ -447,9 +419,11 @@ def grid_from_durations(h, a: float, b: float) -> SamplingGrid:
 def load_problem(source) -> LQProblem:
     """Build an (unvalidated) problem from a JSON file path or a parsed dict.
 
-    Matrices are nested arrays (constant) or {"poly": [[[c0, c1, ...], ...], ...]}
-    with per-entry polynomial coefficients in t, lowest degree first; vectors
-    likewise.  Missing omega, x, v, q_b default to zero.
+    Coefficients take the forms `as_coefficient` accepts, with nested arrays
+    (constant) reshaped to the field's shape, so a flat list of 4 numbers is
+    a 2x2 matrix; {"poly": [[[c0, c1, ...], ...], ...]} holds per-entry
+    polynomial coefficients in t, lowest degree first.  Missing omega, x, v,
+    q_b default to zero.
     """
     if isinstance(source, dict):
         doc = source
@@ -474,31 +448,25 @@ def load_problem(source) -> LQProblem:
         B=_coefficient_from_json(doc["B"], (n, m), "B"),
         W=_coefficient_from_json(doc["W"], (n, n), "W"),
         R=_coefficient_from_json(doc["R"], (m, m), "R"),
-        S=_readonly(np.asarray(doc["S"], dtype=float).reshape(n, n)),
+        S=_readonly(_json_array(doc["S"], (n, n), "S")),
         omega=_coefficient_from_json(doc.get("omega"), (n,), "omega"),
         x_ref=_coefficient_from_json(doc.get("x"), (n,), "x"),
         v_ref=_coefficient_from_json(doc.get("v"), (m,), "v"),
-        q_a=_readonly(np.asarray(doc["qa"], dtype=float).reshape(n)),
-        q_b=_readonly(np.asarray(doc.get("qb", np.zeros(n)), dtype=float).reshape(n)),
+        q_a=_readonly(_json_array(doc["qa"], (n,), "qa")),
+        q_b=_readonly(_json_array(doc.get("qb", np.zeros(n)), (n,), "qb")),
     )
 
 
-def _coefficient_from_json(value, shape, name) -> CoefficientFunction:
-    if value is None:
-        return CoefficientFunction.zeros(shape)
-    if isinstance(value, dict):
-        if "poly" in value:
-            cf = CoefficientFunction.poly(value["poly"])
-        elif "builtin" in value:
-            cf = CoefficientFunction.builtin(value["builtin"])
-        else:
-            raise ValidationError(f"{name}: expected a nested array, 'poly' or 'builtin' object")
-        if cf.shape != tuple(shape):
-            raise DimensionMismatch(f"{name} has shape {cf.shape}, expected {tuple(shape)}")
-        return cf
+def _json_array(value, shape, name) -> np.ndarray:
+    """value as an array of the given shape, reshaped from any shape of the same size."""
     arr = np.asarray(value, dtype=float)
     try:
-        arr = arr.reshape(shape)
+        return arr.reshape(shape)
     except ValueError:
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {tuple(shape)}") from None
-    return CoefficientFunction.constant(arr)
+
+
+def _coefficient_from_json(value, shape, name) -> CoefficientFunction:
+    if value is not None and not isinstance(value, dict):
+        value = _json_array(value, shape, name)
+    return as_coefficient(value, shape, name)

@@ -117,9 +117,7 @@ def random_problem(seed: int):
 
     if seed % 3 == 0:
         deg = int(rng.integers(1, 3))
-        A = CoefficientFunction(
-            "poly", (n, n), _readonly_stack(rng.uniform(-0.8, 0.8, size=(deg + 1, n, n)))
-        )
+        A = CoefficientFunction.poly(np.moveaxis(rng.uniform(-0.8, 0.8, size=(deg + 1, n, n)), 0, -1))
     else:
         A = rng.uniform(-1.0, 1.0, size=(n, n))
     B = rng.uniform(-1.0, 1.0, size=(n, m))
@@ -138,9 +136,7 @@ def random_problem(seed: int):
     if homogeneous:
         omega = x = v = q_b = None
     else:
-        omega = CoefficientFunction(
-            "poly", (n,), _readonly_stack(rng.uniform(-0.5, 0.5, size=(2, n)))
-        )
+        omega = CoefficientFunction.poly(np.moveaxis(rng.uniform(-0.5, 0.5, size=(2, n)), 0, -1))
         x = rng.uniform(-0.5, 0.5, size=n)
         v = rng.uniform(-0.5, 0.5, size=m)
         q_b = rng.uniform(-0.5, 0.5, size=n)
@@ -155,8 +151,3 @@ def random_problem(seed: int):
         grid = grid_from_durations(d / d.sum() * (b - a), a, b)
     return problem, grid
 
-
-def _readonly_stack(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr

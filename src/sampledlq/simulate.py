@@ -23,9 +23,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .blocks import simpson_weights
-from .errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
+from .errors import DimensionMismatch, NodeMismatch, NonFinite
 from .problem import LQProblem, SamplingGrid
-from .transition import _rk4_linear, _run_maps, _step_maps
+from .transition import _half_grid, _interval_half_grid, _rk4_linear, _run_maps, _step_maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +36,7 @@ class PiecewiseConstantControl:
     U: np.ndarray  # (N, m)
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
+        U = np.array(self.U, dtype=float)  # a copy: the caller's array is not frozen
         if U.ndim == 1:
             U = U[:, None]
         if U.shape[0] != self.grid.N:
@@ -83,17 +83,6 @@ class CostateTrajectory:
 
 def _same_grid(g1: SamplingGrid, g2: SamplingGrid) -> bool:
     return g1 is g2 or (np.array_equal(g1.s, g2.s))
-
-
-def _half_grid(lo: float, hi: float, h: float, M: int):
-    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M."""
-    if M < 1:
-        raise ValidationError(f"need M >= 1, got {M}")
-    return np.linspace(lo, hi, 4 * M + 1), h / (2 * M)
-
-
-def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
-    return _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
 
 
 def _check_control_dim(p: LQProblem, m: int) -> None:

@@ -42,6 +42,17 @@ class IntervalPropagation:
         return (self.nodes.shape[0] - 1) // 2
 
 
+def _half_grid(lo: float, hi: float, h: float, M: int):
+    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M."""
+    if M < 1:
+        raise ValidationError(f"need M >= 1, got {M}")
+    return np.linspace(lo, hi, 4 * M + 1), h / (2 * M)
+
+
+def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
+    return _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+
+
 def _step_maps(As: np.ndarray, Cs: np.ndarray, delta: float):
     """Affine maps (Phi, psi) of the 2M RK4 steps of Y' = A(t) Y + C(t).
 
@@ -89,13 +100,8 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
     """Z, Gamma, xi at the 2M+1 nodes of interval i, via 2M RK4 half-steps."""
     if not 0 <= i < grid.N:
         raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
-    if M < 1:
-        raise ValidationError(f"need M >= 1, got {M}")
+    half, delta = _interval_half_grid(grid, i, M)
     n, m = p.n, p.m
-    s_lo = grid.s[i]
-    s_hi = grid.s[i + 1]
-    delta = float(grid.h[i]) / (2 * M)
-    half = np.linspace(s_lo, s_hi, 4 * M + 1)
 
     As = np.ascontiguousarray(p.A.eval_many(half))
     Cs = np.zeros((half.shape[0], n, n + m + 1))
@@ -120,12 +126,9 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
 def transition_matrix(p: LQProblem, t: float, s: float, M: int = 64) -> np.ndarray:
     """Z(t, s), integrating forward or backward as needed; Z(s, s) = Id."""
     n = p.n
-    if M < 1:
-        raise ValidationError(f"need M >= 1, got {M}")
+    half, delta = _half_grid(s, t, t - s, M)
     if t == s:
         return np.eye(n)
-    delta = (t - s) / (2 * M)
-    half = np.linspace(s, t, 4 * M + 1)
     As = np.ascontiguousarray(p.A.eval_many(half))
     Cs = np.zeros((half.shape[0], n, n))
     Zs = _rk4_linear(As, Cs, np.eye(n), delta)

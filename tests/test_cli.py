@@ -141,6 +141,32 @@ class TestErrors:
         assert code == 2
         assert "seed:K" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("S", [[float("nan")]]),
+        ("qa", [float("nan")]),
+        ("qb", [float("inf")]),
+        ("a", float("-inf")),
+        ("b", float("nan")),
+        ("S", [[1.0, 0.0]]),
+    ])
+    def test_bad_problem_file_data(self, capsys, tmp_path, field, value):
+        path = write_problem(tmp_path, **{field: value})
+        code, _, err = run_cli(capsys, "solve", "--problem", path, "--grid", "uniform:1")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--qa", "nan"),
+        ("--qa", "inf"),
+        ("--grid", "durations:nan,1"),
+        ("--grid", "durations:inf,1"),
+    ])
+    def test_nonfinite_arguments(self, capsys, flag, value):
+        # a repeated --grid overrides the first
+        code, _, err = run_cli(capsys, "solve", "--problem", "dontchev", "--grid", "uniform:1", flag, value)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_invalid_problem_file(self, capsys, tmp_path):
         path = write_problem(tmp_path, R=[[0.0]])
         code, _, err = run_cli(capsys, "solve", "--problem", path,

@@ -154,6 +154,57 @@ class TestValidation:
                 assert z @ (R @ z) >= problem.c_R * (z @ z) * (1.0 - 1e-12)
 
 
+class TestNonFiniteAndMisSizedData:
+    """Bad problem data raises a ValidationError subclass (CLI exit code 2)."""
+
+    def _base(self, **overrides):
+        return make_problem(**{**dict(a=0.0, b=1.0, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
+                                      S=[[0.0]], q_a=[1.0]), **overrides})
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("S", [[np.nan]], ValidationError),
+        ("S", [[np.inf]], ValidationError),
+        ("q_a", [np.nan], ValidationError),
+        ("q_b", [-np.inf], ValidationError),
+        ("a", -np.inf, InvalidInterval),
+        ("a", np.nan, InvalidInterval),
+        ("b", np.inf, InvalidInterval),
+    ])
+    def test_nonfinite_constant_data(self, field, value, error):
+        with pytest.raises(error, match="finite"):
+            sq.validate_problem(self._base(**{field: value}))
+
+    @pytest.mark.parametrize("B", [1.0, [1.0], [[0.0, 1.0]], [[1.0], [2.0], [3.0]], np.ones((2, 2, 2))])
+    def test_mis_sized_B(self, B):
+        with pytest.raises(DimensionMismatch):
+            make_problem(**{**_make_base(), "B": B})
+
+    @pytest.mark.parametrize("field, value", [("S", [[1.0]]), ("qa", [1.0]), ("qb", [1.0, 2.0, 3.0])])
+    def test_mis_sized_json_constants(self, field, value):
+        with pytest.raises(DimensionMismatch):
+            sq.load_problem({**_doc_base(), field: value})
+
+    @pytest.mark.parametrize("coeffs", [[[[1.0], [2.0]], [[3.0]]], [[[1.0]], [[2.0], [3.0]]]])
+    def test_ragged_poly_grid(self, coeffs):
+        with pytest.raises(DimensionMismatch):
+            CoefficientFunction.poly(coeffs)
+
+    @pytest.mark.parametrize("N, a, b", [(2, -np.inf, 1.0), (2, 0.0, np.inf), (2, np.nan, 1.0)])
+    def test_uniform_grid_nonfinite_interval(self, N, a, b):
+        with pytest.raises(InvalidInterval):
+            sq.uniform_grid(N, a, b)
+
+    @pytest.mark.parametrize("h, a, b, error", [
+        ([np.nan, 1.0], 0.0, 1.0, NonPositiveDuration),
+        ([0.5, 0.5], -np.inf, 1.0, InvalidInterval),
+        ([0.5, 0.5], 0.0, np.nan, InvalidInterval),
+        ([np.inf, 1.0], 0.0, 1.0, DurationMismatch),
+    ])
+    def test_durations_nonfinite(self, h, a, b, error):
+        with pytest.raises(error):
+            sq.grid_from_durations(h, a, b)
+
+
 class TestGrids:
     def test_uniform_single(self):
         g = sq.uniform_grid(1, 0.0, 1.0)
@@ -263,3 +314,137 @@ class TestJsonLoading:
         doc["A"] = {"builtin": "test-decay"}
         p = sq.load_problem(doc)
         assert p.A(1.0)[0, 0] == pytest.approx(np.exp(-1.0))
+
+
+sq.register_coefficient("test-forms-matrix", (2, 2), lambda t: np.array([[t, 1.0], [0.0, 2.0]]))
+sq.register_coefficient("test-forms-vector", (2,), lambda t: np.array([t, 3.0]))
+
+
+def _make_base():
+    return dict(a=0.0, b=1.0, A=np.zeros((2, 2)), B=[[0.0], [1.0]], W=np.eye(2), R=[[1.0]],
+                S=np.eye(2), q_a=[1.0, 0.0])
+
+
+def _doc_base():
+    return {"a": 0.0, "b": 1.0, "n": 2, "m": 1, "A": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]],
+            "W": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]], "S": [[1.0, 0.0], [0.0, 1.0]], "qa": [1.0, 0.0]}
+
+
+_MATRIX_AT_HALF = np.array([[0.5, 1.0], [0.0, 2.0]])
+_VECTOR_AT_HALF = np.array([0.5, 3.0])
+
+# (field, value, expected value at t = 0.5 or exception class); n = 2, m = 1
+MAKE_PROBLEM_CASES = [
+    ("A", 0.5, np.diag([0.5, 0.5])),
+    ("A", [1.0, 2.0], DimensionMismatch),
+    ("A", [[1.0, 2.0], [3.0, 4.0]], np.array([[1.0, 2.0], [3.0, 4.0]])),
+    ("A", [[1.0, 2.0, 3.0]], DimensionMismatch),
+    ("A", CoefficientFunction.poly([[[0.0, 1.0], [1.0]], [[0.0], [2.0]]]), _MATRIX_AT_HALF),
+    ("A", CoefficientFunction.poly([[[0.0, 1.0]]]), DimensionMismatch),
+    ("A", CoefficientFunction.builtin("test-forms-matrix"), _MATRIX_AT_HALF),
+    ("A", lambda t: np.array([[t, 1.0], [0.0, 2.0]]), _MATRIX_AT_HALF),
+    ("A", None, ValidationError),  # None is read as NaN, which validation rejects
+    ("W", 2.0, np.diag([2.0, 2.0])),
+    ("R", 3.0, np.array([[3.0]])),
+    ("R", [3.0], np.array([[3.0]])),
+    ("B", [0.0, 1.0], np.array([[0.0], [1.0]])),
+    ("B", [[0.0], [1.0]], np.array([[0.0], [1.0]])),
+    ("B", CoefficientFunction.poly([[[0.0]], [[0.0, 2.0]]]), np.array([[0.0], [1.0]])),
+    ("B", CoefficientFunction.poly([[[0.0, 2.0]]]), DimensionMismatch),
+    ("B", lambda t: np.array([[0.0], [2.0 * t]]), np.array([[0.0], [1.0]])),
+    ("omega", 0.5, DimensionMismatch),
+    ("omega", [0.5, 3.0], _VECTOR_AT_HALF),
+    ("omega", [[0.5, 3.0]], DimensionMismatch),
+    ("omega", CoefficientFunction.poly([[0.0, 1.0], [3.0]]), _VECTOR_AT_HALF),
+    ("omega", CoefficientFunction.poly([[0.0, 1.0]]), DimensionMismatch),
+    ("omega", CoefficientFunction.builtin("test-forms-vector"), _VECTOR_AT_HALF),
+    ("omega", lambda t: np.array([t, 3.0]), _VECTOR_AT_HALF),
+    ("omega", None, np.zeros(2)),
+    ("x", [0.5, 3.0], _VECTOR_AT_HALF),
+    ("v", 0.5, np.array([0.5])),
+    ("v", [0.5], np.array([0.5])),
+    ("v", [0.5, 1.0], DimensionMismatch),
+    ("v", None, np.zeros(1)),
+]
+
+# (field, value, expected value at t = 0.5 or exception class); n = 2, m = 1
+LOAD_PROBLEM_CASES = [
+    ("A", 0.5, DimensionMismatch),
+    ("A", [1.0, 2.0, 3.0, 4.0], np.array([[1.0, 2.0], [3.0, 4.0]])),  # flat 2x2 is reshaped
+    ("A", [1.0, 2.0], DimensionMismatch),
+    ("A", [[1.0, 2.0], [3.0, 4.0]], np.array([[1.0, 2.0], [3.0, 4.0]])),
+    ("A", [[1.0, 2.0, 3.0]], DimensionMismatch),
+    ("A", {"poly": [[[0.0, 1.0], [1.0]], [[0.0], [2.0]]]}, _MATRIX_AT_HALF),
+    ("A", {"poly": [[[0.0, 1.0]]]}, DimensionMismatch),
+    ("A", {"builtin": "test-forms-matrix"}, _MATRIX_AT_HALF),
+    ("A", {"builtin": "test-forms-vector"}, DimensionMismatch),
+    ("A", {"matrix": [[1.0]]}, ValidationError),
+    ("A", lambda t: np.eye(2), TypeError),
+    ("A", None, np.zeros((2, 2))),
+    ("B", [0.0, 1.0], np.array([[0.0], [1.0]])),
+    ("B", [[0.0, 1.0]], np.array([[0.0], [1.0]])),
+    ("B", 1.0, DimensionMismatch),
+    ("R", 3.0, np.array([[3.0]])),
+    ("omega", 0.5, DimensionMismatch),
+    ("omega", [0.5, 3.0], _VECTOR_AT_HALF),
+    ("omega", [[0.5, 3.0]], _VECTOR_AT_HALF),  # a (1, 2) JSON vector is reshaped
+    ("omega", [[0.5], [3.0], [1.0]], DimensionMismatch),
+    ("omega", {"poly": [[0.0, 1.0], [3.0]]}, _VECTOR_AT_HALF),
+    ("omega", {"builtin": "test-forms-vector"}, _VECTOR_AT_HALF),
+    ("omega", {"builtin": "test-forms-matrix"}, DimensionMismatch),
+    ("omega", lambda t: np.zeros(2), TypeError),
+    ("omega", None, np.zeros(2)),
+    ("x", [0.5, 3.0], _VECTOR_AT_HALF),
+    ("v", 0.5, np.array([0.5])),
+    ("v", [[0.5]], np.array([0.5])),
+    ("v", None, np.zeros(1)),
+]
+
+_ATTR = {"x": "x_ref", "v": "v_ref"}
+
+
+def _check_case(build, field, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            sq.validate_problem(build())
+        return
+    p = sq.validate_problem(build())
+    coefficient = getattr(p, _ATTR.get(field, field))
+    value = coefficient.eval_many(np.array([0.5]))[0]
+    assert value.shape == expected.shape
+    assert np.array_equal(value, expected)
+
+
+class TestCoefficientForms:
+    """Which value forms each constructor accepts for each kind of field."""
+
+    @pytest.mark.parametrize("field, value, expected", MAKE_PROBLEM_CASES)
+    def test_make_problem(self, field, value, expected):
+        _check_case(lambda: make_problem(**{**_make_base(), field: value}), field, expected)
+
+    @pytest.mark.parametrize("field, value, expected", LOAD_PROBLEM_CASES)
+    def test_load_problem(self, field, value, expected):
+        _check_case(lambda: sq.load_problem({**_doc_base(), field: value}), field, expected)
+
+    def test_symmetrized_builtin_call_matches_eval_many(self):
+        cf = CoefficientFunction("builtin", (2, 2), lambda t: np.array([[t, 1.0 / 3.0], [t * t, 0.1]]),
+                                 name="asym").symmetrized()
+        ts = np.linspace(0.0, 1.0, 9)
+        stacked = cf.eval_many(ts)
+        for k, t in enumerate(ts):
+            value = cf(t)
+            assert value.shape == (2, 2)
+            assert np.array_equal(value, stacked[k])
+            assert np.array_equal(value, value.T)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_poly_from_degree_last_stack_is_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        deg = int(rng.integers(0, 4))
+        for shape in ((deg + 1, n, n), (deg + 1, n)):
+            stack = rng.uniform(-1.0, 1.0, size=shape)
+            cf = CoefficientFunction.poly(np.moveaxis(stack, 0, -1))
+            assert cf.shape == shape[1:]
+            assert cf.data.shape == stack.shape
+            assert np.array_equal(cf.data, stack)

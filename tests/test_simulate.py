@@ -39,6 +39,13 @@ class TestPiecewiseConstantControl:
         with pytest.raises(ValueError):
             u.U[0, 0] = 1.0
 
+    def test_caller_array_stays_writeable(self):
+        U = np.zeros((2, 1))
+        u = sq.PiecewiseConstantControl(sq.uniform_grid(2, 0, 1), U)
+        assert U.flags.writeable
+        U[0, 0] = 1.0
+        assert u.U[0, 0] == 0.0
+
     def test_wrong_count_rejected(self):
         grid = sq.uniform_grid(3, 0, 1)
         with pytest.raises(DimensionMismatch):
