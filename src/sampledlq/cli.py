@@ -26,7 +26,6 @@ from .errors import (
 )
 from .oracle import cross_check
 from .problem import (
-    LQProblem,
     SamplingGrid,
     grid_from_durations,
     load_problem,
@@ -51,82 +50,88 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _parse(cast, rest: str, what: str, text: str, usage: str):
+    """cast(rest), with a ValueError reported as a bad `what` spelled `text`."""
+    try:
+        return cast(rest)
+    except ValueError:
+        raise ValidationError(f"bad {what} {text!r}: expected {usage}") from None
+
+
+def _list_of(cast):
+    """Parser of a comma-separated list whose items are read by cast; empty items are skipped."""
+    return lambda text: [cast(v) for v in text.split(",") if v]
+
+
 def _parse_grid(spec: str, a: float, b: float) -> SamplingGrid:
     kind, _, rest = spec.partition(":")
     if kind == "uniform":
-        try:
-            N = int(rest)
-        except ValueError:
-            raise ValidationError(f"bad grid spec {spec!r}: expected uniform:N") from None
-        return uniform_grid(N, a, b)
+        return uniform_grid(_parse(int, rest, "grid spec", spec, "uniform:N"), a, b)
     if kind == "durations":
-        try:
-            h = [float(v) for v in rest.split(",") if v]
-        except ValueError:
-            raise ValidationError(f"bad grid spec {spec!r}: expected durations:h1,h2,...") from None
-        return grid_from_durations(h, a, b)
+        return grid_from_durations(_parse(_list_of(float), rest, "grid spec", spec, "durations:h1,h2,..."), a, b)
     raise ValidationError(f"bad grid spec {spec!r}: expected uniform:N or durations:...")
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        v = np.array([float(x) for x in text.split(",") if x != ""])
-    except ValueError:
-        raise ValidationError(f"bad vector {text!r}: expected comma-separated numbers") from None
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"bad vector {text!r}: entries must be finite")
-    return v
+def _resolve(args):
+    """Returns (problem, grid, registry entry or None, label).
 
-
-def _parse_seed(text: str) -> int:
-    kind, _, rest = text.partition(":")
-    if kind != "seed" or not rest:
-        raise ValidationError(f"bad random spec {text!r}: expected seed:K")
-    try:
-        return int(rest)
-    except ValueError:
-        raise ValidationError(f"bad random spec {text!r}: expected an integer seed") from None
-
-
-def _resolve_problem(args):
-    """Returns (problem, default_grid_or_None, registry_entry_or_None, label)."""
-    if getattr(args, "random", None):
-        seed = _parse_seed(args.random)
+    The grid is None only for a subcommand without --grid (converge)."""
+    if args.random:
+        kind, _, rest = args.random.partition(":")
+        if kind != "seed" or not rest:
+            raise ValidationError(f"bad random spec {args.random!r}: expected seed:K")
+        seed = _parse(int, rest, "random spec", args.random, "an integer seed")
         problem, grid = registry.random_problem(seed)
-        label = f"random(seed={seed})"
-        entry = None
+        entry, label = None, f"random(seed={seed})"
+    elif args.problem is None:
+        raise ValidationError("one of --problem or --random is required")
+    elif args.problem in registry.list_problems():
+        entry = registry.get_problem(args.problem)
+        problem, grid, label = entry.problem, None, args.problem
+    elif os.path.exists(args.problem):
+        problem = validate_problem(load_problem(args.problem))
+        entry, grid, label = None, None, args.problem
     else:
-        name = args.problem
-        if name is None:
-            raise ValidationError("one of --problem or --random is required")
-        if name in registry.list_problems():
-            entry = registry.get_problem(name)
-            problem, grid, label = entry.problem, None, name
-        elif os.path.exists(name):
-            problem = validate_problem(load_problem(name))
-            entry, grid, label = None, None, name
-        else:
-            raise UnknownProblem(f"unknown problem: {name!r}")
-    if getattr(args, "qa", None) is not None:
-        q_a = _parse_vector(args.qa)
+        raise UnknownProblem(f"unknown problem: {args.problem!r}")
+    if args.qa is not None:
+        q_a = np.array(_parse(_list_of(float), args.qa, "vector", args.qa, "comma-separated numbers"))
+        if not np.all(np.isfinite(q_a)):
+            raise ValidationError(f"bad vector {args.qa!r}: entries must be finite")
         if q_a.shape != (problem.n,):
             raise ValidationError(f"--qa has {q_a.shape[0]} entries, problem has n={problem.n}")
         q_a.setflags(write=False)
         problem = replace(problem, q_a=q_a)
+    if not hasattr(args, "grid"):
+        grid = None
+    elif args.grid:
+        grid = _parse_grid(args.grid, problem.a, problem.b)
+    elif grid is None:
+        raise ValidationError("missing --grid")
     return problem, grid, entry, label
 
 
-def _require_grid(args, default_grid, problem):
-    if getattr(args, "grid", None):
-        return _parse_grid(args.grid, problem.a, problem.b)
-    if default_grid is not None:
-        return default_grid
-    raise ValidationError("missing --grid")
+def _simulate(problem, control, M):
+    """(trajectory, cost) of one control."""
+    traj = simulate_state(problem, control, M)
+    return traj, evaluate_cost(problem, control, traj)
+
+
+def _solve(problem, grid, M):
+    """(blocks, sweep, solution carrying its simulated cost, trajectory) on one grid."""
+    blocks, sweep, sol = riccati_solve(problem, grid, M)
+    traj, cost = _simulate(problem, PiecewiseConstantControl(grid, sol.U), M)
+    return blocks, sweep, sol.with_simulated_cost(cost), traj
+
+
+def _averaged(problem, u_ref, grid, M):
+    """(u_h, cost): the interval averages of u_ref on grid and their simulated cost."""
+    u_h = averaged_control(u_ref, grid, M, m=problem.m)
+    return u_h, _simulate(problem, u_h, M)[1]
 
 
 def _resolve_reference(args, entry, problem, max_N, M):
     """Returns (u_ref callable, reference cost, description)."""
-    spec = getattr(args, "reference", None) or "closed-form"
+    spec = args.reference or "closed-form"
     if spec == "closed-form":
         if entry is None or entry.reference_control is None:
             raise MissingReference("no closed-form reference control for this problem")
@@ -136,18 +141,17 @@ def _resolve_reference(args, entry, problem, max_N, M):
     kind, _, rest = spec.partition(":")
     if kind != "fine":
         raise ValidationError(f"bad reference spec {spec!r}: expected closed-form or fine:N")
-    try:
-        N_ref = int(rest)
-    except ValueError:
-        raise ValidationError(f"bad reference spec {spec!r}: expected fine:N") from None
+    N_ref = _parse(int, rest, "reference spec", spec, "fine:N")
     if N_ref <= max_N:
         raise ValidationError(f"fine reference N={N_ref} must exceed the largest requested N={max_N}")
     grid_ref = uniform_grid(N_ref, problem.a, problem.b)
-    _, _, sol_ref = riccati_solve(problem, grid_ref, M)
-    control_ref = PiecewiseConstantControl(grid_ref, sol_ref.U)
-    traj_ref = simulate_state(problem, control_ref, M)
-    ref_cost = evaluate_cost(problem, control_ref, traj_ref)
-    return control_ref, ref_cost, f"fine:{N_ref}"
+    _, _, sol_ref, _ = _solve(problem, grid_ref, M)
+    return PiecewiseConstantControl(grid_ref, sol_ref.U), sol_ref.simulated_cost, f"fine:{N_ref}"
+
+
+def _labels(name: str, m: int) -> list:
+    """CSV column names of an m-vector: the bare name for a scalar, else name_1 ... name_m."""
+    return [f"{name}_{j + 1}" for j in range(m)] if m > 1 else [name]
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -158,18 +162,20 @@ def _write_csv(path: str, header: list, rows: list) -> None:
             writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
 def _vec_str(v, digits=10) -> str:
     return "[" + ", ".join(f"{float(x):.{digits}g}" for x in np.atleast_1d(v)) + "]"
 
 
 def cmd_solve(args) -> int:
-    problem, default_grid, entry, label = _resolve_problem(args)
-    grid = _require_grid(args, default_grid, problem)
+    problem, grid, _, label = _resolve(args)
     M = args.substeps
-    blocks, sweep, sol = riccati_solve(problem, grid, M)
-    control = PiecewiseConstantControl(grid, sol.U)
-    traj = simulate_state(problem, control, M)
-    sol = sol.with_simulated_cost(evaluate_cost(problem, control, traj))
+    blocks, sweep, sol, traj = _solve(problem, grid, M)
     costate = simulate_costate(problem, traj, M)
     residuals = pmp_residual_sampled(problem, sol, costate)
     res_max = float(np.max(np.linalg.norm(residuals, axis=1)))
@@ -188,7 +194,7 @@ def cmd_solve(args) -> int:
 
     if args.out:
         if args.format == "json":
-            doc = {
+            _write_json(args.out, {
                 "problem": label,
                 "grid": {"h": grid.h.tolist(), "s": grid.s.tolist()},
                 "U": sol.U.tolist(),
@@ -200,10 +206,7 @@ def cmd_solve(args) -> int:
                     {"i": step.i, "gain": step.gain.tolist(), "offset": step.offset.tolist()}
                     for step in sweep.steps
                 ],
-            }
-            with open(args.out, "w") as f:
-                json.dump(doc, f, indent=2)
-                f.write("\n")
+            })
         else:
             header = ["i", "s_i", "h_i"] + [f"U_{j + 1}" for j in range(problem.m)]
             rows = [
@@ -215,38 +218,27 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    problem, default_grid, entry, label = _resolve_problem(args)
-    try:
-        Ns = [int(v) for v in args.grids.split(",") if v]
-    except ValueError:
-        raise ValidationError(f"bad --grids {args.grids!r}: expected N1,N2,...") from None
+    problem, _, entry, label = _resolve(args)
+    Ns = _parse(_list_of(int), args.grids, "--grids", args.grids, "N1,N2,...")
     if not Ns:
         raise ValidationError("--grids must list at least one N")
     M = args.substeps
     u_ref, ref_cost, ref_desc = _resolve_reference(args, entry, problem, max(Ns), M)
 
+    def ref_at(t):
+        return np.atleast_1d(np.asarray(u_ref(float(t)), dtype=float))
+
     rows = []
     traces = []
     for N in Ns:
         grid = uniform_grid(N, problem.a, problem.b)
-        _, _, sol = riccati_solve(problem, grid, M)
-        control = PiecewiseConstantControl(grid, sol.U)
-        traj = simulate_state(problem, control, M)
-        cost_sampled = evaluate_cost(problem, control, traj)
-        u_h = averaged_control(u_ref, grid, M, m=problem.m)
-        traj_h = simulate_state(problem, u_h, M)
-        cost_averaged = evaluate_cost(problem, u_h, traj_h)
-        ref_at_nodes = np.array(
-            [np.atleast_1d(np.asarray(u_ref(float(grid.s[i])), dtype=float)) for i in range(N)]
-        )
+        _, _, sol, traj = _solve(problem, grid, M)
+        _, cost_averaged = _averaged(problem, u_ref, grid, M)
+        ref_at_nodes = np.array([ref_at(grid.s[i]) for i in range(N)])
         max_node_err = float(np.max(np.linalg.norm(sol.U - ref_at_nodes, axis=1)))
-        rows.append([N, grid.norm_delta, max_node_err, cost_sampled, cost_sampled - ref_cost, cost_averaged])
-        trace_rows = []
-        for i in range(grid.N):
-            for t in traj.times[i]:
-                u_r = np.atleast_1d(np.asarray(u_ref(float(t)), dtype=float))
-                trace_rows.append([t, *sol.U[i], *u_r])
-        traces.append((N, trace_rows))
+        cost = sol.simulated_cost
+        rows.append([N, grid.norm_delta, max_node_err, cost, cost - ref_cost, cost_averaged])
+        traces.append((N, [[t, *sol.U[i], *ref_at(t)] for i in range(N) for t in traj.times[i]]))
 
     print(f"problem: {label}  reference: {ref_desc}  C(u*_ref)={ref_cost:.10g}  M={M}")
     print("N, norm_delta, max_node_err, cost_sampled, cost_gap, cost_averaged")
@@ -257,61 +249,34 @@ def cmd_converge(args) -> int:
         header = ["N", "norm_delta", "max_node_err", "cost_sampled", "cost_gap", "cost_averaged"]
         _write_csv(args.out, header, [[str(r[0]), *r[1:]] for r in rows])
         stem, ext = os.path.splitext(args.out)
-        if problem.m == 1:
-            trace_header = ["t", "u_sampled", "u_reference"]
-        else:
-            trace_header = (
-                ["t"]
-                + [f"u_sampled_{j + 1}" for j in range(problem.m)]
-                + [f"u_reference_{j + 1}" for j in range(problem.m)]
-            )
+        trace_header = ["t", *_labels("u_sampled", problem.m), *_labels("u_reference", problem.m)]
         for N, trace_rows in traces:
             _write_csv(f"{stem}_trace_N{N}{ext or '.csv'}", trace_header, trace_rows)
     return 0
 
 
 def cmd_compare_averaged(args) -> int:
-    problem, default_grid, entry, label = _resolve_problem(args)
-    grid = _require_grid(args, default_grid, problem)
+    problem, grid, entry, label = _resolve(args)
     M = args.substeps
-    u_ref, ref_cost, ref_desc = _resolve_reference(args, entry, problem, 0, M)
-    _, _, sol = riccati_solve(problem, grid, M)
-    control = PiecewiseConstantControl(grid, sol.U)
-    cost_sampled = evaluate_cost(problem, control, simulate_state(problem, control, M))
-    u_h = averaged_control(u_ref, grid, M, m=problem.m)
-    cost_averaged = evaluate_cost(problem, u_h, simulate_state(problem, u_h, M))
+    u_ref, ref_cost, ref_desc = _resolve_reference(args, entry, problem, grid.N, M)
+    _, _, sol, _ = _solve(problem, grid, M)
+    u_h, cost_averaged = _averaged(problem, u_ref, grid, M)
     diffs = np.linalg.norm(sol.U - u_h.U, axis=1)
 
     print(f"problem: {label}  N={grid.N}  reference: {ref_desc}  M={M}")
-    print(f"cost_sampled  = {cost_sampled:.10g}")
+    print(f"cost_sampled  = {sol.simulated_cost:.10g}")
     print(f"cost_averaged = {cost_averaged:.10g}")
     print(f"max |U_averaged - U_optimal| = {float(np.max(diffs)):.6e}")
 
     if args.out:
-        if problem.m == 1:
-            header = ["i", "s_i", "U_optimal", "U_averaged", "diff"]
-            rows = [
-                [str(i), grid.s[i], sol.U[i, 0], u_h.U[i, 0], diffs[i]]
-                for i in range(grid.N)
-            ]
-        else:
-            header = (
-                ["i", "s_i"]
-                + [f"U_optimal_{j + 1}" for j in range(problem.m)]
-                + [f"U_averaged_{j + 1}" for j in range(problem.m)]
-                + ["diff"]
-            )
-            rows = [
-                [str(i), grid.s[i], *sol.U[i], *u_h.U[i], diffs[i]]
-                for i in range(grid.N)
-            ]
+        header = ["i", "s_i", *_labels("U_optimal", problem.m), *_labels("U_averaged", problem.m), "diff"]
+        rows = [[str(i), grid.s[i], *sol.U[i], *u_h.U[i], diffs[i]] for i in range(grid.N)]
         _write_csv(args.out, header, rows)
     return 0
 
 
 def cmd_oracle_check(args) -> int:
-    problem, default_grid, entry, label = _resolve_problem(args)
-    grid = _require_grid(args, default_grid, problem)
+    problem, grid, _, label = _resolve(args)
     report = cross_check(problem, grid, args.substeps)
 
     print(f"problem: {label}  N={grid.N}  M={args.substeps}")
@@ -324,9 +289,7 @@ def cmd_oracle_check(args) -> int:
     print(f"certificate |Hq U + g| = {report.certificate_norm:.3e}")
 
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report.to_jsonable(), f, indent=2)
-            f.write("\n")
+        _write_json(args.out, report.to_jsonable())
 
     if report.max_rel_diff > ORACLE_REL_TOL:
         raise OracleMismatch(f"oracle disagreement: max rel diff {report.max_rel_diff:.3e} > {ORACLE_REL_TOL:g}")

@@ -100,7 +100,7 @@ class CoefficientFunction:
 
     @classmethod
     def builtin(cls, name: str) -> "CoefficientFunction":
-        if name not in _BUILTIN_COEFFICIENTS:
+        if not isinstance(name, str) or name not in _BUILTIN_COEFFICIENTS:
             raise ValidationError(f"unknown builtin coefficient: {name!r}")
         shape, fn = _BUILTIN_COEFFICIENTS[name]
         return cls("builtin", shape, fn, name=name)
@@ -193,17 +193,21 @@ def as_coefficient(value, shape, name: str) -> CoefficientFunction:
     elif callable(value):
         cf = CoefficientFunction("builtin", shape, value, name=getattr(value, "__name__", "callable"))
     elif isinstance(value, dict):
-        if "poly" in value:
-            cf = CoefficientFunction.poly(value["poly"])
-        elif "builtin" in value:
-            cf = CoefficientFunction.builtin(value["builtin"])
-        else:
-            raise ValidationError(f"{name}: expected a nested array, 'poly' or 'builtin' object")
+        cf = _coefficient_object(value, name)
     else:
         cf = CoefficientFunction.constant(np.atleast_1d(value))
     if cf.shape != shape:
         raise DimensionMismatch(f"{name} has shape {cf.shape}, expected {shape}")
     return cf
+
+
+def _coefficient_object(value: dict, name: str) -> CoefficientFunction:
+    """The coefficient of a {"poly": ...} or {"builtin": name} object."""
+    if "poly" in value:
+        return CoefficientFunction.poly(value["poly"])
+    if "builtin" in value:
+        return CoefficientFunction.builtin(value["builtin"])
+    raise ValidationError(f"{name}: expected a nested array, 'poly' or 'builtin' object")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,21 +244,27 @@ class LQProblem:
 def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None) -> LQProblem:
     """Convenience constructor: wraps plain data, fills zero defaults.
 
-    Coefficients are arrays, callables or CoefficientFunctions (see
-    `as_coefficient`).  A scalar A, W, R or S stands for that multiple of the
-    identity, and a 1-D B for one column.
+    Coefficients take the forms `as_coefficient` accepts; S must be a
+    constant matrix.  A scalar A, W, R or S stands for that multiple of the
+    identity, None for zero, and a 1-D B for one column.
     """
     q_a = np.atleast_1d(np.asarray(q_a, dtype=float))
     n = q_a.shape[0]
     # control dimension comes from B's column count
+    if isinstance(B, dict):
+        B = _coefficient_object(B, "B")
     if isinstance(B, CoefficientFunction):
-        m = B.shape[1]
+        m = B.shape[1] if len(B.shape) == 2 else 1  # other shapes fail as_coefficient's (n, m) check
     elif callable(B):
         m = np.atleast_2d(np.asarray(B(float(a)), dtype=float)).shape[1]
     else:
         arr = np.asarray(B, dtype=float)
         m = 1 if arr.ndim < 2 else arr.shape[1]
         B = arr.reshape(-1, m)
+    if isinstance(S, CoefficientFunction) and S.kind == "constant":
+        S = S.data
+    elif isinstance(S, dict) or callable(S):
+        raise ValidationError("S must be a constant matrix")
     return LQProblem(
         a=float(a),
         b=float(b),
@@ -264,7 +274,7 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
         B=as_coefficient(B, (n, m), "B"),
         W=as_coefficient(_as_matrix(W, n), (n, n), "W"),
         R=as_coefficient(_as_matrix(R, m), (m, m), "R"),
-        S=_readonly(_as_matrix(S, n) if not isinstance(S, CoefficientFunction) else S.data),
+        S=_readonly(_as_matrix(S, n)),
         omega=as_coefficient(omega, (n,), "omega"),
         x_ref=as_coefficient(x, (n,), "x"),
         v_ref=as_coefficient(v, (m,), "v"),
@@ -274,8 +284,10 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
 
 
 def _as_matrix(value, n):
-    """An n x n matrix field's value, with a scalar standing for that multiple of the identity."""
-    if isinstance(value, CoefficientFunction) or callable(value):
+    """An n x n matrix field's value: None is zero, and a scalar stands for that multiple of the identity."""
+    if value is None:
+        return np.zeros((n, n))
+    if isinstance(value, (CoefficientFunction, dict)) or callable(value):
         return value
     arr = np.asarray(value, dtype=float)
     return np.diag(np.full(n, float(arr))) if arr.ndim == 0 else np.atleast_2d(arr)
@@ -428,20 +440,25 @@ def load_problem(source) -> LQProblem:
     if isinstance(source, dict):
         doc = source
     else:
-        with open(source) as f:
-            doc = json.load(f)
+        try:
+            with open(source) as f:
+                doc = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read problem file {source!r}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError(f"problem file {source!r} must hold a JSON object")
     for key in ("a", "b", "n", "m", "A", "B", "W", "R", "S", "qa"):
         if key not in doc:
             raise ValidationError(f"problem file missing field {key!r}")
-    n = int(doc["n"])
-    m = int(doc["m"])
+    a, b = (_json_number(doc, key, float) for key in ("a", "b"))
+    n, m = (_json_number(doc, key, int) for key in ("n", "m"))
     if n < 1 or m < 1:
         raise DimensionMismatch(f"need positive dimensions, got n={n}, m={m}")
     if isinstance(doc["S"], dict):
         raise ValidationError("S must be a constant matrix")
     return LQProblem(
-        a=float(doc["a"]),
-        b=float(doc["b"]),
+        a=a,
+        b=b,
         n=n,
         m=m,
         A=_coefficient_from_json(doc["A"], (n, n), "A"),
@@ -457,9 +474,19 @@ def load_problem(source) -> LQProblem:
     )
 
 
+def _json_number(doc: dict, key: str, cast):
+    try:
+        return cast(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"problem file field {key!r} must be a number, got {doc[key]!r}") from None
+
+
 def _json_array(value, shape, name) -> np.ndarray:
     """value as an array of the given shape, reshaped from any shape of the same size."""
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not a rectangular array of numbers") from None
     try:
         return arr.reshape(shape)
     except ValueError:

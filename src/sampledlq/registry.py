@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnknownProblem
+from .errors import UnknownProblem, ValidationError
 from .problem import (
     CoefficientFunction,
     LQProblem,
@@ -107,8 +107,10 @@ def random_problem(seed: int):
     Weights are built as W = M^T M and R = c_R I + M^T M, so validation always
     passes; dimensions stay desk-scale (n <= 4, m <= 3, N <= 8).  Even seeds
     give homogeneous problems, odd seeds forced ones; every third seed gets a
-    polynomial (nonautonomous) A(t).
+    polynomial (nonautonomous) A(t).  A negative seed raises ValidationError.
     """
+    if seed < 0:
+        raise ValidationError(f"random seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 4))

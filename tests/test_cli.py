@@ -136,10 +136,11 @@ class TestErrors:
         assert code == 2
         assert "--qa" in err
 
-    def test_bad_seed_spec(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--random", "3")
+    @pytest.mark.parametrize("spec, message", [("3", "seed:K"), ("seed:-3", "non-negative")])
+    def test_bad_seed_spec(self, capsys, spec, message):
+        code, _, err = run_cli(capsys, "solve", "--random", spec)
         assert code == 2
-        assert "seed:K" in err
+        assert message in err
 
     @pytest.mark.parametrize("field, value", [
         ("S", [[float("nan")]]),
@@ -148,12 +149,30 @@ class TestErrors:
         ("a", float("-inf")),
         ("b", float("nan")),
         ("S", [[1.0, 0.0]]),
+        ("A", "half"),
+        ("x", [[1.0, [2.0]]]),
+        ("a", "zero"),
+        ("n", "one"),
+        ("m", None),
+        ("A", {"builtin": []}),
     ])
     def test_bad_problem_file_data(self, capsys, tmp_path, field, value):
         path = write_problem(tmp_path, **{field: value})
         code, _, err = run_cli(capsys, "solve", "--problem", path, "--grid", "uniform:1")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ['{"a": 0.0, "b": 1.0,', "5", None])
+    def test_unreadable_problem_file(self, capsys, tmp_path, text):
+        # truncated JSON, a top level that is not an object, a directory
+        path = tmp_path / "p.json"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        code, _, err = run_cli(capsys, "solve", "--problem", str(path), "--grid", "uniform:1")
+        assert code == 2
+        assert err.startswith("error:") and str(path) in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--qa", "nan"),
@@ -210,6 +229,14 @@ class TestConverge:
         assert code == 2
         assert "must exceed" in err
 
+    def test_vector_control_trace_header(self, capsys, tmp_path):
+        out_path = tmp_path / "conv.csv"
+        code, _, _ = run_cli(capsys, "converge", "--random", "seed:5", "--grids", "1,2",
+                             "--reference", "fine:4", "--substeps", "4", "--out", str(out_path))
+        assert code == 0
+        header = (tmp_path / "conv_trace_N1.csv").read_text().splitlines()[0]
+        assert header == "t,u_sampled_1,u_sampled_2,u_sampled_3,u_reference_1,u_reference_2,u_reference_3"
+
     def test_no_closed_form_for_file_problem(self, capsys, tmp_path):
         path = write_problem(tmp_path)
         code, _, err = run_cli(capsys, "converge", "--problem", path,
@@ -241,6 +268,20 @@ class TestCompareAveraged:
         diff = float(out.split("max |U_averaged - U_optimal| = ")[1].splitlines()[0])
         assert diff <= 1e-9
 
+    def test_vector_control_header(self, capsys, tmp_path):
+        out_path = tmp_path / "cmp.csv"
+        code, _, _ = run_cli(capsys, "compare-averaged", "--random", "seed:5", "--reference", "fine:4",
+                             "--substeps", "4", "--out", str(out_path))
+        assert code == 0
+        header = out_path.read_text().splitlines()[0]
+        assert header == "i,s_i,U_optimal_1,U_optimal_2,U_optimal_3,U_averaged_1,U_averaged_2,U_averaged_3,diff"
+
+    def test_fine_reference_not_finer_than_grid(self, capsys):
+        code, _, err = run_cli(capsys, "compare-averaged", "--problem", "dontchev",
+                               "--grid", "uniform:8", "--reference", "fine:2")
+        assert code == 2
+        assert "must exceed" in err
+
 
 class TestOracleCheck:
     def test_agreement(self, capsys, tmp_path):
@@ -265,6 +306,29 @@ class TestOracleCheck:
     def test_random_problem(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--random", "seed:5")
         assert code == 0
+
+
+# names the benchmark's tracer (perfbench/tracer.py) wraps in this module
+TRACED_NAMES = ("riccati_solve", "simulate_state", "evaluate_cost", "simulate_costate",
+                "pmp_residual_sampled", "cross_check")
+
+
+class TestTracedNames:
+    def test_pipeline_calls_through_module_names(self, capsys, monkeypatch):
+        calls = dict.fromkeys(TRACED_NAMES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in TRACED_NAMES:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for command in ("solve", "oracle-check"):
+            code, _, _ = run_cli(capsys, command, "--problem", "dontchev", "--grid", "uniform:2")
+            assert code == 0
+        assert all(calls.values()), calls
 
 
 class TestConsoleScript:

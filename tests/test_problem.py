@@ -343,7 +343,7 @@ MAKE_PROBLEM_CASES = [
     ("A", CoefficientFunction.poly([[[0.0, 1.0]]]), DimensionMismatch),
     ("A", CoefficientFunction.builtin("test-forms-matrix"), _MATRIX_AT_HALF),
     ("A", lambda t: np.array([[t, 1.0], [0.0, 2.0]]), _MATRIX_AT_HALF),
-    ("A", None, ValidationError),  # None is read as NaN, which validation rejects
+    ("A", None, np.zeros((2, 2))),
     ("W", 2.0, np.diag([2.0, 2.0])),
     ("R", 3.0, np.array([[3.0]])),
     ("R", [3.0], np.array([[3.0]])),
@@ -365,6 +365,19 @@ MAKE_PROBLEM_CASES = [
     ("v", [0.5], np.array([0.5])),
     ("v", [0.5, 1.0], DimensionMismatch),
     ("v", None, np.zeros(1)),
+    ("A", {"poly": [[[0.0, 1.0], [1.0]], [[0.0], [2.0]]]}, _MATRIX_AT_HALF),
+    ("A", {"builtin": "test-forms-matrix"}, _MATRIX_AT_HALF),
+    ("A", {"matrix": [[1.0]]}, ValidationError),
+    ("W", {"poly": [[[1.0], [0.0]], [[0.0], [0.0, 2.0]]]}, np.eye(2)),
+    ("W", None, np.zeros((2, 2))),
+    ("R", {"poly": [[[1.0, 2.0]]]}, np.array([[2.0]])),
+    ("R", None, NotPD),  # a zero R
+    ("B", {"poly": [[[0.0]], [[0.0, 2.0]]]}, np.array([[0.0], [1.0]])),
+    ("B", {"builtin": "test-forms-vector"}, DimensionMismatch),
+    ("B", None, ValidationError),
+    ("S", None, np.zeros((2, 2))),
+    ("S", {"poly": [[[1.0], [0.0]], [[0.0], [1.0]]]}, ValidationError),
+    ("S", lambda t: np.eye(2), ValidationError),
 ]
 
 # (field, value, expected value at t = 0.5 or exception class); n = 2, m = 1
@@ -379,7 +392,7 @@ LOAD_PROBLEM_CASES = [
     ("A", {"builtin": "test-forms-matrix"}, _MATRIX_AT_HALF),
     ("A", {"builtin": "test-forms-vector"}, DimensionMismatch),
     ("A", {"matrix": [[1.0]]}, ValidationError),
-    ("A", lambda t: np.eye(2), TypeError),
+    ("A", lambda t: np.eye(2), ValidationError),
     ("A", None, np.zeros((2, 2))),
     ("B", [0.0, 1.0], np.array([[0.0], [1.0]])),
     ("B", [[0.0, 1.0]], np.array([[0.0], [1.0]])),
@@ -392,7 +405,7 @@ LOAD_PROBLEM_CASES = [
     ("omega", {"poly": [[0.0, 1.0], [3.0]]}, _VECTOR_AT_HALF),
     ("omega", {"builtin": "test-forms-vector"}, _VECTOR_AT_HALF),
     ("omega", {"builtin": "test-forms-matrix"}, DimensionMismatch),
-    ("omega", lambda t: np.zeros(2), TypeError),
+    ("omega", lambda t: np.zeros(2), ValidationError),
     ("omega", None, np.zeros(2)),
     ("x", [0.5, 3.0], _VECTOR_AT_HALF),
     ("v", 0.5, np.array([0.5])),
@@ -409,8 +422,9 @@ def _check_case(build, field, expected):
             sq.validate_problem(build())
         return
     p = sq.validate_problem(build())
-    coefficient = getattr(p, _ATTR.get(field, field))
-    value = coefficient.eval_many(np.array([0.5]))[0]
+    value = getattr(p, _ATTR.get(field, field))
+    if isinstance(value, CoefficientFunction):
+        value = value.eval_many(np.array([0.5]))[0]
     assert value.shape == expected.shape
     assert np.array_equal(value, expected)
 
