@@ -12,6 +12,7 @@ subject to  dq/dt = A(t) q + B(t) u + omega(t),  q(a) = q_a.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -475,18 +476,32 @@ def load_problem(source) -> LQProblem:
 
 
 def _json_number(doc: dict, key: str, cast):
-    try:
-        return cast(doc[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"problem file field {key!r} must be a number, got {doc[key]!r}") from None
+    """doc[key] as a float, or as an int for cast=int; booleans, strings and fractional counts are rejected."""
+    value = doc[key]
+    number = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = cast(value)
+        except (ValueError, OverflowError):  # int() of nan or inf, float() of a huge int
+            pass
+    if number is None or (cast is int and number != value):
+        kind = "an integer" if cast is int else "a number"
+        raise ValidationError(f"problem file field {key!r} must be {kind}, got {value!r}")
+    return number
 
 
 def _json_array(value, shape, name) -> np.ndarray:
-    """value as an array of the given shape, reshaped from any shape of the same size."""
+    """value as an array of the given shape, reshaped from any shape of the same size.
+
+    Every entry must be a number: strings and booleans are rejected, not parsed.
+    """
+    entries = np.asarray(value, dtype=object)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entries.flat):
+        raise ValidationError(f"{name} is not a rectangular array of numbers")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not a rectangular array of numbers") from None
+        arr = entries.astype(float)
+    except OverflowError:
+        raise ValidationError(f"{name} has an entry too large for a float") from None
     try:
         return arr.reshape(shape)
     except ValueError:

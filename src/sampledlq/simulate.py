@@ -1,17 +1,23 @@
 """Trajectories, cost evaluation, stationarity residuals, averaged controls.
 
-Every simulation here runs the interval propagation's RK4 kernel
-(`transition._rk4_linear`) with its node layout (2M half-steps, 2M+1 stored
-nodes per interval), so the cost quadrature here and the block quadrature
-integrate the same discrete functional.  The costate runs backward from
-p(b) = -S (q(b) - q_b): the same kernel, fed -A^T and the forcing on the
-reversed half grid with step -delta.  RK4 stages falling between stored state
-nodes still use linear interpolation of q.
+Every simulation here runs the interval propagation's RK4 kernel (the step
+maps of `transition._step_maps`, run by the prefix scan `_run_maps`) with its
+node layout (2M half-steps, 2M+1 stored nodes per interval), so the cost
+quadrature here and the block quadrature integrate the same discrete
+functional.  The state and costate runs of a piecewise-constant control each
+form the step maps of all N intervals in one call on the stacked half grids
+and scan all N*2M of them in one pass; each interval's nodes are slices of
+that one array, so neighbouring intervals share their joining node exactly.
+The costate runs backward from p(b) = -S (q(b) - q_b): the same kernel, fed
+-A^T and the forcing on the reversed half grids with step -delta.  RK4 stages
+falling between stored state nodes still use linear interpolation of q.
 
-State runs carry a trailing batch axis L of controls (one control is a batch
-of one), and one Simpson quadrature gives the running cost of every run.
-Piecewise-constant controls, single or batched, go through the step maps of
-the m+1 forcing columns [B | omega], applied to [U; 1] for the whole batch.
+One Simpson quadrature gives the running cost of every run.  A single
+piecewise-constant control's horizon run applies the step maps of the m+1
+forcing columns [B | omega] to [U_i; 1] before the scan.  A batch of L
+controls (the oracle's) runs one interval at a time, with a trailing axis
+L, and applies the interval's [Z | Gamma | xi] nodes to [q; U; 1] after
+the scan, so no L-wide array is scanned.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from scipy.linalg import cho_factor, cho_solve
 from .blocks import simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite
 from .problem import LQProblem, SamplingGrid
-from .transition import _half_grid, _interval_half_grid, _rk4_linear, _run_maps, _step_maps
+from .transition import (
+    _affine_nodes, _half_grid, _horizon_half_grid, _interval_half_grid, _rk4_linear, _run_maps, _step_maps,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,50 +98,68 @@ def _check_control_dim(p: LQProblem, m: int) -> None:
         raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
 
 
+def _eval(cf, times: np.ndarray) -> np.ndarray:
+    """Values of a coefficient at an array of times of any shape."""
+    return cf.eval_many(times.ravel()).reshape(times.shape + cf.shape)
+
+
+def _per_interval(nodes: np.ndarray, M: int) -> tuple:
+    """Each interval's 2M+1 nodes as views of one horizon array of N*2M+1 nodes."""
+    return tuple(nodes[k : k + 2 * M + 1] for k in range(0, nodes.shape[0] - 1, 2 * M))
+
+
 def _states(p: LQProblem, half: np.ndarray, delta: float, q: np.ndarray, U: np.ndarray) -> np.ndarray:
     """State nodes (2M+1, n, L) of dq/dt = A q + B u + omega from q (n, L).
 
     U holds the controls as (m, L), constant over half, or as (4M+1, m, L).
-    For constant U no L-wide forcing meets the stage formulas.
+    For constant U the nodes of all runs are [Z | Gamma | xi] [q; U; 1], one
+    matrix product on the interval's affine nodes: no L-wide array meets
+    the stage formulas or the scan.
     """
     _check_control_dim(p, U.shape[-2])
-    As = p.A.eval_many(half)
-    B, omega = p.B.eval_many(half), p.omega.eval_many(half)[..., None]
     if U.ndim == 3:
-        return _rk4_linear(As, B @ U + omega, q, delta)
-    Phi, Psi = _step_maps(As, np.concatenate((B, omega), axis=-1), delta)
-    return _run_maps(Phi, Psi @ np.vstack((U, np.ones((1, U.shape[1])))), q)
+        Cs = p.B.eval_many(half) @ U + p.omega.eval_many(half)[..., None]
+        return _rk4_linear(p.A.eval_many(half), Cs, q, delta)
+    Ys = _affine_nodes(p, half, delta)
+    runs = np.vstack((q, U, np.ones((1, U.shape[1]))))
+    return (Ys.reshape(-1, Ys.shape[-1]) @ runs).reshape(Ys.shape[:2] + (-1,))
 
 
 def _running_cost(p: LQProblem, nodes: np.ndarray, delta: float, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per run.
 
     qs (2M+1, n, L) are state nodes; us holds the controls as (m, L) or (2M+1, m, L).
+    A finite state too large for its cost to be finite raises NonFinite.
     """
     _check_control_dim(p, us.shape[-2])
     w = simpson_weights(nodes.shape[0], delta)
     e = qs - p.x_ref.eval_many(nodes)[..., None]
     du = us - p.v_ref.eval_many(nodes)[..., None]
-    We = p.W.eval_many(nodes) @ e
-    Rdu = p.R.eval_many(nodes) @ du
-    return 0.5 * (np.einsum("k,kal,kal->l", w, We, e) + np.einsum("k,kal,kal->l", w, Rdu, du))
+    with np.errstate(over="ignore", invalid="ignore"):
+        We = p.W.eval_many(nodes) @ e
+        Rdu = p.R.eval_many(nodes) @ du
+        cost = 0.5 * (np.einsum("k,kal,kal->l", w, We, e) + np.einsum("k,kal,kal->l", w, Rdu, du))
+    if not np.all(np.isfinite(cost)):
+        raise NonFinite("running cost is not finite")
+    return cost
 
 
 def simulate_state(p: LQProblem, u: PiecewiseConstantControl, M: int = 64) -> Trajectory:
-    """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a."""
+    """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a.
+
+    One pass forms the step maps of [B | omega] on every interval, applies
+    each interval's to [U_i; 1], and scans all N*2M maps from q_a.
+    """
+    _check_control_dim(p, u.m)
     grid = u.grid
-    q = np.asarray(p.q_a, dtype=float)[:, None]
-    times = []
-    qs = []
-    for i in range(grid.N):
-        half, delta = _interval_half_grid(grid, i, M)
-        nodes = _states(p, half, delta, q, u.U[i][:, None])
-        times.append(half[::2])
-        qs.append(nodes[..., 0])
-        q = nodes[-1]
-    if not np.all(np.isfinite(q)):
+    half, delta = _horizon_half_grid(grid, M)
+    B, omega = _eval(p.B, half), _eval(p.omega, half)[..., None]
+    Phi, Psi = _step_maps(_eval(p.A, half), np.concatenate((B, omega), axis=-1), delta)
+    psi = Psi @ np.hstack((u.U, np.ones((grid.N, 1))))[:, None, :, None]
+    qs = _run_maps(Phi.reshape(-1, p.n, p.n), psi.reshape(-1, p.n), np.asarray(p.q_a, dtype=float))
+    if not np.all(np.isfinite(qs)):
         raise NonFinite("state simulation diverged")
-    return Trajectory(grid=grid, times=tuple(times), qs=tuple(qs), q_end=q[:, 0])
+    return Trajectory(grid=grid, times=tuple(half[:, ::2]), qs=_per_interval(qs, M), q_end=qs[-1])
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -159,36 +185,33 @@ def evaluate_cost(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -
     return float(np.sum(running_costs(p, u, traj)) + terminal_cost(p, traj.q_end))
 
 
-def _costate_nodes(p: LQProblem, half: np.ndarray, delta: float, qs: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
-    """RK4 nodes of dp/dt = -A^T p + W (q - x), run backward from p_hi at half[-1].
+def _costate_nodes(p: LQProblem, half: np.ndarray, delta, qs: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
+    """RK4 nodes (1 + steps, n) of dp/dt = -A^T p + W (q - x), run backward from p_hi at the last time.
 
-    qs are the 2M+1 stored state nodes, and q at half-step stages is the
-    average of the adjacent nodes.
+    half is one half grid (4M+1,) with a scalar delta, or a stack (N, 4M+1)
+    with deltas (N,); qs (..., 2M+1, n) are the stored state nodes on them,
+    and q at half-step stages is the average of the adjacent nodes.  The
+    reversed grids run back to back; the nodes come back in forward order.
     """
-    q_half = np.empty(half.shape + qs.shape[1:])
-    q_half[::2] = qs
-    q_half[1::2] = 0.5 * (qs[:-1] + qs[1:])
-    forcing = (p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None])[..., 0]
-    minus_At = -np.swapaxes(p.A.eval_many(half), 1, 2)
-    return _rk4_linear(minus_At[::-1], forcing[::-1], p_hi, -delta)[::-1]
+    q_half = np.empty(half.shape + qs.shape[-1:])
+    q_half[..., ::2, :] = qs
+    q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
+    forcing = (_eval(p.W, half) @ (q_half - _eval(p.x_ref, half))[..., None])[..., 0]
+    minus_At = -np.swapaxes(_eval(p.A, half), -1, -2)
+    axes = tuple(range(half.ndim))
+    return _rk4_linear(np.flip(minus_At, axes), np.flip(forcing, axes), p_hi, -np.flip(delta))[::-1]
 
 
 def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
     """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj."""
     if traj.substeps != M:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
-    grid = traj.grid
+    half, delta = _horizon_half_grid(traj.grid, M)
     p_end = -(p.S @ (traj.q_end - p.q_b))
-    ps = [None] * grid.N
-    p_hi = p_end
-    for i in range(grid.N - 1, -1, -1):
-        half, delta = _interval_half_grid(grid, i, M)
-        nodes = _costate_nodes(p, half, delta, traj.qs[i], p_hi)
-        ps[i] = nodes
-        p_hi = nodes[0]
-    if not np.all(np.isfinite(p_hi)):
+    ps = _costate_nodes(p, half, delta, np.stack(traj.qs), p_end)
+    if not np.all(np.isfinite(ps)):
         raise NonFinite("costate simulation diverged")
-    return CostateTrajectory(grid=grid, times=traj.times, ps=tuple(ps), p_end=p_end)
+    return CostateTrajectory(grid=traj.grid, times=traj.times, ps=_per_interval(ps, M), p_end=p_end)
 
 
 def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.ndarray:
@@ -232,7 +255,7 @@ def _dense_state(p: LQProblem, u_fn: Callable, M: int):
     half, delta = _half_grid(p.a, p.b, p.b - p.a, M)
     u_half = _eval_control_function(u_fn, half, p.m)
     qs = _states(p, half, delta, np.asarray(p.q_a, dtype=float)[:, None], u_half[..., None])[..., 0]
-    if not np.all(np.isfinite(qs[-1])):
+    if not np.all(np.isfinite(qs)):
         raise NonFinite("state simulation diverged")
     return half, delta, u_half, qs
 
@@ -244,6 +267,8 @@ def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
     """
     half, delta, u_half, qs = _dense_state(p, u_fn, M)
     ps = _costate_nodes(p, half, delta, qs, -(p.S @ (qs[-1] - p.q_b)))
+    if not np.all(np.isfinite(ps)):
+        raise NonFinite("costate simulation diverged")
 
     nodes = half[::2]
     Rn = p.R.eval_many(nodes)
@@ -290,9 +315,9 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
         half, delta = _interval_half_grid(grid, i, M)
         Ucol = Us[:, i, :].T
         qs = _states(p, half, delta, q, Ucol)
+        if not np.all(np.isfinite(qs)):
+            raise NonFinite("state simulation diverged in batch")
         q = qs[-1]
         total += _running_cost(p, half[::2], delta, qs, Ucol)
-    if not np.all(np.isfinite(q)):
-        raise NonFinite("state simulation diverged in batch")
     d = q - p.q_b[:, None]
     return total + 0.5 * np.einsum("al,al->l", p.S @ d, d)

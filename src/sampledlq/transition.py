@@ -11,10 +11,13 @@ control U and start state y.  The 2M half-steps leave 2M+1 stored nodes whose
 spacing matches composite Simpson quadrature downstream.
 
 Y' = A(t) Y + C(t) is linear, so each RK4 step is an affine map
-Y_{k+1} = Phi_k Y_k + psi_k.  The kernel forms all 2M maps in one vectorized
-pass of the stage formulas over the step axis, then steps the recurrence with
-one matmul and one add per step: for n <= 4 the cost of a step is numpy call
-overhead, not arithmetic, so the loop keeps only the calls that must be serial.
+Y_{k+1} = Phi_k Y_k + psi_k.  The kernel forms the maps of every step in one
+vectorized pass of the stage formulas, over the step axis and over any
+leading axis of stacked half grids (one per sampling interval), and then
+runs the recurrence as a prefix scan: composing affine maps is associative,
+so log2(K) levels of batched matmuls give all K nodes.  Grids stacked on a
+leading axis run back to back, which is how `simulate` runs state and
+costate over the whole horizon in one scan each.
 """
 
 from __future__ import annotations
@@ -53,47 +56,111 @@ def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
     return _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
 
 
-def _step_maps(As: np.ndarray, Cs: np.ndarray, delta: float):
-    """Affine maps (Phi, psi) of the 2M RK4 steps of Y' = A(t) Y + C(t).
+def _horizon_half_grid(grid: SamplingGrid, M: int):
+    """Every interval's half grid stacked (N, 4M+1), each from its own linspace, and the (N,) steps."""
+    halves, deltas = zip(*(_interval_half_grid(grid, i, M) for i in range(grid.N)))
+    return np.stack(halves), np.array(deltas)
 
-    As (4M+1, n, n) and Cs (4M+1, n, c) hold coefficient values on the
-    half-step grid.  The stage formulas run once over the step axis on
-    Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi[k] Y_k + psi[k] with
-    Phi (2M, n, n) and psi (2M, n, c).
+
+def _step_maps(As: np.ndarray, Cs: np.ndarray, delta):
+    """Affine maps (Phi, psi) of the RK4 steps of Y' = A(t) Y + C(t).
+
+    As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
+    one half-step grid or on a stack of them, and delta is the step, a scalar
+    or one per grid (shape ...).  The stage formulas run once over every step
+    on Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi[..., k] Y_k +
+    psi[..., k] with Phi (..., K, n, n) and psi (..., K, n, c).  The stages
+    live in four step-sized buffers updated in place.  Overflow warnings are
+    off, as in `_run_maps`: a map that overflows makes the nodes non-finite.
     """
     n = As.shape[-1]
-    Y = np.hstack((np.eye(n), np.zeros(Cs.shape[1:])))
-    F = np.concatenate((np.zeros(Cs.shape[:2] + (n,)), Cs), axis=-1)
+    delta = np.asarray(delta, dtype=float)[..., None, None, None]
     hd = 0.5 * delta
     sixth = delta / 6.0
-    A0, A1, A2 = As[:-1:2], As[1::2], As[2::2]
-    C0, C1, C2 = F[:-1:2], F[1::2], F[2::2]
-    k1 = A0 @ Y + C0
-    k2 = A1 @ (Y + hd * k1) + C1
-    k3 = A1 @ (Y + hd * k2) + C1
-    k4 = A2 @ (Y + delta * k3) + C2
-    Y = Y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    return np.ascontiguousarray(Y[..., :n]), np.ascontiguousarray(Y[..., n:])
+    diag = (Ellipsis, np.arange(n), np.arange(n))
+    A0, A1, A2 = As[..., :-1:2, :, :], As[..., 1::2, :, :], As[..., 2::2, :, :]
+    C0, C1, C2 = Cs[..., :-1:2, :, :], Cs[..., 1::2, :, :], Cs[..., 2::2, :, :]
+
+    def stage(A, T, C, out):
+        """out = A @ T + [0 | C]."""
+        np.matmul(A, T, out=out)
+        out[..., n:] += C
+        return out
+
+    def shifted(scale, k, out):
+        """out = Y + scale * k."""
+        np.multiply(scale, k, out=out)
+        out[diag] += 1.0
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = np.concatenate((A0, C0), axis=-1)  # A0 @ Y + [0 | C0]
+        T = shifted(hd, k1, np.empty_like(k1))
+        k2 = stage(A1, T, C1, np.empty_like(k1))
+        k3 = stage(A1, shifted(hd, k2, T), C1, np.empty_like(k1))
+        k2 += k3
+        k4 = stage(A2, shifted(delta, k3, T), C2, k3)
+        # Y + sixth * (k1 + 2 (k2 + k3) + k4), summed in that order
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= sixth
+        k1[diag] += 1.0
+    return k1[..., :n], k1[..., n:]
 
 
 def _run_maps(Phi: np.ndarray, psi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
-    """Node values Y_0 .. Y_2M of the recurrence Y_{k+1} = Phi[k] Y_k + psi[k]."""
-    Y = Y0
-    out = [Y]
-    for P, c in zip(Phi, psi):
-        Y = P @ Y + c
-        out.append(Y)
-    return np.array(out)
+    """Node values Y_0 .. Y_K of the recurrence Y_{k+1} = Phi[k] Y_k + psi[k].
 
-
-def _rk4_linear(As: np.ndarray, Cs: np.ndarray, Y0: np.ndarray, delta: float) -> np.ndarray:
-    """Integrate Y' = A(t) Y + C(t) over 2M steps of size delta.
-
-    As and Cs hold coefficient values on the half-step grid (4M+1 entries),
-    each Cs entry shaped like Y0; returns the 2M+1 node values of Y.
+    An inclusive Hillis-Steele scan of the affine maps, whose composition
+    (P2, c2) o (P1, c1) = (P2 P1, P2 c1 + c2) is associative.  Y_0 is folded
+    into the first map, so c[k] holds Y_{k+1} once its prefix reaches step 0.
+    At level d, Id + E[j] is the product of the d maps ending at step d + j;
+    the level adds (Id + E) c[:-d] to c[d:] and keeps the products of 2d
+    maps for the steps from 2d on, the only ones that still need them.
+    Products are carried as E = P - Id, since a step map is Id + O(delta):
+    (Id + E2)(Id + E1) = Id + E2 + E1 + E2 E1 keeps the low bits that
+    rounding P2 P1 near Id loses, which holds the scan to the serial
+    recurrence's accuracy.  Composed transition matrices can overflow
+    before the nodes do; warnings are off here, and every caller checks
+    its nodes for finiteness.
     """
-    Phi, psi = _step_maps(As, Cs.reshape(Cs.shape[:2] + (-1,)), delta)
-    return _run_maps(Phi, psi.reshape(psi.shape[:1] + Y0.shape), Y0)
+    K, n = Phi.shape[:2]
+    out = np.empty((K + 1,) + Y0.shape)
+    out[0] = Y0
+    c = out[1:].reshape(K, n, -1)
+    c[...] = psi.reshape(c.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c[0] += Phi[0] @ Y0.reshape(c.shape[1:])
+        E = Phi[1:] - np.eye(n)
+        d = 1
+        while d < K:
+            c[d:] += c[:-d] + E @ c[:-d]
+            E = E[d:] + E[:-d] + E[d:] @ E[:-d]
+            d *= 2
+    return out
+
+
+def _rk4_linear(As: np.ndarray, Cs: np.ndarray, Y0: np.ndarray, delta) -> np.ndarray:
+    """Integrate Y' = A(t) Y + C(t) over the RK4 steps of one or a stack of half grids.
+
+    As (..., 2K+1, n, n) and Cs hold coefficient values on the half-step
+    grids, each Cs entry shaped like Y0; delta is a scalar or one step per
+    grid.  Stacked grids run back to back from Y0; returns all node values,
+    (1 + steps,) + Y0.shape.
+    """
+    n = As.shape[-1]
+    Phi, psi = _step_maps(As, Cs.reshape(As.shape[:-1] + (-1,)), delta)
+    return _run_maps(Phi.reshape(-1, n, n), psi.reshape((-1,) + Y0.shape), Y0)
+
+
+def _affine_nodes(p: LQProblem, half: np.ndarray, delta: float) -> np.ndarray:
+    """[Z | Gamma | xi] (2M+1, n, n+m+1) on one half grid: the run from [Id | 0] under the forcing [0 | B | omega]."""
+    n, m = p.n, p.m
+    Cs = np.zeros((half.shape[0], n, n + m + 1))
+    Cs[:, :, n : n + m] = p.B.eval_many(half)
+    Cs[:, :, n + m] = p.omega.eval_many(half)
+    return _rk4_linear(p.A.eval_many(half), Cs, np.eye(n, n + m + 1), delta)
 
 
 def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> IntervalPropagation:
@@ -102,15 +169,7 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
         raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
     half, delta = _interval_half_grid(grid, i, M)
     n, m = p.n, p.m
-
-    As = np.ascontiguousarray(p.A.eval_many(half))
-    Cs = np.zeros((half.shape[0], n, n + m + 1))
-    Cs[:, :, n : n + m] = p.B.eval_many(half)
-    Cs[:, :, n + m] = p.omega.eval_many(half)
-
-    Y0 = np.zeros((n, n + m + 1))
-    Y0[:, :n] = np.eye(n)
-    Ys = _rk4_linear(As, Cs, Y0, delta)
+    Ys = _affine_nodes(p, half, delta)
     if not np.all(np.isfinite(Ys)):
         raise NonFinite(f"propagation diverged on interval {i}")
 

@@ -155,6 +155,9 @@ class TestErrors:
         ("n", "one"),
         ("m", None),
         ("A", {"builtin": []}),
+        ("n", 1.9),
+        ("m", True),
+        ("qa", ["1.5"]),
     ])
     def test_bad_problem_file_data(self, capsys, tmp_path, field, value):
         path = write_problem(tmp_path, **{field: value})

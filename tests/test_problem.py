@@ -411,6 +411,13 @@ LOAD_PROBLEM_CASES = [
     ("v", 0.5, np.array([0.5])),
     ("v", [[0.5]], np.array([0.5])),
     ("v", None, np.zeros(1)),
+    ("n", 2.5, ValidationError),  # not truncated to 2
+    ("n", "2", ValidationError),
+    ("m", True, ValidationError),
+    ("qa", ["1.5", "0.0"], ValidationError),  # not parsed as numbers
+    ("qa", [True, 0.0], ValidationError),
+    ("W", [["1", "0"], ["0", "1"]], ValidationError),
+    ("qa", [10**400, 0.0], ValidationError),  # an integer no float holds
 ]
 
 _ATTR = {"x": "x_ref", "v": "v_ref"}

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -279,3 +280,23 @@ class TestTypedErrors:
             sq.cost_of_permanent(dontchev, lambda t: np.zeros(2), M=8)
         with pytest.raises(DimensionMismatch):
             sq.pmp_residual_permanent(dontchev, lambda t: np.zeros(2), M=8)
+
+    def test_overflow_raises_nonfinite(self):
+        # A = 30000 over steps of 1/32 or 1/16: the RK4 step maps and their
+        # products overflow, which must surface as NonFinite, not a RuntimeWarning.
+        def scalar(A):
+            return sq.validate_problem(make_problem(0, 1, A=[[A]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
+                                                    S=[[1.0]], q_a=[1.0], q_b=[1.0]))
+        grid = sq.uniform_grid(4, 0, 1)
+        u = zero_control(grid)
+        p = scalar(30000.0)
+        calm = sq.simulate_state(scalar(0.0), u, M=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: sq.simulate_state(p, u, M=8),
+                        lambda: sq.simulate_costate(p, calm, M=8),
+                        lambda: sq.costs_of_control_batch(p, grid, np.zeros((3, 4, 1)), M=8),
+                        lambda: sq.pmp_residual_permanent(p, lambda t: [0.0], M=8),
+                        lambda: sq.cost_of_permanent(p, lambda t: [0.0], M=8)):
+                with pytest.raises(NonFinite):
+                    run()

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestTransitionMatrix:
 def _reference_rk4_linear(As, Cs, Y0, delta):
     """Test-only reference: RK4 stage formulas applied step by step to Y."""
     steps = (As.shape[0] - 1) // 2
-    out = np.empty((steps + 1,) + Y0.shape)
+    out = np.empty((steps + 1,) + Y0.shape, dtype=Y0.dtype)
     out[0] = Y0
     Y = Y0
     hd = 0.5 * delta
@@ -120,16 +122,64 @@ def _reference_rk4_linear(As, Cs, Y0, delta):
     return out
 
 
-def _reference_states(p, half, delta, q, U):
-    """Test-only reference for simulate._states: the forcing B u + omega formed per half-step."""
-    Cs = p.B.eval_many(half) @ U + p.omega.eval_many(half)[..., None]
-    return _reference_rk4_linear(p.A.eval_many(half), Cs, q, delta)
+def _reference_run_maps(Phi, psi, Y0):
+    """Test-only reference for transition._run_maps: the recurrence stepped one map at a time."""
+    out = [Y0]
+    for P, c in zip(Phi, psi):
+        out.append(P @ out[-1] + c)
+    return np.array(out)
+
+
+def _reference_states(p, half, delta, q, U, dtype=float):
+    """Test-only reference for simulate._states: the forcing B u + omega formed per half-step,
+    coefficients and stages in dtype."""
+    A, B, omega = (cf.eval_many(half).astype(dtype) for cf in (p.A, p.B, p.omega))
+    return _reference_rk4_linear(A, B @ U.astype(dtype) + omega[..., None], q.astype(dtype), dtype(delta))
+
+
+def _reference_simulate_state(p, u, M, dtype=float):
+    """Test-only reference for simulate_state: one stage-loop run per interval, chained."""
+    q = np.asarray(p.q_a, dtype=dtype)[:, None]
+    times, qs = [], []
+    for i in range(u.grid.N):
+        half, delta = transition._interval_half_grid(u.grid, i, M)
+        nodes = _reference_states(p, half, delta, q, u.U[i][:, None], dtype)
+        times.append(half[::2])
+        qs.append(nodes[..., 0])
+        q = nodes[-1]
+    return simulate.Trajectory(grid=u.grid, times=tuple(times), qs=tuple(qs), q_end=q[:, 0])
+
+
+def _reference_simulate_costate(p, traj, M):
+    """Test-only reference for simulate_costate: one backward run per interval, last interval first."""
+    p_end = -(p.S @ (traj.q_end - p.q_b))
+    ps = [None] * traj.grid.N
+    p_hi = p_end
+    for i in reversed(range(traj.grid.N)):
+        half, delta = transition._interval_half_grid(traj.grid, i, M)
+        ps[i] = simulate._costate_nodes(p, half, delta, traj.qs[i], p_hi)
+        p_hi = ps[i][0]
+    return simulate.CostateTrajectory(grid=traj.grid, times=traj.times, ps=tuple(ps), p_end=p_end)
 
 
 def _use_reference_kernel(monkeypatch):
-    monkeypatch.setattr(transition, "_rk4_linear", _reference_rk4_linear)
-    monkeypatch.setattr(simulate, "_rk4_linear", _reference_rk4_linear)
-    monkeypatch.setattr(simulate, "_states", _reference_states)
+    """Swap the stage loop, the serial recurrence and the per-interval state, costate and
+    batch-state runs in for the library's kernel; returns a Counter of the reference calls made."""
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (transition, simulate):
+        monkeypatch.setattr(module, "_rk4_linear", counted(_reference_rk4_linear))
+        monkeypatch.setattr(module, "_run_maps", counted(_reference_run_maps))
+    monkeypatch.setattr(simulate, "_states", counted(_reference_states))
+    monkeypatch.setattr(sq, "simulate_state", counted(_reference_simulate_state))
+    monkeypatch.setattr(sq, "simulate_costate", counted(_reference_simulate_costate))
+    return calls
 
 
 def _kernel_outputs(p, grid, M):
@@ -161,8 +211,13 @@ def test_step_maps_match_stage_loop(source, M, monkeypatch):
     p, grid = _kernel_case(source)
     got = _kernel_outputs(p, grid, M)
     with monkeypatch.context() as mp:
-        _use_reference_kernel(mp)
+        calls = _use_reference_kernel(mp)
         ref = _kernel_outputs(p, grid, M)
+    # the stage loop ran for each interval's propagation and costate and for both
+    # transition matrices, the batch's state reference once per interval, and no
+    # path reached the recurrence (its serial stand-in never ran)
+    assert calls == {"_reference_rk4_linear": 2 * grid.N + 2, "_reference_states": grid.N,
+                     "_reference_simulate_state": 1, "_reference_simulate_costate": 1}
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -193,3 +248,39 @@ def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
         assert prop.Zs[-1][0, 0] == pytest.approx(1.375 ** (2 * M), rel=1e-12)
     else:
         assert np.max(np.abs(prop.Zs)) <= 1.0
+
+
+# -- the horizon scan's rounding error against the serial recurrence ----------
+
+
+def _long_horizon_case(source):
+    if isinstance(source, tuple):
+        # upper-triangular A with the given eigenvalues
+        p = sq.validate_problem(make_problem(0, 1, A=[[source[0], 1.0], [0.0, source[1]]], B=[[1.0], [1.0]],
+                                             W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
+                                             omega=[0.5, -0.5]))
+    elif isinstance(source, int):
+        p = sq.random_problem(source)[0]
+    else:
+        p = sq.get_problem(source).problem
+    return p, sq.uniform_grid(64, p.a, p.b)
+
+
+@pytest.mark.parametrize("source", ["timevarying-demo"] + list(range(10)) + [(20.0, 10.0), (-40.0, -20.0)])
+def test_horizon_scan_error_within_serial_loop_error(source, monkeypatch):
+    # N = 64, M = 32: one scan of 4096 step maps.  Its error against a long-double
+    # stage loop may be at most 4x that of the float64 serial recurrence on the same maps.
+    p, grid = _long_horizon_case(source)
+    M = 32
+    u = sq.PiecewiseConstantControl(grid, np.random.default_rng(0).uniform(-1.0, 1.0, size=(grid.N, p.m)))
+    ref = _reference_simulate_state(p, u, M, np.longdouble).qs
+
+    def error(traj):
+        return max(float(np.max(np.abs(q - r) / (1.0 + np.abs(r)))) for q, r in zip(traj.qs, ref))
+
+    scan = error(sq.simulate_state(p, u, M))
+    with monkeypatch.context() as mp:
+        for module in (transition, simulate):
+            mp.setattr(module, "_run_maps", _reference_run_maps)
+        loop = error(sq.simulate_state(p, u, M))
+    assert scan <= 4.0 * loop
