@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeMismatch, ValidationError
-from .problem import LQProblem, SamplingGrid
+from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import IntervalPropagation, propagate_interval
 
 
@@ -128,6 +128,7 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> list:
     """Blocks for every interval, ordered by index; q_a is never an input."""
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
+    check_grid(p, grid)
     return [
         compute_blocks(p, grid, i, propagate_interval(p, grid, i, M))
         for i in range(grid.N)

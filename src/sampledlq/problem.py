@@ -398,6 +398,12 @@ class SamplingGrid:
         return SamplingGrid(h=self.h[j:], s=self.s[j:])
 
 
+def check_grid(p: LQProblem, grid: SamplingGrid) -> None:
+    """A grid must end at b and start no earlier than a: a grid on [a, b] or one of its tails."""
+    if grid.b != p.b or grid.a < p.a:
+        raise InvalidInterval(f"grid spans [{grid.a}, {grid.b}], the problem's interval is [{p.a}, {p.b}]")
+
+
 def _grid_from_nodes(s: np.ndarray) -> SamplingGrid:
     h = np.diff(s)
     if not np.all(h > 0):

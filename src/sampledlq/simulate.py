@@ -1,23 +1,24 @@
 """Trajectories, cost evaluation, stationarity residuals, averaged controls.
 
-Every simulation here runs the interval propagation's RK4 kernel (the step
-maps of `transition._step_maps`, run by the prefix scan `_run_maps`) with its
-node layout (2M half-steps, 2M+1 stored nodes per interval), so the cost
-quadrature here and the block quadrature integrate the same discrete
-functional.  The state and costate runs of a piecewise-constant control each
-form the step maps of all N intervals in one call on the stacked half grids
-and scan all N*2M of them in one pass; each interval's nodes are slices of
-that one array, so neighbouring intervals share their joining node exactly.
-The costate runs backward from p(b) = -S (q(b) - q_b): the same kernel, fed
--A^T and the forcing on the reversed half grids with step -delta.  RK4 stages
-falling between stored state nodes still use linear interpolation of q.
+Every simulation here has one layout.  On interval i the state is the affine
+image q = Z q_i + Gamma U_i + xi of the interval's start state and constant
+control, so one call of the interval propagation's RK4 kernel forms the
+[Z | Gamma | xi] nodes of all N intervals (2M half-steps, 2M+1 stored nodes
+each) on the stacked half grids, and one march carries the run across the
+joins: it applies interval i's nodes to [q_i; U_i; 1] and takes q_{i+1} from
+the last node.  The march serves one control (`simulate_state`), a batch of
+L controls (the oracle's, whose L-wide nodes and running cost exist one
+interval at a time) and a dense control (one interval [a, b] under the
+forcing B u(t) + omega).  The costate runs backward from
+p(b) = -S (q(b) - q_b) through the same march, last interval first, on the
+[Zc | phi] nodes of -A^T and the forcing W (q - x), formed on the reversed
+half grids with step -delta; RK4 stages falling between stored state nodes
+use linear interpolation of q.
 
-One Simpson quadrature gives the running cost of every run.  A single
-piecewise-constant control's horizon run applies the step maps of the m+1
-forcing columns [B | omega] to [U_i; 1] before the scan.  A batch of L
-controls (the oracle's) runs one interval at a time, with a trailing axis
-L, and applies the interval's [Z | Gamma | xi] nodes to [q; U; 1] after
-the scan, so no L-wide array is scanned.
+Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
+residual and the averaged control are each one Simpson reduction over them,
+and the cost quadrature here and the block quadrature integrate the same
+discrete functional.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .blocks import simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite
-from .problem import LQProblem, SamplingGrid
-from .transition import (
-    _affine_nodes, _half_grid, _horizon_half_grid, _interval_half_grid, _rk4_linear, _run_maps, _step_maps,
-)
+from .problem import LQProblem, SamplingGrid, check_grid
+from .transition import _affine_nodes, _eval, _half_grid, _horizon_half_grid, _rk4_linear
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,25 +66,25 @@ class PiecewiseConstantControl:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     grid: SamplingGrid
-    times: tuple   # per interval, (2M+1,) node times
-    qs: tuple      # per interval, (2M+1, n) states
+    times: np.ndarray  # (N, 2M+1) node times; times[i] is interval i's
+    qs: np.ndarray     # (N, 2M+1, n) states
     q_end: np.ndarray
 
     @property
     def substeps(self) -> int:
-        return (self.times[0].shape[0] - 1) // 2
+        return (self.times.shape[1] - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
 class CostateTrajectory:
     grid: SamplingGrid
-    times: tuple
-    ps: tuple
+    times: np.ndarray  # (N, 2M+1)
+    ps: np.ndarray     # (N, 2M+1, n)
     p_end: np.ndarray
 
     @property
     def substeps(self) -> int:
-        return (self.times[0].shape[0] - 1) // 2
+        return (self.times.shape[1] - 1) // 2
 
 
 def _same_grid(g1: SamplingGrid, g2: SamplingGrid) -> bool:
@@ -98,47 +96,51 @@ def _check_control_dim(p: LQProblem, m: int) -> None:
         raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
 
 
-def _eval(cf, times: np.ndarray) -> np.ndarray:
-    """Values of a coefficient at an array of times of any shape."""
-    return cf.eval_many(times.ravel()).reshape(times.shape + cf.shape)
+def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray, keep: Optional[Callable] = None):
+    """Carry runs across the interval joins on per-interval affine nodes.
 
-
-def _per_interval(nodes: np.ndarray, M: int) -> tuple:
-    """Each interval's 2M+1 nodes as views of one horizon array of N*2M+1 nodes."""
-    return tuple(nodes[k : k + 2 * M + 1] for k in range(0, nodes.shape[0] - 1, 2 * M))
-
-
-def _states(p: LQProblem, half: np.ndarray, delta: float, q: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """State nodes (2M+1, n, L) of dq/dt = A q + B u + omega from q (n, L).
-
-    U holds the controls as (m, L), constant over half, or as (4M+1, m, L).
-    For constant U the nodes of all runs are [Z | Gamma | xi] [q; U; 1], one
-    matrix product on the interval's affine nodes: no L-wide array meets
-    the stage formulas or the scan.
+    nodes (N, 2M+1, n, n+c) hold each interval's [Z | G] in the order the
+    runs visit the intervals, y (n, L) the L start values and inputs
+    (N, c, L) each interval's constant input.  On interval i the run is
+    Y_i = nodes[i] [y_i; inputs[i]] with node 0 set to y_i itself (nodes[i, 0]
+    is [Id | 0]), so the joins are exact, and y_{i+1} = Y_i[-1].  Returns the
+    stacked keep(i, Y_i), by default Y_i (N, 2M+1, n, L), and the final value.
     """
-    _check_control_dim(p, U.shape[-2])
-    if U.ndim == 3:
-        Cs = p.B.eval_many(half) @ U + p.omega.eval_many(half)[..., None]
-        return _rk4_linear(p.A.eval_many(half), Cs, q, delta)
-    Ys = _affine_nodes(p, half, delta)
-    runs = np.vstack((q, U, np.ones((1, U.shape[1]))))
-    return (Ys.reshape(-1, Ys.shape[-1]) @ runs).reshape(Ys.shape[:2] + (-1,))
+    kept = []
+    for i, (Z, v) in enumerate(zip(nodes, inputs)):
+        ys = np.empty(Z.shape[:2] + y.shape[1:])
+        ys[0] = y
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(Z[1:].reshape(-1, Z.shape[-1]), np.vstack((y, v)), out=ys[1:].reshape(-1, y.shape[1]))
+        if not np.all(np.isfinite(ys)):
+            raise NonFinite("simulation diverged")
+        y = ys[-1].copy()  # a view would keep this interval's nodes alive through the next
+        kept.append(ys if keep is None else keep(i, ys))
+    return np.stack(kept), y
 
 
-def _running_cost(p: LQProblem, nodes: np.ndarray, delta: float, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per run.
+def _starts(p: LQProblem, L: int) -> np.ndarray:
+    """q_a as the start of L runs, (n, L)."""
+    return np.broadcast_to(np.asarray(p.q_a, dtype=float)[:, None], (p.n, L))
 
-    qs (2M+1, n, L) are state nodes; us holds the controls as (m, L) or (2M+1, m, L).
-    A finite state too large for its cost to be finite raises NonFinite.
+
+def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per interval and run.
+
+    times (..., 2M+1) are node times with steps delta (...), qs
+    (..., 2M+1, n, L) the state nodes and us (..., 2M+1 or 1, m, L) the
+    controls at the nodes or constant over them; returns (..., L).  A
+    finite state too large for its cost to be finite raises NonFinite.
     """
     _check_control_dim(p, us.shape[-2])
-    w = simpson_weights(nodes.shape[0], delta)
-    e = qs - p.x_ref.eval_many(nodes)[..., None]
-    du = us - p.v_ref.eval_many(nodes)[..., None]
+    w = simpson_weights(times.shape[-1], np.asarray(delta)[..., None])
+    e = qs - _eval(p.x_ref, times)[..., None]
+    du = us - _eval(p.v_ref, times)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        We = p.W.eval_many(nodes) @ e
-        Rdu = p.R.eval_many(nodes) @ du
-        cost = 0.5 * (np.einsum("k,kal,kal->l", w, We, e) + np.einsum("k,kal,kal->l", w, Rdu, du))
+        We = _eval(p.W, times) @ e
+        Rdu = _eval(p.R, times) @ du
+        cost = 0.5 * (np.einsum("...k,...kal,...kal->...l", w, We, e)
+                      + np.einsum("...k,...kal,...kal->...l", w, Rdu, du))
     if not np.all(np.isfinite(cost)):
         raise NonFinite("running cost is not finite")
     return cost
@@ -147,19 +149,16 @@ def _running_cost(p: LQProblem, nodes: np.ndarray, delta: float, qs: np.ndarray,
 def simulate_state(p: LQProblem, u: PiecewiseConstantControl, M: int = 64) -> Trajectory:
     """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a.
 
-    One pass forms the step maps of [B | omega] on every interval, applies
-    each interval's to [U_i; 1], and scans all N*2M maps from q_a.
+    One kernel call forms every interval's [Z | Gamma | xi] nodes, and the
+    march applies them to [q_i; U_i; 1].
     """
     _check_control_dim(p, u.m)
     grid = u.grid
+    check_grid(p, grid)
     half, delta = _horizon_half_grid(grid, M)
-    B, omega = _eval(p.B, half), _eval(p.omega, half)[..., None]
-    Phi, Psi = _step_maps(_eval(p.A, half), np.concatenate((B, omega), axis=-1), delta)
-    psi = Psi @ np.hstack((u.U, np.ones((grid.N, 1))))[:, None, :, None]
-    qs = _run_maps(Phi.reshape(-1, p.n, p.n), psi.reshape(-1, p.n), np.asarray(p.q_a, dtype=float))
-    if not np.all(np.isfinite(qs)):
-        raise NonFinite("state simulation diverged")
-    return Trajectory(grid=grid, times=tuple(half[:, ::2]), qs=_per_interval(qs, M), q_end=qs[-1])
+    inputs = np.hstack((u.U, np.ones((grid.N, 1))))[..., None]
+    qs, q_end = _march(_affine_nodes(p, half, delta), _starts(p, 1), inputs)
+    return Trajectory(grid=grid, times=half[:, ::2], qs=qs[..., 0], q_end=q_end[:, 0])
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -171,13 +170,8 @@ def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -
     """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]."""
     if not _same_grid(traj.grid, u.grid):
         raise NodeMismatch("trajectory and control use different grids")
-    grid = traj.grid
-    out = np.empty(grid.N)
-    for i in range(grid.N):
-        nodes = traj.times[i]
-        delta = float(grid.h[i]) / (nodes.shape[0] - 1)
-        out[i] = _running_cost(p, nodes, delta, traj.qs[i][..., None], u.U[i][:, None])[0]
-    return out
+    delta = traj.grid.h / (2 * traj.substeps)
+    return _running_cost(p, traj.times, delta, traj.qs[..., None], u.U[:, None, :, None])[:, 0]
 
 
 def evaluate_cost(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> float:
@@ -185,21 +179,23 @@ def evaluate_cost(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -
     return float(np.sum(running_costs(p, u, traj)) + terminal_cost(p, traj.q_end))
 
 
-def _costate_nodes(p: LQProblem, half: np.ndarray, delta, qs: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
-    """RK4 nodes (1 + steps, n) of dp/dt = -A^T p + W (q - x), run backward from p_hi at the last time.
+def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, p_end: np.ndarray) -> np.ndarray:
+    """Costate nodes (N, 2M+1, n) of dp/dt = -A^T p + W (q - x), run backward from p_end at the last time.
 
-    half is one half grid (4M+1,) with a scalar delta, or a stack (N, 4M+1)
-    with deltas (N,); qs (..., 2M+1, n) are the stored state nodes on them,
-    and q at half-step stages is the average of the adjacent nodes.  The
-    reversed grids run back to back; the nodes come back in forward order.
+    half (N, 4M+1) are the stacked half grids with steps delta (N,) and qs
+    (N, 2M+1, n) the state nodes on them; q at half-step stages is the
+    average of the adjacent nodes.  The [Zc | phi] nodes of every interval
+    are formed on the reversed half grids with step -delta, and the march
+    takes the last interval first.
     """
     q_half = np.empty(half.shape + qs.shape[-1:])
     q_half[..., ::2, :] = qs
     q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
-    forcing = (_eval(p.W, half) @ (q_half - _eval(p.x_ref, half))[..., None])[..., 0]
+    forcing = _eval(p.W, half) @ (q_half - _eval(p.x_ref, half))[..., None]
     minus_At = -np.swapaxes(_eval(p.A, half), -1, -2)
-    axes = tuple(range(half.ndim))
-    return _rk4_linear(np.flip(minus_At, axes), np.flip(forcing, axes), p_hi, -np.flip(delta))[::-1]
+    nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
+    ps, _ = _march(nodes, p_end[:, None], np.ones((half.shape[0], 1, 1)))
+    return ps[::-1, ::-1, :, 0]
 
 
 def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
@@ -208,10 +204,8 @@ def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTraj
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
     half, delta = _horizon_half_grid(traj.grid, M)
     p_end = -(p.S @ (traj.q_end - p.q_b))
-    ps = _costate_nodes(p, half, delta, np.stack(traj.qs), p_end)
-    if not np.all(np.isfinite(ps)):
-        raise NonFinite("costate simulation diverged")
-    return CostateTrajectory(grid=traj.grid, times=traj.times, ps=_per_interval(ps, M), p_end=p_end)
+    ps = _costate(p, half, delta, traj.qs, p_end)
+    return CostateTrajectory(grid=traj.grid, times=traj.times, ps=ps, p_end=p_end)
 
 
 def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.ndarray:
@@ -222,20 +216,16 @@ def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.nd
     U = np.asarray(sol.U, dtype=float)
     if U.shape[0] != grid.N:
         raise NodeMismatch(f"{U.shape[0]} coefficients for {grid.N} intervals")
-    out = np.empty_like(U)
-    for i in range(grid.N):
-        nodes = costate.times[i]
-        num = nodes.shape[0]
-        w = simpson_weights(num, float(grid.h[i]) / (num - 1))
-        Rk = p.R.eval_many(nodes)
-        Bk = p.B.eval_many(nodes)
-        vk = p.v_ref.eval_many(nodes)
-        Rbar = np.einsum("k,kij->ij", w, Rk)
-        RV = np.einsum("k,kij,kj->i", w, Rk, vk)
-        integral = np.einsum("k,kab,ka->b", w, Bk, costate.ps[i])
-        rhs = RV + integral
-        out[i] = U[i] - cho_solve(cho_factor(0.5 * (Rbar + Rbar.T), lower=True), rhs)
-    return out
+    if U.shape[1:] != (p.m,):
+        raise DimensionMismatch(f"control coefficients have shape {U.shape}, expected ({grid.N}, {p.m})")
+    times = costate.times
+    w = simpson_weights(times.shape[1], grid.h[:, None] / (2 * costate.substeps))
+    R = _eval(p.R, times)
+    Rbar = np.einsum("ik,ikab->iab", w, R)
+    RV = np.einsum("ik,ikab,ikb->ia", w, R, _eval(p.v_ref, times))
+    integral = np.einsum("ik,ikab,ika->ib", w, _eval(p.B, times), costate.ps)
+    Rbar = 0.5 * (Rbar + np.swapaxes(Rbar, -1, -2))
+    return U - np.linalg.solve(Rbar, (RV + integral)[..., None])[..., 0]
 
 
 def _eval_control_function(u_fn: Callable, ts: np.ndarray, m: int) -> np.ndarray:
@@ -251,13 +241,16 @@ def _eval_control_function(u_fn: Callable, ts: np.ndarray, m: int) -> np.ndarray
 
 
 def _dense_state(p: LQProblem, u_fn: Callable, M: int):
-    """Half grid, step, control values on it and state nodes of u_fn over [a, b], 2M RK4 steps."""
+    """Half grid, step, control values on it and state nodes of u_fn over [a, b], 2M RK4 steps.
+
+    [a, b] is one interval whose nodes [Z | xi_u] carry the forcing B u + omega.
+    """
     half, delta = _half_grid(p.a, p.b, p.b - p.a, M)
     u_half = _eval_control_function(u_fn, half, p.m)
-    qs = _states(p, half, delta, np.asarray(p.q_a, dtype=float)[:, None], u_half[..., None])[..., 0]
-    if not np.all(np.isfinite(qs)):
-        raise NonFinite("state simulation diverged")
-    return half, delta, u_half, qs
+    forcing = p.B.eval_many(half) @ u_half[..., None] + p.omega.eval_many(half)[..., None]
+    nodes = _rk4_linear(p.A.eval_many(half), forcing, delta)
+    qs, _ = _march(nodes[None], _starts(p, 1), np.ones((1, 1, 1)))
+    return half, delta, u_half, qs[0, :, :, 0]
 
 
 def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
@@ -266,9 +259,7 @@ def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
     State and costate are integrated densely over [a, b] with 2M RK4 steps.
     """
     half, delta, u_half, qs = _dense_state(p, u_fn, M)
-    ps = _costate_nodes(p, half, delta, qs, -(p.S @ (qs[-1] - p.q_b)))
-    if not np.all(np.isfinite(ps)):
-        raise NonFinite("costate simulation diverged")
+    ps = _costate(p, half[None], np.array([delta]), qs[None], -(p.S @ (qs[-1] - p.q_b)))[0]
 
     nodes = half[::2]
     Rn = p.R.eval_many(nodes)
@@ -289,35 +280,30 @@ def cost_of_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
 
 def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64, m: int = 1) -> PiecewiseConstantControl:
     """Interval means U_i = (1/h_i) int u(s) ds by composite Simpson."""
-    U = np.empty((grid.N, m))
-    for i in range(grid.N):
-        half, delta = _interval_half_grid(grid, i, M)
-        nodes = half[::2]
-        w = simpson_weights(nodes.shape[0], delta)
-        vals = _eval_control_function(u_fn, nodes, m)
-        U[i] = (w @ vals) / float(grid.h[i])
-    return PiecewiseConstantControl(grid=grid, U=U)
+    half, delta = _horizon_half_grid(grid, M)
+    nodes = half[:, ::2]
+    vals = _eval_control_function(u_fn, nodes.ravel(), m).reshape(nodes.shape + (m,))
+    w = simpson_weights(nodes.shape[1], delta[:, None])
+    return PiecewiseConstantControl(grid=grid, U=np.einsum("ik,ika->ia", w, vals) / grid.h[:, None])
 
 
 def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: int = 64) -> np.ndarray:
     """C(u) for a batch of piecewise-constant controls, shape (L, N, m) -> (L,).
 
     Column-for-column equivalent to simulate_state + evaluate_cost per
-    control; the RK4 steps and Simpson sums are shared across the batch.
+    control; the nodes and Simpson sums are shared across the batch, and
+    its L-wide state nodes exist one interval at a time.
     """
     Us = np.asarray(Us, dtype=float)
     if Us.ndim != 3 or Us.shape[1] != grid.N or Us.shape[2] != p.m:
         raise DimensionMismatch(f"control batch has shape {Us.shape}, expected (L, {grid.N}, {p.m})")
+    check_grid(p, grid)
     L = Us.shape[0]
-    q = np.broadcast_to(np.asarray(p.q_a, dtype=float)[:, None], (p.n, L)).copy()
-    total = np.zeros(L)
-    for i in range(grid.N):
-        half, delta = _interval_half_grid(grid, i, M)
-        Ucol = Us[:, i, :].T
-        qs = _states(p, half, delta, q, Ucol)
-        if not np.all(np.isfinite(qs)):
-            raise NonFinite("state simulation diverged in batch")
-        q = qs[-1]
-        total += _running_cost(p, half[::2], delta, qs, Ucol)
-    d = q - p.q_b[:, None]
-    return total + 0.5 * np.einsum("al,al->l", p.S @ d, d)
+    half, delta = _horizon_half_grid(grid, M)
+    times = half[:, ::2]
+    U = Us.transpose(1, 2, 0)  # (N, m, L)
+    inputs = np.concatenate((U, np.ones((grid.N, 1, L))), axis=1)
+    costs, q_end = _march(_affine_nodes(p, half, delta), _starts(p, L), inputs,
+                          lambda i, qs: _running_cost(p, times[i], delta[i], qs, U[i][None]))
+    d = q_end - p.q_b[:, None]
+    return costs.sum(axis=0) + 0.5 * np.einsum("al,al->l", p.S @ d, d)

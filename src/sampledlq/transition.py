@@ -1,4 +1,4 @@
-"""State-transition matrix and Duhamel primitives over one sampling interval.
+"""State-transition matrix and Duhamel primitives over sampling intervals.
 
 One fixed-step RK4 pass integrates the augmented system
 
@@ -12,12 +12,12 @@ spacing matches composite Simpson quadrature downstream.
 
 Y' = A(t) Y + C(t) is linear, so each RK4 step is an affine map
 Y_{k+1} = Phi_k Y_k + psi_k.  The kernel forms the maps of every step in one
-vectorized pass of the stage formulas, over the step axis and over any
-leading axis of stacked half grids (one per sampling interval), and then
-runs the recurrence as a prefix scan: composing affine maps is associative,
-so log2(K) levels of batched matmuls give all K nodes.  Grids stacked on a
-leading axis run back to back, which is how `simulate` runs state and
-costate over the whole horizon in one scan each.
+vectorized pass of the stage formulas and runs them as a prefix scan from
+[Id | 0]: composing affine maps is associative, so log2(K) levels of batched
+matmuls give all K+1 nodes [Z | G] of the run.  Half grids stacked on leading
+axes (one per sampling interval) run independently, so one call forms the
+[Z | Gamma | xi] nodes of every interval; `simulate` carries the state across
+the interval joins with them.
 """
 
 from __future__ import annotations
@@ -45,11 +45,15 @@ class IntervalPropagation:
         return (self.nodes.shape[0] - 1) // 2
 
 
-def _half_grid(lo: float, hi: float, h: float, M: int):
-    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M."""
+def _half_grid(lo, hi, h, M: int):
+    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M.
+
+    lo, hi and h are scalars, or arrays (N,) of interval ends and lengths,
+    which give one half grid per row (N, 4M+1) and N steps.
+    """
     if M < 1:
         raise ValidationError(f"need M >= 1, got {M}")
-    return np.linspace(lo, hi, 4 * M + 1), h / (2 * M)
+    return np.linspace(lo, hi, 4 * M + 1, axis=-1), h / (2 * M)
 
 
 def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
@@ -57,19 +61,18 @@ def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
 
 
 def _horizon_half_grid(grid: SamplingGrid, M: int):
-    """Every interval's half grid stacked (N, 4M+1), each from its own linspace, and the (N,) steps."""
-    halves, deltas = zip(*(_interval_half_grid(grid, i, M) for i in range(grid.N)))
-    return np.stack(halves), np.array(deltas)
+    """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `_interval_half_grid`'s."""
+    return _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
 
 
-def _step_maps(As: np.ndarray, Cs: np.ndarray, delta):
-    """Affine maps (Phi, psi) of the RK4 steps of Y' = A(t) Y + C(t).
+def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
+    """Affine maps [Phi | psi] of the RK4 steps of Y' = A(t) Y + C(t).
 
     As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
     one half-step grid or on a stack of them, and delta is the step, a scalar
     or one per grid (shape ...).  The stage formulas run once over every step
-    on Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi[..., k] Y_k +
-    psi[..., k] with Phi (..., K, n, n) and psi (..., K, n, c).  The stages
+    on Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi_k Y_k + [0 | psi_k]
+    with [Phi_k | psi_k] = maps[..., k], shape (..., K, n, n+c).  The stages
     live in four step-sized buffers updated in place.  Overflow warnings are
     off, as in `_run_maps`: a map that overflows makes the nodes non-finite.
     """
@@ -106,61 +109,59 @@ def _step_maps(As: np.ndarray, Cs: np.ndarray, delta):
         k1 += k4
         k1 *= sixth
         k1[diag] += 1.0
-    return k1[..., :n], k1[..., n:]
+    return k1
 
 
-def _run_maps(Phi: np.ndarray, psi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
-    """Node values Y_0 .. Y_K of the recurrence Y_{k+1} = Phi[k] Y_k + psi[k].
+def _run_maps(maps: np.ndarray) -> np.ndarray:
+    """Nodes [Z_k | G_k], k = 0 .. K, of Y_{k+1} = Phi_k Y_k + [0 | psi_k] from Y_0 = [Id | 0].
 
-    An inclusive Hillis-Steele scan of the affine maps, whose composition
-    (P2, c2) o (P1, c1) = (P2 P1, P2 c1 + c2) is associative.  Y_0 is folded
-    into the first map, so c[k] holds Y_{k+1} once its prefix reaches step 0.
-    At level d, Id + E[j] is the product of the d maps ending at step d + j;
-    the level adds (Id + E) c[:-d] to c[d:] and keeps the products of 2d
-    maps for the steps from 2d on, the only ones that still need them.
-    Products are carried as E = P - Id, since a step map is Id + O(delta):
-    (Id + E2)(Id + E1) = Id + E2 + E1 + E2 E1 keeps the low bits that
-    rounding P2 P1 near Id loses, which holds the scan to the serial
-    recurrence's accuracy.  Composed transition matrices can overflow
-    before the nodes do; warnings are off here, and every caller checks
-    its nodes for finiteness.
+    maps (..., K, n, n+c) holds the steps' [Phi_k | psi_k] as `_step_maps`
+    returns them; leading axes are independent runs.  Node k is the
+    composite of the first k maps, so the nodes are an inclusive
+    Hillis-Steele scan of the maps, whose composition is associative.
+    Composites are carried as E = [P - Id | c], since a step map is
+    Id + O(delta): (Id + E2) after (Id + E1) is Id + E2 + E1 + E2[:, :n] E1,
+    which keeps the low bits that rounding P2 P1 near Id loses and holds
+    the scan to the serial recurrence's accuracy.  At level d, entry j >= d
+    holds the composite of the d maps ending at step j and takes in the one
+    ending d steps earlier.  Composites can overflow before the nodes
+    would; warnings are off here, and every caller checks its nodes for
+    finiteness.
     """
-    K, n = Phi.shape[:2]
-    out = np.empty((K + 1,) + Y0.shape)
-    out[0] = Y0
-    c = out[1:].reshape(K, n, -1)
-    c[...] = psi.reshape(c.shape)
+    K, n = maps.shape[-3:-1]
+    diag = (Ellipsis, np.arange(n), np.arange(n))
+    out = np.zeros(maps.shape[:-3] + (K + 1,) + maps.shape[-2:])
+    E = out[..., 1:, :, :]
+    E[...] = maps
+    E[diag] -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        c[0] += Phi[0] @ Y0.reshape(c.shape[1:])
-        E = Phi[1:] - np.eye(n)
         d = 1
         while d < K:
-            c[d:] += c[:-d] + E @ c[:-d]
-            E = E[d:] + E[:-d] + E[d:] @ E[:-d]
+            E[..., d:, :, :] += E[..., :-d, :, :] + E[..., d:, :, :n] @ E[..., :-d, :, :]
             d *= 2
+    out[diag] += 1.0
     return out
 
 
-def _rk4_linear(As: np.ndarray, Cs: np.ndarray, Y0: np.ndarray, delta) -> np.ndarray:
-    """Integrate Y' = A(t) Y + C(t) over the RK4 steps of one or a stack of half grids.
+def _rk4_linear(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
+    """Nodes [Z | G] (..., K+1, n, n+c) of Y' = A(t) Y + C(t), Y = [Id | 0] at each half grid's start.
 
-    As (..., 2K+1, n, n) and Cs hold coefficient values on the half-step
-    grids, each Cs entry shaped like Y0; delta is a scalar or one step per
-    grid.  Stacked grids run back to back from Y0; returns all node values,
-    (1 + steps,) + Y0.shape.
+    As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
+    one half grid or on a stack of them; delta is a scalar or one step per
+    grid.  A run from y under the forcing C v is Z y + G v.
     """
-    n = As.shape[-1]
-    Phi, psi = _step_maps(As, Cs.reshape(As.shape[:-1] + (-1,)), delta)
-    return _run_maps(Phi.reshape(-1, n, n), psi.reshape((-1,) + Y0.shape), Y0)
+    return _run_maps(_step_maps(As, Cs, delta))
 
 
-def _affine_nodes(p: LQProblem, half: np.ndarray, delta: float) -> np.ndarray:
-    """[Z | Gamma | xi] (2M+1, n, n+m+1) on one half grid: the run from [Id | 0] under the forcing [0 | B | omega]."""
-    n, m = p.n, p.m
-    Cs = np.zeros((half.shape[0], n, n + m + 1))
-    Cs[:, :, n : n + m] = p.B.eval_many(half)
-    Cs[:, :, n + m] = p.omega.eval_many(half)
-    return _rk4_linear(p.A.eval_many(half), Cs, np.eye(n, n + m + 1), delta)
+def _eval(cf, times: np.ndarray) -> np.ndarray:
+    """Values of a coefficient at an array of times of any shape."""
+    return cf.eval_many(times.ravel()).reshape(times.shape + cf.shape)
+
+
+def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
+    """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (..., 4M+1) of them."""
+    forcing = np.concatenate((_eval(p.B, half), _eval(p.omega, half)[..., None]), axis=-1)
+    return _rk4_linear(_eval(p.A, half), forcing, delta)
 
 
 def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> IntervalPropagation:
@@ -188,10 +189,7 @@ def transition_matrix(p: LQProblem, t: float, s: float, M: int = 64) -> np.ndarr
     half, delta = _half_grid(s, t, t - s, M)
     if t == s:
         return np.eye(n)
-    As = np.ascontiguousarray(p.A.eval_many(half))
-    Cs = np.zeros((half.shape[0], n, n))
-    Zs = _rk4_linear(As, Cs, np.eye(n), delta)
-    Z = Zs[-1]
+    Z = _rk4_linear(p.A.eval_many(half), np.zeros((half.shape[0], n, 0)), delta)[-1]
     if not np.all(np.isfinite(Z)):
         raise NonFinite(f"transition matrix diverged between s={s} and t={t}")
     return Z

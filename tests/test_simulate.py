@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sampledlq as sq
-from sampledlq.errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
+from sampledlq.errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, ValidationError
 from sampledlq.problem import make_problem
 
 E = np.e
@@ -161,6 +161,13 @@ class TestCostate:
             exact = -2.0 * np.exp(-0.5 * nodes) * (E - np.exp(nodes))
             assert np.allclose(ps[:, 0], exact, atol=1e-5)
 
+    def test_interval_joins_bitwise(self, timevarying):
+        grid = sq.grid_from_durations([0.2, 0.5, 0.3], 0.0, 1.0)
+        u = sq.PiecewiseConstantControl(grid, np.array([[0.4], [-0.2], [1.0]]))
+        costate = sq.simulate_costate(timevarying, sq.simulate_state(timevarying, u, M=8), M=8)
+        for i in range(grid.N - 1):
+            assert np.array_equal(costate.ps[i][-1], costate.ps[i + 1][0])
+
     def test_substep_mismatch_rejected(self, dontchev):
         u = zero_control(sq.uniform_grid(1, 0, 1))
         traj = sq.simulate_state(dontchev, u, M=16)
@@ -280,6 +287,29 @@ class TestTypedErrors:
             sq.cost_of_permanent(dontchev, lambda t: np.zeros(2), M=8)
         with pytest.raises(DimensionMismatch):
             sq.pmp_residual_permanent(dontchev, lambda t: np.zeros(2), M=8)
+
+    def test_residual_control_dimension_checked(self):
+        p, grid = sq.random_problem(5)  # m = 3
+        _, _, sol = sq.solve(p, grid, M=16)
+        costate = sq.simulate_costate(p, sq.simulate_state(p, sq.PiecewiseConstantControl(grid, sol.U), M=16), M=16)
+        with pytest.raises(DimensionMismatch):
+            sq.pmp_residual_sampled(p, replace(sol, U=sol.U[:, :1]), costate)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-0.5, 1.0), (0.0, 0.5)])
+    def test_grid_off_problem_interval_rejected(self, dontchev, a, b):
+        # dontchev lives on [0, 1]: a grid past b, before a, or short of b is refused
+        grid = sq.uniform_grid(4, a, b)
+        for run in (lambda: sq.solve(dontchev, grid, M=8),
+                    lambda: sq.simulate_state(dontchev, zero_control(grid), M=8),
+                    lambda: sq.cross_check(dontchev, grid, M=8)):
+            with pytest.raises(InvalidInterval):
+                run()
+
+    def test_tail_grid_accepted(self, dontchev):
+        tail = sq.uniform_grid(4, 0.0, 1.0).tail(1)
+        _, _, sol = sq.solve(dontchev, tail, M=8)
+        sq.simulate_state(dontchev, sq.PiecewiseConstantControl(tail, sol.U), M=8)
+        sq.costs_of_control_batch(dontchev, tail, np.zeros((2, tail.N, 1)), M=8)
 
     def test_overflow_raises_nonfinite(self):
         # A = 30000 over steps of 1/32 or 1/16: the RK4 step maps and their

@@ -98,6 +98,23 @@ class TestTransitionMatrix:
             assert np.linalg.norm(whole - split) <= 1e-8 * scale
 
 
+HALF_GRIDS = [sq.uniform_grid(7, 0.0, 1.0), sq.uniform_grid(5, -0.3, 2.9),
+              sq.grid_from_durations([0.1, 0.25, 0.05, 0.6], 0.0, 1.0),
+              sq.grid_from_durations([0.7, 0.1 / 3, 1.3, 0.2], 0.2, 0.2 + 0.7 + 0.1 / 3 + 1.3 + 0.2)]
+
+
+@pytest.mark.parametrize("M", [1, 4, 32, 64])
+@pytest.mark.parametrize("grid", HALF_GRIDS + [sq.random_problem(seed)[1] for seed in range(3)])
+def test_horizon_half_grid_bitwise_per_interval(grid, M):
+    # the stacked half grids of the simulations are the per-interval ones of the blocks
+    half, delta = transition._horizon_half_grid(grid, M)
+    assert half.shape == (grid.N, 4 * M + 1) and delta.shape == (grid.N,)
+    for i in range(grid.N):
+        half_i, delta_i = transition._interval_half_grid(grid, i, M)
+        assert half[i].tobytes() == half_i.tobytes()
+        assert np.float64(delta[i]).tobytes() == np.float64(delta_i).tobytes()
+
+
 # -- the step-map kernel against the stage-by-stage RK4 loop it replaced ------
 
 
@@ -122,17 +139,33 @@ def _reference_rk4_linear(As, Cs, Y0, delta):
     return out
 
 
-def _reference_run_maps(Phi, psi, Y0):
-    """Test-only reference for transition._run_maps: the recurrence stepped one map at a time."""
-    out = [Y0]
-    for P, c in zip(Phi, psi):
-        out.append(P @ out[-1] + c)
-    return np.array(out)
+def _reference_run_maps(maps):
+    """Test-only reference for transition._run_maps: the recurrence stepped one map at a time from [Id | 0]."""
+    n = maps.shape[-2]
+    Y = np.broadcast_to(np.eye(n, maps.shape[-1]), maps.shape[:-3] + maps.shape[-2:])
+    out = [Y]
+    for k in range(maps.shape[-3]):
+        Y = maps[..., k, :, :n] @ Y
+        Y[..., n:] += maps[..., k, :, n:]
+        out.append(Y)
+    return np.stack(out, axis=-3)
 
 
-def _reference_states(p, half, delta, q, U, dtype=float):
-    """Test-only reference for simulate._states: the forcing B u + omega formed per half-step,
-    coefficients and stages in dtype."""
+def _reference_nodes(As, Cs, delta):
+    """Test-only reference for transition._rk4_linear: the stage loop run from [Id | 0] under the
+    forcing [0 | C], one stacked half grid at a time."""
+    lead, n = As.shape[:-3], As.shape[-1]
+    delta = np.broadcast_to(delta, lead)
+    out = np.empty(lead + ((As.shape[-3] + 1) // 2, n, n + Cs.shape[-1]))
+    for idx in np.ndindex(lead):
+        forcing = np.concatenate((np.zeros(As[idx].shape), Cs[idx]), axis=-1)
+        out[idx] = _reference_rk4_linear(As[idx], forcing, np.eye(n, out.shape[-1]), delta[idx])
+    return out
+
+
+def _reference_state_run(p, half, delta, q, U, dtype=float):
+    """Test-only reference: the stage loop on dq/dt = A q + B u + omega from q (n, L), with the
+    forcing formed per half-step from U, (m, L) constant or (4M+1, m, L); coefficients and stages in dtype."""
     A, B, omega = (cf.eval_many(half).astype(dtype) for cf in (p.A, p.B, p.omega))
     return _reference_rk4_linear(A, B @ U.astype(dtype) + omega[..., None], q.astype(dtype), dtype(delta))
 
@@ -143,28 +176,46 @@ def _reference_simulate_state(p, u, M, dtype=float):
     times, qs = [], []
     for i in range(u.grid.N):
         half, delta = transition._interval_half_grid(u.grid, i, M)
-        nodes = _reference_states(p, half, delta, q, u.U[i][:, None], dtype)
+        nodes = _reference_state_run(p, half, delta, q, u.U[i][:, None], dtype)
         times.append(half[::2])
         qs.append(nodes[..., 0])
         q = nodes[-1]
-    return simulate.Trajectory(grid=u.grid, times=tuple(times), qs=tuple(qs), q_end=q[:, 0])
+    return simulate.Trajectory(grid=u.grid, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0])
 
 
-def _reference_simulate_costate(p, traj, M):
-    """Test-only reference for simulate_costate: one backward run per interval, last interval first."""
-    p_end = -(p.S @ (traj.q_end - p.q_b))
-    ps = [None] * traj.grid.N
+def _reference_costs_of_control_batch(p, grid, Us, M):
+    """Test-only reference for costs_of_control_batch: one reference state run and cost per control."""
+    controls = [sq.PiecewiseConstantControl(grid, U) for U in Us]
+    return np.array([sq.evaluate_cost(p, u, _reference_simulate_state(p, u, M)) for u in controls])
+
+
+def _reference_dense_state(p, u_fn, M):
+    """Test-only reference for simulate._dense_state: one stage-loop run over [a, b]."""
+    half, delta = transition._half_grid(p.a, p.b, p.b - p.a, M)
+    u_half = simulate._eval_control_function(u_fn, half, p.m)
+    qs = _reference_state_run(p, half, delta, np.asarray(p.q_a, dtype=float)[:, None], u_half[..., None])
+    return half, delta, u_half, qs[..., 0]
+
+
+def _reference_costate(p, half, delta, qs, p_end):
+    """Test-only reference for simulate._costate: one backward stage-loop run per interval, last
+    interval first, each from the costate its successor left at the join."""
+    ps = np.empty_like(qs)
     p_hi = p_end
-    for i in reversed(range(traj.grid.N)):
-        half, delta = transition._interval_half_grid(traj.grid, i, M)
-        ps[i] = simulate._costate_nodes(p, half, delta, traj.qs[i], p_hi)
-        p_hi = ps[i][0]
-    return simulate.CostateTrajectory(grid=traj.grid, times=traj.times, ps=tuple(ps), p_end=p_end)
+    for i in reversed(range(half.shape[0])):
+        q_half = np.empty((half.shape[1], qs.shape[-1]))
+        q_half[::2] = qs[i]
+        q_half[1::2] = 0.5 * (qs[i, :-1] + qs[i, 1:])
+        forcing = p.W.eval_many(half[i]) @ (q_half - p.x_ref.eval_many(half[i]))[..., None]
+        minus_At = -np.swapaxes(p.A.eval_many(half[i]), -1, -2)
+        ps[i] = _reference_rk4_linear(minus_At[::-1], forcing[::-1, :, 0], p_hi, -delta[i])[::-1]
+        p_hi = ps[i, 0]
+    return ps
 
 
 def _use_reference_kernel(monkeypatch):
-    """Swap the stage loop, the serial recurrence and the per-interval state, costate and
-    batch-state runs in for the library's kernel; returns a Counter of the reference calls made."""
+    """Swap stage-loop references in for the library's kernel and for its state, batch, dense-state
+    and costate runs; returns a Counter of the reference calls made."""
     calls = collections.Counter()
 
     def counted(fn):
@@ -173,12 +224,12 @@ def _use_reference_kernel(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for module in (transition, simulate):
-        monkeypatch.setattr(module, "_rk4_linear", counted(_reference_rk4_linear))
-        monkeypatch.setattr(module, "_run_maps", counted(_reference_run_maps))
-    monkeypatch.setattr(simulate, "_states", counted(_reference_states))
+    monkeypatch.setattr(transition, "_rk4_linear", counted(_reference_nodes))
+    monkeypatch.setattr(simulate, "_rk4_linear", counted(_reference_nodes))
     monkeypatch.setattr(sq, "simulate_state", counted(_reference_simulate_state))
-    monkeypatch.setattr(sq, "simulate_costate", counted(_reference_simulate_costate))
+    monkeypatch.setattr(sq, "costs_of_control_batch", counted(_reference_costs_of_control_batch))
+    monkeypatch.setattr(simulate, "_dense_state", counted(_reference_dense_state))
+    monkeypatch.setattr(simulate, "_costate", counted(_reference_costate))
     return calls
 
 
@@ -192,9 +243,13 @@ def _kernel_outputs(p, grid, M):
     out += [transition_matrix(p, p.b, p.a, M), transition_matrix(p, p.a, p.b, M)]
     u = sq.PiecewiseConstantControl(grid, rng.uniform(-1.0, 1.0, size=(grid.N, p.m)))
     traj = sq.simulate_state(p, u, M)
-    out += list(traj.qs) + [traj.q_end]
-    out += list(sq.simulate_costate(p, traj, M).ps)
+    out += [traj.qs, traj.q_end, sq.simulate_costate(p, traj, M).ps]
     out.append(sq.costs_of_control_batch(p, grid, rng.uniform(-1.0, 1.0, size=(4, grid.N, p.m)), M))
+
+    def u_fn(t):
+        return np.cos(3.0 * t + np.arange(p.m))
+
+    out += [np.array(sq.cost_of_permanent(p, u_fn, M)), np.array(sq.pmp_residual_permanent(p, u_fn, M))]
     return out
 
 
@@ -213,11 +268,12 @@ def test_step_maps_match_stage_loop(source, M, monkeypatch):
     with monkeypatch.context() as mp:
         calls = _use_reference_kernel(mp)
         ref = _kernel_outputs(p, grid, M)
-    # the stage loop ran for each interval's propagation and costate and for both
-    # transition matrices, the batch's state reference once per interval, and no
-    # path reached the recurrence (its serial stand-in never ran)
-    assert calls == {"_reference_rk4_linear": 2 * grid.N + 2, "_reference_states": grid.N,
-                     "_reference_simulate_state": 1, "_reference_simulate_costate": 1}
+    # the node reference ran for each interval's propagation and both transition
+    # matrices and for no simulation; the state, batch, dense-state and costate
+    # references ran for every simulation (the dense residual runs state and costate)
+    assert calls == {"_reference_nodes": grid.N + 2, "_reference_simulate_state": 1,
+                     "_reference_costs_of_control_batch": 1, "_reference_dense_state": 2,
+                     "_reference_costate": 2}
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -243,14 +299,14 @@ def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
     if lam_delta > 2.785:
         # Past the limit both kernels grow by the RK4 amplification factor
         # R(-3) = 1.375 per step, 2M steps, and neither raises: there is no
-        # guard on ||A|| * delta yet (ROADMAP item 3).
+        # guard on ||A|| * delta yet (ROADMAP item 6).
         assert np.all(np.isfinite(prop.Zs))
         assert prop.Zs[-1][0, 0] == pytest.approx(1.375 ** (2 * M), rel=1e-12)
     else:
         assert np.max(np.abs(prop.Zs)) <= 1.0
 
 
-# -- the horizon scan's rounding error against the serial recurrence ----------
+# -- the scan's rounding error over a long horizon against the serial recurrence --
 
 
 def _long_horizon_case(source):
@@ -268,8 +324,9 @@ def _long_horizon_case(source):
 
 @pytest.mark.parametrize("source", ["timevarying-demo"] + list(range(10)) + [(20.0, 10.0), (-40.0, -20.0)])
 def test_horizon_scan_error_within_serial_loop_error(source, monkeypatch):
-    # N = 64, M = 32: one scan of 4096 step maps.  Its error against a long-double
-    # stage loop may be at most 4x that of the float64 serial recurrence on the same maps.
+    # N = 64, M = 32: 64 scans of 64 step maps, carried across the joins by the march.
+    # Its error against a long-double stage loop may be at most 4x that of the float64
+    # serial recurrence on the same maps and the same march.
     p, grid = _long_horizon_case(source)
     M = 32
     u = sq.PiecewiseConstantControl(grid, np.random.default_rng(0).uniform(-1.0, 1.0, size=(grid.N, p.m)))
@@ -280,7 +337,6 @@ def test_horizon_scan_error_within_serial_loop_error(source, monkeypatch):
 
     scan = error(sq.simulate_state(p, u, M))
     with monkeypatch.context() as mp:
-        for module in (transition, simulate):
-            mp.setattr(module, "_run_maps", _reference_run_maps)
+        mp.setattr(transition, "_run_maps", _reference_run_maps)
         loop = error(sq.simulate_state(p, u, M))
     assert scan <= 4.0 * loop
