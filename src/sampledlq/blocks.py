@@ -1,16 +1,26 @@
-"""Per-interval integral blocks assembled from propagation node data.
+"""Per-interval affine map and quadratic forms assembled from propagation node data.
 
-With Gamma(tau) and xi(tau) from the interval propagation, every block is an
-integral over [s_i, s_{i+1}] evaluated by composite Simpson on the shared
-RK4 nodes:
+On interval i the state is q(tau) = Y(tau) z, with z = [y; U; 1] and
+Y = [Z | Gamma | xi] the propagation nodes.  So the interval's step is one
+affine map in z and its running cost one quadratic form,
 
-    ZB      = Gamma(s_{i+1})
-    ZOmega  = xi(s_{i+1})            (minus q_b on the last interval)
-    ZWZ     = int Z^T W Z            ZBWZ    = int Gamma^T W Z
-    ZBWZB   = int Gamma^T W Gamma    Rbar    = int R
-    ZWZOmegaX  = int Z^T W (xi - x)  ZBWZOmegaX = int Gamma^T W (xi - x)
-    WZOmegaX2  = int <W (xi - x), xi - x>
-    RV      = int R v                RV2     = int <R v, v>
+    int <W (q - x), q - x> + <R (U - v), U - v> = z^T state_cost z + [U; 1]^T control_cost [U; 1],
+
+each integrated by composite Simpson on the shared RK4 nodes:
+
+    step         = Y(s_{i+1}), minus q_b in the last column on the last interval
+    state_cost   = int [Z | Gamma | xi - x]^T W [Z | Gamma | xi - x]    on z
+    control_cost = int [Id | -v]^T R [Id | -v]                          on [U; 1]
+
+The paper's blocks are read-only views into these three arrays (segments
+y, U, 1 of z as in `transition.ZView`; RV is negated, a copy):
+
+    Zstep  = step[:, y]   ZWZ        = state_cost[y, y]   Rbar = control_cost[U, U]
+    ZB     = step[:, U]   ZBWZ       = state_cost[U, y]   RV   = -control_cost[U, 1]
+    ZOmega = step[:, 1]   ZBWZB      = state_cost[U, U]   RV2  = control_cost[1, 1]
+                          ZBWZOmegaX = state_cost[U, 1]
+                          ZWZOmegaX  = state_cost[y, 1]
+                          WZOmegaX2  = state_cost[1, 1]
 """
 
 from __future__ import annotations
@@ -21,41 +31,37 @@ import numpy as np
 
 from .errors import NodeMismatch, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
-from .transition import IntervalPropagation, propagate_interval
+from .transition import IntervalPropagation, ZView, propagate_interval
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalBlocks:
     i: int
-    Zstep: np.ndarray       # Z(s_{i+1}, s_i), n x n
-    ZB: np.ndarray          # n x m
-    ZOmega: np.ndarray      # n
-    ZWZ: np.ndarray         # n x n
-    ZBWZ: np.ndarray        # m x n
-    ZBWZB: np.ndarray       # m x m
-    ZBWZOmegaX: np.ndarray  # m
-    ZWZOmegaX: np.ndarray   # n
-    WZOmegaX2: float
-    Rbar: np.ndarray        # m x m
-    RV: np.ndarray          # m
-    RV2: float
+    step: np.ndarray          # n x (n+m+1), [Zstep | ZB | ZOmega]
+    state_cost: np.ndarray    # (n+m+1) x (n+m+1)
+    control_cost: np.ndarray  # (m+1) x (m+1)
+
+    Zstep = ZView("step", ":", "y")
+    ZB = ZView("step", ":", "U")
+    ZOmega = ZView("step", ":", "1")
+    ZWZ = ZView("state_cost", "y", "y")
+    ZBWZ = ZView("state_cost", "U", "y")
+    ZBWZB = ZView("state_cost", "U", "U")
+    ZBWZOmegaX = ZView("state_cost", "U", "1")
+    ZWZOmegaX = ZView("state_cost", "y", "1")
+    WZOmegaX2 = ZView("state_cost", "1", "1")
+    Rbar = ZView("control_cost", "U", "U")
+    RV = ZView("control_cost", "U", "1", sign=-1.0)
+    RV2 = ZView("control_cost", "1", "1")
+
+    @property
+    def dims(self) -> tuple:
+        return self.step.shape[0], self.control_cost.shape[0] - 1
 
     def to_jsonable(self) -> dict:
-        return {
-            "i": self.i,
-            "Zstep": self.Zstep.tolist(),
-            "ZB": self.ZB.tolist(),
-            "ZOmega": self.ZOmega.tolist(),
-            "ZWZ": self.ZWZ.tolist(),
-            "ZBWZ": self.ZBWZ.tolist(),
-            "ZBWZB": self.ZBWZB.tolist(),
-            "ZBWZOmegaX": self.ZBWZOmegaX.tolist(),
-            "ZWZOmegaX": self.ZWZOmegaX.tolist(),
-            "WZOmegaX2": self.WZOmegaX2,
-            "Rbar": self.Rbar.tolist(),
-            "RV": self.RV.tolist(),
-            "RV2": self.RV2,
-        }
+        """The index and every paper-named block, in table order."""
+        views = (name for name, view in vars(IntervalBlocks).items() if isinstance(view, ZView))
+        return {"i": self.i, **{name: np.asarray(getattr(self, name)).tolist() for name in views}}
 
 
 def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
@@ -81,46 +87,26 @@ def compute_blocks(
     delta = float(grid.h[i]) / (num - 1)
     w = simpson_weights(num, delta)
 
-    Zs, Gammas, Xis = prop.Zs, prop.Gammas, prop.Xis
     Wk = p.W.eval_many(nodes)
     Rk = p.R.eval_many(nodes)
     xk = p.x_ref.eval_many(nodes)
     vk = p.v_ref.eval_many(nodes)
 
-    WZ = Wk @ Zs
-    WG = Wk @ Gammas
-    e = Xis - xk
-    We = (Wk @ e[..., None])[..., 0]
-    Rv = (Rk @ vk[..., None])[..., 0]
+    Y = prop.Ys.copy()  # [Z | Gamma | xi - x]
+    Y[..., -1] -= xk
+    Iv = np.concatenate((np.broadcast_to(np.eye(p.m), Rk.shape), -vk[..., None]), axis=-1)  # [Id | -v]
+    state_cost = np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
+    control_cost = np.einsum("k,kai,kaj->ij", w, Iv, Rk @ Iv)
 
-    ZWZ = np.einsum("k,kai,kaj->ij", w, Zs, WZ)
-    ZBWZ = np.einsum("k,kai,kaj->ij", w, Gammas, WZ)
-    ZBWZB = np.einsum("k,kai,kaj->ij", w, Gammas, WG)
-    ZBWZOmegaX = np.einsum("k,kai,ka->i", w, Gammas, We)
-    ZWZOmegaX = np.einsum("k,kai,ka->i", w, Zs, We)
-    WZOmegaX2 = float(np.einsum("k,ka,ka->", w, We, e))
-    Rbar = np.einsum("k,kij->ij", w, Rk)
-    RV = np.einsum("k,ka->a", w, Rv)
-    RV2 = float(np.einsum("k,ka,ka->", w, Rv, vk))
-
-    ZOmega = Xis[-1].copy()
+    step = prop.Ys[-1].copy()
     if i == grid.N - 1:
-        ZOmega -= p.q_b
+        step[:, -1] -= p.q_b
 
     return IntervalBlocks(
         i=i,
-        Zstep=Zs[-1],
-        ZB=Gammas[-1],
-        ZOmega=ZOmega,
-        ZWZ=0.5 * (ZWZ + ZWZ.T),
-        ZBWZ=ZBWZ,
-        ZBWZB=0.5 * (ZBWZB + ZBWZB.T),
-        ZBWZOmegaX=ZBWZOmegaX,
-        ZWZOmegaX=ZWZOmegaX,
-        WZOmegaX2=WZOmegaX2,
-        Rbar=0.5 * (Rbar + Rbar.T),
-        RV=RV,
-        RV2=RV2,
+        step=step,
+        state_cost=0.5 * (state_cost + state_cost.T),
+        control_cost=0.5 * (control_cost + control_cost.T),
     )
 
 

@@ -1,23 +1,26 @@
 """Backward Riccati-type recursion and forward synthesis of the optimal control.
 
-The sweep runs i = N-1 .. 0 from the terminal values K_N = S, J_N = 0, Y_N = 0:
+The value function at s_i is V_i(y) = 1/2 [y; 1]^T V_i [y; 1], with
+V_N = [[S, 0], [0, 0]].  With z = [y; U; 1] and Phi_i = [step_i; e_last] the
+interval's map z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0:
 
-    F_i = <K_{i+1} ZO, ZO> + WZOmegaX2 + RV2 + 2 <J_{i+1}, ZO> + Y_{i+1}
-    G_i = Z^T K_{i+1} ZO + ZWZOmegaX + Z^T J_{i+1}
-    H_i = ZB^T K_{i+1} ZO + ZBWZOmegaX - RV + ZB^T J_{i+1}
-    P_i = ZB^T K_{i+1} Z  + ZBWZ
-    Q_i = Z^T  K_{i+1} Z  + ZWZ
-    T_i = ZB^T K_{i+1} ZB + ZBWZB + Rbar
+    X_i        = Phi_i^T V_{i+1} Phi_i + state_cost_i + control_cost_i (on the [U; 1] corner)
+    feedback_i = -T_i^{-1} X_i[U, (y, 1)],   T_i = X_i[U, U] by its Cholesky factor
+    V_i        = X_i[(y, 1), (y, 1)] + X_i[(y, 1), U] feedback_i
 
-    K_i = Q_i - P_i^T T_i^{-1} P_i
-    J_i = G_i - P_i^T T_i^{-1} H_i
-    Y_i = F_i - <T_i^{-1} H_i, H_i>
+1/2 z^T X_i z is the cost from s_i on, optimal after s_{i+1}, and V_i, its
+minimum over U, is one Schur complement.  The paper's names are read-only
+views (segments as in `transition.ZView`):
 
-with Z = Zstep_i, ZB = ZB_i, ZO = ZOmega_i.  The optimal coefficients follow
-forward as U_i = -T_i^{-1} (P_i q(s_i) + H_i), and the cost of the optimal
-sampled control is 1/2 <K_0 q_a, q_a> + <J_0, q_a> + 1/2 Y_0.
+    F = X[1, 1]   G = X[y, 1]   H = X[U, 1]   K = V[y, y]   gain   = feedback[:, y]
+    P = X[U, y]   Q = X[y, y]   T = X[U, U]   J = V[y, 1]   offset = feedback[:, 1]
+                                              Y = V[1, 1]
 
-Because the last interval's ZOmega absorbs the -q_b shift, the forward
+so K_i = Q_i - P_i^T T_i^{-1} P_i, J_i = G_i - P_i^T T_i^{-1} H_i and
+Y_i = F_i - <T_i^{-1} H_i, H_i>.  The optimal coefficients follow forward as
+U_i = feedback_i [q(s_i); 1], and the optimal cost is V_0(q_a).
+
+Because the last interval's step absorbs the -q_b shift, the forward
 recursion's final node is the shifted terminal state q(b) - q_b; every stated
 identity (value function, costate linearity) then holds verbatim at i = N.
 """
@@ -31,35 +34,50 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .blocks import compute_all_blocks
-from .errors import DimensionMismatch, IndexOutOfRange, TNotPD
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
 from .problem import LQProblem, SamplingGrid
+from .transition import ZView
 
 
 @dataclass(frozen=True, eq=False)
 class SweepStep:
-    """All recursion quantities for one interval index."""
+    """The recursion's quadratic forms for one interval index."""
 
     i: int
-    F: float
-    G: np.ndarray   # n
-    H: np.ndarray   # m
-    P: np.ndarray   # m x n
-    Q: np.ndarray   # n x n
-    T: np.ndarray   # m x m
-    T_factor: tuple
-    K: np.ndarray   # n x n, this is K_i
-    J: np.ndarray   # n
-    Y: float
-    gain: np.ndarray    # m x n, -T^{-1} P
-    offset: np.ndarray  # m,   -T^{-1} H
+    X: np.ndarray         # (n+m+1) x (n+m+1), cost-to-go form on [y; U; 1]
+    T_factor: tuple       # Cholesky factor of T = X[U, U]
+    V: np.ndarray         # (n+1) x (n+1), value form V_i on [y; 1]
+    feedback: np.ndarray  # m x (n+1), [gain | offset]
+
+    F = ZView("X", "1", "1")
+    G = ZView("X", "y", "1")
+    H = ZView("X", "U", "1")
+    P = ZView("X", "U", "y")
+    Q = ZView("X", "y", "y")
+    T = ZView("X", "U", "U")
+    K = ZView("V", "y", "y")
+    J = ZView("V", "y", "1")
+    Y = ZView("V", "1", "1")
+    gain = ZView("feedback", ":", "y")
+    offset = ZView("feedback", ":", "1")
+
+    @property
+    def dims(self) -> tuple:
+        return self.V.shape[0] - 1, self.feedback.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSweep:
     steps: tuple
-    K_N: np.ndarray
-    J_N: np.ndarray
-    Y_N: float
+    V_N: np.ndarray  # (n+1) x (n+1), [[S, 0], [0, 0]]
+
+    K_N = ZView("V_N", "y", "y")
+    J_N = ZView("V_N", "y", "1")
+    Y_N = ZView("V_N", "1", "1")
+
+    @property
+    def dims(self) -> tuple:
+        return self.V_N.shape[0] - 1, 0  # no U segment
 
     @property
     def N(self) -> int:
@@ -82,59 +100,33 @@ def backward_sweep(blocks: list, S: np.ndarray) -> RiccatiSweep:
     """Run the recursion over the given blocks from terminal weight S."""
     if not blocks:
         raise DimensionMismatch("need at least one interval block")
-    n = blocks[0].Zstep.shape[0]
+    n, m = blocks[0].dims
     S = np.asarray(S, dtype=float)
     if S.shape != (n, n):
         raise DimensionMismatch(f"S has shape {S.shape}, expected {(n, n)}")
-    K_N = 0.5 * (S + S.T)
-    J_N = np.zeros(n)
-    Y_N = 0.0
+    V_N = np.pad(0.5 * (S + S.T), (0, 1))  # [[S, 0], [0, 0]]
 
-    K, J, Y = K_N, J_N, Y_N
-    steps = []
+    U, yo = slice(n, n + m), np.r_[0:n, n + m]  # the U and [y; 1] entries of z
+    last = np.eye(1, n + m + 1, n + m)
+    V, steps = V_N, []
     for blk in reversed(blocks):
-        Z, ZB, ZO = blk.Zstep, blk.ZB, blk.ZOmega
-        KZ = K @ Z
-        KZB = K @ ZB
-        KZO_J = K @ ZO + J
-        F = float(ZO @ (K @ ZO) + blk.WZOmegaX2 + blk.RV2 + 2.0 * (J @ ZO) + Y)
-        G = Z.T @ KZO_J + blk.ZWZOmegaX
-        H = ZB.T @ KZO_J + blk.ZBWZOmegaX - blk.RV
-        P = ZB.T @ KZ + blk.ZBWZ
-        Q = Z.T @ KZ + blk.ZWZ
-        Q = 0.5 * (Q + Q.T)
-        T = ZB.T @ KZB + blk.ZBWZB + blk.Rbar
-        T = 0.5 * (T + T.T)
+        Phi = np.concatenate((blk.step, last))
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = Phi.T @ V @ Phi + blk.state_cost
+            X[n:, n:] += blk.control_cost
+            X = 0.5 * (X + X.T)
+        if not np.all(np.isfinite(X)):
+            raise NonFinite(f"cost-to-go form overflowed on interval {blk.i}")
         try:
-            factor = cho_factor(T, lower=True)
+            factor = cho_factor(X[U, U], lower=True)
         except LinAlgError as exc:
             raise TNotPD(blk.i) from exc
-        TinvP = cho_solve(factor, P)
-        TinvH = cho_solve(factor, H)
-        K_new = Q - P.T @ TinvP
-        K_new = 0.5 * (K_new + K_new.T)
-        J_new = G - P.T @ TinvH
-        Y_new = float(F - H @ TinvH)
-        steps.append(
-            SweepStep(
-                i=blk.i,
-                F=F,
-                G=G,
-                H=H,
-                P=P,
-                Q=Q,
-                T=T,
-                T_factor=factor,
-                K=K_new,
-                J=J_new,
-                Y=Y_new,
-                gain=-TinvP,
-                offset=-TinvH,
-            )
-        )
-        K, J, Y = K_new, J_new, Y_new
+        feedback = -cho_solve(factor, X[U, yo])
+        V = X[np.ix_(yo, yo)] + X[yo, U] @ feedback
+        V = 0.5 * (V + V.T)
+        steps.append(SweepStep(i=blk.i, X=X, T_factor=factor, V=V, feedback=feedback))
     steps.reverse()
-    return RiccatiSweep(steps=tuple(steps), K_N=K_N, J_N=J_N, Y_N=Y_N)
+    return RiccatiSweep(steps=tuple(steps), V_N=V_N)
 
 
 def forward_synthesis(
@@ -150,8 +142,8 @@ def forward_synthesis(
     q_nodes = [q]
     U = []
     for step, blk in zip(sweep.steps, blocks):
-        u = step.gain @ q + step.offset
-        q = blk.Zstep @ q + blk.ZB @ u + blk.ZOmega
+        u = step.feedback @ np.concatenate((q, [1.0]))
+        q = blk.step @ np.concatenate((q, u, [1.0]))
         U.append(u)
         q_nodes.append(q)
     predicted = value_function(sweep, 0, q_nodes[0])
@@ -164,16 +156,15 @@ def forward_synthesis(
 
 
 def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
-    """V_j(y) = 1/2 <K_j y, y> + <J_j, y> + 1/2 Y_j."""
+    """V_j(y) = 1/2 [y; 1]^T V_j [y; 1] = 1/2 <K_j y, y> + <J_j, y> + 1/2 Y_j."""
     if not 0 <= j <= sweep.N:
         raise IndexOutOfRange(f"value function index {j} out of range for N={sweep.N}")
     y = np.asarray(y, dtype=float)
-    if j == sweep.N:
-        K, J, Y = sweep.K_N, sweep.J_N, sweep.Y_N
-    else:
-        step = sweep.steps[j]
-        K, J, Y = step.K, step.J, step.Y
-    return float(0.5 * (y @ (K @ y)) + J @ y + 0.5 * Y)
+    V = sweep.V_N if j == sweep.N else sweep.steps[j].V
+    if y.shape != (V.shape[0] - 1,):
+        raise DimensionMismatch(f"y has shape {y.shape}, expected {(V.shape[0] - 1,)}")
+    z = np.append(y, 1.0)
+    return float(0.5 * (z @ (V @ z)))
 
 
 def closed_loop_gain(sweep: RiccatiSweep, i: int):

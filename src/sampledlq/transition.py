@@ -30,15 +30,44 @@ from .errors import IndexOutOfRange, NonFinite, ValidationError
 from .problem import LQProblem, SamplingGrid
 
 
+class ZView:
+    """Read-only block of a stored array in the z = [y; U; 1] layout, named in a layout table.
+
+    rows and cols name segments of the last two axes: "y" the first n
+    entries, "U" the m entries before the last, "1" the last entry and ":"
+    all of them, with (n, m) = owner.dims.  A block that is "1" on
+    both axes reads as a float; sign -1 gives the negated block, a copy.
+    """
+
+    def __init__(self, array: str, rows: str, cols: str, sign: float = 1.0):
+        self.array, self.rows, self.cols, self.sign = array, rows, cols, sign
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        n, m = obj.dims
+        seg = {"y": slice(0, n), "U": slice(-1 - m, -1), "1": -1, ":": slice(None)}
+        block = getattr(obj, self.array)[..., seg[self.rows], seg[self.cols]]
+        if self.sign < 0:
+            block = 0.0 - block  # not -block: a zero block reads +0.0
+        return float(block) if np.ndim(block) == 0 else block
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalPropagation:
-    """Dense node values of Z, Gamma, xi on one sampling interval."""
+    """Dense node values Y = [Z | Gamma | xi] on one sampling interval, q(tau) = Y(tau) [y; U; 1]."""
 
     i: int
-    nodes: np.ndarray   # (2M+1,) times in [s_i, s_{i+1}]
-    Zs: np.ndarray      # (2M+1, n, n)
-    Gammas: np.ndarray  # (2M+1, n, m)
-    Xis: np.ndarray     # (2M+1, n)
+    nodes: np.ndarray  # (2M+1,) times in [s_i, s_{i+1}]
+    Ys: np.ndarray     # (2M+1, n, n+m+1)
+
+    Zs = ZView("Ys", ":", "y")      # (2M+1, n, n)
+    Gammas = ZView("Ys", ":", "U")  # (2M+1, n, m)
+    Xis = ZView("Ys", ":", "1")     # (2M+1, n)
+
+    @property
+    def dims(self) -> tuple:
+        return self.Ys.shape[1], self.Ys.shape[2] - self.Ys.shape[1] - 1
 
     @property
     def substeps(self) -> int:
@@ -66,15 +95,17 @@ def _horizon_half_grid(grid: SamplingGrid, M: int):
 
 
 def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
-    """Affine maps [Phi | psi] of the RK4 steps of Y' = A(t) Y + C(t).
+    """Increments E_k = [Phi_k - Id | psi_k] of the RK4 steps of Y' = A(t) Y + C(t).
 
     As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
     one half-step grid or on a stack of them, and delta is the step, a scalar
     or one per grid (shape ...).  The stage formulas run once over every step
     on Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi_k Y_k + [0 | psi_k]
-    with [Phi_k | psi_k] = maps[..., k], shape (..., K, n, n+c).  The stages
-    live in four step-sized buffers updated in place.  Overflow warnings are
-    off, as in `_run_maps`: a map that overflows makes the nodes non-finite.
+    with [Phi_k - Id | psi_k] = maps[..., k], shape (..., K, n, n+c).  The
+    increment is returned without adding Id, which would round away its low
+    bits.  The stages live in four step-sized buffers updated in place.
+    Overflow warnings are off, as in `_run_maps`: a map that overflows makes
+    the nodes non-finite.
     """
     n = As.shape[-1]
     delta = np.asarray(delta, dtype=float)[..., None, None, None]
@@ -103,23 +134,22 @@ def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
         k3 = stage(A1, shifted(hd, k2, T), C1, np.empty_like(k1))
         k2 += k3
         k4 = stage(A2, shifted(delta, k3, T), C2, k3)
-        # Y + sixth * (k1 + 2 (k2 + k3) + k4), summed in that order
+        # sixth * (k1 + 2 (k2 + k3) + k4), summed in that order
         k2 *= 2.0
         k1 += k2
         k1 += k4
         k1 *= sixth
-        k1[diag] += 1.0
     return k1
 
 
 def _run_maps(maps: np.ndarray) -> np.ndarray:
     """Nodes [Z_k | G_k], k = 0 .. K, of Y_{k+1} = Phi_k Y_k + [0 | psi_k] from Y_0 = [Id | 0].
 
-    maps (..., K, n, n+c) holds the steps' [Phi_k | psi_k] as `_step_maps`
-    returns them; leading axes are independent runs.  Node k is the
-    composite of the first k maps, so the nodes are an inclusive
+    maps (..., K, n, n+c) holds the steps' increments E_k = [Phi_k - Id | psi_k]
+    as `_step_maps` returns them; leading axes are independent runs.  Node k
+    is the composite of the first k maps, so the nodes are an inclusive
     Hillis-Steele scan of the maps, whose composition is associative.
-    Composites are carried as E = [P - Id | c], since a step map is
+    Composites are carried as increments too, since a step map is
     Id + O(delta): (Id + E2) after (Id + E1) is Id + E2 + E1 + E2[:, :n] E1,
     which keeps the low bits that rounding P2 P1 near Id loses and holds
     the scan to the serial recurrence's accuracy.  At level d, entry j >= d
@@ -133,7 +163,6 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     out = np.zeros(maps.shape[:-3] + (K + 1,) + maps.shape[-2:])
     E = out[..., 1:, :, :]
     E[...] = maps
-    E[diag] -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         d = 1
         while d < K:
@@ -165,22 +194,14 @@ def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
 
 
 def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> IntervalPropagation:
-    """Z, Gamma, xi at the 2M+1 nodes of interval i, via 2M RK4 half-steps."""
+    """[Z | Gamma | xi] at the 2M+1 nodes of interval i, via 2M RK4 half-steps."""
     if not 0 <= i < grid.N:
         raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
     half, delta = _interval_half_grid(grid, i, M)
-    n, m = p.n, p.m
     Ys = _affine_nodes(p, half, delta)
     if not np.all(np.isfinite(Ys)):
         raise NonFinite(f"propagation diverged on interval {i}")
-
-    return IntervalPropagation(
-        i=i,
-        nodes=half[::2],
-        Zs=np.ascontiguousarray(Ys[:, :, :n]),
-        Gammas=np.ascontiguousarray(Ys[:, :, n : n + m]),
-        Xis=np.ascontiguousarray(Ys[:, :, n + m]),
-    )
+    return IntervalPropagation(i=i, nodes=half[::2], Ys=Ys)
 
 
 def transition_matrix(p: LQProblem, t: float, s: float, M: int = 64) -> np.ndarray:

@@ -1,12 +1,13 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 import sampledlq as sq
-from sampledlq.errors import DimensionMismatch, IndexOutOfRange, TNotPD
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
 from sampledlq.problem import make_problem
+from sampledlq.transition import propagate_interval
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,7 @@ class TestSynthesis:
         assert np.array_equal(sol.q_nodes[0], timevarying.q_a)
         for i, blk in enumerate(blocks):
             u = sol.U[i]
-            expect = blk.Zstep @ sol.q_nodes[i] + blk.ZB @ u + blk.ZOmega
+            expect = blk.step @ np.concatenate((sol.q_nodes[i], u, [1.0]))
             assert np.array_equal(sol.q_nodes[i + 1], expect)
             gain, offset = sq.closed_loop_gain(sweep, i)
             assert np.allclose(u, gain @ sol.q_nodes[i] + offset, atol=1e-14)
@@ -136,6 +137,9 @@ class TestSynthesis:
             sq.forward_synthesis(sweep, blocks[:1], dontchev.q_a)
         with pytest.raises(DimensionMismatch):
             sq.forward_synthesis(sweep, blocks, np.zeros(2))
+        for j in (0, 2):
+            with pytest.raises(DimensionMismatch):
+                sq.value_function(sweep, j, [1.0, 2.0, 3.0])
 
 
 class TestTailConsistency:
@@ -151,6 +155,123 @@ class TestTailConsistency:
 
     def test_nonpositive_T_detected(self, dontchev):
         blocks = sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0, 1), M=8)
-        bad = replace(blocks[0], Rbar=np.array([[-5.0]]))
+        bad = replace(blocks[0], control_cost=np.array([[-5.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(TNotPD):
             sq.backward_sweep([bad], dontchev.S)
+
+    def test_overflowing_cost_to_go_is_typed(self, dontchev):
+        # <S q_b, q_b> overflows; the form's inf would turn every entry of the
+        # next interval's Phi^T V Phi into NaN (0 * inf)
+        p = replace(dontchev, S=np.array([[1.0]]), q_b=np.array([1e200]))
+        with pytest.raises(NonFinite):
+            sq.solve(p, sq.uniform_grid(2, 0, 1), M=8)
+
+
+def test_paper_names_are_views_of_the_stored_forms(timevarying):
+    grid = sq.uniform_grid(2, 0, 1)
+    blocks, sweep, _ = sq.solve(timevarying, grid, M=8)
+    prop = propagate_interval(timevarying, grid, 0, M=8)
+    cases = [
+        (prop, ["i", "nodes", "Ys"], ["Zs", "Gammas", "Xis"]),
+        (blocks[0], ["i", "step", "state_cost", "control_cost"],
+         ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
+        (sweep.steps[0], ["i", "X", "T_factor", "V", "feedback"],
+         ["G", "H", "P", "Q", "T", "K", "J", "gain", "offset"]),
+    ]
+    for obj, stored, views in cases:
+        assert [f.name for f in fields(obj)] == stored
+        for name in views:
+            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored[1:] if f != "T_factor")
+    assert np.array_equal(blocks[0].RV, -blocks[0].control_cost[:-1, -1])
+    for obj, name in ((blocks[0], "WZOmegaX2"), (blocks[0], "RV2"), (sweep.steps[0], "F"), (sweep.steps[0], "Y")):
+        assert type(getattr(obj, name)) is float
+
+
+# -- the quadratic-form blocks and sweep against the per-block formulas --------
+
+
+def _reference_blocks(p, grid, M):
+    """Test-only reference for compute_all_blocks: each paper-named block by its own Simpson integral."""
+    out = []
+    for i in range(grid.N):
+        prop = propagate_interval(p, grid, i, M)
+        w = sq.simpson_weights(prop.nodes.shape[0], float(grid.h[i]) / (prop.nodes.shape[0] - 1))
+        Zs, Gammas, Xis = prop.Zs, prop.Gammas, prop.Xis
+        Wk, Rk, xk, vk = (cf.eval_many(prop.nodes) for cf in (p.W, p.R, p.x_ref, p.v_ref))
+        WZ = Wk @ Zs
+        WG = Wk @ Gammas
+        e = Xis - xk
+        We = (Wk @ e[..., None])[..., 0]
+        Rv = (Rk @ vk[..., None])[..., 0]
+        ZWZ = np.einsum("k,kai,kaj->ij", w, Zs, WZ)
+        ZBWZB = np.einsum("k,kai,kaj->ij", w, Gammas, WG)
+        Rbar = np.einsum("k,kij->ij", w, Rk)
+        out.append(dict(
+            Zstep=Zs[-1], ZB=Gammas[-1], ZOmega=Xis[-1] - (p.q_b if i == grid.N - 1 else 0.0),
+            ZWZ=0.5 * (ZWZ + ZWZ.T),
+            ZBWZ=np.einsum("k,kai,kaj->ij", w, Gammas, WZ),
+            ZBWZB=0.5 * (ZBWZB + ZBWZB.T),
+            ZBWZOmegaX=np.einsum("k,kai,ka->i", w, Gammas, We),
+            ZWZOmegaX=np.einsum("k,kai,ka->i", w, Zs, We),
+            WZOmegaX2=float(np.einsum("k,ka,ka->", w, We, e)),
+            Rbar=0.5 * (Rbar + Rbar.T),
+            RV=np.einsum("k,ka->a", w, Rv),
+            RV2=float(np.einsum("k,ka,ka->", w, Rv, vk)),
+        ))
+    return out
+
+
+def _reference_solve(p, grid, M):
+    """Test-only reference for solve: the six-formula sweep (F, G, H, P, Q, T) over `_reference_blocks`,
+    then forward synthesis.  Returns (X, V, feedback) per interval, U and the predicted cost."""
+    blocks = _reference_blocks(p, grid, M)
+    K, J, Y = 0.5 * (p.S + p.S.T), np.zeros(p.n), 0.0
+    steps = []
+    for b in reversed(blocks):
+        Z, ZB, ZO = b["Zstep"], b["ZB"], b["ZOmega"]
+        KZO_J = K @ ZO + J
+        F = float(ZO @ (K @ ZO) + b["WZOmegaX2"] + b["RV2"] + 2.0 * (J @ ZO) + Y)
+        G = Z.T @ KZO_J + b["ZWZOmegaX"]
+        H = ZB.T @ KZO_J + b["ZBWZOmegaX"] - b["RV"]
+        P = ZB.T @ (K @ Z) + b["ZBWZ"]
+        Q = Z.T @ (K @ Z) + b["ZWZ"]
+        Q = 0.5 * (Q + Q.T)
+        T = ZB.T @ (K @ ZB) + b["ZBWZB"] + b["Rbar"]
+        T = 0.5 * (T + T.T)
+        factor = cho_factor(T, lower=True)
+        TinvP = cho_solve(factor, P)
+        TinvH = cho_solve(factor, H)
+        X = np.block([[Q, P.T, G[:, None]], [P, T, H[:, None]], [G[None], H[None], np.array([[F]])]])
+        K = Q - P.T @ TinvP
+        K, J, Y = 0.5 * (K + K.T), G - P.T @ TinvH, float(F - H @ TinvH)
+        steps.append((X, np.block([[K, J[:, None]], [J[None], np.array([[Y]])]]),
+                      np.hstack((-TinvP, -TinvH[:, None]))))
+    steps.reverse()
+    K0, J0, Y0 = (steps[0][1][:-1, :-1], steps[0][1][:-1, -1], steps[0][1][-1, -1])
+    q = p.q_a
+    U = []
+    for (_, _, feedback), b in zip(steps, blocks):
+        u = feedback[:, :-1] @ q + feedback[:, -1]
+        q = b["Zstep"] @ q + b["ZB"] @ u + b["ZOmega"]
+        U.append(u)
+    return steps, np.array(U), 0.5 * (p.q_a @ K0 @ p.q_a) + J0 @ p.q_a + 0.5 * Y0
+
+
+def _reference_case(source):
+    if isinstance(source, int):
+        return sq.random_problem(source)
+    p = sq.get_problem(source).problem
+    return p, sq.grid_from_durations(np.array([0.2, 0.5, 0.3]) * (p.b - p.a), p.a, p.b)
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(30)))
+def test_quadratic_forms_match_per_block_formulas(source):
+    p, grid = _reference_case(source)
+    M = 16
+    blocks, sweep, sol = sq.solve(p, grid, M)
+    ref_steps, ref_U, ref_cost = _reference_solve(p, grid, M)
+    got = [a for step in sweep.steps for a in (step.X, step.V, step.feedback)] + [sol.U, sol.predicted_cost]
+    ref = [a for step in ref_steps for a in step] + [ref_U, ref_cost]
+    for g, r in zip(got, ref):
+        assert np.shape(g) == np.shape(r)
+        assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))

@@ -140,12 +140,13 @@ def _reference_rk4_linear(As, Cs, Y0, delta):
 
 
 def _reference_run_maps(maps):
-    """Test-only reference for transition._run_maps: the recurrence stepped one map at a time from [Id | 0]."""
+    """Test-only reference for transition._run_maps: the recurrence Y <- Y + E[:, :n] Y + [0 | E[:, n:]]
+    stepped one increment at a time from [Id | 0]."""
     n = maps.shape[-2]
     Y = np.broadcast_to(np.eye(n, maps.shape[-1]), maps.shape[:-3] + maps.shape[-2:])
     out = [Y]
     for k in range(maps.shape[-3]):
-        Y = maps[..., k, :, :n] @ Y
+        Y = Y + maps[..., k, :, :n] @ Y
         Y[..., n:] += maps[..., k, :, n:]
         out.append(Y)
     return np.stack(out, axis=-3)
@@ -340,3 +341,22 @@ def test_horizon_scan_error_within_serial_loop_error(source, monkeypatch):
         mp.setattr(transition, "_run_maps", _reference_run_maps)
         loop = error(sq.simulate_state(p, u, M))
     assert scan <= 4.0 * loop
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(10)))
+def test_propagation_within_one_ulp_of_long_double_loop(source):
+    # The step maps are returned as increments Phi_k - Id and composed as such, so no
+    # node loses the increments' low bits to a rounding of Id + increment: every
+    # [Z | Gamma | xi] node is within one ulp of 1 + |ref| of a long-double stage loop
+    # on the same coefficient values.  N = 8, M = 32.
+    p = _kernel_case(source)[0]
+    grid = sq.uniform_grid(8, p.a, p.b)
+    M = 32
+    ld = np.longdouble
+    for i in range(grid.N):
+        prop = propagate_interval(p, grid, i, M)
+        half, delta = transition._interval_half_grid(grid, i, M)
+        As = p.A.eval_many(half)
+        forcing = np.concatenate((np.zeros(As.shape), p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
+        ref = _reference_rk4_linear(As.astype(ld), forcing.astype(ld), np.eye(p.n, prop.Ys.shape[-1], dtype=ld), ld(delta))
+        assert np.max(np.abs(prop.Ys - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
