@@ -10,8 +10,10 @@ is reconstructed from O((mN)^2) plain cost evaluations:
 
 Nothing of the Riccati path is reused: only the simulator produces the cost
 values, so agreement between -Hq^{-1} g and the sweep's coefficients is
-independent evidence.  Controls are stacked interval-major: component
-j = i*m + r is entry r of U_i.
+independent evidence.  The simulator's batch marches the zero control once
+and takes every other control's cost from its own Simpson quadratic forms
+on that run's nodes, not from `blocks` or `riccati`.  Controls are stacked
+interval-major: component j = i*m + r is entry r of U_i.
 """
 
 from __future__ import annotations

@@ -164,7 +164,11 @@ def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
     if y.shape != (V.shape[0] - 1,):
         raise DimensionMismatch(f"y has shape {y.shape}, expected {(V.shape[0] - 1,)}")
     z = np.append(y, 1.0)
-    return float(0.5 * (z @ (V @ z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(0.5 * (z @ (V @ z)))
+    if not np.isfinite(value):
+        raise NonFinite(f"value function V_{j} overflowed")
+    return value
 
 
 def closed_loop_gain(sweep: RiccatiSweep, i: int):

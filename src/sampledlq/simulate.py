@@ -4,27 +4,30 @@ Every simulation here has one layout.  On interval i the state is the affine
 image q = Z q_i + Gamma U_i + xi of the interval's start state and constant
 control, so one call of the interval propagation's RK4 kernel forms the
 [Z | Gamma | xi] nodes of all N intervals (2M half-steps, 2M+1 stored nodes
-each) on the stacked half grids, and one march carries the run across the
+each) on the stacked half grids, and one march carries a run across the
 joins: it applies interval i's nodes to [q_i; U_i; 1] and takes q_{i+1} from
-the last node.  The march serves one control (`simulate_state`), a batch of
-L controls (the oracle's, whose L-wide nodes and running cost exist one
-interval at a time) and a dense control (one interval [a, b] under the
-forcing B u(t) + omega).  The costate runs backward from
-p(b) = -S (q(b) - q_b) through the same march, last interval first, on the
-[Zc | phi] nodes of -A^T and the forcing W (q - x), formed on the reversed
-half grids with step -delta; RK4 stages falling between stored state nodes
-use linear interpolation of q.
+the last node.  The march serves one control (`simulate_state`) and a dense
+control (one interval [a, b] under the forcing B u(t) + omega).  The costate
+runs backward from p(b) = -S (q(b) - q_b) through the same march, last
+interval first, on the [Zc | phi] nodes of -A^T and the forcing W (q - x),
+formed on the reversed half grids with step -delta; RK4 stages falling
+between stored state nodes use linear interpolation of q.
 
 Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
 residual and the averaged control are each one Simpson reduction over them,
 and the cost quadrature here and the block quadrature integrate the same
 discrete functional.
+
+A batch of controls (the oracle's) marches only the zero control.  Its cost
+is quadratic in the controls, so each interval's cost about the zero-control
+run is one Simpson quadratic form in [dy_i; U_i] on the same nodes, and the
+controls enter through those small forms alone, never through node arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -96,51 +99,44 @@ def _check_control_dim(p: LQProblem, m: int) -> None:
         raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
 
 
-def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray, keep: Optional[Callable] = None):
-    """Carry runs across the interval joins on per-interval affine nodes.
+def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
+    """Carry one run across the interval joins on per-interval affine nodes.
 
     nodes (N, 2M+1, n, n+c) hold each interval's [Z | G] in the order the
-    runs visit the intervals, y (n, L) the L start values and inputs
-    (N, c, L) each interval's constant input.  On interval i the run is
+    run visits the intervals, y (n,) the start value and inputs (N, c) each
+    interval's constant input.  On interval i the run is
     Y_i = nodes[i] [y_i; inputs[i]] with node 0 set to y_i itself (nodes[i, 0]
     is [Id | 0]), so the joins are exact, and y_{i+1} = Y_i[-1].  Returns the
-    stacked keep(i, Y_i), by default Y_i (N, 2M+1, n, L), and the final value.
+    runs (N, 2M+1, n) and the final value.
     """
-    kept = []
-    for i, (Z, v) in enumerate(zip(nodes, inputs)):
-        ys = np.empty(Z.shape[:2] + y.shape[1:])
-        ys[0] = y
+    ys = np.empty(nodes.shape[:3])
+    for Z, v, run in zip(nodes, inputs, ys):
+        run[0] = y
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(Z[1:].reshape(-1, Z.shape[-1]), np.vstack((y, v)), out=ys[1:].reshape(-1, y.shape[1]))
-        if not np.all(np.isfinite(ys)):
+            np.matmul(Z[1:].reshape(-1, Z.shape[-1]), np.concatenate((y, v)), out=run[1:].reshape(-1))
+        if not np.all(np.isfinite(run)):
             raise NonFinite("simulation diverged")
-        y = ys[-1].copy()  # a view would keep this interval's nodes alive through the next
-        kept.append(ys if keep is None else keep(i, ys))
-    return np.stack(kept), y
-
-
-def _starts(p: LQProblem, L: int) -> np.ndarray:
-    """q_a as the start of L runs, (n, L)."""
-    return np.broadcast_to(np.asarray(p.q_a, dtype=float)[:, None], (p.n, L))
+        y = run[-1]
+    return ys, y.copy()
 
 
 def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per interval and run.
+    """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per interval.
 
     times (..., 2M+1) are node times with steps delta (...), qs
-    (..., 2M+1, n, L) the state nodes and us (..., 2M+1 or 1, m, L) the
-    controls at the nodes or constant over them; returns (..., L).  A
-    finite state too large for its cost to be finite raises NonFinite.
+    (..., 2M+1, n) the state nodes and us (..., 2M+1 or 1, m) the controls
+    at the nodes or constant over them; returns (...).  A finite state too
+    large for its cost to be finite raises NonFinite.
     """
-    _check_control_dim(p, us.shape[-2])
+    _check_control_dim(p, us.shape[-1])
     w = simpson_weights(times.shape[-1], np.asarray(delta)[..., None])
-    e = qs - _eval(p.x_ref, times)[..., None]
-    du = us - _eval(p.v_ref, times)[..., None]
+    e = qs - _eval(p.x_ref, times)
+    du = us - _eval(p.v_ref, times)
     with np.errstate(over="ignore", invalid="ignore"):
-        We = _eval(p.W, times) @ e
-        Rdu = _eval(p.R, times) @ du
-        cost = 0.5 * (np.einsum("...k,...kal,...kal->...l", w, We, e)
-                      + np.einsum("...k,...kal,...kal->...l", w, Rdu, du))
+        We = (_eval(p.W, times) @ e[..., None])[..., 0]
+        Rdu = (_eval(p.R, times) @ du[..., None])[..., 0]
+        cost = 0.5 * (np.einsum("...k,...ka,...ka->...", w, We, e)
+                      + np.einsum("...k,...ka,...ka->...", w, Rdu, du))
     if not np.all(np.isfinite(cost)):
         raise NonFinite("running cost is not finite")
     return cost
@@ -156,9 +152,8 @@ def simulate_state(p: LQProblem, u: PiecewiseConstantControl, M: int = 64) -> Tr
     grid = u.grid
     check_grid(p, grid)
     half, delta = _horizon_half_grid(grid, M)
-    inputs = np.hstack((u.U, np.ones((grid.N, 1))))[..., None]
-    qs, q_end = _march(_affine_nodes(p, half, delta), _starts(p, 1), inputs)
-    return Trajectory(grid=grid, times=half[:, ::2], qs=qs[..., 0], q_end=q_end[:, 0])
+    qs, q_end = _march(_affine_nodes(p, half, delta), p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
+    return Trajectory(grid=grid, times=half[:, ::2], qs=qs, q_end=q_end)
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -171,7 +166,7 @@ def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -
     if not _same_grid(traj.grid, u.grid):
         raise NodeMismatch("trajectory and control use different grids")
     delta = traj.grid.h / (2 * traj.substeps)
-    return _running_cost(p, traj.times, delta, traj.qs[..., None], u.U[:, None, :, None])[:, 0]
+    return _running_cost(p, traj.times, delta, traj.qs, u.U[:, None])
 
 
 def evaluate_cost(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> float:
@@ -194,8 +189,8 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     forcing = _eval(p.W, half) @ (q_half - _eval(p.x_ref, half))[..., None]
     minus_At = -np.swapaxes(_eval(p.A, half), -1, -2)
     nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
-    ps, _ = _march(nodes, p_end[:, None], np.ones((half.shape[0], 1, 1)))
-    return ps[::-1, ::-1, :, 0]
+    ps, _ = _march(nodes, p_end, np.ones((half.shape[0], 1)))
+    return ps[::-1, ::-1]
 
 
 def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
@@ -249,8 +244,8 @@ def _dense_state(p: LQProblem, u_fn: Callable, M: int):
     u_half = _eval_control_function(u_fn, half, p.m)
     forcing = p.B.eval_many(half) @ u_half[..., None] + p.omega.eval_many(half)[..., None]
     nodes = _rk4_linear(p.A.eval_many(half), forcing, delta)
-    qs, _ = _march(nodes[None], _starts(p, 1), np.ones((1, 1, 1)))
-    return half, delta, u_half, qs[0, :, :, 0]
+    qs, _ = _march(nodes[None], p.q_a, np.ones((1, 1)))
+    return half, delta, u_half, qs[0]
 
 
 def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
@@ -274,7 +269,7 @@ def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
 def cost_of_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
     """C(u_fn) for an arbitrary (not piecewise-constant) control, densely simulated."""
     half, delta, u_half, qs = _dense_state(p, u_fn, M)
-    running = _running_cost(p, half[::2], delta, qs[..., None], u_half[::2, :, None])[0]
+    running = _running_cost(p, half[::2], delta, qs, u_half[::2])
     return float(running + terminal_cost(p, qs[-1]))
 
 
@@ -290,20 +285,57 @@ def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64, m: int = 1
 def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: int = 64) -> np.ndarray:
     """C(u) for a batch of piecewise-constant controls, shape (L, N, m) -> (L,).
 
-    Column-for-column equivalent to simulate_state + evaluate_cost per
-    control; the nodes and Simpson sums are shared across the batch, and
-    its L-wide state nodes exist one interval at a time.
+    Equal to simulate_state + evaluate_cost per control up to rounding, with
+    the cost taken about the zero control.  One march of U = 0 gives each
+    interval's running cost c0_i and the tracking error e0 = q0 - x at the
+    nodes.  A control moves the state on interval i by D_i dz_i, with
+    D = [Z | Gamma] the unit responses and dz_i = [dy_i; U_i], where
+    dy_0 = 0 and dy_{i+1} = D_i(s_{i+1}) dz_i.  Its running cost there is
+    c0_i + <g_i, dz_i> + 1/2 <H_i dz_i, dz_i>, with the Simpson integrals
+
+        H_i = int D^T W D, plus int R on the U corner
+        g_i = int D^T W e0, minus int R v on the U rows
+
+    on the nodes of the zero-control run, and its terminal cost is taken at
+    q0(b) + dy_N, as the offset (q0(b) - q_b) + dy_N.  The controls meet
+    only the (n+m)-sized forms, so no node array is L wide.  Rounding
+    scales with the zero-control error e0 and each control's response
+    D dz, not with |q|: a run far from the origin but on target loses
+    nothing to the size of its state.
     """
     Us = np.asarray(Us, dtype=float)
     if Us.ndim != 3 or Us.shape[1] != grid.N or Us.shape[2] != p.m:
         raise DimensionMismatch(f"control batch has shape {Us.shape}, expected (L, {grid.N}, {p.m})")
     check_grid(p, grid)
-    L = Us.shape[0]
+    n, m = p.n, p.m
     half, delta = _horizon_half_grid(grid, M)
     times = half[:, ::2]
-    U = Us.transpose(1, 2, 0)  # (N, m, L)
-    inputs = np.concatenate((U, np.ones((grid.N, 1, L))), axis=1)
-    costs, q_end = _march(_affine_nodes(p, half, delta), _starts(p, L), inputs,
-                          lambda i, qs: _running_cost(p, times[i], delta[i], qs, U[i][None]))
-    d = q_end - p.q_b[:, None]
-    return costs.sum(axis=0) + 0.5 * np.einsum("al,al->l", p.S @ d, d)
+    nodes = _affine_nodes(p, half, delta)
+    zero = np.zeros((grid.N, m))
+    q0, q0_end = _march(nodes, p.q_a, np.hstack((zero, np.ones((grid.N, 1)))))
+    c0 = _running_cost(p, times, delta, q0, zero[:, None])
+
+    w = simpson_weights(times.shape[1], delta[:, None])[..., None, None]  # (N, 2M+1, 1, 1)
+    D = nodes[..., :-1]
+    R = _eval(p.R.symmetrized(), times)
+    flat = (grid.N, -1, n + m)  # the nodes' rows stacked, for one GEMM per interval
+    with np.errstate(over="ignore", invalid="ignore"):
+        wWD = w * (_eval(p.W.symmetrized(), times) @ D)
+        H = np.swapaxes(D.reshape(flat), 1, 2) @ wWD.reshape(flat)
+        H[:, n:, n:] += np.sum(w * R, axis=1)
+        e0 = q0 - _eval(p.x_ref, times)
+        g = np.einsum("ikaj,ika->ij", wWD, e0)
+        g[:, n:] -= np.einsum("ikab,ikb->ia", w * R, _eval(p.v_ref, times))
+
+        dz = np.empty((grid.N, n + m, Us.shape[0]))
+        dz[:, n:] = Us.transpose(1, 2, 0)
+        dy = np.zeros((n, Us.shape[0]))
+        for i in range(grid.N):
+            dz[i, :n] = dy
+            dy = D[i, -1] @ dz[i]
+        d = (q0_end - p.q_b)[:, None] + dy
+        costs = (np.sum(c0) + np.einsum("ial,ial->l", dz, g[..., None] + 0.5 * (H @ dz))
+                 + 0.5 * np.einsum("al,al->l", p.S @ d, d))
+    if not np.all(np.isfinite(costs)):
+        raise NonFinite("batch cost is not finite")
+    return costs

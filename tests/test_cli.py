@@ -108,6 +108,13 @@ class TestSolve:
 
 
 class TestErrors:
+    def test_overflowing_value_function(self, capsys, tmp_path):
+        # the sweep is finite; the predicted cost at q_a = 1e160 is not
+        path = write_problem(tmp_path, S=[[1.0]], qa=[1e160])
+        code, out, err = run_cli(capsys, "solve", "--problem", path, "--grid", "uniform:2")
+        assert code == 3 and out == ""
+        assert "value function V_0 overflowed" in err
+
     def test_unknown_problem(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", "no-such-thing",
                                "--grid", "uniform:1")

@@ -166,6 +166,12 @@ class TestTailConsistency:
         with pytest.raises(NonFinite):
             sq.solve(p, sq.uniform_grid(2, 0, 1), M=8)
 
+    def test_overflowing_value_function_is_typed(self, dontchev):
+        # the sweep's forms stay finite, but 1/2 <K_0 q_a, q_a> overflows
+        p = replace(dontchev, S=np.array([[1.0]]), q_a=np.array([1e160]))
+        with pytest.raises(NonFinite, match="value function V_0"):
+            sq.solve(p, sq.uniform_grid(2, 0, 1), M=8)
+
 
 def test_paper_names_are_views_of_the_stored_forms(timevarying):
     grid = sq.uniform_grid(2, 0, 1)

@@ -130,16 +130,40 @@ class TestCost:
         with pytest.raises(NodeMismatch):
             sq.running_costs(dontchev, other, traj)
 
-    def test_batch_matches_loop(self, timevarying):
-        grid = sq.uniform_grid(3, 0, 1)
+    def test_batch_matches_loop(self):
+        # every registry problem on an unequal grid and random seeds 0-29
+        cases = [(p, sq.grid_from_durations(np.array([0.2, 0.5, 0.3]) * (p.b - p.a), p.a, p.b))
+                 for p in (sq.get_problem(name).problem for name in sq.list_problems())]
+        cases += [sq.random_problem(seed) for seed in range(30)]
+        # unvalidated: W keeps a skew part, which no quadratic cost sees
+        skew = make_problem(0.0, 1.0, A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], W=[[1.0, 0.5], [-0.5, 1.0]],
+                            R=[[2.0]], S=np.eye(2), q_a=[1.0, 0.0], x=[0.5, 0.0], v=[0.1])
+        cases.append((skew, sq.grid_from_durations([0.2, 0.5, 0.3], 0.0, 1.0)))
         rng = np.random.default_rng(0)
-        Us = rng.normal(size=(5, 3, 1))
-        batch = sq.costs_of_control_batch(timevarying, grid, Us, M=32)
-        for k in range(5):
-            u = sq.PiecewiseConstantControl(grid, Us[k])
-            traj = sq.simulate_state(timevarying, u, M=32)
-            single = sq.evaluate_cost(timevarying, u, traj)
-            assert batch[k] == pytest.approx(single, rel=1e-12, abs=1e-12)
+        for p, grid in cases:
+            Us = rng.normal(size=(5, grid.N, p.m))
+            batch = sq.costs_of_control_batch(p, grid, Us, M=32)
+            for k in range(5):
+                u = sq.PiecewiseConstantControl(grid, Us[k])
+                single = sq.evaluate_cost(p, u, sq.simulate_state(p, u, M=32))
+                assert abs(batch[k] - single) <= 1e-13 * (1.0 + abs(single))
+
+    def test_batch_translation_invariant(self):
+        # q_a = x = q_b = [X, 0] on double-integrator: the plant only moves the
+        # position by the velocity, so the costs cannot depend on X
+        grid = sq.grid_from_durations([0.2, 0.5, 0.3], 0.0, 1.0)
+        Us = np.random.default_rng(1).normal(size=(5, grid.N, 1))
+
+        def costs(X):
+            p = sq.validate_problem(make_problem(0.0, 1.0, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
+                                                 W=np.eye(2), R=[[1.0]], S=np.eye(2),
+                                                 q_a=[X, 0.0], x=[X, 0.0], q_b=[X, 0.0]))
+            return sq.costs_of_control_batch(p, grid, Us, M=32)
+
+        base = costs(0.0)
+        assert np.all(base > 0.05)
+        for X in (1e2, 1e4):
+            assert np.all(np.abs(costs(X) - base) <= 1e-13 * (1.0 + np.abs(base)))
 
 
 class TestCostate:
