@@ -18,7 +18,7 @@ interval-major: component j = i*m + r is entry r of U_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -57,17 +57,9 @@ class CrossCheckReport:
     certificate_norm: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "U_sweep": self.U_sweep.tolist(),
-            "U_qp": self.U_qp.tolist(),
-            "diffs": self.diffs.tolist(),
-            "max_abs_diff": self.max_abs_diff,
-            "max_rel_diff": self.max_rel_diff,
-            "cost_sweep": self.cost_sweep,
-            "cost_qp": self.cost_qp,
-            "cost_diff": self.cost_diff,
-            "certificate_norm": self.certificate_norm,
-        }
+        """The fields in declaration order, arrays as nested lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
 
 def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:
@@ -75,15 +67,14 @@ def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:
     dim = p.m * grid.N
     if dim > GUARD_MN:
         raise TooLarge(f"oracle guard exceeded: mN = {dim} > {GUARD_MN}")
-    pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
-    batch = np.zeros((1 + 2 * dim + len(pairs), grid.N, p.m))
+    j, k = np.triu_indices(dim, 1)  # the pairs j < k, row-major
+    batch = np.zeros((1 + 2 * dim + j.size, grid.N, p.m))
     flat = batch.reshape(batch.shape[0], dim)
-    for j in range(dim):
-        flat[1 + j, j] = 1.0
-        flat[1 + dim + j, j] = -1.0
-    for idx, (j, k) in enumerate(pairs):
-        flat[1 + 2 * dim + idx, j] = 1.0
-        flat[1 + 2 * dim + idx, k] = 1.0
+    np.fill_diagonal(flat[1 : 1 + dim], 1.0)
+    np.fill_diagonal(flat[1 + dim : 1 + 2 * dim], -1.0)
+    pair_rows = np.arange(1 + 2 * dim, flat.shape[0])
+    flat[pair_rows, j] = 1.0
+    flat[pair_rows, k] = 1.0
 
     costs = costs_of_control_batch(p, grid, batch, M)
     if not np.all(np.isfinite(costs)):
@@ -94,10 +85,8 @@ def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:
     g = 0.5 * (Cp - Cm)
     Hq = np.zeros((dim, dim))
     np.fill_diagonal(Hq, Cp + Cm - 2.0 * c)
-    for idx, (j, k) in enumerate(pairs):
-        val = costs[1 + 2 * dim + idx] - Cp[j] - Cp[k] + c
-        Hq[j, k] = val
-        Hq[k, j] = val
+    Hq[j, k] = costs[1 + 2 * dim :] - Cp[j] - Cp[k] + c
+    Hq[k, j] = Hq[j, k]
     return DenseQP(Hq=Hq, g=g, c=c)
 
 

@@ -7,6 +7,11 @@ controls is
          + 1/2 int_a^b [ <W(t)(q - x), q - x> + <R(t)(u - v), u - v> ] dt
 
 subject to  dq/dt = A(t) q + B(t) u + omega(t),  q(a) = q_a.
+
+Problem data has one way in: `make_problem` builds every `LQProblem`, and
+`load_problem` reshapes a JSON document's arrays and passes them to it.  A
+coefficient has one way out: `CoefficientFunction.eval_many` at an array of
+times of any shape.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
 )
 
 TOL_PD = 1e-10
-DEFAULT_PROBES = 33
+PROBES = 33  # equally spaced times at which validate_problem checks the coefficients
 
 # named coefficient callables usable from problem files: name -> (shape, fn)
 _BUILTIN_COEFFICIENTS: dict = {}
@@ -114,7 +119,7 @@ class CoefficientFunction:
         return self.eval_many(np.array([t], dtype=float))[0]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Values at all times in ts, stacked along a leading axis."""
+        """Values at times ts of any shape, stacked as ts.shape + self.shape; read-only for a constant."""
         ts = np.asarray(ts, dtype=float)
         if self.kind == "constant":
             return np.broadcast_to(self.data, ts.shape + self.shape)
@@ -126,11 +131,12 @@ class CoefficientFunction:
                 out += self.data[d]
             return out
         out = np.empty(ts.shape + self.shape)
-        for k, t in enumerate(ts):
+        rows = out.reshape((-1,) + self.shape)  # a view: filling it fills out
+        for k, t in enumerate(ts.ravel()):
             v = np.asarray(self.data(t), dtype=float)
             if v.shape != self.shape:
                 raise DimensionMismatch(f"builtin {self.name!r} returned shape {v.shape}, declared {self.shape}")
-            out[k] = v
+            rows[k] = v
         if self._sym:
             out = 0.5 * (out + np.swapaxes(out, -1, -2))
         return out
@@ -294,16 +300,14 @@ def _as_matrix(value, n):
     return np.diag(np.full(n, float(arr))) if arr.ndim == 0 else np.atleast_2d(arr)
 
 
-def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
+def validate_problem(p: LQProblem) -> LQProblem:
     """Check dimensions and definiteness; return the validated problem.
 
     S, W(t), R(t) are symmetrized as (M + M^T)/2 before the checks.  PSD/PD
-    holds only at `probes` equally spaced times; with continuous coefficients
+    holds only at the PROBES equally spaced times; with continuous coefficients
     this is a practical guard, not a proof.  Every coefficient is evaluated at
     all probes before any check, so a builtin that raises does so first.
     """
-    if probes < 2:
-        raise ValidationError("probes must be at least 2")
     _check_interval(p.a, p.b)
     n, m = p.n, p.m
     _expect_shape("A", p.A.shape, (n, n))
@@ -328,9 +332,9 @@ def validate_problem(p: LQProblem, probes: int = DEFAULT_PROBES) -> LQProblem:
     if s_min < -TOL_PD:
         raise NotPSD("S", p.a, s_min)
 
-    ts = np.linspace(p.a, p.b, probes)
+    ts = np.linspace(p.a, p.b, PROBES)
     vals = [cf.eval_many(ts) for cf in (p.A, p.B, p.omega, p.x_ref, p.v_ref, W, R)]
-    bad = [~np.isfinite(v).reshape(probes, -1).all(axis=1) for v in vals]
+    bad = [~np.isfinite(v).reshape(PROBES, -1).all(axis=1) for v in vals]
     # a non-finite W or R probe is decomposed as zero: its finite check fails before its eigenvalue one
     w_min, r_min = (
         np.linalg.eigvalsh(np.where(b[:, None, None], 0.0, v))[:, 0] for b, v in zip(bad[5:], vals[5:])
@@ -438,11 +442,12 @@ def grid_from_durations(h, a: float, b: float) -> SamplingGrid:
 def load_problem(source) -> LQProblem:
     """Build an (unvalidated) problem from a JSON file path or a parsed dict.
 
-    Coefficients take the forms `as_coefficient` accepts, with nested arrays
-    (constant) reshaped to the field's shape, so a flat list of 4 numbers is
-    a 2x2 matrix; {"poly": [[[c0, c1, ...], ...], ...]} holds per-entry
-    polynomial coefficients in t, lowest degree first.  Missing omega, x, v,
-    q_b default to zero.
+    Every field takes the forms `make_problem` takes, with nested arrays
+    reshaped to the field's shape first, so a flat list of 4 numbers is a
+    2x2 matrix; {"poly": [[[c0, c1, ...], ...], ...]} holds per-entry
+    polynomial coefficients in t, lowest degree first.  B is read at the
+    file's m.  Missing omega, x, v, qb default to zero; a key that names no
+    field is rejected.
     """
     if isinstance(source, dict):
         doc = source
@@ -461,24 +466,34 @@ def load_problem(source) -> LQProblem:
     n, m = (_json_number(doc, key, int) for key in ("n", "m"))
     if n < 1 or m < 1:
         raise DimensionMismatch(f"need positive dimensions, got n={n}, m={m}")
-    if isinstance(doc["S"], dict):
-        raise ValidationError("S must be a constant matrix")
-    return LQProblem(
-        a=a,
-        b=b,
-        n=n,
-        m=m,
-        A=_coefficient_from_json(doc["A"], (n, n), "A"),
-        B=_coefficient_from_json(doc["B"], (n, m), "B"),
-        W=_coefficient_from_json(doc["W"], (n, n), "W"),
-        R=_coefficient_from_json(doc["R"], (m, m), "R"),
-        S=_readonly(_json_array(doc["S"], (n, n), "S")),
-        omega=_coefficient_from_json(doc.get("omega"), (n,), "omega"),
-        x_ref=_coefficient_from_json(doc.get("x"), (n,), "x"),
-        v_ref=_coefficient_from_json(doc.get("v"), (m,), "v"),
-        q_a=_readonly(_json_array(doc["qa"], (n,), "qa")),
-        q_b=_readonly(_json_array(doc.get("qb", np.zeros(n)), (n,), "qb")),
-    )
+    # problem file key -> (make_problem argument, shape of the field)
+    table = {
+        "A": ("A", (n, n)),
+        "B": ("B", (n, m)),
+        "W": ("W", (n, n)),
+        "R": ("R", (m, m)),
+        "S": ("S", (n, n)),
+        "qa": ("q_a", (n,)),
+        "omega": ("omega", (n,)),
+        "x": ("x", (n,)),
+        "v": ("v", (m,)),
+        "qb": ("q_b", (n,)),
+    }
+    unknown = [key for key in doc if key not in table and key not in ("a", "b", "n", "m")]
+    if unknown:
+        raise ValidationError(f"problem file has unknown fields {unknown}")
+    fields = {}
+    for key, (field, shape) in table.items():
+        if key in doc:
+            value = doc[key]
+            # null and objects go on to make_problem as they are, except for
+            # q_a and q_b, which make_problem reads only as arrays
+            if field in ("q_a", "q_b") or not (value is None or isinstance(value, dict)):
+                value = _json_array(value, shape, key)
+            fields[field] = value
+    # make_problem takes m from B's columns; converted here, B has the file's m
+    fields["B"] = as_coefficient(fields["B"], (n, m), "B")
+    return make_problem(a, b, **fields)
 
 
 def _json_number(doc: dict, key: str, cast):
@@ -512,9 +527,3 @@ def _json_array(value, shape, name) -> np.ndarray:
         return arr.reshape(shape)
     except ValueError:
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {tuple(shape)}") from None
-
-
-def _coefficient_from_json(value, shape, name) -> CoefficientFunction:
-    if value is not None and not isinstance(value, dict):
-        value = _json_array(value, shape, name)
-    return as_coefficient(value, shape, name)

@@ -34,7 +34,7 @@ import numpy as np
 from .blocks import simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite
 from .problem import LQProblem, SamplingGrid, check_grid
-from .transition import _affine_nodes, _eval, _half_grid, _horizon_half_grid, _rk4_linear
+from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _rk4_linear
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +130,11 @@ def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np
     """
     _check_control_dim(p, us.shape[-1])
     w = simpson_weights(times.shape[-1], np.asarray(delta)[..., None])
-    e = qs - _eval(p.x_ref, times)
-    du = us - _eval(p.v_ref, times)
+    e = qs - p.x_ref.eval_many(times)
+    du = us - p.v_ref.eval_many(times)
     with np.errstate(over="ignore", invalid="ignore"):
-        We = (_eval(p.W, times) @ e[..., None])[..., 0]
-        Rdu = (_eval(p.R, times) @ du[..., None])[..., 0]
+        We = (p.W.eval_many(times) @ e[..., None])[..., 0]
+        Rdu = (p.R.eval_many(times) @ du[..., None])[..., 0]
         cost = 0.5 * (np.einsum("...k,...ka,...ka->...", w, We, e)
                       + np.einsum("...k,...ka,...ka->...", w, Rdu, du))
     if not np.all(np.isfinite(cost)):
@@ -186,8 +186,8 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     q_half = np.empty(half.shape + qs.shape[-1:])
     q_half[..., ::2, :] = qs
     q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
-    forcing = _eval(p.W, half) @ (q_half - _eval(p.x_ref, half))[..., None]
-    minus_At = -np.swapaxes(_eval(p.A, half), -1, -2)
+    forcing = p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None]
+    minus_At = -np.swapaxes(p.A.eval_many(half), -1, -2)
     nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
     ps, _ = _march(nodes, p_end, np.ones((half.shape[0], 1)))
     return ps[::-1, ::-1]
@@ -215,10 +215,10 @@ def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.nd
         raise DimensionMismatch(f"control coefficients have shape {U.shape}, expected ({grid.N}, {p.m})")
     times = costate.times
     w = simpson_weights(times.shape[1], grid.h[:, None] / (2 * costate.substeps))
-    R = _eval(p.R, times)
+    R = p.R.eval_many(times)
     Rbar = np.einsum("ik,ikab->iab", w, R)
-    RV = np.einsum("ik,ikab,ikb->ia", w, R, _eval(p.v_ref, times))
-    integral = np.einsum("ik,ikab,ika->ib", w, _eval(p.B, times), costate.ps)
+    RV = np.einsum("ik,ikab,ikb->ia", w, R, p.v_ref.eval_many(times))
+    integral = np.einsum("ik,ikab,ika->ib", w, p.B.eval_many(times), costate.ps)
     Rbar = 0.5 * (Rbar + np.swapaxes(Rbar, -1, -2))
     return U - np.linalg.solve(Rbar, (RV + integral)[..., None])[..., 0]
 
@@ -317,15 +317,15 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
 
     w = simpson_weights(times.shape[1], delta[:, None])[..., None, None]  # (N, 2M+1, 1, 1)
     D = nodes[..., :-1]
-    R = _eval(p.R.symmetrized(), times)
+    R = p.R.symmetrized().eval_many(times)
     flat = (grid.N, -1, n + m)  # the nodes' rows stacked, for one GEMM per interval
     with np.errstate(over="ignore", invalid="ignore"):
-        wWD = w * (_eval(p.W.symmetrized(), times) @ D)
+        wWD = w * (p.W.symmetrized().eval_many(times) @ D)
         H = np.swapaxes(D.reshape(flat), 1, 2) @ wWD.reshape(flat)
         H[:, n:, n:] += np.sum(w * R, axis=1)
-        e0 = q0 - _eval(p.x_ref, times)
+        e0 = q0 - p.x_ref.eval_many(times)
         g = np.einsum("ikaj,ika->ij", wWD, e0)
-        g[:, n:] -= np.einsum("ikab,ikb->ia", w * R, _eval(p.v_ref, times))
+        g[:, n:] -= np.einsum("ikab,ikb->ia", w * R, p.v_ref.eval_many(times))
 
         dz = np.empty((grid.N, n + m, Us.shape[0]))
         dz[:, n:] = Us.transpose(1, 2, 0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonFinite, ValidationError
+from .errors import IndexOutOfRange, InvalidInterval, NonFinite, ValidationError
 from .problem import LQProblem, SamplingGrid
 
 
@@ -182,15 +182,10 @@ def _rk4_linear(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
     return _run_maps(_step_maps(As, Cs, delta))
 
 
-def _eval(cf, times: np.ndarray) -> np.ndarray:
-    """Values of a coefficient at an array of times of any shape."""
-    return cf.eval_many(times.ravel()).reshape(times.shape + cf.shape)
-
-
 def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
     """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (..., 4M+1) of them."""
-    forcing = np.concatenate((_eval(p.B, half), _eval(p.omega, half)[..., None]), axis=-1)
-    return _rk4_linear(_eval(p.A, half), forcing, delta)
+    forcing = np.concatenate((p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
+    return _rk4_linear(p.A.eval_many(half), forcing, delta)
 
 
 def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> IntervalPropagation:
@@ -205,7 +200,9 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
 
 
 def transition_matrix(p: LQProblem, t: float, s: float, M: int = 64) -> np.ndarray:
-    """Z(t, s), integrating forward or backward as needed; Z(s, s) = Id."""
+    """Z(t, s) for t, s in [a, b], integrating forward or backward as needed; Z(s, s) = Id."""
+    if not (p.a <= t <= p.b and p.a <= s <= p.b):  # also false for nan
+        raise InvalidInterval(f"transition from s={s} to t={t} leaves the problem's interval [{p.a}, {p.b}]")
     n = p.n
     half, delta = _half_grid(s, t, t - s, M)
     if t == s:

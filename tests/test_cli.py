@@ -172,6 +172,13 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("key", ["qB", "omgea"])
+    def test_unknown_problem_file_key(self, capsys, tmp_path, key):
+        path = write_problem(tmp_path, **{key: [5.0]})
+        code, out, err = run_cli(capsys, "solve", "--problem", path, "--grid", "uniform:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and repr(key) in err
+
     @pytest.mark.parametrize("text", ['{"a": 0.0, "b": 1.0,', "5", None])
     def test_unreadable_problem_file(self, capsys, tmp_path, text):
         # truncated JSON, a top level that is not an object, a directory

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -38,6 +39,19 @@ class TestCoefficientFunction:
         cf = CoefficientFunction.poly([[0.0, 1.0], [2.0]])
         assert cf.shape == (2,)
         assert np.allclose(cf(0.5), [0.5, 2.0])
+
+    @pytest.mark.parametrize("cf", [
+        CoefficientFunction.constant([[1.0, 2.0], [3.0, 4.0]]),
+        CoefficientFunction.poly([[[0.3, 1.0, -0.5], [2.0]], [[0.0, 0.0, 1.5], [-1.0, 0.25]]]),
+        CoefficientFunction("builtin", (2, 2), lambda t: np.array([[t, 1.0], [0.0, 2.0]]), name="forms"),
+        CoefficientFunction("builtin", (2, 2), lambda t: np.array([[t, 1.0 / 3.0], [t * t, 0.1]]),
+                            name="asym").symmetrized(),
+    ], ids=["constant", "poly", "builtin", "symmetrized-builtin"])
+    def test_eval_many_any_time_shape(self, cf):
+        ts = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, 5))
+        out = cf.eval_many(ts)
+        assert out.shape == ts.shape + cf.shape
+        assert np.array_equal(out, np.stack([cf.eval_many(row) for row in ts]))
 
     def test_eval_many_matches_single(self):
         cf = CoefficientFunction.poly([[[0.0, 1.0, -0.5]]])
@@ -101,10 +115,6 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             sq.validate_problem(p2)
 
-    def test_probe_count_guard(self, dontchev):
-        with pytest.raises(ValidationError):
-            sq.validate_problem(dontchev, probes=1)
-
     def test_reversed_interval(self):
         p = make_problem(1, 0, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
         with pytest.raises(InvalidInterval):
@@ -131,7 +141,7 @@ class TestValidation:
                          R=CoefficientFunction.poly([[[r_root, -1.0]]]), S=[[0.0]], q_a=[1.0])
         ts = np.linspace(0.0, 1.0, 33)
         with pytest.raises(error) as info:
-            sq.validate_problem(p, probes=33)
+            sq.validate_problem(p)
         assert info.value.name == name
         k = 13 if name == "R" else 20
         assert info.value.t == ts[k]
@@ -142,7 +152,7 @@ class TestValidation:
         p = make_problem(0, 1, A=lambda t: np.array([[np.inf if t >= 0.5 else 0.0]]), B=[[1.0]],
                          W=[[1.0]], R=CoefficientFunction.poly([[[0.5, -1.0]]]), S=[[0.0]], q_a=[1.0])
         with pytest.raises(ValidationError, match=r"^A\(0\.5\) is not finite$"):
-            sq.validate_problem(p, probes=33)
+            sq.validate_problem(p)
 
     def test_c_R_quantified(self):
         rng = np.random.default_rng(5)
@@ -308,6 +318,12 @@ class TestJsonLoading:
         with pytest.raises(ValidationError):
             sq.load_problem(doc)
 
+    @pytest.mark.parametrize("key", ["qB", "omgea"])
+    def test_unknown_key_rejected(self, key):
+        # a misspelled optional field is not read as zero
+        with pytest.raises(ValidationError, match=repr(key)):
+            sq.load_problem({**self._doc(), key: [5.0]})
+
     def test_registered_builtin(self):
         sq.register_coefficient("test-decay", (1, 1), lambda t: np.array([[np.exp(-t)]]))
         doc = self._doc()
@@ -418,6 +434,9 @@ LOAD_PROBLEM_CASES = [
     ("qa", [True, 0.0], ValidationError),
     ("W", [["1", "0"], ["0", "1"]], ValidationError),
     ("qa", [10**400, 0.0], ValidationError),  # an integer no float holds
+    ("S", None, np.zeros((2, 2))),  # null reads as zero, as make_problem reads None
+    ("qa", None, ValidationError),  # qa and qb are only ever arrays
+    ("qb", {"poly": [[1.0], [0.0]]}, ValidationError),
 ]
 
 _ATTR = {"x": "x_ref", "v": "v_ref"}
@@ -469,3 +488,49 @@ class TestCoefficientForms:
             assert cf.shape == shape[1:]
             assert cf.data.shape == stack.shape
             assert np.array_equal(cf.data, stack)
+
+
+# make_problem argument -> problem file key, where they differ
+_FILE_KEYS = {"q_a": "qa", "q_b": "qb"}
+
+
+def _random_data(seed):
+    """Seeded problem data as make_problem takes it: arrays at their shapes, polynomials as objects."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    data = {"a": float(rng.uniform(-1.0, 0.0)), "b": float(rng.uniform(0.5, 2.0)),
+            "B": rng.normal(size=(n, m)), "W": rng.normal(size=(n, n)), "R": rng.normal(size=(m, m)),
+            "S": rng.normal(size=(n, n)), "q_a": rng.normal(size=n)}
+    data["A"] = {"poly": rng.normal(size=(n, n, 3)).tolist()} if seed % 3 == 0 else rng.normal(size=(n, n))
+    if seed % 2:
+        data.update(omega={"poly": rng.normal(size=(n, 2)).tolist()}, x=rng.normal(size=n),
+                    v=rng.normal(size=m), q_b=rng.normal(size=n))
+    return data
+
+
+_REGISTRY_DATA = [
+    dict(a=0.0, b=1.0, A=[[0.5]], B=[[1.0]], W=[[2.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0]),
+    dict(a=0.0, b=1.0, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2), R=[[1.0]], S=np.eye(2),
+         q_a=[1.0, 0.0]),
+    dict(a=0.0, b=1.0, A={"poly": [[[0.0], [1.0]], [[-1.0, -0.5], [0.0, -0.25]]]}, B=[[0.0], [1.0]],
+         W=np.eye(2), R=[[1.0]], S=np.eye(2), q_a=[1.0, 0.0], omega={"poly": [[0.0], [0.0, 0.2]]}, v=[0.1],
+         q_b=[0.5, 0.0]),
+]
+
+
+@pytest.mark.parametrize("data", [_random_data(seed) for seed in range(30)] + _REGISTRY_DATA)
+def test_load_problem_equals_make_problem(data):
+    doc = {_FILE_KEYS.get(k, k): np.asarray(v).tolist() if isinstance(v, (list, np.ndarray)) else v
+           for k, v in data.items()}
+    doc.update(n=len(data["q_a"]), m=np.shape(data["B"])[1])
+    loaded, made = sq.load_problem(json.loads(json.dumps(doc))), make_problem(**data)
+    for f in dataclasses.fields(made):
+        x, y = getattr(loaded, f.name), getattr(made, f.name)
+        if isinstance(y, CoefficientFunction):
+            assert (x.kind, x.shape) == (y.kind, y.shape)
+            x, y = x.data, y.data
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and not x.flags.writeable
+            assert np.array_equal(x, y)
+        else:
+            assert type(x) is type(y) and x == y

@@ -5,6 +5,7 @@ import pytest
 
 import sampledlq as sq
 from sampledlq import simulate, transition
+from sampledlq.errors import InvalidInterval
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval, transition_matrix
 
@@ -81,6 +82,13 @@ class TestTransitionMatrix:
             analytic["Z10"], abs=1e-10)
         assert transition_matrix(dontchev, 0.0, 1.0)[0, 0] == pytest.approx(
             1.0 / analytic["Z10"], abs=1e-10)
+
+    @pytest.mark.parametrize("t, s", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, -np.inf),
+                                      (1.5, 0.5), (0.5, 1.5), (-0.5, 0.5), (0.5, -0.5)])
+    def test_times_outside_interval_rejected(self, dontchev, t, s):
+        # dontchev lives on [0, 1]: non-finite times and b + 0.5, a - 0.5 are off it
+        with pytest.raises(InvalidInterval, match="leaves the problem's interval"):
+            transition_matrix(dontchev, t, s)
 
     def test_inverse_pair(self, timevarying):
         Zf = transition_matrix(timevarying, 0.8, 0.2, M=128)
