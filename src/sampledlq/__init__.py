@@ -24,7 +24,6 @@ from .registry import ProblemRegistryEntry, get_problem, list_problems, random_p
 from .riccati import (
     RiccatiSweep,
     SampledSolution,
-    SweepStep,
     backward_sweep,
     closed_loop_gain,
     forward_synthesis,

@@ -21,25 +21,31 @@ y, U, 1 of z as in `transition.ZView`; RV is negated, a copy):
                           ZBWZOmegaX = state_cost[U, 1]
                           ZWZOmegaX  = state_cost[y, 1]
                           WZOmegaX2  = state_cost[1, 1]
+
+`compute_blocks` gives one interval's arrays; `compute_all_blocks` stacks
+every interval's on a leading axis, so row i of step (N, n, n+m+1),
+state_cost (N, n+m+1, n+m+1) and control_cost (N, m+1, m+1) is interval i,
+and each view above carries that axis too (blocks.Zstep[i] is interval i's).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NodeMismatch, ValidationError
+from .errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import IntervalPropagation, ZView, propagate_interval
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalBlocks:
-    i: int
-    step: np.ndarray          # n x (n+m+1), [Zstep | ZB | ZOmega]
-    state_cost: np.ndarray    # (n+m+1) x (n+m+1)
-    control_cost: np.ndarray  # (m+1) x (m+1)
+    """One interval's blocks, or every interval's stacked on a leading axis."""
+
+    step: np.ndarray          # ([N,] n, n+m+1), [Zstep | ZB | ZOmega]
+    state_cost: np.ndarray    # ([N,] n+m+1, n+m+1)
+    control_cost: np.ndarray  # ([N,] m+1, m+1)
 
     Zstep = ZView("step", ":", "y")
     ZB = ZView("step", ":", "U")
@@ -56,12 +62,21 @@ class IntervalBlocks:
 
     @property
     def dims(self) -> tuple:
-        return self.step.shape[0], self.control_cost.shape[0] - 1
+        return self.step.shape[-2], self.control_cost.shape[-1] - 1
 
-    def to_jsonable(self) -> dict:
-        """The index and every paper-named block, in table order."""
+    @property
+    def N(self) -> int:
+        """The number of stacked intervals; one interval's unstacked blocks have none."""
+        if self.step.ndim != 3:
+            raise DimensionMismatch("these are one interval's blocks, not a stack of them")
+        return self.step.shape[0]
+
+    def to_jsonable(self, i: int) -> dict:
+        """Interval i of the stack: its index and every paper-named block, in table order."""
+        if not 0 <= i < self.N:
+            raise IndexOutOfRange(f"interval {i} out of range for N={self.N}")
         views = (name for name, view in vars(IntervalBlocks).items() if isinstance(view, ZView))
-        return {"i": self.i, **{name: np.asarray(getattr(self, name)).tolist() for name in views}}
+        return {"i": i, **{name: getattr(self, name)[i].tolist() for name in views}}
 
 
 def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
@@ -103,19 +118,16 @@ def compute_blocks(
         step[:, -1] -= p.q_b
 
     return IntervalBlocks(
-        i=i,
         step=step,
         state_cost=0.5 * (state_cost + state_cost.T),
         control_cost=0.5 * (control_cost + control_cost.T),
     )
 
 
-def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> list:
-    """Blocks for every interval, ordered by index; q_a is never an input."""
+def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBlocks:
+    """Every interval's blocks stacked on a leading axis, row i interval i; q_a is never an input."""
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
-    return [
-        compute_blocks(p, grid, i, propagate_interval(p, grid, i, M))
-        for i in range(grid.N)
-    ]
+    rows = [compute_blocks(p, grid, i, propagate_interval(p, grid, i, M)) for i in range(grid.N)]
+    return IntervalBlocks(*(np.stack([getattr(r, f.name) for r in rows]) for f in fields(IntervalBlocks)))

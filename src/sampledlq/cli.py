@@ -189,8 +189,8 @@ def cmd_solve(args) -> int:
     print(f"max sampled-stationarity residual = {res_max:.3e}")
 
     if args.debug_blocks:
-        for blk in blocks:
-            print(json.dumps(blk.to_jsonable()))
+        for i in range(grid.N):
+            print(json.dumps(blocks.to_jsonable(i)))
 
     if args.out:
         if args.format == "json":
@@ -203,8 +203,8 @@ def cmd_solve(args) -> int:
                 "predicted_cost": sol.predicted_cost,
                 "simulated_cost": sol.simulated_cost,
                 "steps": [
-                    {"i": step.i, "gain": step.gain.tolist(), "offset": step.offset.tolist()}
-                    for step in sweep.steps
+                    {"i": i, "gain": sweep.gain[i].tolist(), "offset": sweep.offset[i].tolist()}
+                    for i in range(grid.N)
                 ],
             })
         else:

@@ -17,22 +17,21 @@ class DimensionMismatch(ValidationError):
     pass
 
 
-class NotPSD(ValidationError):
+class _NotDefinite(ValidationError):
+    """A symmetric matrix's min eigenvalue fails the bound that the subclass's `definite` names."""
+
     def __init__(self, name, t, eigenvalue):
         at = "" if t is None else f" at t={t}"
-        super().__init__(f"{name} is not positive semidefinite{at}: min eigenvalue {eigenvalue:g}")
-        self.name = name
-        self.t = t
-        self.eigenvalue = eigenvalue
+        super().__init__(f"{name} is not positive {self.definite}{at}: min eigenvalue {eigenvalue:g}")
+        self.name, self.t, self.eigenvalue = name, t, eigenvalue
 
 
-class NotPD(ValidationError):
-    def __init__(self, name, t, eigenvalue):
-        at = "" if t is None else f" at t={t}"
-        super().__init__(f"{name} is not positive definite{at}: min eigenvalue {eigenvalue:g}")
-        self.name = name
-        self.t = t
-        self.eigenvalue = eigenvalue
+class NotPSD(_NotDefinite):
+    definite = "semidefinite"
+
+
+class NotPD(_NotDefinite):
+    definite = "definite"
 
 
 class InvalidInterval(ValidationError):

@@ -252,10 +252,11 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
     """Convenience constructor: wraps plain data, fills zero defaults.
 
     Coefficients take the forms `as_coefficient` accepts; S must be a
-    constant matrix.  A scalar A, W, R or S stands for that multiple of the
-    identity, None for zero, and a 1-D B for one column.
+    constant matrix and q_a, q_b constant vectors.  A scalar A, W, R or S
+    stands for that multiple of the identity, None for zero (q_a has no
+    default), and a 1-D B for one column.
     """
-    q_a = np.atleast_1d(np.asarray(q_a, dtype=float))
+    q_a = _state_vector(q_a, "q_a")
     n = q_a.shape[0]
     # control dimension comes from B's column count
     if isinstance(B, dict):
@@ -286,8 +287,15 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
         x_ref=as_coefficient(x, (n,), "x"),
         v_ref=as_coefficient(v, (m,), "v"),
         q_a=_readonly(q_a),
-        q_b=_readonly(np.zeros(n) if q_b is None else np.atleast_1d(np.asarray(q_b, dtype=float))),
+        q_b=_readonly(np.zeros(n) if q_b is None else _state_vector(q_b, "q_b")),
     )
+
+
+def _state_vector(value, name):
+    """q_a or q_b as a 1-D array: plain numbers, never None or a coefficient."""
+    if value is None or isinstance(value, (CoefficientFunction, dict)) or callable(value):
+        raise ValidationError(f"{name} must be a constant vector, got {type(value).__name__}")
+    return np.atleast_1d(np.asarray(value, dtype=float))
 
 
 def _as_matrix(value, n):

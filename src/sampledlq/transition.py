@@ -35,8 +35,10 @@ class ZView:
 
     rows and cols name segments of the last two axes: "y" the first n
     entries, "U" the m entries before the last, "1" the last entry and ":"
-    all of them, with (n, m) = owner.dims.  A block that is "1" on
-    both axes reads as a float; sign -1 gives the negated block, a copy.
+    all of them, with (n, m) = owner.dims.  Leading axes, such as a stack's
+    interval axis, are kept: a block that is "1" on both axes reads as a
+    float for one interval and as an (N,) array for a stack of N.  sign -1
+    gives the negated block, a copy.
     """
 
     def __init__(self, array: str, rows: str, cols: str, sign: float = 1.0):

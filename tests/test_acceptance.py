@@ -78,19 +78,18 @@ def test_criterion_1_scalar_benchmark(request, dontchev, analytic):
     t0 = time.perf_counter()
     _, sweep, sol = sq.solve(dontchev, sq.uniform_grid(1, 0, 1), M=256)
     elapsed = time.perf_counter() - t0
-    step = sweep.steps[0]
     pairs = [
-        (step.T[0, 0], analytic["T0"]),
-        (step.P[0, 0], analytic["P0"]),
-        (step.Q[0, 0], analytic["Q0"]),
-        (step.K[0, 0], analytic["K0"]),
+        (sweep.T[0, 0, 0], analytic["T0"]),
+        (sweep.P[0, 0, 0], analytic["P0"]),
+        (sweep.Q[0, 0, 0], analytic["Q0"]),
+        (sweep.K[0, 0, 0], analytic["K0"]),
         (sol.U[0, 0], analytic["U0"]),
         (sol.predicted_cost, analytic["COST0"]),
     ]
     dev = max(abs(got - want) for got, want in pairs)
     ok = dev <= 1e-8 and elapsed < 1.0
     _report(request, 1, ok,
-            f"K0={step.K[0, 0]:.10f} U0={sol.U[0, 0]:.10f} "
+            f"K0={sweep.K[0, 0, 0]:.10f} U0={sol.U[0, 0]:.10f} "
             f"cost={sol.predicted_cost:.10f} max dev {dev:.2e}, {elapsed:.2f} s")
 
 
@@ -162,18 +161,19 @@ def test_criterion_6_sweep_invariants(request, random_suite):
     worst_affine = 0.0
     homogeneous = 0
     for _, problem, _, _, sweep, _ in random_suite:
-        for step in sweep.steps:
-            assert np.array_equal(step.T, step.T.T)
-            worst_T = min(worst_T, np.linalg.eigvalsh(step.T).min())
-            deficit = (-np.linalg.eigvalsh(step.K).min()
-                       / (1.0 + np.linalg.norm(step.K)))
+        for i in range(sweep.N):
+            T, K = sweep.T[i], sweep.K[i]
+            assert np.array_equal(T, T.T)
+            worst_T = min(worst_T, np.linalg.eigvalsh(T).min())
+            deficit = (-np.linalg.eigvalsh(K).min()
+                       / (1.0 + np.linalg.norm(K)))
             worst_K = max(worst_K, deficit)
         if problem.is_homogeneous():
             homogeneous += 1
-            for step in sweep.steps:
+            for i in range(sweep.N):
                 worst_affine = max(
-                    worst_affine, np.linalg.norm(step.J), abs(step.Y),
-                    np.linalg.norm(step.H), np.linalg.norm(step.G), abs(step.F))
+                    worst_affine, np.linalg.norm(sweep.J[i]), abs(sweep.Y[i]),
+                    np.linalg.norm(sweep.H[i]), np.linalg.norm(sweep.G[i]), abs(sweep.F[i]))
     ok = worst_T > 0.0 and worst_K <= 1e-8 and worst_affine <= 1e-10
     _report(request, 6, ok,
             f"min T eigenvalue {worst_T:.2e}, worst scaled K deficit {worst_K:.2e}, "
@@ -206,12 +206,12 @@ def test_criterion_7_dynamic_programming(request, dontchev, random_suite):
 
         j = grid.N // 2
         _, tail_sweep, _ = sq.solve(problem, grid.tail(j), M=64)
-        head, full = tail_sweep.steps[0], sweep.steps[j]
+        K, J, Y = sweep.K[j], sweep.J[j], sweep.Y[j]
         worst_tail = max(
             worst_tail,
-            np.linalg.norm(head.K - full.K) / (1.0 + np.linalg.norm(full.K)),
-            np.linalg.norm(head.J - full.J) / (1.0 + np.linalg.norm(full.J)),
-            abs(head.Y - full.Y) / (1.0 + abs(full.Y)))
+            np.linalg.norm(tail_sweep.K[0] - K) / (1.0 + np.linalg.norm(K)),
+            np.linalg.norm(tail_sweep.J[0] - J) / (1.0 + np.linalg.norm(J)),
+            abs(tail_sweep.Y[0] - Y) / (1.0 + abs(Y)))
     ok = worst_bellman <= 1e-6 and worst_tail <= 1e-8 and worst_v0 <= 1e-6
     _report(request, 7, ok,
             f"{len(cases)} solutions: worst Bellman gap {worst_bellman:.2e}, "

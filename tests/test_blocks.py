@@ -1,10 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import sampledlq as sq
-from sampledlq.errors import NodeMismatch, ValidationError
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, ValidationError
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval
 
@@ -36,88 +36,86 @@ class TestSimpsonWeights:
 class TestScalarBenchmarkBlocks:
     def test_single_interval_values(self, dontchev, analytic):
         grid = sq.uniform_grid(1, 0, 1)
-        blk = sq.compute_all_blocks(dontchev, grid, M=256)[0]
-        assert blk.Zstep[0, 0] == pytest.approx(analytic["Z10"], abs=1e-12)
-        assert blk.ZB[0, 0] == pytest.approx(analytic["ZB0"], abs=1e-12)
-        assert blk.ZWZ[0, 0] == pytest.approx(analytic["ZWZ0"], abs=1e-12)
-        assert blk.ZBWZ[0, 0] == pytest.approx(analytic["ZBWZ0"], abs=1e-12)
-        assert blk.ZBWZB[0, 0] == pytest.approx(analytic["ZBWZB0"], abs=1e-12)
-        assert blk.Rbar[0, 0] == pytest.approx(1.0, abs=1e-12)
+        blocks = sq.compute_all_blocks(dontchev, grid, M=256)
+        assert blocks.Zstep[0, 0, 0] == pytest.approx(analytic["Z10"], abs=1e-12)
+        assert blocks.ZB[0, 0, 0] == pytest.approx(analytic["ZB0"], abs=1e-12)
+        assert blocks.ZWZ[0, 0, 0] == pytest.approx(analytic["ZWZ0"], abs=1e-12)
+        assert blocks.ZBWZ[0, 0, 0] == pytest.approx(analytic["ZBWZ0"], abs=1e-12)
+        assert blocks.ZBWZB[0, 0, 0] == pytest.approx(analytic["ZBWZB0"], abs=1e-12)
+        assert blocks.Rbar[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_free_terms_vanish(self, dontchev):
         # omega = x = v = 0 and q_b = 0, so every inhomogeneous block is zero.
-        blk = sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0, 1), M=16)[0]
-        assert not np.any(blk.ZOmega)
-        assert not np.any(blk.ZBWZOmegaX)
-        assert not np.any(blk.ZWZOmegaX)
-        assert blk.WZOmegaX2 == 0.0
-        assert not np.any(blk.RV)
-        assert blk.RV2 == 0.0
+        blocks = sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0, 1), M=16)
+        assert not np.any(blocks.ZOmega)
+        assert not np.any(blocks.ZBWZOmegaX)
+        assert not np.any(blocks.ZWZOmegaX)
+        assert not np.any(blocks.WZOmegaX2)
+        assert not np.any(blocks.RV)
+        assert not np.any(blocks.RV2)
 
     def test_quarter_interval_step(self, dontchev):
         blocks = sq.compute_all_blocks(dontchev, sq.uniform_grid(4, 0, 1), M=64)
-        for blk in blocks:
-            assert blk.Zstep[0, 0] == pytest.approx(np.exp(0.125), abs=1e-12)
+        for i in range(4):
+            assert blocks.Zstep[i, 0, 0] == pytest.approx(np.exp(0.125), abs=1e-12)
 
 
 class TestBlockStructure:
     def test_zero_W_kills_state_coupling(self):
         p = sq.validate_problem(make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
                                              R=[[1.0]], S=[[1.0]], q_a=[1.0]))
-        blk = sq.compute_all_blocks(p, sq.uniform_grid(1, 0, 1), M=16)[0]
-        assert not np.any(blk.ZWZ)
-        assert not np.any(blk.ZBWZ)
-        assert not np.any(blk.ZBWZB)
-        assert blk.Rbar[0, 0] == pytest.approx(1.0, abs=1e-12)
+        blocks = sq.compute_all_blocks(p, sq.uniform_grid(1, 0, 1), M=16)
+        assert not np.any(blocks.ZWZ)
+        assert not np.any(blocks.ZBWZ)
+        assert not np.any(blocks.ZBWZB)
+        assert blocks.Rbar[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_inhomogeneous_blocks_zero(self, homogeneous):
         grid = sq.uniform_grid(3, 0, 1)
-        for blk in sq.compute_all_blocks(homogeneous, grid, M=8):
-            assert not np.any(blk.ZOmega)
-            assert not np.any(blk.ZBWZOmegaX)
-            assert not np.any(blk.ZWZOmegaX)
-            assert blk.WZOmegaX2 == 0.0
-            assert not np.any(blk.RV)
-            assert blk.RV2 == 0.0
+        blocks = sq.compute_all_blocks(homogeneous, grid, M=8)
+        assert not np.any(blocks.ZOmega)
+        assert not np.any(blocks.ZBWZOmegaX)
+        assert not np.any(blocks.ZWZOmegaX)
+        assert not np.any(blocks.WZOmegaX2)
+        assert not np.any(blocks.RV)
+        assert not np.any(blocks.RV2)
 
     def test_terminal_shift_enters_last_interval_only(self):
         p = sq.validate_problem(make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[0.0]],
                                              R=[[1.0]], S=[[1.0]], q_a=[0.0], q_b=[2.0]))
         blocks = sq.compute_all_blocks(p, sq.uniform_grid(2, 0, 1), M=8)
-        assert not np.any(blocks[0].ZOmega)
+        assert not np.any(blocks.ZOmega[0])
         # xi = 0 here, so the last interval carries exactly -q_b.
-        assert np.allclose(blocks[1].ZOmega, [-2.0], atol=1e-14)
+        assert np.allclose(blocks.ZOmega[1], [-2.0], atol=1e-14)
 
     def test_blocks_independent_of_initial_state(self, dontchev):
         grid = sq.uniform_grid(2, 0, 1)
         base = sq.compute_all_blocks(dontchev, grid, M=8)
         moved = sq.compute_all_blocks(replace(dontchev, q_a=np.array([7.5])), grid, M=8)
-        for b0, b1 in zip(base, moved):
-            assert np.array_equal(b0.ZWZ, b1.ZWZ)
-            assert np.array_equal(b0.ZB, b1.ZB)
-            assert np.array_equal(b0.Rbar, b1.Rbar)
+        assert np.array_equal(base.ZWZ, moved.ZWZ)
+        assert np.array_equal(base.ZB, moved.ZB)
+        assert np.array_equal(base.Rbar, moved.Rbar)
 
     def test_symmetry(self):
         for seed in (1, 4, 9):
             p, grid = sq.random_problem(seed)
-            for blk in sq.compute_all_blocks(p, grid, M=8):
-                assert np.array_equal(blk.ZWZ, blk.ZWZ.T)
-                assert np.array_equal(blk.ZBWZB, blk.ZBWZB.T)
-                assert np.array_equal(blk.Rbar, blk.Rbar.T)
+            blocks = sq.compute_all_blocks(p, grid, M=8)
+            for name in ("ZWZ", "ZBWZB", "Rbar"):
+                block = getattr(blocks, name)
+                assert np.array_equal(block, np.swapaxes(block, -1, -2))
 
     def test_positive_semidefinite(self):
         for seed in (1, 4, 9, 12):
             p, grid = sq.random_problem(seed)
-            for blk in sq.compute_all_blocks(p, grid, M=16):
-                assert np.linalg.eigvalsh(blk.ZWZ).min() >= -1e-9
-                assert np.linalg.eigvalsh(blk.ZBWZB).min() >= -1e-9
+            blocks = sq.compute_all_blocks(p, grid, M=16)
+            assert np.linalg.eigvalsh(blocks.ZWZ).min() >= -1e-9
+            assert np.linalg.eigvalsh(blocks.ZBWZB).min() >= -1e-9
 
     def test_rbar_coercive(self):
         for seed in (1, 4, 9, 12):
             p, grid = sq.random_problem(seed)
-            for i, blk in enumerate(sq.compute_all_blocks(p, grid, M=16)):
-                lo = np.linalg.eigvalsh(blk.Rbar).min()
-                assert lo >= p.c_R * float(grid.h[i]) * (1.0 - 1e-6)
+            lo = np.linalg.eigvalsh(sq.compute_all_blocks(p, grid, M=16).Rbar).min(axis=-1)
+            assert np.all(lo >= p.c_R * grid.h * (1.0 - 1e-6))
 
 
 class TestConsistency:
@@ -126,10 +124,10 @@ class TestConsistency:
         grid = sq.uniform_grid(2, 0, 1)
         coarse = sq.compute_all_blocks(p, grid, M=64)
         fine = sq.compute_all_blocks(p, grid, M=128)
-        for c, f in zip(coarse, fine):
+        for i in range(grid.N):
             for name in ("Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB",
                          "ZBWZOmegaX", "ZWZOmegaX", "Rbar", "RV"):
-                a, b = getattr(c, name), getattr(f, name)
+                a, b = getattr(coarse, name)[i], getattr(fine, name)[i]
                 assert np.linalg.norm(a - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
 
     def test_tail_blocks_bitwise_equal(self):
@@ -137,13 +135,8 @@ class TestConsistency:
         grid = sq.uniform_grid(3, p.a, p.b)
         full = sq.compute_all_blocks(p, grid, M=8)
         tail = sq.compute_all_blocks(p, grid.tail(1), M=8)
-        for b_full, b_tail in zip(full[1:], tail):
-            assert np.array_equal(b_full.Zstep, b_tail.Zstep)
-            assert np.array_equal(b_full.ZB, b_tail.ZB)
-            assert np.array_equal(b_full.ZOmega, b_tail.ZOmega)
-            assert np.array_equal(b_full.ZWZ, b_tail.ZWZ)
-            assert np.array_equal(b_full.Rbar, b_tail.Rbar)
-            assert np.array_equal(b_full.RV, b_tail.RV)
+        for name in ("Zstep", "ZB", "ZOmega", "ZWZ", "Rbar", "RV"):
+            assert np.array_equal(getattr(full, name)[1:], getattr(tail, name))
 
     def test_wrong_interval_rejected(self, dontchev):
         grid = sq.uniform_grid(2, 0, 1)
@@ -165,8 +158,29 @@ class TestConsistency:
             sq.compute_all_blocks(p, sq.uniform_grid(1, 0, 1), M=8)
 
     def test_to_jsonable_roundtrips(self, dontchev):
-        blk = sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0, 1), M=8)[0]
-        doc = blk.to_jsonable()
+        grid = sq.uniform_grid(1, 0, 1)
+        blocks = sq.compute_all_blocks(dontchev, grid, M=8)
+        doc = blocks.to_jsonable(0)
         assert doc["i"] == 0
-        assert doc["ZB"] == [[blk.ZB[0, 0]]]
+        assert doc["ZB"] == [[blocks.ZB[0, 0, 0]]]
         assert isinstance(doc["RV2"], float)
+        with pytest.raises(IndexOutOfRange):  # would wrap to the last interval
+            blocks.to_jsonable(-1)
+        one = sq.compute_blocks(dontchev, grid, 0, propagate_interval(dontchev, grid, 0, M=8))
+        with pytest.raises(DimensionMismatch):  # one interval's blocks, not a stack
+            one.to_jsonable(0)
+
+    @pytest.mark.parametrize("source", ["timevarying-demo", 3, 8, 11])
+    def test_rows_are_the_interval_blocks(self, source):
+        if isinstance(source, str):
+            p = sq.get_problem(source).problem
+            grid = sq.grid_from_durations([0.2, 0.5, 0.3], p.a, p.b)
+        else:
+            p, grid = sq.random_problem(source)
+        blocks = sq.compute_all_blocks(p, grid, M=8)
+        for i in range(grid.N):
+            row = sq.compute_blocks(p, grid, i, propagate_interval(p, grid, i, M=8))
+            for f in fields(row):
+                stacked = getattr(blocks, f.name)
+                assert stacked.shape == (grid.N,) + getattr(row, f.name).shape
+                assert stacked[i].tobytes() == getattr(row, f.name).tobytes()  # bitwise, signed zeros too

@@ -23,7 +23,7 @@ class TestAssembly:
         grid = sq.uniform_grid(3, 0, 1)
         qp = assemble_qp(p, grid, M=16)
         blocks = sq.compute_all_blocks(p, grid, M=16)
-        expected = np.diag([float(b.Rbar[0, 0]) for b in blocks])
+        expected = np.diag(blocks.Rbar[:, 0, 0])
         assert np.allclose(qp.Hq, expected, atol=1e-10)
         assert np.allclose(qp.g, 0.0, atol=1e-12)
         assert qp.c == pytest.approx(0.0, abs=1e-12)

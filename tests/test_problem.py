@@ -107,6 +107,16 @@ class TestValidation:
         with pytest.raises(NotPSD):
             sq.validate_problem(p)
 
+    def test_definiteness_errors_are_distinct(self):
+        psd, pd = NotPSD("W", 0.5, -1.0), NotPD("R", None, -2.0)
+        assert str(psd) == "W is not positive semidefinite at t=0.5: min eigenvalue -1"
+        assert str(pd) == "R is not positive definite: min eigenvalue -2"
+        assert (psd.name, psd.t, psd.eigenvalue) == ("W", 0.5, -1.0)
+        assert (pd.name, pd.t, pd.eigenvalue) == ("R", None, -2.0)
+        assert psd.exit_code == pd.exit_code == 2
+        # pytest.raises(NotPSD) must not catch NotPD, nor the other way round
+        assert not isinstance(pd, NotPSD) and not isinstance(psd, NotPD)
+
     def test_dimension_mismatch(self):
         from dataclasses import replace
 
@@ -183,6 +193,23 @@ class TestNonFiniteAndMisSizedData:
     def test_nonfinite_constant_data(self, field, value, error):
         with pytest.raises(error, match="finite"):
             sq.validate_problem(self._base(**{field: value}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("q_a", None),
+        ("q_a", {"poly": [[1.0], [0.0]]}),
+        ("q_a", lambda t: np.array([1.0, 0.0])),
+        ("q_a", CoefficientFunction.constant([1.0, 0.0])),
+        ("q_b", {"poly": [[1.0], [0.0]]}),
+        ("q_b", lambda t: np.array([1.0, 0.0])),
+        ("q_b", CoefficientFunction.constant([1.0, 0.0])),
+    ])
+    def test_state_vectors_are_constant(self, field, value):
+        # double-integrator data; q_a and q_b have no other form than numbers
+        data = dict(a=0.0, b=1.0, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
+                    R=[[1.0]], S=np.eye(2), q_a=[1.0, 0.0])
+        with pytest.raises(ValidationError, match=field):
+            make_problem(**{**data, field: value})
+        assert np.array_equal(make_problem(**{**data, "q_b": None}).q_b, np.zeros(2))
 
     @pytest.mark.parametrize("B", [1.0, [1.0], [[0.0, 1.0]], [[1.0], [2.0], [3.0]], np.ones((2, 2, 2))])
     def test_mis_sized_B(self, B):

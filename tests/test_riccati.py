@@ -18,22 +18,31 @@ def timevarying():
 class TestScalarBenchmarkSweep:
     def test_single_interval_recursion(self, dontchev, analytic):
         blocks, sweep, sol = sq.solve(dontchev, sq.uniform_grid(1, 0, 1), M=256)
-        step = sweep.steps[0]
-        assert step.T[0, 0] == pytest.approx(analytic["T0"], abs=1e-12)
-        assert step.P[0, 0] == pytest.approx(analytic["P0"], abs=1e-12)
-        assert step.Q[0, 0] == pytest.approx(analytic["Q0"], abs=1e-12)
-        assert step.K[0, 0] == pytest.approx(analytic["K0"], abs=1e-12)
-        assert not np.any(step.H) and not np.any(step.G) and step.F == 0.0
+        assert sweep.T[0, 0, 0] == pytest.approx(analytic["T0"], abs=1e-12)
+        assert sweep.P[0, 0, 0] == pytest.approx(analytic["P0"], abs=1e-12)
+        assert sweep.Q[0, 0, 0] == pytest.approx(analytic["Q0"], abs=1e-12)
+        assert sweep.K[0, 0, 0] == pytest.approx(analytic["K0"], abs=1e-12)
+        assert not np.any(sweep.H[0]) and not np.any(sweep.G[0]) and sweep.F[0] == 0.0
         assert sol.U[0, 0] == pytest.approx(analytic["U0"], abs=1e-12)
         assert sol.predicted_cost == pytest.approx(analytic["COST0"], abs=1e-12)
         assert sol.q_nodes[1, 0] == pytest.approx(analytic["Q_END0"], abs=1e-12)
 
     def test_terminal_data(self, dontchev):
         _, sweep, _ = sq.solve(dontchev, sq.uniform_grid(1, 0, 1), M=16)
-        assert np.array_equal(sweep.K_N, dontchev.S)
-        assert not np.any(sweep.J_N)
-        assert sweep.Y_N == 0.0
+        assert np.array_equal(sweep.K[1], dontchev.S)
+        assert not np.any(sweep.J[1])
+        assert sweep.Y[1] == 0.0
         assert sweep.N == 1
+        assert sweep.V.shape == (2, 2, 2)
+
+    def test_terminal_value_form(self, timevarying):
+        # V[N] = [[S, 0], [0, 0]], so V_N(y) = 1/2 <S y, y> with no affine part
+        grid = sq.uniform_grid(3, 0, 1)
+        _, sweep, _ = sq.solve(timevarying, grid, M=8)
+        S = timevarying.S
+        assert np.array_equal(sweep.V[grid.N], np.block([[S, np.zeros((2, 1))], [np.zeros((1, 3))]]))
+        y = np.array([0.5, -2.0])
+        assert sq.value_function(sweep, grid.N, y) == 0.5 * (y @ S @ y)
 
     def test_value_function_quadratic(self, dontchev, analytic):
         _, sweep, _ = sq.solve(dontchev, sq.uniform_grid(1, 0, 1), M=256)
@@ -46,23 +55,22 @@ class TestScalarBenchmarkSweep:
 class TestRecursionAlgebra:
     def test_stored_pieces_consistent(self, timevarying):
         _, sweep, _ = sq.solve(timevarying, sq.uniform_grid(4, 0, 1), M=32)
-        for step in sweep.steps:
-            TinvP = np.linalg.solve(step.T, step.P)
-            TinvH = np.linalg.solve(step.T, step.H)
-            assert np.allclose(step.K, step.Q - step.P.T @ TinvP, atol=1e-12)
-            assert np.allclose(step.J, step.G - step.P.T @ TinvH, atol=1e-12)
-            assert step.Y == pytest.approx(step.F - step.H @ TinvH, abs=1e-12)
-            assert np.allclose(step.gain, -TinvP, atol=1e-12)
-            assert np.allclose(step.offset, -TinvH, atol=1e-12)
-            assert np.allclose(cho_solve(step.T_factor, step.H), TinvH, atol=1e-12)
+        for i in range(sweep.N):
+            T, P, H = sweep.T[i], sweep.P[i], sweep.H[i]
+            TinvP = np.linalg.solve(T, P)
+            TinvH = np.linalg.solve(T, H)
+            assert np.allclose(sweep.K[i], sweep.Q[i] - P.T @ TinvP, atol=1e-12)
+            assert np.allclose(sweep.J[i], sweep.G[i] - P.T @ TinvH, atol=1e-12)
+            assert sweep.Y[i] == pytest.approx(sweep.F[i] - H @ TinvH, abs=1e-12)
+            assert np.allclose(sweep.gain[i], -TinvP, atol=1e-12)
+            assert np.allclose(sweep.offset[i], -TinvH, atol=1e-12)
 
     def test_no_running_or_terminal_weight(self):
         p = sq.validate_problem(make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
                                              R=[[1.0]], S=[[0.0]], q_a=[1.0]))
         blocks, sweep, sol = sq.solve(p, sq.uniform_grid(3, 0, 1), M=16)
-        for step, blk in zip(sweep.steps, blocks):
-            assert not np.any(step.K)
-            assert np.array_equal(step.T, blk.Rbar)
+        assert not np.any(sweep.K)
+        assert np.array_equal(sweep.T, blocks.Rbar)
         # Nothing penalizes the state, so the optimal control is zero.
         assert np.allclose(sol.U, 0.0, atol=1e-14)
         assert sol.predicted_cost == pytest.approx(0.0, abs=1e-15)
@@ -70,12 +78,11 @@ class TestRecursionAlgebra:
     def test_homogeneous_affine_terms_vanish(self):
         p = sq.get_problem("double-integrator").problem
         _, sweep, sol = sq.solve(p, sq.uniform_grid(4, 0, 1), M=16)
-        for step in sweep.steps:
-            assert not np.any(step.H)
-            assert not np.any(step.G)
-            assert not np.any(step.J)
-            assert step.F == 0.0 and step.Y == 0.0
-            assert np.array_equal(step.offset, np.zeros(p.m))
+        assert not np.any(sweep.H)
+        assert not np.any(sweep.G)
+        assert not np.any(sweep.J)
+        assert not np.any(sweep.F) and not np.any(sweep.Y)
+        assert np.array_equal(sweep.offset, np.zeros((4, p.m)))
 
     def test_quadratic_terms_ignore_inhomogeneous_data(self, timevarying):
         grid = sq.uniform_grid(3, 0, 1)
@@ -88,32 +95,29 @@ class TestRecursionAlgebra:
             q_b=np.zeros(2),
         ))
         _, sweep_bare, _ = sq.solve(bare, grid, M=16)
-        for a, b in zip(sweep_full.steps, sweep_bare.steps):
-            assert np.array_equal(a.K, b.K)
-            assert np.array_equal(a.P, b.P)
-            assert np.array_equal(a.Q, b.Q)
-            assert np.array_equal(a.T, b.T)
-            assert np.array_equal(a.gain, b.gain)
+        for name in ("K", "P", "Q", "T", "gain"):
+            assert np.array_equal(getattr(sweep_full, name), getattr(sweep_bare, name))
 
     def test_kernel_matrices_psd(self):
         for seed in range(1000, 1025):
             p, grid = sq.random_problem(seed)
             _, sweep, _ = sq.solve(p, grid, M=16)
-            for step in sweep.steps:
-                assert np.array_equal(step.K, step.K.T)
-                lo = np.linalg.eigvalsh(step.K).min()
-                scale = 1.0 + np.linalg.norm(step.K)
+            for i in range(sweep.N):
+                K = sweep.K[i]
+                assert np.array_equal(K, K.T)
+                lo = np.linalg.eigvalsh(K).min()
+                scale = 1.0 + np.linalg.norm(K)
                 assert lo >= -1e-8 * scale
-                assert np.linalg.eigvalsh(step.T).min() > 0.0
+                assert np.linalg.eigvalsh(sweep.T[i]).min() > 0.0
 
 
 class TestSynthesis:
     def test_state_recursion_matches_blocks(self, timevarying):
         blocks, sweep, sol = sq.solve(timevarying, sq.uniform_grid(4, 0, 1), M=16)
         assert np.array_equal(sol.q_nodes[0], timevarying.q_a)
-        for i, blk in enumerate(blocks):
+        for i in range(4):
             u = sol.U[i]
-            expect = blk.step @ np.concatenate((sol.q_nodes[i], u, [1.0]))
+            expect = blocks.step[i] @ np.concatenate((sol.q_nodes[i], u, [1.0]))
             assert np.array_equal(sol.q_nodes[i + 1], expect)
             gain, offset = sq.closed_loop_gain(sweep, i)
             assert np.allclose(u, gain @ sol.q_nodes[i] + offset, atol=1e-14)
@@ -130,13 +134,19 @@ class TestSynthesis:
             sq.value_function(sweep, -1, [0.0])
         with pytest.raises(IndexOutOfRange):
             sq.closed_loop_gain(sweep, 2)
+        with pytest.raises(IndexOutOfRange):  # would wrap to the last row of the stack
+            sq.closed_loop_gain(sweep, -1)
 
     def test_dimension_guards(self, dontchev):
         blocks, sweep, _ = sq.solve(dontchev, sq.uniform_grid(2, 0, 1), M=8)
         with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, blocks[:1], dontchev.q_a)
+            sq.forward_synthesis(sweep, replace(blocks, step=blocks.step[:1]), dontchev.q_a)
         with pytest.raises(DimensionMismatch):
             sq.forward_synthesis(sweep, blocks, np.zeros(2))
+        # one interval's blocks, not a stack: their rows are not intervals
+        one = replace(blocks, step=blocks.step[0], state_cost=blocks.state_cost[0], control_cost=blocks.control_cost[0])
+        with pytest.raises(DimensionMismatch):
+            sq.backward_sweep(one, dontchev.S)
         for j in (0, 2):
             with pytest.raises(DimensionMismatch):
                 sq.value_function(sweep, j, [1.0, 2.0, 3.0])
@@ -148,16 +158,15 @@ class TestTailConsistency:
         _, sweep, _ = sq.solve(timevarying, grid, M=16)
         for j in (1, 3):
             _, tail_sweep, _ = sq.solve(timevarying, grid.tail(j), M=16)
-            head = tail_sweep.steps[0]
-            assert np.array_equal(head.K, sweep.steps[j].K)
-            assert np.array_equal(head.J, sweep.steps[j].J)
-            assert head.Y == sweep.steps[j].Y
+            assert np.array_equal(tail_sweep.K[0], sweep.K[j])
+            assert np.array_equal(tail_sweep.J[0], sweep.J[j])
+            assert tail_sweep.Y[0] == sweep.Y[j]
 
     def test_nonpositive_T_detected(self, dontchev):
         blocks = sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0, 1), M=8)
-        bad = replace(blocks[0], control_cost=np.array([[-5.0, 0.0], [0.0, 0.0]]))
+        bad = replace(blocks, control_cost=np.array([[[-5.0, 0.0], [0.0, 0.0]]]))
         with pytest.raises(TNotPD):
-            sq.backward_sweep([bad], dontchev.S)
+            sq.backward_sweep(bad, dontchev.S)
 
     def test_overflowing_cost_to_go_is_typed(self, dontchev):
         # <S q_b, q_b> overflows; the form's inf would turn every entry of the
@@ -177,20 +186,25 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     grid = sq.uniform_grid(2, 0, 1)
     blocks, sweep, _ = sq.solve(timevarying, grid, M=8)
     prop = propagate_interval(timevarying, grid, 0, M=8)
+    block = sq.compute_blocks(timevarying, grid, 0, prop)
     cases = [
         (prop, ["i", "nodes", "Ys"], ["Zs", "Gammas", "Xis"]),
-        (blocks[0], ["i", "step", "state_cost", "control_cost"],
+        (blocks, ["step", "state_cost", "control_cost"],
          ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
-        (sweep.steps[0], ["i", "X", "T_factor", "V", "feedback"],
+        (sweep, ["X", "feedback", "V"],
          ["G", "H", "P", "Q", "T", "K", "J", "gain", "offset"]),
     ]
     for obj, stored, views in cases:
         assert [f.name for f in fields(obj)] == stored
         for name in views:
-            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored[1:] if f != "T_factor")
-    assert np.array_equal(blocks[0].RV, -blocks[0].control_cost[:-1, -1])
-    for obj, name in ((blocks[0], "WZOmegaX2"), (blocks[0], "RV2"), (sweep.steps[0], "F"), (sweep.steps[0], "Y")):
-        assert type(getattr(obj, name)) is float
+            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f != "i")
+    assert sweep.X.shape == (2, 4, 4) and sweep.feedback.shape == (2, 1, 3) and sweep.V.shape == (3, 3, 3)
+    assert np.array_equal(blocks.RV, -blocks.control_cost[..., :-1, -1])
+    # a one-by-one block reads as a float for one interval and as an array over a stack
+    for name in ("WZOmegaX2", "RV2"):
+        assert type(getattr(block, name)) is float
+        assert getattr(blocks, name).shape == (2,)
+    assert sweep.F.shape == (2,) and sweep.Y.shape == (3,)
 
 
 # -- the quadratic-form blocks and sweep against the per-block formulas --------
@@ -276,7 +290,7 @@ def test_quadratic_forms_match_per_block_formulas(source):
     M = 16
     blocks, sweep, sol = sq.solve(p, grid, M)
     ref_steps, ref_U, ref_cost = _reference_solve(p, grid, M)
-    got = [a for step in sweep.steps for a in (step.X, step.V, step.feedback)] + [sol.U, sol.predicted_cost]
+    got = [a for i in range(sweep.N) for a in (sweep.X[i], sweep.V[i], sweep.feedback[i])] + [sol.U, sol.predicted_cost]
     ref = [a for step in ref_steps for a in step] + [ref_U, ref_cost]
     for g, r in zip(got, ref):
         assert np.shape(g) == np.shape(r)
