@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import NonFinite, NotPD, TooLarge
 from .problem import LQProblem, SamplingGrid
@@ -91,12 +90,12 @@ def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:
 
 
 def solve_qp(qp: DenseQP):
-    """U_hat = -Hq^{-1} g via symmetric positive-definite factorization."""
+    """U_hat = -Hq^{-1} g by numpy's Cholesky factor of Hq; `NotPD` if Hq is not positive definite."""
     try:
-        factor = cho_factor(qp.Hq, lower=True)
-    except LinAlgError as exc:
+        L = np.linalg.cholesky(qp.Hq)
+    except np.linalg.LinAlgError as exc:
         raise NotPD("Hq", None, float(np.linalg.eigvalsh(qp.Hq)[0])) from exc
-    return -cho_solve(factor, qp.g)
+    return -np.linalg.solve(L.T, np.linalg.solve(L, qp.g))
 
 
 def cross_check(p: LQProblem, grid: SamplingGrid, M: int = 64) -> CrossCheckReport:
@@ -106,8 +105,8 @@ def cross_check(p: LQProblem, grid: SamplingGrid, M: int = 64) -> CrossCheckRepo
     U_qp = solve_qp(qp)
     U_sweep = sol.U.reshape(-1)
     diffs = np.abs(U_sweep - U_qp)
-    max_abs = float(np.max(diffs)) if diffs.size else 0.0
-    scale = 1.0 + (float(np.max(np.abs(U_qp))) if U_qp.size else 0.0)
+    max_abs = float(np.max(diffs))
+    scale = 1.0 + float(np.max(np.abs(U_qp)))
     cost_qp = qp.value(U_qp)
     return CrossCheckReport(
         U_sweep=U_sweep,

@@ -5,14 +5,15 @@ V_N = [[S, 0], [0, 0]].  With z = [y; U; 1] and Phi_i = [step_i; e_last] the
 interval's map z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0:
 
     X_i        = Phi_i^T V_{i+1} Phi_i + state_cost_i + control_cost_i (on the [U; 1] corner)
-    feedback_i = -T_i^{-1} X_i[U, (y, 1)],   T_i = X_i[U, U] by its Cholesky factor
+    feedback_i = -T_i^{-1} X_i[U, (y, 1)],   T_i = X_i[U, U] = L_i L_i^T
     V_i        = X_i[(y, 1), (y, 1)] + X_i[(y, 1), U] feedback_i
 
 1/2 z^T X_i z is the cost from s_i on, optimal after s_{i+1}, and V_i, its
-minimum over U, is one Schur complement.  `RiccatiSweep` stacks the forms on
-a leading index axis: X (N, n+m+1, n+m+1), feedback (N, m, n+1) and
-V (N+1, n+1, n+1), whose last row is V_N.  The paper's names are read-only
-views carrying that axis (segments as in `transition.ZView`):
+minimum over U, is one Schur complement.  `numpy.linalg.cholesky` gives L_i,
+and a T_i that is not positive definite raises `TNotPD(i)`.  `RiccatiSweep`
+stacks the forms on a leading index axis: X (N, n+m+1, n+m+1), feedback
+(N, m, n+1) and V (N+1, n+1, n+1), whose last row is V_N.  The paper's names
+are read-only views carrying that axis (segments as in `transition.ZView`):
 
     F = X[1, 1]   G = X[y, 1]   H = X[U, 1]   K = V[y, y]   gain   = feedback[:, y]
     P = X[U, y]   Q = X[y, y]   T = X[U, U]   J = V[y, 1]   offset = feedback[:, 1]
@@ -34,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .blocks import IntervalBlocks, compute_all_blocks
 from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
@@ -91,9 +91,7 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
         raise DimensionMismatch(f"S has shape {S.shape}, expected {(n, n)}")
     N = blocks.N
     X = np.empty((N, n + m + 1, n + m + 1))
-    # (m, n+1) rows column-major, as cho_solve returns them: feedback[i] @ z
-    # in the synthesis then rounds as it does on cho_solve's own result
-    feedback = np.empty((N, n + 1, m)).transpose(0, 2, 1)
+    feedback = np.empty((N, m, n + 1))
     V = np.zeros((N + 1, n + 1, n + 1))
     V[N, :n, :n] = 0.5 * (S + S.T)
 
@@ -109,10 +107,10 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
         if not np.all(np.isfinite(Xi)):
             raise NonFinite(f"cost-to-go form overflowed on interval {i}")
         try:
-            factor = cho_factor(Xi[U, U], lower=True)
-        except LinAlgError as exc:
+            L = np.linalg.cholesky(Xi[U, U])
+        except np.linalg.LinAlgError as exc:
             raise TNotPD(i) from exc
-        fb = -cho_solve(factor, Xi[U, yo])
+        fb = -np.linalg.solve(L.T, np.linalg.solve(L, Xi[U, yo]))
         Vi[...] = Xi[np.ix_(yo, yo)] + Xi[yo, U] @ fb
         Vi[...] = 0.5 * (Vi + Vi.T)
         feedback[i] = fb

@@ -357,3 +357,21 @@ class TestConsoleScript:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "oracle-check" in proc.stdout
+
+    def test_runs_without_scipy(self):
+        # the child puts this checkout's src first itself: pytest's pythonpath does not reach it;
+        # a None entry in sys.modules makes every import of scipy raise ImportError
+        src = str(Path(cli.__file__).parents[1])
+        script = f"""
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["scipy"] = None
+import sampledlq.cli as cli
+assert cli.__file__.startswith({src!r}), cli.__file__
+assert cli.main(["solve", "--problem", "timevarying-demo", "--grid", "uniform:4", "--substeps", "8"]) == 0
+assert cli.main(["oracle-check", "--random", "seed:5", "--substeps", "8"]) == 0
+loaded = [name for name, mod in sys.modules.items() if name.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -70,6 +70,14 @@ class TestSolveQP:
         with pytest.raises(NotPD):
             solve_qp(qp)
 
+    def test_indefinite_hessian_reports_min_eigenvalue(self):
+        qp = DenseQP(Hq=np.array([[1.0, 2.0], [2.0, 1.0]]), g=np.array([1.0, 0.0]), c=0.0)
+        with pytest.raises(NotPD) as info:
+            solve_qp(qp)
+        assert info.value.name == "Hq" and info.value.t is None
+        assert info.value.eigenvalue == pytest.approx(-1.0, abs=1e-14)
+        assert info.value.exit_code == 2
+
     def test_scalar_benchmark_minimizer(self, dontchev, analytic):
         qp = assemble_qp(dontchev, sq.uniform_grid(1, 0, 1), M=256)
         U = solve_qp(qp)

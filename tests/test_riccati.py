@@ -168,6 +168,28 @@ class TestTailConsistency:
         with pytest.raises(TNotPD):
             sq.backward_sweep(bad, dontchev.S)
 
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("kind", ["indefinite", "zero"])
+    def test_nonpositive_T_names_its_interval(self, kind, j):
+        p = sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2), W=np.eye(2),
+                                             R=np.eye(2), S=np.eye(2), q_a=[1.0, 0.0]))
+        blocks = sq.compute_all_blocks(p, sq.uniform_grid(4, 0, 1), M=8)
+        step, state_cost, control_cost = blocks.step.copy(), blocks.state_cost.copy(), blocks.control_cost.copy()
+        if kind == "indefinite":
+            # the tail after interval j is unchanged, so T_j becomes diag(1, -1) up to rounding
+            T = sq.backward_sweep(blocks, p.S).T[j]
+            control_cost[j, :2, :2] += np.diag([1.0, -1.0]) - T
+        else:
+            # no U entry left on interval j: T_j is exactly zero
+            U = slice(2, 4)
+            step[j, :, U] = 0.0
+            state_cost[j, U, :] = state_cost[j, :, U] = 0.0
+            control_cost[j, :2, :] = control_cost[j, :, :2] = 0.0
+        bad = replace(blocks, step=step, state_cost=state_cost, control_cost=control_cost)
+        with pytest.raises(TNotPD) as info:
+            sq.backward_sweep(bad, p.S)
+        assert info.value.i == j
+
     def test_overflowing_cost_to_go_is_typed(self, dontchev):
         # <S q_b, q_b> overflows; the form's inf would turn every entry of the
         # next interval's Phi^T V Phi into NaN (0 * inf)
