@@ -22,10 +22,17 @@ y, U, 1 of z as in `transition.ZView`; RV is negated, a copy):
                           ZWZOmegaX  = state_cost[y, 1]
                           WZOmegaX2  = state_cost[1, 1]
 
+The blocks also keep the nodes they were integrated on: Ys, the
+[Z | Gamma | xi] values, and times, their 2M+1 node times.  The state run
+under a control on the same grid and M marches these nodes
+(`simulate.simulate_state`) instead of forming them again.
+
 `compute_blocks` gives one interval's arrays; `compute_all_blocks` stacks
 every interval's on a leading axis, so row i of step (N, n, n+m+1),
-state_cost (N, n+m+1, n+m+1) and control_cost (N, m+1, m+1) is interval i,
-and each view above carries that axis too (blocks.Zstep[i] is interval i's).
+state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
+(N, 2M+1, n, n+m+1) and times (N, 2M+1) is interval i, and each view above
+carries that axis too (blocks.Zstep[i] is interval i's).  The stack is
+filled in place, one interval at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ class IntervalBlocks:
     step: np.ndarray          # ([N,] n, n+m+1), [Zstep | ZB | ZOmega]
     state_cost: np.ndarray    # ([N,] n+m+1, n+m+1)
     control_cost: np.ndarray  # ([N,] m+1, m+1)
+    Ys: np.ndarray            # ([N,] 2M+1, n, n+m+1), [Z | Gamma | xi] at the nodes
+    times: np.ndarray         # ([N,] 2M+1), the node times
 
     Zstep = ZView("step", ":", "y")
     ZB = ZView("step", ":", "U")
@@ -121,6 +130,8 @@ def compute_blocks(
         step=step,
         state_cost=0.5 * (state_cost + state_cost.T),
         control_cost=0.5 * (control_cost + control_cost.T),
+        Ys=prop.Ys,
+        times=nodes,
     )
 
 
@@ -129,5 +140,12 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
-    rows = [compute_blocks(p, grid, i, propagate_interval(p, grid, i, M)) for i in range(grid.N)]
-    return IntervalBlocks(*(np.stack([getattr(r, f.name) for r in rows]) for f in fields(IntervalBlocks)))
+    names = [f.name for f in fields(IntervalBlocks)]
+    stack = None
+    for i in range(grid.N):
+        row = compute_blocks(p, grid, i, propagate_interval(p, grid, i, M))
+        if stack is None:
+            stack = IntervalBlocks(*(np.empty((grid.N,) + getattr(row, name).shape) for name in names))
+        for name in names:
+            getattr(stack, name)[i] = getattr(row, name)
+    return stack

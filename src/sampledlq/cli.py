@@ -110,16 +110,16 @@ def _resolve(args):
     return problem, grid, entry, label
 
 
-def _simulate(problem, control, M):
-    """(trajectory, cost) of one control."""
-    traj = simulate_state(problem, control, M)
+def _simulate(problem, control, M, blocks=None):
+    """(trajectory, cost) of one control, marched on the blocks' nodes when given."""
+    traj = simulate_state(problem, control, M, blocks)
     return traj, evaluate_cost(problem, control, traj)
 
 
 def _solve(problem, grid, M):
     """(blocks, sweep, solution carrying its simulated cost, trajectory) on one grid."""
     blocks, sweep, sol = riccati_solve(problem, grid, M)
-    traj, cost = _simulate(problem, PiecewiseConstantControl(grid, sol.U), M)
+    traj, cost = _simulate(problem, PiecewiseConstantControl(grid, sol.U), M, blocks)
     return blocks, sweep, sol.with_simulated_cost(cost), traj
 
 
@@ -176,6 +176,9 @@ def cmd_solve(args) -> int:
     problem, grid, _, label = _resolve(args)
     M = args.substeps
     blocks, sweep, sol, traj = _solve(problem, grid, M)
+    # format the blocks now: their node stack is as large as the costate run, so drop it first
+    block_lines = [json.dumps(blocks.to_jsonable(i)) for i in range(grid.N)] if args.debug_blocks else []
+    del blocks
     costate = simulate_costate(problem, traj, M)
     residuals = pmp_residual_sampled(problem, sol, costate)
     res_max = float(np.max(np.linalg.norm(residuals, axis=1)))
@@ -188,9 +191,8 @@ def cmd_solve(args) -> int:
     print(f"q(b) = {_vec_str(traj.q_end)}")
     print(f"max sampled-stationarity residual = {res_max:.3e}")
 
-    if args.debug_blocks:
-        for i in range(grid.N):
-            print(json.dumps(blocks.to_jsonable(i)))
+    for line in block_lines:
+        print(line)
 
     if args.out:
         if args.format == "json":

@@ -96,24 +96,29 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
     V[N, :n, :n] = 0.5 * (S + S.T)
 
     U, yo = slice(n, n + m), np.r_[0:n, n + m]  # the U and [y; 1] entries of z
-    last = np.eye(1, n + m + 1, n + m)
-    for i in reversed(range(N)):
-        Phi = np.concatenate((blocks.step[i], last))
-        Xi, Vi = X[i], V[i]
-        with np.errstate(over="ignore", invalid="ignore"):
-            Xi[...] = Phi.T @ V[i + 1] @ Phi + blocks.state_cost[i]
-            Xi[n:, n:] += blocks.control_cost[i]
-            Xi[...] = 0.5 * (Xi + Xi.T)
-        if not np.all(np.isfinite(Xi)):
-            raise NonFinite(f"cost-to-go form overflowed on interval {i}")
-        try:
-            L = np.linalg.cholesky(Xi[U, U])
-        except np.linalg.LinAlgError as exc:
-            raise TNotPD(i) from exc
-        fb = -np.linalg.solve(L.T, np.linalg.solve(L, Xi[U, yo]))
-        Vi[...] = Xi[np.ix_(yo, yo)] + Xi[yo, U] @ fb
-        Vi[...] = 0.5 * (Vi + Vi.T)
-        feedback[i] = fb
+    yo_yo = np.ix_(yo, yo)
+    Phi = np.zeros((N, n + 1, n + m + 1))  # [step_i; e_last]
+    Phi[:, :n] = blocks.step
+    Phi[:, n, -1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(N)):
+            Xi = X[i]
+            form = Phi[i].T @ V[i + 1] @ Phi[i]
+            form += blocks.state_cost[i]
+            form[n:, n:] += blocks.control_cost[i]
+            np.add(form, form.T, out=Xi)  # symmetrized as 0.5 * (form + form.T)
+            Xi *= 0.5
+            if not np.isfinite(Xi).all():
+                raise NonFinite(f"cost-to-go form overflowed on interval {i}")
+            try:
+                L = np.linalg.cholesky(Xi[U, U])
+            except np.linalg.LinAlgError as exc:
+                raise TNotPD(i) from exc
+            np.negative(np.linalg.solve(L.T, np.linalg.solve(L, Xi[U, yo])), out=feedback[i])
+            form = Xi[yo, U] @ feedback[i]
+            form += Xi[yo_yo]
+            np.add(form, form.T, out=V[i])
+            V[i] *= 0.5
     return RiccatiSweep(X=X, feedback=feedback, V=V)
 
 
@@ -130,9 +135,12 @@ def forward_synthesis(
     U = np.empty((N, m))
     q_nodes = np.empty((N + 1, n))
     q_nodes[0] = q_a
+    y1, z = np.ones(n + 1), np.ones(n + m + 1)  # [q(s_i); 1] and [q(s_i); U_i; 1]
     for i in range(N):
-        U[i] = sweep.feedback[i] @ np.append(q_nodes[i], 1.0)
-        q_nodes[i + 1] = blocks.step[i] @ np.concatenate((q_nodes[i], U[i], [1.0]))
+        y1[:n] = z[:n] = q_nodes[i]
+        np.matmul(sweep.feedback[i], y1, out=U[i])
+        z[n:-1] = U[i]
+        np.matmul(blocks.step[i], z, out=q_nodes[i + 1])
     return SampledSolution(grid=grid, U=U, q_nodes=q_nodes, predicted_cost=value_function(sweep, 0, q_a))
 
 

@@ -6,12 +6,14 @@ control, so one call of the interval propagation's RK4 kernel forms the
 [Z | Gamma | xi] nodes of all N intervals (2M half-steps, 2M+1 stored nodes
 each) on the stacked half grids, and one march carries a run across the
 joins: it applies interval i's nodes to [q_i; U_i; 1] and takes q_{i+1} from
-the last node.  The march serves one control (`simulate_state`) and a dense
-control (one interval [a, b] under the forcing B u(t) + omega).  The costate
-runs backward from p(b) = -S (q(b) - q_b) through the same march, last
-interval first, on the [Zc | phi] nodes of -A^T and the forcing W (q - x),
-formed on the reversed half grids with step -delta; RK4 stages falling
-between stored state nodes use linear interpolation of q.
+the last node.  Blocks computed on the same grid and M already hold those
+nodes, and `simulate_state` given them only marches.  The march serves one
+control (`simulate_state`) and a dense control (one interval [a, b] under
+the forcing B u(t) + omega).  The costate runs backward from
+p(b) = -S (q(b) - q_b) through the same march, last interval first, on the
+[Zc | phi] nodes of -A^T and the forcing W (q - x), formed on the reversed
+half grids with step -delta; RK4 stages falling between stored state nodes
+use linear interpolation of q.
 
 Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
 residual and the averaged control are each one Simpson reduction over them,
@@ -27,11 +29,11 @@ controls enter through those small forms alone, never through node arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .blocks import simpson_weights
+from .blocks import IntervalBlocks, simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite
 from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _rk4_linear
@@ -107,16 +109,21 @@ def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
     interval's constant input.  On interval i the run is
     Y_i = nodes[i] [y_i; inputs[i]] with node 0 set to y_i itself (nodes[i, 0]
     is [Id | 0]), so the joins are exact, and y_{i+1} = Y_i[-1].  Returns the
-    runs (N, 2M+1, n) and the final value.
+    runs (N, 2M+1, n) and the final value.  A run that overflows anywhere
+    raises NonFinite once it is done: non-finite values carry forward, and
+    the overflowed interval's run stays in the output.
     """
     ys = np.empty(nodes.shape[:3])
-    for Z, v, run in zip(nodes, inputs, ys):
-        run[0] = y
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(Z[1:].reshape(-1, Z.shape[-1]), np.concatenate((y, v)), out=run[1:].reshape(-1))
-        if not np.all(np.isfinite(run)):
-            raise NonFinite("simulation diverged")
-        y = run[-1]
+    n = ys.shape[-1]
+    z = np.empty(nodes.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Z, v, run in zip(nodes, inputs, ys):
+            run[0] = z[:n] = y
+            z[n:] = v
+            np.matmul(Z[1:].reshape(-1, Z.shape[-1]), z, out=run[1:].reshape(-1))
+            y = run[-1]
+    if not np.all(np.isfinite(ys)):
+        raise NonFinite("simulation diverged")
     return ys, y.copy()
 
 
@@ -142,18 +149,32 @@ def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np
     return cost
 
 
-def simulate_state(p: LQProblem, u: PiecewiseConstantControl, M: int = 64) -> Trajectory:
+def simulate_state(
+    p: LQProblem, u: PiecewiseConstantControl, M: int = 64, blocks: Optional[IntervalBlocks] = None
+) -> Trajectory:
     """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a.
 
     One kernel call forms every interval's [Z | Gamma | xi] nodes, and the
-    march applies them to [q_i; U_i; 1].
+    march applies them to [q_i; U_i; 1].  Given p's blocks on u's grid at
+    M, the march applies the nodes they hold instead, which are bitwise the
+    same; blocks whose node times are not this grid's at M raise
+    NodeMismatch.
     """
     _check_control_dim(p, u.m)
     grid = u.grid
     check_grid(p, grid)
     half, delta = _horizon_half_grid(grid, M)
-    qs, q_end = _march(_affine_nodes(p, half, delta), p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
-    return Trajectory(grid=grid, times=half[:, ::2], qs=qs, q_end=q_end)
+    times = half[:, ::2]
+    if blocks is None:
+        nodes = _affine_nodes(p, half, delta)
+    elif blocks.dims != (p.n, p.m):
+        raise DimensionMismatch(f"blocks have (n, m) = {blocks.dims}, problem has {(p.n, p.m)}")
+    elif not np.array_equal(blocks.times, times):
+        raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
+    else:
+        nodes = blocks.Ys
+    qs, q_end = _march(nodes, p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
+    return Trajectory(grid=grid, times=times, qs=qs, q_end=q_end)
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sampledlq.cli as cli
+from sampledlq import transition
 from sampledlq.oracle import cross_check
 
 
@@ -105,6 +106,23 @@ class TestSolve:
         for ln in block_lines:
             doc = json.loads(ln)
             assert "ZB" in doc and "Rbar" in doc
+
+    def test_nodes_formed_once_per_interval(self, capsys, monkeypatch):
+        # the blocks form each interval's nodes once, and the state run marches those
+        calls = []
+        original = transition._affine_nodes
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return original(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sampledlq"]:
+            if getattr(module, "_affine_nodes", None) is original:
+                monkeypatch.setattr(module, "_affine_nodes", counting)
+        code, _, _ = run_cli(capsys, "solve", "--problem", "timevarying-demo", "--grid", "uniform:5",
+                             "--substeps", "8")
+        assert code == 0
+        assert calls == [(33,)] * 5  # one half grid of 4M+1 times per interval, nothing horizon-wide
 
 
 class TestErrors:

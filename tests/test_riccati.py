@@ -211,7 +211,7 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     block = sq.compute_blocks(timevarying, grid, 0, prop)
     cases = [
         (prop, ["i", "nodes", "Ys"], ["Zs", "Gammas", "Xis"]),
-        (blocks, ["step", "state_cost", "control_cost"],
+        (blocks, ["step", "state_cost", "control_cost", "Ys", "times"],
          ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
         (sweep, ["X", "feedback", "V"],
          ["G", "H", "P", "Q", "T", "K", "J", "gain", "offset"]),

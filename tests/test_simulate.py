@@ -89,6 +89,33 @@ class TestSimulateState:
             assert np.allclose(traj.qs[i][0], sol.q_nodes[i], atol=1e-12)
         assert np.allclose(traj.q_end - timevarying.q_b, sol.q_nodes[-1], atol=1e-12)
 
+    @pytest.mark.parametrize("M", [4, 16])
+    @pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo", *range(30)])
+    def test_blocks_nodes_give_the_same_run(self, source, M):
+        if isinstance(source, str):
+            p = sq.get_problem(source).problem
+            grids = [sq.uniform_grid(8, p.a, p.b), sq.grid_from_durations([0.2, 0.5, 0.3], p.a, p.b)]
+        else:
+            p, grid = sq.random_problem(source)
+            grids = [grid]
+        for grid in grids:
+            blocks, _, sol = sq.solve(p, grid, M)
+            u = sq.PiecewiseConstantControl(grid, sol.U)
+            fresh, reused = sq.simulate_state(p, u, M), sq.simulate_state(p, u, M, blocks)
+            for name in ("qs", "q_end", "times"):
+                assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_foreign_blocks_rejected(self, dontchev, timevarying):
+        grid = sq.uniform_grid(3, 0, 1)
+        u = zero_control(grid)
+        other_grid = sq.compute_all_blocks(timevarying, sq.grid_from_durations([0.2, 0.5, 0.3], 0, 1), M=8)
+        other_M = sq.compute_all_blocks(timevarying, grid, M=4)
+        for blocks in (other_grid, other_M):
+            with pytest.raises(NodeMismatch):
+                sq.simulate_state(timevarying, u, 8, blocks)
+        with pytest.raises(DimensionMismatch):  # n = 1 blocks for an n = 2 problem
+            sq.simulate_state(timevarying, u, 8, sq.compute_all_blocks(dontchev, grid, M=8))
+
 
 class TestCost:
     def test_zero_control_cost(self, dontchev, analytic):
@@ -354,3 +381,27 @@ class TestTypedErrors:
                         lambda: sq.cost_of_permanent(p, lambda t: [0.0], M=8)):
                 with pytest.raises(NonFinite):
                     run()
+
+    @staticmethod
+    def _growing(q_a, q_b):
+        # A = 5 on intervals of 1/4: every interval's nodes stay below e^1.25
+        return sq.validate_problem(make_problem(0, 1, A=5.0, B=1.0, W=1.0, R=1.0, S=1.0, q_a=[q_a], q_b=[q_b]))
+
+    def test_state_overflow_mid_horizon(self):
+        # q_a = 1e307 grows by e^1.25 an interval and leaves the float range on the third
+        p = self._growing(1e307, 0.0)
+        grid = sq.uniform_grid(4, 0, 1)
+        blocks = sq.compute_all_blocks(p, grid, M=8)
+        assert np.all(np.isfinite(blocks.Ys))
+        for given in (None, blocks):
+            with pytest.raises(NonFinite, match="^simulation diverged$"):
+                sq.simulate_state(p, zero_control(grid), 8, given)
+
+    def test_costate_overflow_mid_horizon(self):
+        # the state stays at 0, and p(b) = -S (q(b) - q_b) = -1e307 grows by e^1.25
+        # an interval backward, leaving the float range on the third from the end
+        p = self._growing(0.0, -1e307)
+        traj = sq.simulate_state(p, zero_control(sq.uniform_grid(4, 0, 1)), M=8)
+        assert np.all(traj.qs == 0.0)
+        with pytest.raises(NonFinite, match="^simulation diverged$"):
+            sq.simulate_costate(p, traj, M=8)
