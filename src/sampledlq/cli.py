@@ -3,12 +3,17 @@
 Exit codes: 0 ok, 2 input/validation, 3 numerical failure, 4 oracle
 disagreement.  Data files use '.' decimals and 17 significant digits so that
 reruns of identical command lines are byte-identical.
+
+`main(argv)` can be called repeatedly in one process: the argument parser is
+built on the first call and reused, and no state carries from one call to
+the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -164,8 +169,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 def _write_json(path: str, doc) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _vec_str(v, digits=10) -> str:
@@ -309,7 +313,9 @@ def _add_common(sub, grid_flag=True):
         sub.add_argument("--grid", help="uniform:N or durations:h1,h2,...")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="sampledlq",
         description="Optimal sampled-data (zero-order-hold) control of LQ problems",

@@ -30,6 +30,7 @@ from .errors import (
     NonPositiveDuration,
     NotPD,
     NotPSD,
+    TooLarge,
     ValidationError,
 )
 
@@ -429,6 +430,8 @@ def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
     _check_interval(a, b)
     if N < 1:
         raise InvalidInterval(f"need N >= 1, got {N}")
+    if N + 1 > np.iinfo(np.intp).max:
+        raise TooLarge(f"N = {N} intervals: N+1 sample times exceed the platform's array index range")
     s = np.linspace(float(a), float(b), N + 1)
     return _grid_from_nodes(s)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidInterval, NonFinite, ValidationError
+from .errors import IndexOutOfRange, InvalidInterval, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid
 
 
@@ -84,16 +84,32 @@ def _half_grid(lo, hi, h, M: int):
     """
     if M < 1:
         raise ValidationError(f"need M >= 1, got {M}")
+    if 4 * M + 1 > np.iinfo(np.intp).max:
+        raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes exceed the platform's array index range")
     return np.linspace(lo, hi, 4 * M + 1, axis=-1), h / (2 * M)
 
 
+def _check_steps(smallest, M: int) -> None:
+    """A sampling interval's steps h / 2M must be normal floats.
+
+    A subnormal step has lost relative precision, so the RK4 run on it would
+    be quietly wrong.
+    """
+    if smallest < np.finfo(float).tiny:
+        raise InvalidInterval(f"step h/(2M) = {smallest:g} at M = {M} is below the smallest normal float")
+
+
 def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
-    return _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+    half, delta = _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+    _check_steps(delta, M)
+    return half, delta
 
 
 def _horizon_half_grid(grid: SamplingGrid, M: int):
     """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `_interval_half_grid`'s."""
-    return _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
+    half, delta = _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
+    _check_steps(delta.min(), M)
+    return half, delta
 
 
 def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:

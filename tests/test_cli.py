@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,12 @@ import pytest
 import sampledlq.cli as cli
 from sampledlq import transition
 from sampledlq.oracle import cross_check
+
+
+def child_env():
+    """Environment in which a child interpreter imports the package under test, also when only pytest's pythonpath finds it."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +105,34 @@ class TestSolve:
         assert len(doc["U"]) == 2
         assert doc["steps"][0]["i"] == 0
 
+    def test_json_file_is_one_indented_document(self, capsys, tmp_path):
+        path = tmp_path / "sol.json"
+        code, _, _ = run_cli(capsys, "solve", "--problem", "timevarying-demo", "--grid", "uniform:3",
+                             "--substeps", "8", "--format", "json", "--out", str(path))
+        assert code == 0
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_csv_file_bytes(self, capsys, tmp_path):
+        # the header, sample times and durations are frozen bytes: 17 significant digits and
+        # \r\n line ends; U comes from reductions whose last digit may differ between BLAS
+        # builds, so it is checked by its spelling
+        path = tmp_path / "sol.csv"
+        code, _, _ = run_cli(capsys, "solve", "--problem", "dontchev", "--grid", "uniform:3",
+                             "--substeps", "8", "--out", str(path))
+        assert code == 0
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[:1] + [ln.rpartition(b",")[0] for ln in lines[1:-1]] + lines[-1:] == [
+            b"i,s_i,h_i,U_1",
+            b"0,0,0.33333333333333331",
+            b"1,0.33333333333333331,0.33333333333333331",
+            b"2,0.66666666666666663,0.33333333333333337",
+            b"",
+        ]
+        for ln in lines[1:-1]:
+            U = ln.rpartition(b",")[2].decode()
+            assert cli._fmt(float(U)) == U
+
     def test_debug_blocks(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--problem", "dontchev",
                                "--grid", "uniform:2", "--debug-blocks")
@@ -123,6 +159,45 @@ class TestSolve:
                              "--substeps", "8")
         assert code == 0
         assert calls == [(33,)] * 5  # one half grid of 4M+1 times per interval, nothing horizon-wide
+
+
+class TestParserReuse:
+    SOLVE = ["solve", "--problem", "dontchev", "--grid", "uniform:3"]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        run_cli(capsys, *self.SOLVE)  # warm-up: builds the parser if no earlier call did
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (self.SOLVE, ["oracle-check", "--problem", "dontchev", "--grid", "uniform:2"]):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert built == []
+
+    def test_no_state_carries_between_calls(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, *self.SOLVE, "--format", "json", "--debug-blocks", "--qa", "2",
+                             "--out", str(tmp_path / "a.json"))
+        assert code == 0
+        code, out, err = run_cli(capsys, *self.SOLVE, "--out", str(tmp_path / "b.csv"))
+        assert code == 0 and err == ""
+        fresh = subprocess.run([sys.executable, "-m", "sampledlq.cli", *self.SOLVE, "--out", str(tmp_path / "c.csv")],
+                               capture_output=True, text=True, env=child_env())
+        assert fresh.returncode == 0, fresh.stderr
+        assert out == fresh.stdout
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+    def test_rejected_argv_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--grid"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, *self.SOLVE)
+        assert code == 0 and err == ""
 
 
 class TestErrors:
@@ -220,6 +295,27 @@ class TestErrors:
         code, _, err = run_cli(capsys, "solve", "--problem", "dontchev", "--grid", "uniform:1", flag, value)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_subnormal_step(self, capsys):
+        # h / 2M = 1e-320 / 128 is subnormal, and a solve on it is quietly wrong (U[0] = -2.4125)
+        code, out, err = run_cli(capsys, "solve", "--problem", "dontchev", "--grid", "durations:1e-320,1")
+        assert code == 2 and out == ""
+        assert "smallest normal float" in err
+        # at 1e-300 the step is normal, and U[0] is the limit K_0 of the scalar benchmark
+        code, out, err = run_cli(capsys, "solve", "--problem", "dontchev", "--grid", "durations:1e-300,1")
+        assert code == 0 and err == ""
+        assert "U[0] = [-2.010573111]" in out
+
+    @pytest.mark.parametrize("argv, name", [
+        (["solve", "--problem", "dontchev", "--grid", f"uniform:{10**20}"], "N = "),
+        (["solve", "--problem", "dontchev", "--grid", "uniform:2", "--substeps", f"{10**20}"], "M = "),
+        (["converge", "--problem", "dontchev", "--grids", f"2,{10**20}", "--substeps", "8"], "N = "),
+    ])
+    def test_size_beyond_index_range(self, capsys, argv, name):
+        # only sizes past np.intp's range, which fail before anything is allocated
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name}{10**20}") and "index range" in err
 
     def test_invalid_problem_file(self, capsys, tmp_path):
         path = write_problem(tmp_path, R=[[0.0]])
@@ -328,6 +424,20 @@ class TestOracleCheck:
         doc = json.loads(out_path.read_text())
         assert doc["max_rel_diff"] <= 1e-10
 
+    def test_json_file_bytes(self, capsys, tmp_path):
+        # the file's bytes are those json.dump streams for the same document, key order kept
+        path = tmp_path / "oracle.json"
+        code, _, _ = run_cli(capsys, "oracle-check", "--problem", "dontchev", "--grid", "uniform:2",
+                             "--substeps", "8", "--out", str(path))
+        assert code == 0
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["U_sweep", "U_qp", "diffs", "max_abs_diff", "max_rel_diff",
+                             "cost_sweep", "cost_qp", "cost_diff", "certificate_norm"]
+        streamed = io.StringIO()
+        json.dump(doc, streamed, indent=2)
+        streamed.write("\n")
+        assert path.read_text() == streamed.getvalue()
+
     def test_disagreement_exit_code(self, capsys, monkeypatch):
         real = cross_check(cli.registry.get_problem("dontchev").problem,
                            cli.uniform_grid(2, 0, 1), 16)
@@ -368,11 +478,8 @@ class TestTracedNames:
 
 class TestConsoleScript:
     def test_help_runs(self):
-        # the child imports the package under test, also when only pytest's pythonpath finds it
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "sampledlq.cli", "--help"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "oracle-check" in proc.stdout
 

@@ -14,6 +14,7 @@ from sampledlq.errors import (
     NonPositiveDuration,
     NotPD,
     NotPSD,
+    TooLarge,
     ValidationError,
 )
 from sampledlq.problem import CoefficientFunction, make_problem
@@ -274,6 +275,11 @@ class TestGrids:
     def test_invalid_interval(self):
         with pytest.raises(InvalidInterval):
             sq.uniform_grid(2, 1.0, 1.0)
+
+    def test_uniform_beyond_index_range(self):
+        # N + 1 sample times past np.intp's range; nothing is allocated before the check
+        with pytest.raises(TooLarge, match=f"N = {2**64}"):
+            sq.uniform_grid(2**64, 0.0, 1.0)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=12))
     @settings(deadline=None, max_examples=50)

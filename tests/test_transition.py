@@ -5,7 +5,7 @@ import pytest
 
 import sampledlq as sq
 from sampledlq import simulate, transition
-from sampledlq.errors import InvalidInterval
+from sampledlq.errors import InvalidInterval, TooLarge
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval, transition_matrix
 
@@ -368,3 +368,26 @@ def test_propagation_within_one_ulp_of_long_double_loop(source):
         forcing = np.concatenate((np.zeros(As.shape), p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
         ref = _reference_rk4_linear(As.astype(ld), forcing.astype(ld), np.eye(p.n, prop.Ys.shape[-1], dtype=ld), ld(delta))
         assert np.max(np.abs(prop.Ys - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("M", [1, 64])
+def test_subnormal_step_rejected_where_grids_meet_M(dontchev, M):
+    # h / 2M below the smallest normal float has lost its relative precision
+    grid = sq.grid_from_durations([1e-320, 1.0], 0.0, 1.0)
+    with pytest.raises(InvalidInterval, match="smallest normal float"):
+        transition._horizon_half_grid(grid, M)
+    with pytest.raises(InvalidInterval, match="smallest normal float"):
+        transition._interval_half_grid(grid, 0, M)
+    # the other interval's step is normal, as are both at 1e-300
+    assert transition._interval_half_grid(grid, 1, M)[1] == 1.0 / (2 * M)
+    assert transition._horizon_half_grid(sq.grid_from_durations([1e-300, 1.0], 0.0, 1.0), M)[1][0] > 0
+    with pytest.raises(InvalidInterval, match="smallest normal float"):
+        simulate.simulate_state(dontchev, simulate.PiecewiseConstantControl(grid, np.zeros((2, 1))), M)
+
+
+def test_substeps_beyond_index_range(dontchev):
+    # 4M + 1 half-grid nodes past np.intp's range; nothing is allocated before the check
+    with pytest.raises(TooLarge, match=f"M = {2**64}"):
+        propagate_interval(dontchev, sq.uniform_grid(1, 0.0, 1.0), 0, 2**64)
+    with pytest.raises(TooLarge, match=f"M = {2**64}"):
+        transition_matrix(dontchev, 1.0, 0.0, M=2**64)
