@@ -38,6 +38,7 @@ filled in place, one interval at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,14 +89,21 @@ class IntervalBlocks:
         return {"i": i, **{name: getattr(self, name)[i].tolist() for name in views}}
 
 
-def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
-    """Composite Simpson weights for an odd node count with spacing delta."""
-    if num_nodes < 3 or num_nodes % 2 == 0:
-        raise ValidationError(f"Simpson needs an odd node count >= 3, got {num_nodes}")
+@lru_cache(maxsize=8)  # a few node counts per process; bounded, as a pattern is as long as the run
+def _simpson_pattern(num_nodes: int) -> np.ndarray:
+    """The read-only 1, 4, 2, 4, ..., 2, 4, 1 pattern of composite Simpson."""
     w = np.ones(num_nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (delta / 3.0)
+    w.setflags(write=False)
+    return w
+
+
+def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
+    """Composite Simpson weights for an odd node count with spacing delta, a fresh array."""
+    if num_nodes < 3 or num_nodes % 2 == 0:
+        raise ValidationError(f"Simpson needs an odd node count >= 3, got {num_nodes}")
+    return _simpson_pattern(num_nodes) * (delta / 3.0)
 
 
 def compute_blocks(
@@ -118,7 +126,9 @@ def compute_blocks(
 
     Y = prop.Ys.copy()  # [Z | Gamma | xi - x]
     Y[..., -1] -= xk
-    Iv = np.concatenate((np.broadcast_to(np.eye(p.m), Rk.shape), -vk[..., None]), axis=-1)  # [Id | -v]
+    Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
+    Iv[..., :-1] = np.eye(p.m)
+    np.negative(vk, out=Iv[..., -1])
     state_cost = np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
     control_cost = np.einsum("k,kai,kaj->ij", w, Iv, Rk @ Iv)
 

@@ -36,6 +36,7 @@ from .errors import (
 
 TOL_PD = 1e-10
 PROBES = 33  # equally spaced times at which validate_problem checks the coefficients
+INTP_MAX = int(np.iinfo(np.intp).max)  # the largest array length or index
 
 # named coefficient callables usable from problem files: name -> (shape, fn)
 _BUILTIN_COEFFICIENTS: dict = {}
@@ -75,7 +76,7 @@ class CoefficientFunction:
     def __init__(self, kind, shape, data, name=None, _sym=False):
         self.kind = kind
         self.shape = tuple(shape)
-        self.data = data
+        self.data = np.ascontiguousarray(data) if kind == "constant" else data  # eval_many views its buffer
         self.name = name
         self._sym = _sym
 
@@ -120,13 +121,23 @@ class CoefficientFunction:
         return self.eval_many(np.array([t], dtype=float))[0]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Values at times ts of any shape, stacked as ts.shape + self.shape; read-only for a constant."""
+        """Values at times ts of any shape, stacked as ts.shape + self.shape.
+
+        A constant gives `np.broadcast_to`'s view of data, stride 0 on the
+        time axes, built directly on data's buffer (C-contiguous since
+        __init__) and read-only even when data is writable; other kinds give
+        a fresh array.
+        """
         ts = np.asarray(ts, dtype=float)
         if self.kind == "constant":
-            return np.broadcast_to(self.data, ts.shape + self.shape)
+            data = self.data
+            out = np.ndarray(ts.shape + self.shape, data.dtype, buffer=data, strides=(0,) * ts.ndim + data.strides)
+            out.setflags(write=False)
+            return out
         if self.kind == "poly":
             tcol = ts.reshape(ts.shape + (1,) * len(self.shape))
-            out = np.broadcast_to(self.data[-1], ts.shape + self.shape).copy()
+            out = np.empty(ts.shape + self.shape)
+            out[...] = self.data[-1]
             for d in range(self.data.shape[0] - 2, -1, -1):
                 out *= tcol
                 out += self.data[d]
@@ -430,9 +441,12 @@ def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
     _check_interval(a, b)
     if N < 1:
         raise InvalidInterval(f"need N >= 1, got {N}")
-    if N + 1 > np.iinfo(np.intp).max:
+    if N + 1 > INTP_MAX:
         raise TooLarge(f"N = {N} intervals: N+1 sample times exceed the platform's array index range")
-    s = np.linspace(float(a), float(b), N + 1)
+    try:
+        s = np.linspace(float(a), float(b), N + 1)
+    except MemoryError:
+        raise TooLarge(f"N = {N} intervals: N+1 sample times do not fit in memory") from None
     return _grid_from_nodes(s)
 
 

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInterval, NonFinite, TooLarge, ValidationError
-from .problem import LQProblem, SamplingGrid
+from .problem import INTP_MAX, LQProblem, SamplingGrid
+
+TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 class ZView:
@@ -84,9 +86,14 @@ def _half_grid(lo, hi, h, M: int):
     """
     if M < 1:
         raise ValidationError(f"need M >= 1, got {M}")
-    if 4 * M + 1 > np.iinfo(np.intp).max:
+    if 4 * M + 1 > INTP_MAX:
         raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes exceed the platform's array index range")
-    return np.linspace(lo, hi, 4 * M + 1, axis=-1), h / (2 * M)
+    try:
+        # the time axis last; axis 0 for scalar ends skips linspace's moveaxis
+        half = np.linspace(lo, hi, 4 * M + 1, axis=np.ndim(lo))
+    except MemoryError:
+        raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes do not fit in memory") from None
+    return half, h / (2 * M)
 
 
 def _check_steps(smallest, M: int) -> None:
@@ -95,7 +102,7 @@ def _check_steps(smallest, M: int) -> None:
     A subnormal step has lost relative precision, so the RK4 run on it would
     be quietly wrong.
     """
-    if smallest < np.finfo(float).tiny:
+    if smallest < TINY:
         raise InvalidInterval(f"step h/(2M) = {smallest:g} at M = {M} is below the smallest normal float")
 
 
@@ -212,7 +219,7 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
         raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
     half, delta = _interval_half_grid(grid, i, M)
     Ys = _affine_nodes(p, half, delta)
-    if not np.all(np.isfinite(Ys)):
+    if not np.isfinite(Ys).all():
         raise NonFinite(f"propagation diverged on interval {i}")
     return IntervalPropagation(i=i, nodes=half[::2], Ys=Ys)
 

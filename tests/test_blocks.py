@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sampledlq as sq
+from sampledlq import blocks as blocks_module
 from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, ValidationError
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval
@@ -31,6 +32,23 @@ class TestSimpsonWeights:
         nodes = np.linspace(0.0, 1.0, 5)
         w = sq.simpson_weights(5, 0.25)
         assert w @ nodes**3 == pytest.approx(0.25, abs=1e-15)
+
+    def test_fresh_writable_result(self):
+        first = sq.simpson_weights(7, 0.5)
+        assert first.flags.writeable
+        first[:] = -1.0
+        second = sq.simpson_weights(7, 0.5)
+        assert second.tobytes() == (np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) * (0.5 / 3.0)).tobytes()
+        assert not np.shares_memory(first, second)
+        rows = sq.simpson_weights(7, np.array([[0.5], [0.25]]))  # one spacing per row
+        assert rows.shape == (2, 7) and rows[0].tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("bad", [1, 2, 4])
+    def test_bad_count_rejected_after_a_valid_one(self, bad):
+        sq.simpson_weights(5, 0.25)
+        sq.simpson_weights(3, 0.25)
+        with pytest.raises(ValidationError):
+            sq.simpson_weights(bad, 0.25)
 
 
 class TestScalarBenchmarkBlocks:
@@ -184,3 +202,22 @@ class TestConsistency:
                 stacked = getattr(blocks, f.name)
                 assert stacked.shape == (grid.N,) + getattr(row, f.name).shape
                 assert stacked[i].tobytes() == getattr(row, f.name).tobytes()  # bitwise, signed zeros too
+
+    def test_no_broadcast_helper_per_interval(self, homogeneous, monkeypatch):
+        # one propagation and one block assembly per interval, and no np.broadcast_to on that path
+        calls = {"broadcast_to": 0, "propagate_interval": 0, "compute_blocks": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(np, "broadcast_to")
+        counting(blocks_module, "propagate_interval")
+        counting(blocks_module, "compute_blocks")
+        sq.compute_all_blocks(homogeneous, sq.uniform_grid(4, homogeneous.a, homogeneous.b), M=8)
+        assert calls == {"broadcast_to": 0, "propagate_interval": 4, "compute_blocks": 4}

@@ -317,6 +317,17 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {name}{10**20}") and "index range" in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["solve", "--problem", "dontchev", "--grid", f"uniform:{10**15}"], "N = "),  # 7.1 PiB of times
+        (["solve", "--problem", "dontchev", "--grid", "uniform:4", "--substeps", f"{10**15}"], "M = "),  # 28.4 PiB
+    ])
+    def test_size_beyond_memory(self, capsys, argv, name):
+        # sizes inside np.intp's range but over 2**47 bytes, more than a 64-bit
+        # Linux process can map: numpy refuses them without allocating
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name}{10**15}") and "do not fit in memory" in err
+
     def test_invalid_problem_file(self, capsys, tmp_path):
         path = write_problem(tmp_path, R=[[0.0]])
         code, _, err = run_cli(capsys, "solve", "--problem", path,

@@ -54,6 +54,36 @@ class TestCoefficientFunction:
         assert out.shape == ts.shape + cf.shape
         assert np.array_equal(out, np.stack([cf.eval_many(row) for row in ts]))
 
+    @pytest.mark.parametrize("cf", [
+        CoefficientFunction.constant([[1.0, 2.0], [3.0, 4.0]]),
+        CoefficientFunction.constant([0.5, -1.5, 2.5]),
+        CoefficientFunction("constant", (2, 2), np.array([[1.0, 2.0], [3.0, 4.0]])),  # data left writable
+        CoefficientFunction("constant", (2,), np.arange(4.0)[::2]),  # strided data
+    ], ids=["matrix", "vector", "writable-data", "strided-data"])
+    @pytest.mark.parametrize("ts", [np.float64(0.3), np.linspace(0.0, 1.0, 5), np.ones((3, 4))],
+                             ids=["ndim0", "ndim1", "ndim2"])
+    def test_eval_many_constant_is_a_broadcast_view(self, cf, ts):
+        out = cf.eval_many(ts)
+        assert out.shape == np.shape(ts) + cf.shape
+        assert out.tobytes() == np.broadcast_to(cf.data, out.shape).tobytes()
+        assert np.shares_memory(out, cf.data)
+        with pytest.raises(ValueError):
+            out[...] = 0.0
+
+    def test_eval_many_poly_is_fresh(self):
+        cf = CoefficientFunction.poly([[[0.3, 1.0 / 3.0, -0.5], [2.0]], [[0.0, 0.0, 1.5], [-1.0, 0.25]]])
+        ts = np.random.default_rng(1).uniform(-1.0, 2.0, size=(4, 3))
+        tcol = ts[..., None, None]
+        expected = np.broadcast_to(cf.data[-1], ts.shape + cf.shape).copy()  # reference: broadcast-and-copy Horner
+        for d in range(cf.data.shape[0] - 2, -1, -1):
+            expected *= tcol
+            expected += cf.data[d]
+        out = cf.eval_many(ts)
+        assert out.tobytes() == expected.tobytes() and out.shape == expected.shape
+        assert out.flags.writeable and out.flags.owndata
+        out[...] = 0.0
+        assert cf.eval_many(ts).tobytes() == expected.tobytes()
+
     def test_eval_many_matches_single(self):
         cf = CoefficientFunction.poly([[[0.0, 1.0, -0.5]]])
         ts = np.linspace(0.0, 1.0, 7)
