@@ -45,6 +45,6 @@ from .simulate import (
     simulate_state,
     terminal_cost,
 )
-from .transition import IntervalPropagation, propagate_interval, transition_matrix
+from .transition import IntervalPropagation, propagate_interval
 
 __version__ = "0.1.0"

@@ -23,9 +23,10 @@ y, U, 1 of z as in `transition.ZView`; RV is negated, a copy):
                           WZOmegaX2  = state_cost[1, 1]
 
 The blocks also keep the nodes they were integrated on: Ys, the
-[Z | Gamma | xi] values, and times, their 2M+1 node times.  The state run
-under a control on the same grid and M marches these nodes
-(`simulate.simulate_state`) instead of forming them again.
+[Z | Gamma | xi] values, times, their 2M+1 node times, and dynamics, the
+problem's A, B and omega objects that alone fix those values.  The state
+run of the same dynamics under a control on the same grid and M marches
+these nodes (`simulate.simulate_state`) instead of forming them again.
 
 `compute_blocks` gives one interval's arrays; `compute_all_blocks` stacks
 every interval's on a leading axis, so row i of step (N, n, n+m+1),
@@ -56,6 +57,7 @@ class IntervalBlocks:
     control_cost: np.ndarray  # ([N,] m+1, m+1)
     Ys: np.ndarray            # ([N,] 2M+1, n, n+m+1), [Z | Gamma | xi] at the nodes
     times: np.ndarray         # ([N,] 2M+1), the node times
+    dynamics: tuple           # the problem's (A, B, omega), which alone fix Ys
 
     Zstep = ZView("step", ":", "y")
     ZB = ZView("step", ":", "U")
@@ -142,6 +144,7 @@ def compute_blocks(
         control_cost=0.5 * (control_cost + control_cost.T),
         Ys=prop.Ys,
         times=nodes,
+        dynamics=(p.A, p.B, p.omega),
     )
 
 
@@ -150,12 +153,13 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
-    names = [f.name for f in fields(IntervalBlocks)]
+    names = [f.name for f in fields(IntervalBlocks)][:-1]  # the arrays, not dynamics
     stack = None
     for i in range(grid.N):
         row = compute_blocks(p, grid, i, propagate_interval(p, grid, i, M))
         if stack is None:
-            stack = IntervalBlocks(*(np.empty((grid.N,) + getattr(row, name).shape) for name in names))
+            arrays = (np.empty((grid.N,) + getattr(row, name).shape) for name in names)
+            stack = IntervalBlocks(*arrays, dynamics=row.dynamics)
         for name in names:
             getattr(stack, name)[i] = getattr(row, name)
     return stack

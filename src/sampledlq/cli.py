@@ -130,7 +130,7 @@ def _solve(problem, grid, M):
 
 def _averaged(problem, u_ref, grid, M):
     """(u_h, cost): the interval averages of u_ref on grid and their simulated cost."""
-    u_h = averaged_control(u_ref, grid, M, m=problem.m)
+    u_h = averaged_control(u_ref, grid, M)
     return u_h, _simulate(problem, u_h, M)[1]
 
 

@@ -164,12 +164,6 @@ class CoefficientFunction:
             data = _readonly(0.5 * (data + np.swapaxes(data, -1, -2)))
         return CoefficientFunction(self.kind, self.shape, data, name=self.name, _sym=True)
 
-    def is_zero(self) -> bool:
-        """True when the coefficient is structurally zero (constant/poly only)."""
-        if self.kind in ("constant", "poly"):
-            return not np.any(self.data)
-        return False
-
 
 def _poly_shape(lists) -> tuple:
     """Shape of the entry grid: nesting above the innermost coefficient lists."""
@@ -249,15 +243,6 @@ class LQProblem:
     q_b: np.ndarray
     validated: bool = False
     c_R: Optional[float] = None
-
-    def is_homogeneous(self) -> bool:
-        """True when all forcing data (omega, x, v, q_b) is structurally zero."""
-        return (
-            self.omega.is_zero()
-            and self.x_ref.is_zero()
-            and self.v_ref.is_zero()
-            and not np.any(self.q_b)
-        )
 
 
 def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None) -> LQProblem:

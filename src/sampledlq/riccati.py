@@ -73,7 +73,9 @@ class RiccatiSweep:
 
 @dataclass(frozen=True, eq=False)
 class SampledSolution:
-    grid: Optional[SamplingGrid]
+    """The optimal coefficients on grid, their state samples and the sweep's predicted cost."""
+
+    grid: SamplingGrid
     U: np.ndarray        # (N, m)
     q_nodes: np.ndarray  # (N+1, n); the last node is q(b) - q_b
     predicted_cost: float
@@ -123,9 +125,9 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
 
 
 def forward_synthesis(
-    sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarray, grid: Optional[SamplingGrid] = None
+    sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarray, grid: SamplingGrid
 ) -> SampledSolution:
-    """Optimal coefficients and state samples by forward induction from q_a."""
+    """Optimal coefficients and state samples on grid, the blocks' grid, by forward induction from q_a."""
     N, (n, m) = sweep.N, sweep.dims
     if blocks.N != N:
         raise DimensionMismatch(f"sweep has {N} intervals, blocks {blocks.N}")

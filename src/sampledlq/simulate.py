@@ -92,10 +92,6 @@ class CostateTrajectory:
         return (self.times.shape[1] - 1) // 2
 
 
-def _same_grid(g1: SamplingGrid, g2: SamplingGrid) -> bool:
-    return g1 is g2 or (np.array_equal(g1.s, g2.s))
-
-
 def _check_control_dim(p: LQProblem, m: int) -> None:
     if m != p.m:
         raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
@@ -157,8 +153,8 @@ def simulate_state(
     One kernel call forms every interval's [Z | Gamma | xi] nodes, and the
     march applies them to [q_i; U_i; 1].  Given p's blocks on u's grid at
     M, the march applies the nodes they hold instead, which are bitwise the
-    same; blocks whose node times are not this grid's at M raise
-    NodeMismatch.
+    same; blocks computed from other A, B or omega objects than p's, or
+    whose node times are not this grid's at M, raise NodeMismatch.
     """
     _check_control_dim(p, u.m)
     grid = u.grid
@@ -169,6 +165,8 @@ def simulate_state(
         nodes = _affine_nodes(p, half, delta)
     elif blocks.dims != (p.n, p.m):
         raise DimensionMismatch(f"blocks have (n, m) = {blocks.dims}, problem has {(p.n, p.m)}")
+    elif any(c is not d for c, d in zip(blocks.dynamics, (p.A, p.B, p.omega))):
+        raise NodeMismatch("blocks were computed for other dynamics (A, B or omega)")
     elif not np.array_equal(blocks.times, times):
         raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
     else:
@@ -184,7 +182,7 @@ def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
 
 def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> np.ndarray:
     """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]."""
-    if not _same_grid(traj.grid, u.grid):
+    if not np.array_equal(traj.grid.s, u.grid.s):
         raise NodeMismatch("trajectory and control use different grids")
     delta = traj.grid.h / (2 * traj.substeps)
     return _running_cost(p, traj.times, delta, traj.qs, u.U[:, None])
@@ -227,7 +225,7 @@ def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTraj
 def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.ndarray:
     """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds), one row per interval."""
     grid = costate.grid
-    if sol.grid is not None and not _same_grid(sol.grid, grid):
+    if not np.array_equal(sol.grid.s, grid.s):
         raise NodeMismatch("solution and costate use different grids")
     U = np.asarray(sol.U, dtype=float)
     if U.shape[0] != grid.N:
@@ -294,10 +292,11 @@ def cost_of_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
     return float(running + terminal_cost(p, qs[-1]))
 
 
-def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64, m: int = 1) -> PiecewiseConstantControl:
-    """Interval means U_i = (1/h_i) int u(s) ds by composite Simpson."""
+def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64) -> PiecewiseConstantControl:
+    """Interval means U_i = (1/h_i) int u(s) ds by composite Simpson; m is the size of u_fn's values."""
     half, delta = _horizon_half_grid(grid, M)
     nodes = half[:, ::2]
+    m = np.size(u_fn(float(nodes[0, 0])))
     vals = _eval_control_function(u_fn, nodes.ravel(), m).reshape(nodes.shape + (m,))
     w = simpson_weights(nodes.shape[1], delta[:, None])
     return PiecewiseConstantControl(grid=grid, U=np.einsum("ik,ika->ia", w, vals) / grid.h[:, None])

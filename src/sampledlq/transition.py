@@ -222,17 +222,3 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> Inte
     if not np.isfinite(Ys).all():
         raise NonFinite(f"propagation diverged on interval {i}")
     return IntervalPropagation(i=i, nodes=half[::2], Ys=Ys)
-
-
-def transition_matrix(p: LQProblem, t: float, s: float, M: int = 64) -> np.ndarray:
-    """Z(t, s) for t, s in [a, b], integrating forward or backward as needed; Z(s, s) = Id."""
-    if not (p.a <= t <= p.b and p.a <= s <= p.b):  # also false for nan
-        raise InvalidInterval(f"transition from s={s} to t={t} leaves the problem's interval [{p.a}, {p.b}]")
-    n = p.n
-    half, delta = _half_grid(s, t, t - s, M)
-    if t == s:
-        return np.eye(n)
-    Z = _rk4_linear(p.A.eval_many(half), np.zeros((half.shape[0], n, 0)), delta)[-1]
-    if not np.all(np.isfinite(Z)):
-        raise NonFinite(f"transition matrix diverged between s={s} and t={t}")
-    return Z

@@ -2,6 +2,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import sampledlq as sq
 from sampledlq import blocks as blocks_module
@@ -198,7 +199,8 @@ class TestConsistency:
         blocks = sq.compute_all_blocks(p, grid, M=8)
         for i in range(grid.N):
             row = sq.compute_blocks(p, grid, i, propagate_interval(p, grid, i, M=8))
-            for f in fields(row):
+            assert all(a is b is c for a, b, c in zip(blocks.dynamics, row.dynamics, (p.A, p.B, p.omega), strict=True))
+            for f in fields(row)[:-1]:  # the arrays
                 stacked = getattr(blocks, f.name)
                 assert stacked.shape == (grid.N,) + getattr(row, f.name).shape
                 assert stacked[i].tobytes() == getattr(row, f.name).tobytes()  # bitwise, signed zeros too
@@ -221,3 +223,52 @@ class TestConsistency:
         counting(blocks_module, "compute_blocks")
         sq.compute_all_blocks(homogeneous, sq.uniform_grid(4, homogeneous.a, homogeneous.b), M=8)
         assert calls == {"broadcast_to": 0, "propagate_interval": 4, "compute_blocks": 4}
+
+
+# -- constant-coefficient blocks against Van Loan's exact integrals -------------
+
+
+def _van_loan_blocks(p, h):
+    """Exact step and state_cost of an interval of length h for constant A, B, omega, W and x.
+
+    On z = [y; U; 1], q(s_i + t) is the first n rows of e^{Ft} z with
+    F = [[A, B, omega], [0, 0, 0]], and q - x = E e^{Ft} z with E = [Id, 0, -x].
+    The exponential of [[-F^T, E^T W E], [0, F]] h is [[., G], [0, e^{Fh}]], and
+    int_0^h e^{F^T t} E^T W E e^{Ft} dt = e^{Fh}^T G (C. F. Van Loan, "Computing
+    integrals involving the matrix exponential", IEEE TAC 23(3), 1978).
+    """
+    n, m, t = p.n, p.m, p.a
+    d = n + m + 1
+    F = np.zeros((d, d))
+    F[:n] = np.hstack((p.A(t), p.B(t), p.omega(t)[:, None]))
+    E = np.hstack((np.eye(n), np.zeros((n, m)), -p.x_ref(t)[:, None]))
+    C = np.zeros((2 * d, 2 * d))
+    C[:d, :d], C[:d, d:], C[d:, d:] = -F.T, E.T @ p.W(t) @ E, F
+    ex = expm(C * h)
+    return ex[d:, d:][:n], ex[d:, d:].T @ ex[:d, d:]
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", 2, 4])
+def test_constant_blocks_converge_to_van_loan_at_fourth_order(source):
+    # random seeds that are 2 or 4 mod 6 have constant A and omega; on interval 0
+    # of uniform:4 each doubling of M from 2 to 32 cuts the error by about 16
+    p = sq.get_problem(source).problem if isinstance(source, str) else sq.random_problem(source)[0]
+    grid = sq.uniform_grid(4, p.a, p.b)
+    h = float(grid.h[0])
+    refs = dict(zip(("step", "state_cost"), _van_loan_blocks(p, h)))
+    errors = {name: [] for name in refs}
+    # constant R and v: Simpson integrates [Id | -v]^T R [Id | -v] exactly
+    Iv = np.hstack((np.eye(p.m), -p.v_ref(p.a)[:, None]))
+    control_cost = h * Iv.T @ p.R(p.a) @ Iv
+    for M in (2, 4, 8, 16, 32):
+        blocks = sq.compute_all_blocks(p, grid, M)
+        for name, ref in refs.items():
+            errors[name].append(np.max(np.abs(getattr(blocks, name)[0] - ref)) / (1.0 + np.max(np.abs(ref))))
+        assert np.max(np.abs(blocks.control_cost[0] - control_cost)) <= 1e-14 * (1.0 + np.max(np.abs(control_cost)))
+    for name, errs in errors.items():
+        if source == "double-integrator" and name == "step":
+            # A is nilpotent and B constant, so e^{Ft} is a quadratic in t, which RK4 integrates exactly
+            assert max(errs) <= 1e-15
+            continue
+        for e0, e1 in zip(errs, errs[1:]):
+            assert 15.0 <= e0 / e1 <= 17.5, (name, errs)

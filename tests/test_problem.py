@@ -110,11 +110,6 @@ class TestCoefficientFunction:
         with pytest.raises(DimensionMismatch):
             cf(0.0)
 
-    def test_is_zero(self):
-        assert CoefficientFunction.zeros((2,)).is_zero()
-        assert CoefficientFunction.poly([[0.0, 0.0]]).is_zero()
-        assert not CoefficientFunction.constant([1.0]).is_zero()
-
 
 class TestValidation:
     def test_scalar_benchmark(self, dontchev):
@@ -345,8 +340,10 @@ class TestJsonLoading:
 
     def test_defaults_are_zero(self):
         p = sq.load_problem(self._doc())
-        assert p.omega.is_zero() and p.x_ref.is_zero() and p.v_ref.is_zero()
-        assert not np.any(p.q_b)
+        ts = np.linspace(p.a, p.b, 5)
+        for cf in (p.omega, p.x_ref, p.v_ref):  # n = m = 1
+            assert np.array_equal(cf.eval_many(ts), np.zeros((5, 1)))
+        assert np.array_equal(p.q_b, np.zeros(1))
 
     def test_polynomial_entries(self):
         doc = self._doc()

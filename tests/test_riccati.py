@@ -138,11 +138,12 @@ class TestSynthesis:
             sq.closed_loop_gain(sweep, -1)
 
     def test_dimension_guards(self, dontchev):
-        blocks, sweep, _ = sq.solve(dontchev, sq.uniform_grid(2, 0, 1), M=8)
+        grid = sq.uniform_grid(2, 0, 1)
+        blocks, sweep, _ = sq.solve(dontchev, grid, M=8)
         with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, replace(blocks, step=blocks.step[:1]), dontchev.q_a)
+            sq.forward_synthesis(sweep, replace(blocks, step=blocks.step[:1]), dontchev.q_a, grid)
         with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, blocks, np.zeros(2))
+            sq.forward_synthesis(sweep, blocks, np.zeros(2), grid)
         # one interval's blocks, not a stack: their rows are not intervals
         one = replace(blocks, step=blocks.step[0], state_cost=blocks.state_cost[0], control_cost=blocks.control_cost[0])
         with pytest.raises(DimensionMismatch):
@@ -211,7 +212,7 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     block = sq.compute_blocks(timevarying, grid, 0, prop)
     cases = [
         (prop, ["i", "nodes", "Ys"], ["Zs", "Gammas", "Xis"]),
-        (blocks, ["step", "state_cost", "control_cost", "Ys", "times"],
+        (blocks, ["step", "state_cost", "control_cost", "Ys", "times", "dynamics"],
          ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
         (sweep, ["X", "feedback", "V"],
          ["G", "H", "P", "Q", "T", "K", "J", "gain", "offset"]),
@@ -219,7 +220,7 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     for obj, stored, views in cases:
         assert [f.name for f in fields(obj)] == stored
         for name in views:
-            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f != "i")
+            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f not in ("i", "dynamics"))
     assert sweep.X.shape == (2, 4, 4) and sweep.feedback.shape == (2, 1, 3) and sweep.V.shape == (3, 3, 3)
     assert np.array_equal(blocks.RV, -blocks.control_cost[..., :-1, -1])
     # a one-by-one block reads as a float for one interval and as an array over a stack

@@ -113,8 +113,16 @@ class TestSimulateState:
         for blocks in (other_grid, other_M):
             with pytest.raises(NodeMismatch):
                 sq.simulate_state(timevarying, u, 8, blocks)
+        scalar = sq.compute_all_blocks(dontchev, grid, M=8)
         with pytest.raises(DimensionMismatch):  # n = 1 blocks for an n = 2 problem
-            sq.simulate_state(timevarying, u, 8, sq.compute_all_blocks(dontchev, grid, M=8))
+            sq.simulate_state(timevarying, u, 8, scalar)
+        # dontchev's blocks (A = 0.5) would march q(b) = e^0.5 for A = 2, not e^2
+        steeper = replace(dontchev, A=sq.CoefficientFunction.constant([[2.0]]))
+        with pytest.raises(NodeMismatch, match="other dynamics"):
+            sq.simulate_state(steeper, u, 8, scalar)
+        # a new start state keeps the dynamics, so the blocks still serve it
+        moved = replace(dontchev, q_a=np.array([2.0]))
+        assert sq.simulate_state(moved, u, 8, scalar).qs.tobytes() == sq.simulate_state(moved, u, 8).qs.tobytes()
 
 
 class TestCost:
@@ -282,6 +290,19 @@ class TestAveragedControl:
         u = sq.averaged_control(lambda t: np.array([2.5]), grid, M=8)
         assert np.allclose(u.U, 2.5, atol=1e-14)
 
+    def test_control_size_from_values(self):
+        # m = 2 from the values; Simpson's means of t and t^3 are exact
+        grid = sq.grid_from_durations([0.25, 0.75], 0.0, 1.0)
+        u = sq.averaged_control(lambda t: np.array([t, t**3]), grid, M=8)
+        lo, hi = grid.s[:-1], grid.s[1:]
+        means = np.stack(((hi**2 - lo**2) / 2.0, (hi**4 - lo**4) / 4.0), axis=1) / grid.h[:, None]
+        assert u.U.shape == (2, 2)
+        assert np.allclose(u.U, means, rtol=0.0, atol=1e-15)
+
+    def test_value_size_change_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            sq.averaged_control(lambda t: np.zeros(1 if t < 0.5 else 2), sq.uniform_grid(2, 0, 1), M=4)
+
     def test_averaging_beats_nothing_but_not_optimal(self, dontchev, dontchev_entry):
         # One sandwich instance: C(u_ref) <= C(sampled optimal) <= C(averaged u_ref).
         grid = sq.uniform_grid(2, 0, 1)
@@ -310,8 +331,6 @@ TAKES_M = {
     "averaged_control": lambda p, grid, M: sq.averaged_control(lambda t: np.zeros(1), grid, M),
     "costs_of_control_batch": lambda p, grid, M: sq.costs_of_control_batch(p, grid, np.zeros((1, grid.N, 1)), M),
     "propagate_interval": lambda p, grid, M: sq.propagate_interval(p, grid, 0, M),
-    "transition_matrix": lambda p, grid, M: sq.transition_matrix(p, 1.0, 0.0, M),
-    "transition_matrix_at_s": lambda p, grid, M: sq.transition_matrix(p, 0.5, 0.5, M),
     "compute_all_blocks": lambda p, grid, M: sq.compute_all_blocks(p, grid, M),
     "solve": lambda p, grid, M: sq.solve(p, grid, M),
     "assemble_qp": lambda p, grid, M: sq.assemble_qp(p, grid, M),

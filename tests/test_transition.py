@@ -7,7 +7,7 @@ import sampledlq as sq
 from sampledlq import simulate, transition
 from sampledlq.errors import InvalidInterval, TooLarge
 from sampledlq.problem import make_problem
-from sampledlq.transition import propagate_interval, transition_matrix
+from sampledlq.transition import propagate_interval
 
 
 @pytest.fixture(scope="module")
@@ -72,36 +72,31 @@ class TestPropagateInterval:
             assert 8.0 <= e0 / e1 <= 32.0
 
 
+def _transition(p, t, s, M):
+    """Z(t, s) from one _rk4_linear run of Z' = A Z on the half grid from s to t, backward when t < s."""
+    half, delta = transition._half_grid(s, t, t - s, M)
+    return transition._rk4_linear(p.A.eval_many(half), np.zeros(half.shape + (p.n, 0)), delta)[-1]
+
+
 class TestTransitionMatrix:
-    def test_same_endpoint_exact_identity(self, dontchev):
-        Z = transition_matrix(dontchev, 0.37, 0.37)
-        assert np.array_equal(Z, np.eye(1))
+    """The state-transition matrix Z(t, s) as the RK4 kernel forms it."""
 
     def test_scalar_forward_and_backward(self, dontchev, analytic):
-        assert transition_matrix(dontchev, 1.0, 0.0)[0, 0] == pytest.approx(
-            analytic["Z10"], abs=1e-10)
-        assert transition_matrix(dontchev, 0.0, 1.0)[0, 0] == pytest.approx(
-            1.0 / analytic["Z10"], abs=1e-10)
-
-    @pytest.mark.parametrize("t, s", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, -np.inf),
-                                      (1.5, 0.5), (0.5, 1.5), (-0.5, 0.5), (0.5, -0.5)])
-    def test_times_outside_interval_rejected(self, dontchev, t, s):
-        # dontchev lives on [0, 1]: non-finite times and b + 0.5, a - 0.5 are off it
-        with pytest.raises(InvalidInterval, match="leaves the problem's interval"):
-            transition_matrix(dontchev, t, s)
+        # backward runs take the negative step -delta, as the costate's do
+        assert _transition(dontchev, 1.0, 0.0, 64)[0, 0] == pytest.approx(analytic["Z10"], abs=1e-10)
+        assert _transition(dontchev, 0.0, 1.0, 64)[0, 0] == pytest.approx(1.0 / analytic["Z10"], abs=1e-10)
 
     def test_inverse_pair(self, timevarying):
-        Zf = transition_matrix(timevarying, 0.8, 0.2, M=128)
-        Zb = transition_matrix(timevarying, 0.2, 0.8, M=128)
+        Zf = _transition(timevarying, 0.8, 0.2, 128)
+        Zb = _transition(timevarying, 0.2, 0.8, 128)
         assert np.allclose(Zf @ Zb, np.eye(2), atol=1e-9)
 
     def test_semigroup_property(self):
         for seed in (2, 3, 7, 10):
             p, _ = sq.random_problem(seed)
             mid = 0.5 * (p.a + p.b)
-            whole = transition_matrix(p, p.b, p.a, M=128)
-            split = transition_matrix(p, p.b, mid, M=128) @ transition_matrix(
-                p, mid, p.a, M=128)
+            whole = _transition(p, p.b, p.a, 128)
+            split = _transition(p, p.b, mid, 128) @ _transition(p, mid, p.a, 128)
             scale = 1.0 + np.linalg.norm(whole)
             assert np.linalg.norm(whole - split) <= 1e-8 * scale
 
@@ -249,7 +244,6 @@ def _kernel_outputs(p, grid, M):
     for i in range(grid.N):
         prop = propagate_interval(p, grid, i, M)
         out += [prop.Zs, prop.Gammas, prop.Xis]
-    out += [transition_matrix(p, p.b, p.a, M), transition_matrix(p, p.a, p.b, M)]
     u = sq.PiecewiseConstantControl(grid, rng.uniform(-1.0, 1.0, size=(grid.N, p.m)))
     traj = sq.simulate_state(p, u, M)
     out += [traj.qs, traj.q_end, sq.simulate_costate(p, traj, M).ps]
@@ -277,10 +271,10 @@ def test_step_maps_match_stage_loop(source, M, monkeypatch):
     with monkeypatch.context() as mp:
         calls = _use_reference_kernel(mp)
         ref = _kernel_outputs(p, grid, M)
-    # the node reference ran for each interval's propagation and both transition
-    # matrices and for no simulation; the state, batch, dense-state and costate
-    # references ran for every simulation (the dense residual runs state and costate)
-    assert calls == {"_reference_nodes": grid.N + 2, "_reference_simulate_state": 1,
+    # the node reference ran for each interval's propagation and for no simulation;
+    # the state, batch, dense-state and costate references ran for every simulation
+    # (the dense residual runs state and costate)
+    assert calls == {"_reference_nodes": grid.N, "_reference_simulate_state": 1,
                      "_reference_costs_of_control_batch": 1, "_reference_dense_state": 2,
                      "_reference_costate": 2}
     assert len(got) == len(ref)
@@ -308,7 +302,7 @@ def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
     if lam_delta > 2.785:
         # Past the limit both kernels grow by the RK4 amplification factor
         # R(-3) = 1.375 per step, 2M steps, and neither raises: there is no
-        # guard on ||A|| * delta yet (ROADMAP item 6).
+        # guard on ||A|| * delta yet (ROADMAP item 8).
         assert np.all(np.isfinite(prop.Zs))
         assert prop.Zs[-1][0, 0] == pytest.approx(1.375 ** (2 * M), rel=1e-12)
     else:
@@ -389,5 +383,3 @@ def test_substeps_beyond_index_range(dontchev):
     # 4M + 1 half-grid nodes past np.intp's range; nothing is allocated before the check
     with pytest.raises(TooLarge, match=f"M = {2**64}"):
         propagate_interval(dontchev, sq.uniform_grid(1, 0.0, 1.0), 0, 2**64)
-    with pytest.raises(TooLarge, match=f"M = {2**64}"):
-        transition_matrix(dontchev, 1.0, 0.0, M=2**64)
