@@ -6,7 +6,7 @@ forward, and verify with simulation, stationarity residuals, and the dense
 QP oracle.
 """
 
-from .blocks import IntervalBlocks, compute_all_blocks, compute_blocks, simpson_weights
+from .blocks import IntervalBlocks, compute_all_blocks, simpson_weights
 from .errors import SampledLQError
 from .oracle import DenseQP, assemble_qp, cross_check, solve_qp
 from .problem import (
@@ -45,6 +45,5 @@ from .simulate import (
     simulate_state,
     terminal_cost,
 )
-from .transition import IntervalPropagation, propagate_interval
 
 __version__ = "0.1.0"

@@ -28,35 +28,36 @@ problem's A, B and omega objects that alone fix those values.  The state
 run of the same dynamics under a control on the same grid and M marches
 these nodes (`simulate.simulate_state`) instead of forming them again.
 
-`compute_blocks` gives one interval's arrays; `compute_all_blocks` stacks
-every interval's on a leading axis, so row i of step (N, n, n+m+1),
+`compute_all_blocks` returns one stack: row i of step (N, n, n+m+1),
 state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
 (N, 2M+1, n, n+m+1) and times (N, 2M+1) is interval i, and each view above
-carries that axis too (blocks.Zstep[i] is interval i's).  The stack is
-filled in place, one interval at a time.
+carries that axis too (blocks.Zstep[i] is interval i's).  Two per-interval
+kernels fill row i in place: `transition.propagate_interval` gives the
+interval's node times and nodes, and `compute_blocks` its two quadratic
+forms; step is then read off the stacked nodes once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, ValidationError
+from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
-from .transition import IntervalPropagation, ZView, propagate_interval
+from .transition import ZView, propagate_interval
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalBlocks:
-    """One interval's blocks, or every interval's stacked on a leading axis."""
+    """Every interval's blocks, stacked on a leading axis: row i is interval i."""
 
-    step: np.ndarray          # ([N,] n, n+m+1), [Zstep | ZB | ZOmega]
-    state_cost: np.ndarray    # ([N,] n+m+1, n+m+1)
-    control_cost: np.ndarray  # ([N,] m+1, m+1)
-    Ys: np.ndarray            # ([N,] 2M+1, n, n+m+1), [Z | Gamma | xi] at the nodes
-    times: np.ndarray         # ([N,] 2M+1), the node times
+    step: np.ndarray          # (N, n, n+m+1), [Zstep | ZB | ZOmega]
+    state_cost: np.ndarray    # (N, n+m+1, n+m+1)
+    control_cost: np.ndarray  # (N, m+1, m+1)
+    Ys: np.ndarray            # (N, 2M+1, n, n+m+1), [Z | Gamma | xi] at the nodes
+    times: np.ndarray         # (N, 2M+1), the node times
     dynamics: tuple           # the problem's (A, B, omega), which alone fix Ys
 
     Zstep = ZView("step", ":", "y")
@@ -78,9 +79,9 @@ class IntervalBlocks:
 
     @property
     def N(self) -> int:
-        """The number of stacked intervals; one interval's unstacked blocks have none."""
+        """The number of stacked intervals; a record built without the interval axis has none."""
         if self.step.ndim != 3:
-            raise DimensionMismatch("these are one interval's blocks, not a stack of them")
+            raise DimensionMismatch("these blocks have no interval axis, so they are not a stack")
         return self.step.shape[0]
 
     def to_jsonable(self, i: int) -> dict:
@@ -108,44 +109,23 @@ def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
     return _simpson_pattern(num_nodes) * (delta / 3.0)
 
 
-def compute_blocks(
-    p: LQProblem, grid: SamplingGrid, i: int, prop: IntervalPropagation
-) -> IntervalBlocks:
-    """Assemble the interval blocks from one interval's propagation data."""
-    if prop.i != i:
-        raise NodeMismatch(f"propagation is for interval {prop.i}, expected {i}")
-    nodes = prop.nodes
-    if nodes[0] != grid.s[i] or nodes[-1] != grid.s[i + 1]:
-        raise NodeMismatch(f"propagation nodes do not span interval {i} of this grid")
-    num = nodes.shape[0]
-    delta = float(grid.h[i]) / (num - 1)
-    w = simpson_weights(num, delta)
+def compute_blocks(p: LQProblem, times: np.ndarray, Ys: np.ndarray):
+    """One interval's (state_cost, control_cost), by composite Simpson on its node times and nodes."""
+    w = simpson_weights(times.shape[0], (times[-1] - times[0]) / (times.shape[0] - 1))
 
-    Wk = p.W.eval_many(nodes)
-    Rk = p.R.eval_many(nodes)
-    xk = p.x_ref.eval_many(nodes)
-    vk = p.v_ref.eval_many(nodes)
+    Wk = p.W.eval_many(times)
+    Rk = p.R.eval_many(times)
+    xk = p.x_ref.eval_many(times)
+    vk = p.v_ref.eval_many(times)
 
-    Y = prop.Ys.copy()  # [Z | Gamma | xi - x]
+    Y = Ys.copy()  # [Z | Gamma | xi - x]
     Y[..., -1] -= xk
     Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
     Iv[..., :-1] = np.eye(p.m)
     np.negative(vk, out=Iv[..., -1])
     state_cost = np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
     control_cost = np.einsum("k,kai,kaj->ij", w, Iv, Rk @ Iv)
-
-    step = prop.Ys[-1].copy()
-    if i == grid.N - 1:
-        step[:, -1] -= p.q_b
-
-    return IntervalBlocks(
-        step=step,
-        state_cost=0.5 * (state_cost + state_cost.T),
-        control_cost=0.5 * (control_cost + control_cost.T),
-        Ys=prop.Ys,
-        times=nodes,
-        dynamics=(p.A, p.B, p.omega),
-    )
+    return 0.5 * (state_cost + state_cost.T), 0.5 * (control_cost + control_cost.T)
 
 
 def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBlocks:
@@ -153,13 +133,12 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
-    names = [f.name for f in fields(IntervalBlocks)][:-1]  # the arrays, not dynamics
-    stack = None
     for i in range(grid.N):
-        row = compute_blocks(p, grid, i, propagate_interval(p, grid, i, M))
-        if stack is None:
-            arrays = (np.empty((grid.N,) + getattr(row, name).shape) for name in names)
-            stack = IntervalBlocks(*arrays, dynamics=row.dynamics)
-        for name in names:
-            getattr(stack, name)[i] = getattr(row, name)
-    return stack
+        t, Y = propagate_interval(p, grid, i, M)
+        state, control = compute_blocks(p, t, Y)
+        if i == 0:  # after the first call, so a bad M raises its own error first
+            times, Ys, state_cost, control_cost = (np.empty((grid.N,) + a.shape) for a in (t, Y, state, control))
+        times[i], Ys[i], state_cost[i], control_cost[i] = t, Y, state, control
+    step = Ys[:, -1].copy()
+    step[-1, :, -1] -= p.q_b
+    return IntervalBlocks(step, state_cost, control_cost, Ys, times, dynamics=(p.A, p.B, p.omega))

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import IntervalBlocks, compute_all_blocks
-from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
+from .errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, NonFinite, TNotPD
 from .problem import LQProblem, SamplingGrid
 from .transition import ZView
 
@@ -131,6 +131,8 @@ def forward_synthesis(
     N, (n, m) = sweep.N, sweep.dims
     if blocks.N != N:
         raise DimensionMismatch(f"sweep has {N} intervals, blocks {blocks.N}")
+    if not (np.array_equal(blocks.times[:, 0], grid.s[:-1]) and np.array_equal(blocks.times[:, -1], grid.s[1:])):
+        raise NodeMismatch("blocks were not computed on this grid")
     q_a = np.asarray(q_a, dtype=float)
     if q_a.shape != (n,):
         raise DimensionMismatch(f"q_a has shape {q_a.shape}, sweep expects {(n,)}")

@@ -74,6 +74,7 @@ class Trajectory:
     times: np.ndarray  # (N, 2M+1) node times; times[i] is interval i's
     qs: np.ndarray     # (N, 2M+1, n) states
     q_end: np.ndarray
+    dynamics: tuple    # the problem's (A, B, omega), as in `IntervalBlocks`
 
     @property
     def substeps(self) -> int:
@@ -95,6 +96,12 @@ class CostateTrajectory:
 def _check_control_dim(p: LQProblem, m: int) -> None:
     if m != p.m:
         raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
+
+
+def _check_dynamics(p: LQProblem, record, what: str) -> None:
+    """record (blocks or a trajectory) must come from p's own A, B and omega objects."""
+    if any(c is not d for c, d in zip(record.dynamics, (p.A, p.B, p.omega))):
+        raise NodeMismatch(f"{what} computed for other dynamics (A, B or omega)")
 
 
 def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
@@ -165,14 +172,13 @@ def simulate_state(
         nodes = _affine_nodes(p, half, delta)
     elif blocks.dims != (p.n, p.m):
         raise DimensionMismatch(f"blocks have (n, m) = {blocks.dims}, problem has {(p.n, p.m)}")
-    elif any(c is not d for c, d in zip(blocks.dynamics, (p.A, p.B, p.omega))):
-        raise NodeMismatch("blocks were computed for other dynamics (A, B or omega)")
-    elif not np.array_equal(blocks.times, times):
-        raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
     else:
+        _check_dynamics(p, blocks, "blocks were")
+        if not np.array_equal(blocks.times, times):
+            raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
         nodes = blocks.Ys
     qs, q_end = _march(nodes, p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
-    return Trajectory(grid=grid, times=times, qs=qs, q_end=q_end)
+    return Trajectory(grid=grid, times=times, qs=qs, q_end=q_end, dynamics=(p.A, p.B, p.omega))
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -181,9 +187,10 @@ def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
 
 
 def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> np.ndarray:
-    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]."""
+    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]; traj must be a run of p's dynamics."""
     if not np.array_equal(traj.grid.s, u.grid.s):
         raise NodeMismatch("trajectory and control use different grids")
+    _check_dynamics(p, traj, "trajectory was")
     delta = traj.grid.h / (2 * traj.substeps)
     return _running_cost(p, traj.times, delta, traj.qs, u.U[:, None])
 
@@ -213,9 +220,10 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
 
 
 def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
-    """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj."""
+    """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj, a run of p's dynamics."""
     if traj.substeps != M:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
+    _check_dynamics(p, traj, "trajectory was")
     half, delta = _horizon_half_grid(traj.grid, M)
     p_end = -(p.S @ (traj.q_end - p.q_b))
     ps = _costate(p, half, delta, traj.qs, p_end)

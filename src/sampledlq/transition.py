@@ -22,8 +22,6 @@ the interval joins with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInterval, NonFinite, TooLarge, ValidationError
@@ -38,9 +36,8 @@ class ZView:
     rows and cols name segments of the last two axes: "y" the first n
     entries, "U" the m entries before the last, "1" the last entry and ":"
     all of them, with (n, m) = owner.dims.  Leading axes, such as a stack's
-    interval axis, are kept: a block that is "1" on both axes reads as a
-    float for one interval and as an (N,) array for a stack of N.  sign -1
-    gives the negated block, a copy.
+    interval axis, are kept: a block that is "1" on both axes reads as an
+    (N,) array for a stack of N.  sign -1 gives the negated block, a copy.
     """
 
     def __init__(self, array: str, rows: str, cols: str, sign: float = 1.0):
@@ -54,28 +51,7 @@ class ZView:
         block = getattr(obj, self.array)[..., seg[self.rows], seg[self.cols]]
         if self.sign < 0:
             block = 0.0 - block  # not -block: a zero block reads +0.0
-        return float(block) if np.ndim(block) == 0 else block
-
-
-@dataclass(frozen=True, eq=False)
-class IntervalPropagation:
-    """Dense node values Y = [Z | Gamma | xi] on one sampling interval, q(tau) = Y(tau) [y; U; 1]."""
-
-    i: int
-    nodes: np.ndarray  # (2M+1,) times in [s_i, s_{i+1}]
-    Ys: np.ndarray     # (2M+1, n, n+m+1)
-
-    Zs = ZView("Ys", ":", "y")      # (2M+1, n, n)
-    Gammas = ZView("Ys", ":", "U")  # (2M+1, n, m)
-    Xis = ZView("Ys", ":", "1")     # (2M+1, n)
-
-    @property
-    def dims(self) -> tuple:
-        return self.Ys.shape[1], self.Ys.shape[2] - self.Ys.shape[1] - 1
-
-    @property
-    def substeps(self) -> int:
-        return (self.nodes.shape[0] - 1) // 2
+        return block
 
 
 def _half_grid(lo, hi, h, M: int):
@@ -106,14 +82,8 @@ def _check_steps(smallest, M: int) -> None:
         raise InvalidInterval(f"step h/(2M) = {smallest:g} at M = {M} is below the smallest normal float")
 
 
-def _interval_half_grid(grid: SamplingGrid, i: int, M: int):
-    half, delta = _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
-    _check_steps(delta, M)
-    return half, delta
-
-
 def _horizon_half_grid(grid: SamplingGrid, M: int):
-    """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `_interval_half_grid`'s."""
+    """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `propagate_interval`'s."""
     half, delta = _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
     _check_steps(delta.min(), M)
     return half, delta
@@ -213,12 +183,17 @@ def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
     return _rk4_linear(p.A.eval_many(half), forcing, delta)
 
 
-def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int) -> IntervalPropagation:
-    """[Z | Gamma | xi] at the 2M+1 nodes of interval i, via 2M RK4 half-steps."""
+def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int):
+    """Interval i's node times (2M+1,) and [Z | Gamma | xi] nodes (2M+1, n, n+m+1), via 2M RK4 half-steps.
+
+    The times run from s_i to s_{i+1} exactly, with spacing h_i / 2M; a
+    node at time t holds Y(t) with q(t) = Y(t) [y; U; 1].
+    """
     if not 0 <= i < grid.N:
         raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
-    half, delta = _interval_half_grid(grid, i, M)
+    half, delta = _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+    _check_steps(delta, M)
     Ys = _affine_nodes(p, half, delta)
     if not np.isfinite(Ys).all():
         raise NonFinite(f"propagation diverged on interval {i}")
-    return IntervalPropagation(i=i, nodes=half[::2], Ys=Ys)
+    return half[::2], Ys

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ from scipy.linalg import expm
 
 import sampledlq as sq
 from sampledlq import blocks as blocks_module
-from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, ValidationError
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 from sampledlq.problem import make_problem
-from sampledlq.transition import propagate_interval
 
 
 @pytest.fixture(scope="module")
@@ -157,19 +156,6 @@ class TestConsistency:
         for name in ("Zstep", "ZB", "ZOmega", "ZWZ", "Rbar", "RV"):
             assert np.array_equal(getattr(full, name)[1:], getattr(tail, name))
 
-    def test_wrong_interval_rejected(self, dontchev):
-        grid = sq.uniform_grid(2, 0, 1)
-        prop = propagate_interval(dontchev, grid, 0, M=4)
-        with pytest.raises(NodeMismatch):
-            sq.compute_blocks(dontchev, grid, 1, prop)
-
-    def test_foreign_grid_rejected(self, dontchev):
-        grid = sq.uniform_grid(2, 0, 1)
-        other = sq.grid_from_durations([0.3, 0.7], 0.0, 1.0)
-        prop = propagate_interval(dontchev, other, 0, M=4)
-        with pytest.raises(NodeMismatch):
-            sq.compute_blocks(dontchev, grid, 0, prop)
-
     def test_requires_validated_problem(self):
         p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[2.0]], R=[[1.0]],
                          S=[[0.0]], q_a=[1.0])
@@ -185,8 +171,8 @@ class TestConsistency:
         assert isinstance(doc["RV2"], float)
         with pytest.raises(IndexOutOfRange):  # would wrap to the last interval
             blocks.to_jsonable(-1)
-        one = sq.compute_blocks(dontchev, grid, 0, propagate_interval(dontchev, grid, 0, M=8))
-        with pytest.raises(DimensionMismatch):  # one interval's blocks, not a stack
+        one = replace(blocks, step=blocks.step[0], state_cost=blocks.state_cost[0], control_cost=blocks.control_cost[0])
+        with pytest.raises(DimensionMismatch):  # a record without the interval axis, not a stack
             one.to_jsonable(0)
 
     @pytest.mark.parametrize("source", ["timevarying-demo", 3, 8, 11])
@@ -197,13 +183,18 @@ class TestConsistency:
         else:
             p, grid = sq.random_problem(source)
         blocks = sq.compute_all_blocks(p, grid, M=8)
+        assert all(a is b for a, b in zip(blocks.dynamics, (p.A, p.B, p.omega), strict=True))
         for i in range(grid.N):
-            row = sq.compute_blocks(p, grid, i, propagate_interval(p, grid, i, M=8))
-            assert all(a is b is c for a, b, c in zip(blocks.dynamics, row.dynamics, (p.A, p.B, p.omega), strict=True))
-            for f in fields(row)[:-1]:  # the arrays
-                stacked = getattr(blocks, f.name)
-                assert stacked.shape == (grid.N,) + getattr(row, f.name).shape
-                assert stacked[i].tobytes() == getattr(row, f.name).tobytes()  # bitwise, signed zeros too
+            times, Ys = blocks_module.propagate_interval(p, grid, i, 8)
+            state_cost, control_cost = blocks_module.compute_blocks(p, times, Ys)
+            step = Ys[-1].copy()
+            if i == grid.N - 1:
+                step[:, -1] -= p.q_b
+            rows = {"step": step, "state_cost": state_cost, "control_cost": control_cost, "Ys": Ys, "times": times}
+            for name, row in rows.items():
+                stacked = getattr(blocks, name)
+                assert stacked.shape == (grid.N,) + row.shape
+                assert stacked[i].tobytes() == row.tobytes()  # bitwise, signed zeros too
 
     def test_no_broadcast_helper_per_interval(self, homogeneous, monkeypatch):
         # one propagation and one block assembly per interval, and no np.broadcast_to on that path

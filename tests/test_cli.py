@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import os
@@ -464,27 +465,41 @@ class TestOracleCheck:
         assert code == 0
 
 
-# names the benchmark's tracer (perfbench/tracer.py) wraps in this module
-TRACED_NAMES = ("riccati_solve", "simulate_state", "evaluate_cost", "simulate_costate",
-                "pmp_residual_sampled", "cross_check")
+# every (module, attribute) the benchmark's tracer (perfbench/tracer.py) wraps; the
+# library must look each one up in its module at call time, or the wrapper sees no call
+TRACED_NAMES = (
+    ("sampledlq.cli", "riccati_solve"), ("sampledlq.cli", "simulate_state"), ("sampledlq.cli", "evaluate_cost"),
+    ("sampledlq.cli", "simulate_costate"), ("sampledlq.cli", "pmp_residual_sampled"), ("sampledlq.cli", "cross_check"),
+    ("sampledlq.registry", "random_problem"),
+    ("sampledlq.riccati", "compute_all_blocks"), ("sampledlq.riccati", "backward_sweep"),
+    ("sampledlq.riccati", "forward_synthesis"),
+    ("sampledlq.blocks", "propagate_interval"), ("sampledlq.blocks", "compute_blocks"),
+    ("sampledlq.oracle", "riccati_solve"), ("sampledlq.oracle", "assemble_qp"), ("sampledlq.oracle", "solve_qp"),
+    ("sampledlq.oracle", "costs_of_control_batch"),
+    ("sampledlq.problem", "CoefficientFunction.eval_many"),
+)
 
 
 class TestTracedNames:
     def test_pipeline_calls_through_module_names(self, capsys, monkeypatch):
         calls = dict.fromkeys(TRACED_NAMES, 0)
 
-        def counting(name, fn):
+        def counting(key, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in TRACED_NAMES:
-            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-        for command in ("solve", "oracle-check"):
-            code, _, _ = run_cli(capsys, command, "--problem", "dontchev", "--grid", "uniform:2")
+        for module_name, attr in TRACED_NAMES:
+            owner = importlib.import_module(module_name)
+            *path, name = attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            monkeypatch.setattr(owner, name, counting((module_name, attr), getattr(owner, name)))
+        for argv in (("solve", "--problem", "dontchev", "--grid", "uniform:2"), ("oracle-check", "--random", "seed:5")):
+            code, _, _ = run_cli(capsys, *argv, "--substeps", "8")
             assert code == 0
-        assert all(calls.values()), calls
+        assert all(calls.values()), [key for key, count in calls.items() if not count]
 
 
 class TestConsoleScript:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import sampledlq as sq
-from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, NonFinite, TNotPD
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval
 
@@ -152,6 +152,17 @@ class TestSynthesis:
             with pytest.raises(DimensionMismatch):
                 sq.value_function(sweep, j, [1.0, 2.0, 3.0])
 
+    def test_blocks_of_another_grid_rejected(self, dontchev):
+        # uniform:3's coefficients would be returned as the other grid's: predicted 0.8791, simulated 0.9145
+        grid = sq.uniform_grid(3, 0, 1)
+        blocks, sweep, _ = sq.solve(dontchev, grid, M=8)
+        with pytest.raises(NodeMismatch):
+            sq.forward_synthesis(sweep, blocks, dontchev.q_a, sq.grid_from_durations([0.2, 0.3, 0.5], 0, 1))
+        # a tail grid's own blocks still serve it
+        tail = grid.tail(1)
+        tail_blocks, tail_sweep, _ = sq.solve(dontchev, tail, M=8)
+        assert sq.forward_synthesis(tail_sweep, tail_blocks, dontchev.q_a, tail).grid is tail
+
 
 class TestTailConsistency:
     def test_tail_resolve_matches_sweep(self, timevarying):
@@ -208,10 +219,7 @@ class TestTailConsistency:
 def test_paper_names_are_views_of_the_stored_forms(timevarying):
     grid = sq.uniform_grid(2, 0, 1)
     blocks, sweep, _ = sq.solve(timevarying, grid, M=8)
-    prop = propagate_interval(timevarying, grid, 0, M=8)
-    block = sq.compute_blocks(timevarying, grid, 0, prop)
     cases = [
-        (prop, ["i", "nodes", "Ys"], ["Zs", "Gammas", "Xis"]),
         (blocks, ["step", "state_cost", "control_cost", "Ys", "times", "dynamics"],
          ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
         (sweep, ["X", "feedback", "V"],
@@ -220,12 +228,11 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     for obj, stored, views in cases:
         assert [f.name for f in fields(obj)] == stored
         for name in views:
-            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f not in ("i", "dynamics"))
+            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f != "dynamics")
     assert sweep.X.shape == (2, 4, 4) and sweep.feedback.shape == (2, 1, 3) and sweep.V.shape == (3, 3, 3)
     assert np.array_equal(blocks.RV, -blocks.control_cost[..., :-1, -1])
-    # a one-by-one block reads as a float for one interval and as an array over a stack
+    # a one-by-one block reads as an array over the stack
     for name in ("WZOmegaX2", "RV2"):
-        assert type(getattr(block, name)) is float
         assert getattr(blocks, name).shape == (2,)
     assert sweep.F.shape == (2,) and sweep.Y.shape == (3,)
 
@@ -237,10 +244,10 @@ def _reference_blocks(p, grid, M):
     """Test-only reference for compute_all_blocks: each paper-named block by its own Simpson integral."""
     out = []
     for i in range(grid.N):
-        prop = propagate_interval(p, grid, i, M)
-        w = sq.simpson_weights(prop.nodes.shape[0], float(grid.h[i]) / (prop.nodes.shape[0] - 1))
-        Zs, Gammas, Xis = prop.Zs, prop.Gammas, prop.Xis
-        Wk, Rk, xk, vk = (cf.eval_many(prop.nodes) for cf in (p.W, p.R, p.x_ref, p.v_ref))
+        times, Ys = propagate_interval(p, grid, i, M)
+        w = sq.simpson_weights(times.shape[0], float(grid.h[i]) / (times.shape[0] - 1))
+        Zs, Gammas, Xis = Ys[..., :p.n], Ys[..., p.n:-1], Ys[..., -1]
+        Wk, Rk, xk, vk = (cf.eval_many(times) for cf in (p.W, p.R, p.x_ref, p.v_ref))
         WZ = Wk @ Zs
         WG = Wk @ Gammas
         e = Xis - xk

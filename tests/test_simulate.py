@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sampledlq as sq
+from sampledlq import transition
 from sampledlq.errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, ValidationError
 from sampledlq.problem import make_problem
 
@@ -123,6 +124,24 @@ class TestSimulateState:
         # a new start state keeps the dynamics, so the blocks still serve it
         moved = replace(dontchev, q_a=np.array([2.0]))
         assert sq.simulate_state(moved, u, 8, scalar).qs.tobytes() == sq.simulate_state(moved, u, 8).qs.tobytes()
+
+    def test_foreign_trajectory_rejected(self, dontchev):
+        # dontchev's run (A = 0.5) would cost 1.7183 and give p(a) = -8.95 for A = 2,
+        # whose own run costs 13.3995 and gives p(a) = -26.80
+        grid = sq.uniform_grid(3, 0, 1)
+        u = zero_control(grid)
+        calm = sq.simulate_state(dontchev, u, 8)
+        steeper = replace(dontchev, A=sq.CoefficientFunction.constant([[2.0]]))
+        for run in (lambda: sq.evaluate_cost(steeper, u, calm), lambda: sq.running_costs(steeper, u, calm),
+                    lambda: sq.simulate_costate(steeper, calm, 8)):
+            with pytest.raises(NodeMismatch, match="other dynamics"):
+                run()
+        own = sq.simulate_state(steeper, u, 8)
+        assert sq.evaluate_cost(steeper, u, own) == pytest.approx(13.3995, abs=1e-4)
+        assert sq.simulate_costate(steeper, own, 8).ps[0, 0, 0] == pytest.approx(-26.80, abs=1e-2)
+        # other weights keep the dynamics, so the run still serves them
+        weighted = replace(dontchev, W=sq.CoefficientFunction.constant([[3.0]]))
+        assert sq.evaluate_cost(weighted, u, calm) == sq.evaluate_cost(weighted, u, sq.simulate_state(weighted, u, 8))
 
 
 class TestCost:
@@ -330,7 +349,7 @@ TAKES_M = {
     "cost_of_permanent": lambda p, grid, M: sq.cost_of_permanent(p, lambda t: np.zeros(1), M),
     "averaged_control": lambda p, grid, M: sq.averaged_control(lambda t: np.zeros(1), grid, M),
     "costs_of_control_batch": lambda p, grid, M: sq.costs_of_control_batch(p, grid, np.zeros((1, grid.N, 1)), M),
-    "propagate_interval": lambda p, grid, M: sq.propagate_interval(p, grid, 0, M),
+    "propagate_interval": lambda p, grid, M: transition.propagate_interval(p, grid, 0, M),
     "compute_all_blocks": lambda p, grid, M: sq.compute_all_blocks(p, grid, M),
     "solve": lambda p, grid, M: sq.solve(p, grid, M),
     "assemble_qp": lambda p, grid, M: sq.assemble_qp(p, grid, M),
@@ -390,11 +409,12 @@ class TestTypedErrors:
         grid = sq.uniform_grid(4, 0, 1)
         u = zero_control(grid)
         p = scalar(30000.0)
-        calm = sq.simulate_state(scalar(0.0), u, M=8)
+        # the state stays at 0 and p(b) = -1e307 leaves the float range backward
+        growing = self._growing(0.0, -1e307)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for run in (lambda: sq.simulate_state(p, u, M=8),
-                        lambda: sq.simulate_costate(p, calm, M=8),
+                        lambda: sq.simulate_costate(growing, sq.simulate_state(growing, u, M=8), M=8),
                         lambda: sq.costs_of_control_batch(p, grid, np.zeros((3, 4, 1)), M=8),
                         lambda: sq.pmp_residual_permanent(p, lambda t: [0.0], M=8),
                         lambda: sq.cost_of_permanent(p, lambda t: [0.0], M=8)):

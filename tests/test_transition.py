@@ -15,58 +15,69 @@ def timevarying():
     return sq.get_problem("timevarying-demo").problem
 
 
+def _propagate(p, grid, i, M):
+    """propagate_interval's node times, and its nodes split into Z, Gamma and xi."""
+    times, Ys = propagate_interval(p, grid, i, M)
+    return times, Ys[..., :p.n], Ys[..., p.n:-1], Ys[..., -1]
+
+
+def _interval_half_grid(grid, i, M):
+    """Interval i's half grid and step, as propagate_interval forms them."""
+    return transition._half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+
+
 class TestPropagateInterval:
     def test_zero_dynamics_identity(self):
         p = sq.validate_problem(make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[1.0]],
                                              R=[[1.0]], S=[[0.0]], q_a=[1.0]))
-        prop = propagate_interval(p, sq.uniform_grid(1, 0, 1), 0, M=8)
-        for Z in prop.Zs:
+        times, Zs, Gammas, Xis = _propagate(p, sq.uniform_grid(1, 0, 1), 0, M=8)
+        for Z in Zs:
             assert np.allclose(Z, np.eye(1), atol=1e-14)
         # Gamma(tau) = tau for B = 1, and xi stays zero.
-        assert np.allclose(prop.Gammas[:, 0, 0], prop.nodes, atol=1e-14)
-        assert np.allclose(prop.Xis, 0.0, atol=0.0)
+        assert np.allclose(Gammas[:, 0, 0], times, atol=1e-14)
+        assert np.allclose(Xis, 0.0, atol=0.0)
 
     def test_scalar_exponential(self, dontchev, analytic):
-        prop = propagate_interval(dontchev, sq.uniform_grid(1, 0, 1), 0, M=64)
-        assert prop.Zs[-1][0, 0] == pytest.approx(analytic["Z10"], abs=1e-10)
-        assert prop.Gammas[-1][0, 0] == pytest.approx(analytic["ZB0"], abs=1e-10)
-        assert prop.substeps == 64
+        times, Zs, Gammas, _ = _propagate(dontchev, sq.uniform_grid(1, 0, 1), 0, M=64)
+        assert Zs[-1][0, 0] == pytest.approx(analytic["Z10"], abs=1e-10)
+        assert Gammas[-1][0, 0] == pytest.approx(analytic["ZB0"], abs=1e-10)
+        assert times.shape == (2 * 64 + 1,)
 
     def test_node_endpoints_bitwise(self, dontchev):
         grid = sq.grid_from_durations([0.3, 0.7], 0.0, 1.0)
         for i in range(grid.N):
-            prop = propagate_interval(dontchev, grid, i, M=4)
-            assert prop.nodes[0] == grid.s[i]
-            assert prop.nodes[-1] == grid.s[i + 1]
-            assert len(prop.nodes) == 2 * 4 + 1
+            times, _ = propagate_interval(dontchev, grid, i, M=4)
+            assert times[0] == grid.s[i]
+            assert times[-1] == grid.s[i + 1]
+            assert len(times) == 2 * 4 + 1
 
     def test_forcing_accumulates(self, timevarying):
-        prop = propagate_interval(timevarying, sq.uniform_grid(2, 0, 1), 1, M=16)
+        _, Zs, _, Xis = _propagate(timevarying, sq.uniform_grid(2, 0, 1), 1, M=16)
         # omega(t) = [0, 0.2 t] is nonzero on [0.5, 1], so xi must move.
-        assert np.linalg.norm(prop.Xis[-1]) > 1e-4
-        assert np.all(np.isfinite(prop.Zs))
+        assert np.linalg.norm(Xis[-1]) > 1e-4
+        assert np.all(np.isfinite(Zs))
 
     def test_gamma_matches_simpson_reconstruction(self, timevarying):
         grid = sq.uniform_grid(1, 0, 1)
         M = 32
-        prop = propagate_interval(timevarying, grid, 0, M)
+        times, Zs, Gammas, Xis = _propagate(timevarying, grid, 0, M)
         w = sq.simpson_weights(2 * M + 1, float(grid.h[0]) / (2 * M))
-        Zend = prop.Zs[-1]
-        gamma = np.zeros_like(prop.Gammas[-1])
-        xi = np.zeros_like(prop.Xis[-1])
-        for k, s in enumerate(prop.nodes):
-            Zfrom = Zend @ np.linalg.inv(prop.Zs[k])
+        Zend = Zs[-1]
+        gamma = np.zeros_like(Gammas[-1])
+        xi = np.zeros_like(Xis[-1])
+        for k, s in enumerate(times):
+            Zfrom = Zend @ np.linalg.inv(Zs[k])
             gamma += w[k] * (Zfrom @ timevarying.B(s))
             xi += w[k] * (Zfrom @ timevarying.omega(s))
-        assert np.linalg.norm(prop.Gammas[-1] - gamma) <= 1e-7
-        assert np.linalg.norm(prop.Xis[-1] - xi) <= 1e-7
+        assert np.linalg.norm(Gammas[-1] - gamma) <= 1e-7
+        assert np.linalg.norm(Xis[-1] - xi) <= 1e-7
 
     def test_fourth_order_convergence(self, timevarying):
         grid = sq.uniform_grid(1, 0, 1)
-        ref = propagate_interval(timevarying, grid, 0, M=1024).Zs[-1]
+        ref = _propagate(timevarying, grid, 0, M=1024)[1][-1]
         errs = []
         for M in (4, 8, 16):
-            Z = propagate_interval(timevarying, grid, 0, M).Zs[-1]
+            Z = _propagate(timevarying, grid, 0, M)[1][-1]
             errs.append(np.linalg.norm(Z - ref))
         for e0, e1 in zip(errs, errs[1:]):
             assert 8.0 <= e0 / e1 <= 32.0
@@ -113,7 +124,7 @@ def test_horizon_half_grid_bitwise_per_interval(grid, M):
     half, delta = transition._horizon_half_grid(grid, M)
     assert half.shape == (grid.N, 4 * M + 1) and delta.shape == (grid.N,)
     for i in range(grid.N):
-        half_i, delta_i = transition._interval_half_grid(grid, i, M)
+        half_i, delta_i = _interval_half_grid(grid, i, M)
         assert half[i].tobytes() == half_i.tobytes()
         assert np.float64(delta[i]).tobytes() == np.float64(delta_i).tobytes()
 
@@ -179,12 +190,13 @@ def _reference_simulate_state(p, u, M, dtype=float):
     q = np.asarray(p.q_a, dtype=dtype)[:, None]
     times, qs = [], []
     for i in range(u.grid.N):
-        half, delta = transition._interval_half_grid(u.grid, i, M)
+        half, delta = _interval_half_grid(u.grid, i, M)
         nodes = _reference_state_run(p, half, delta, q, u.U[i][:, None], dtype)
         times.append(half[::2])
         qs.append(nodes[..., 0])
         q = nodes[-1]
-    return simulate.Trajectory(grid=u.grid, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0])
+    return simulate.Trajectory(grid=u.grid, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0],
+                               dynamics=(p.A, p.B, p.omega))
 
 
 def _reference_costs_of_control_batch(p, grid, Us, M):
@@ -242,8 +254,7 @@ def _kernel_outputs(p, grid, M):
     rng = np.random.default_rng(M)
     out = []
     for i in range(grid.N):
-        prop = propagate_interval(p, grid, i, M)
-        out += [prop.Zs, prop.Gammas, prop.Xis]
+        out += _propagate(p, grid, i, M)[1:]
     u = sq.PiecewiseConstantControl(grid, rng.uniform(-1.0, 1.0, size=(grid.N, p.m)))
     traj = sq.simulate_state(p, u, M)
     out += [traj.qs, traj.q_end, sq.simulate_costate(p, traj, M).ps]
@@ -293,20 +304,21 @@ def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
                                          W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
                                          omega=[0.5, -0.5]))
     grid = sq.uniform_grid(1, 0, 1)
-    prop = propagate_interval(p, grid, 0, M)
+    got = _propagate(p, grid, 0, M)[1:]
     with monkeypatch.context() as mp:
         _use_reference_kernel(mp)
-        ref = propagate_interval(p, grid, 0, M)
-    for g, r in ((prop.Zs, ref.Zs), (prop.Gammas, ref.Gammas), (prop.Xis, ref.Xis)):
+        ref = _propagate(p, grid, 0, M)[1:]
+    for g, r in zip(got, ref):  # Z, Gamma and xi
         assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+    Zs = got[0]
     if lam_delta > 2.785:
         # Past the limit both kernels grow by the RK4 amplification factor
         # R(-3) = 1.375 per step, 2M steps, and neither raises: there is no
         # guard on ||A|| * delta yet (ROADMAP item 8).
-        assert np.all(np.isfinite(prop.Zs))
-        assert prop.Zs[-1][0, 0] == pytest.approx(1.375 ** (2 * M), rel=1e-12)
+        assert np.all(np.isfinite(Zs))
+        assert Zs[-1][0, 0] == pytest.approx(1.375 ** (2 * M), rel=1e-12)
     else:
-        assert np.max(np.abs(prop.Zs)) <= 1.0
+        assert np.max(np.abs(Zs)) <= 1.0
 
 
 # -- the scan's rounding error over a long horizon against the serial recurrence --
@@ -356,12 +368,12 @@ def test_propagation_within_one_ulp_of_long_double_loop(source):
     M = 32
     ld = np.longdouble
     for i in range(grid.N):
-        prop = propagate_interval(p, grid, i, M)
-        half, delta = transition._interval_half_grid(grid, i, M)
+        _, Ys = propagate_interval(p, grid, i, M)
+        half, delta = _interval_half_grid(grid, i, M)
         As = p.A.eval_many(half)
         forcing = np.concatenate((np.zeros(As.shape), p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
-        ref = _reference_rk4_linear(As.astype(ld), forcing.astype(ld), np.eye(p.n, prop.Ys.shape[-1], dtype=ld), ld(delta))
-        assert np.max(np.abs(prop.Ys - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
+        ref = _reference_rk4_linear(As.astype(ld), forcing.astype(ld), np.eye(p.n, Ys.shape[-1], dtype=ld), ld(delta))
+        assert np.max(np.abs(Ys - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("M", [1, 64])
@@ -371,9 +383,9 @@ def test_subnormal_step_rejected_where_grids_meet_M(dontchev, M):
     with pytest.raises(InvalidInterval, match="smallest normal float"):
         transition._horizon_half_grid(grid, M)
     with pytest.raises(InvalidInterval, match="smallest normal float"):
-        transition._interval_half_grid(grid, 0, M)
+        propagate_interval(dontchev, grid, 0, M)
     # the other interval's step is normal, as are both at 1e-300
-    assert transition._interval_half_grid(grid, 1, M)[1] == 1.0 / (2 * M)
+    assert np.all(np.diff(propagate_interval(dontchev, grid, 1, M)[0]) == 1.0 / (2 * M))
     assert transition._horizon_half_grid(sq.grid_from_durations([1e-300, 1.0], 0.0, 1.0), M)[1][0] > 0
     with pytest.raises(InvalidInterval, match="smallest normal float"):
         simulate.simulate_state(dontchev, simulate.PiecewiseConstantControl(grid, np.zeros((2, 1))), M)
