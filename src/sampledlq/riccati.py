@@ -10,7 +10,11 @@ interval's map z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0:
 
 1/2 z^T X_i z is the cost from s_i on, optimal after s_{i+1}, and V_i, its
 minimum over U, is one Schur complement.  `numpy.linalg.cholesky` gives L_i,
-and a T_i that is not positive definite raises `TNotPD(i)`.  `RiccatiSweep`
+and a T_i that is not positive definite raises `TNotPD(i)`.  A forward and a
+back substitution then solve for feedback_i in place, a row at a time, each
+row scaled by 1 / L_i[j, j] rather than divided by it: that is how
+OpenBLAS's trsm scales, so for m = 1 the result is bitwise LAPACK's
+`solve(L^T, solve(L, .))` without its Python-level wrappers.  `RiccatiSweep`
 stacks the forms on a leading index axis: X (N, n+m+1, n+m+1), feedback
 (N, m, n+1) and V (N+1, n+1, n+1), whose last row is V_N.  The paper's names
 are read-only views carrying that axis (segments as in `transition.ZView`):
@@ -116,8 +120,18 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
                 L = np.linalg.cholesky(Xi[U, U])
             except np.linalg.LinAlgError as exc:
                 raise TNotPD(i) from exc
-            np.negative(np.linalg.solve(L.T, np.linalg.solve(L, Xi[U, yo])), out=feedback[i])
-            form = Xi[yo, U] @ feedback[i]
+            f = feedback[i]
+            np.negative(Xi[U, yo], out=f)
+            scale = 1.0 / L.diagonal()
+            for j in range(m):  # L w = f, then L^T f = w, a row at a time in place
+                if j:
+                    f[j] -= L[j, :j] @ f[:j]
+                f[j] *= scale[j]
+            for j in reversed(range(m)):
+                if j < m - 1:
+                    f[j] -= L[j + 1:, j] @ f[j + 1:]
+                f[j] *= scale[j]
+            form = Xi[yo, U] @ f
             form += Xi[yo_yo]
             np.add(form, form.T, out=V[i])
             V[i] *= 0.5

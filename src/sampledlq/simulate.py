@@ -87,6 +87,8 @@ class CostateTrajectory:
     times: np.ndarray  # (N, 2M+1)
     ps: np.ndarray     # (N, 2M+1, n)
     p_end: np.ndarray
+    dynamics: tuple    # the state run's (A, B, omega)
+    weights: tuple     # the problem's (W, x_ref, S, q_b), which with dynamics fix ps
 
     @property
     def substeps(self) -> int:
@@ -99,9 +101,16 @@ def _check_control_dim(p: LQProblem, m: int) -> None:
 
 
 def _check_dynamics(p: LQProblem, record, what: str) -> None:
-    """record (blocks or a trajectory) must come from p's own A, B and omega objects."""
+    """record (blocks or a run) must come from p's own A, B and omega objects."""
     if any(c is not d for c, d in zip(record.dynamics, (p.A, p.B, p.omega))):
         raise NodeMismatch(f"{what} computed for other dynamics (A, B or omega)")
+
+
+def _check_trajectory(p: LQProblem, traj: Trajectory) -> None:
+    """traj must be a run of p's dynamics from p's q_a, which its first node holds bitwise."""
+    _check_dynamics(p, traj, "trajectory was")
+    if not np.array_equal(traj.qs[0, 0], p.q_a):
+        raise NodeMismatch("trajectory was run from another start state than q_a")
 
 
 def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
@@ -187,10 +196,10 @@ def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
 
 
 def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> np.ndarray:
-    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]; traj must be a run of p's dynamics."""
+    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]; traj must be a run of p's dynamics from q_a."""
     if not np.array_equal(traj.grid.s, u.grid.s):
         raise NodeMismatch("trajectory and control use different grids")
-    _check_dynamics(p, traj, "trajectory was")
+    _check_trajectory(p, traj)
     delta = traj.grid.h / (2 * traj.substeps)
     return _running_cost(p, traj.times, delta, traj.qs, u.U[:, None])
 
@@ -220,21 +229,28 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
 
 
 def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
-    """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj, a run of p's dynamics."""
+    """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj, a run of p's dynamics from q_a."""
     if traj.substeps != M:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
-    _check_dynamics(p, traj, "trajectory was")
+    _check_trajectory(p, traj)
     half, delta = _horizon_half_grid(traj.grid, M)
     p_end = -(p.S @ (traj.q_end - p.q_b))
     ps = _costate(p, half, delta, traj.qs, p_end)
-    return CostateTrajectory(grid=traj.grid, times=traj.times, ps=ps, p_end=p_end)
+    return CostateTrajectory(grid=traj.grid, times=traj.times, ps=ps, p_end=p_end,
+                             dynamics=traj.dynamics, weights=(p.W, p.x_ref, p.S, p.q_b))
 
 
 def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.ndarray:
-    """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds), one row per interval."""
+    """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds), one row per interval.
+
+    costate must come from p's own A, B, omega, W, x_ref, S and q_b objects.
+    """
     grid = costate.grid
     if not np.array_equal(sol.grid.s, grid.s):
         raise NodeMismatch("solution and costate use different grids")
+    _check_dynamics(p, costate, "costate was")
+    if any(c is not d for c, d in zip(costate.weights, (p.W, p.x_ref, p.S, p.q_b))):
+        raise NodeMismatch("costate was computed for other weights (W, x_ref, S or q_b)")
     U = np.asarray(sol.U, dtype=float)
     if U.shape[0] != grid.N:
         raise NodeMismatch(f"{U.shape[0]} coefficients for {grid.N} intervals")

@@ -58,35 +58,45 @@ def _half_grid(lo, hi, h, M: int):
     """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M.
 
     lo, hi and h are scalars, or arrays (N,) of interval ends and lengths,
-    which give one half grid per row (N, 4M+1) and N steps.
+    which give one half grid per row (N, 4M+1) and N steps.  The times are
+    `np.linspace(lo, hi, 4M+1)`'s, bitwise: k * ((hi - lo) / 4M) + lo, with
+    the last set to hi.  Every step's size must be a normal float: a
+    subnormal step has lost relative precision, so the RK4 run on it would
+    be quietly wrong.  That check also rules out a zero spacing, the one
+    case where linspace's arithmetic differs.
     """
     if M < 1:
         raise ValidationError(f"need M >= 1, got {M}")
     if 4 * M + 1 > INTP_MAX:
         raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes exceed the platform's array index range")
-    try:
-        # the time axis last; axis 0 for scalar ends skips linspace's moveaxis
-        half = np.linspace(lo, hi, 4 * M + 1, axis=np.ndim(lo))
-    except MemoryError:
-        raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes do not fit in memory") from None
-    return half, h / (2 * M)
-
-
-def _check_steps(smallest, M: int) -> None:
-    """A sampling interval's steps h / 2M must be normal floats.
-
-    A subnormal step has lost relative precision, so the RK4 run on it would
-    be quietly wrong.
-    """
+    delta = h / (2 * M)
+    smallest = abs(delta).min() if isinstance(delta, np.ndarray) else abs(delta)
     if smallest < TINY:
         raise InvalidInterval(f"step h/(2M) = {smallest:g} at M = {M} is below the smallest normal float")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    try:
+        half = np.arange(4 * M + 1, dtype=float) * ((hi - lo) / (4 * M))[..., None]
+    except MemoryError:
+        raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes do not fit in memory") from None
+    half += lo[..., None]
+    half[..., -1] = hi
+    return half, delta
 
 
 def _horizon_half_grid(grid: SamplingGrid, M: int):
     """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `propagate_interval`'s."""
-    half, delta = _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
-    _check_steps(delta.min(), M)
-    return half, delta
+    return _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
+
+
+def _add_identity(out: np.ndarray) -> None:
+    """out += [Id | 0] on each trailing (n, w) matrix, n <= w, as one add on a strided view of the diagonals.
+
+    out must be C-contiguous: on any other layout `reshape` would copy, and
+    the add would be lost.
+    """
+    n, w = out.shape[-2:]
+    diagonals = out.reshape(out.shape[:-2] + (-1,))[..., : n * (w + 1) : w + 1]
+    diagonals += 1.0
 
 
 def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
@@ -98,15 +108,14 @@ def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
     on Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi_k Y_k + [0 | psi_k]
     with [Phi_k - Id | psi_k] = maps[..., k], shape (..., K, n, n+c).  The
     increment is returned without adding Id, which would round away its low
-    bits.  The stages live in four step-sized buffers updated in place.
-    Overflow warnings are off, as in `_run_maps`: a map that overflows makes
-    the nodes non-finite.
+    bits.  The stages live in four step-sized C-contiguous buffers updated in
+    place.  A map that overflows makes the nodes non-finite; `_rk4_linear`,
+    the only caller, turns overflow warnings off.
     """
     n = As.shape[-1]
     delta = np.asarray(delta, dtype=float)[..., None, None, None]
     hd = 0.5 * delta
     sixth = delta / 6.0
-    diag = (Ellipsis, np.arange(n), np.arange(n))
     A0, A1, A2 = As[..., :-1:2, :, :], As[..., 1::2, :, :], As[..., 2::2, :, :]
     C0, C1, C2 = Cs[..., :-1:2, :, :], Cs[..., 1::2, :, :], Cs[..., 2::2, :, :]
 
@@ -119,21 +128,20 @@ def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
     def shifted(scale, k, out):
         """out = Y + scale * k."""
         np.multiply(scale, k, out=out)
-        out[diag] += 1.0
+        _add_identity(out)
         return out
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = np.concatenate((A0, C0), axis=-1)  # A0 @ Y + [0 | C0]
-        T = shifted(hd, k1, np.empty_like(k1))
-        k2 = stage(A1, T, C1, np.empty_like(k1))
-        k3 = stage(A1, shifted(hd, k2, T), C1, np.empty_like(k1))
-        k2 += k3
-        k4 = stage(A2, shifted(delta, k3, T), C2, k3)
-        # sixth * (k1 + 2 (k2 + k3) + k4), summed in that order
-        k2 *= 2.0
-        k1 += k2
-        k1 += k4
-        k1 *= sixth
+    k1 = np.concatenate((A0, C0), axis=-1)  # A0 @ Y + [0 | C0]
+    T = shifted(hd, k1, np.empty(k1.shape))
+    k2 = stage(A1, T, C1, np.empty(k1.shape))
+    k3 = stage(A1, shifted(hd, k2, T), C1, np.empty(k1.shape))
+    k2 += k3
+    k4 = stage(A2, shifted(delta, k3, T), C2, k3)
+    # sixth * (k1 + 2 (k2 + k3) + k4), summed in that order
+    k2 *= 2.0
+    k1 += k2
+    k1 += k4
+    k1 *= sixth
     return k1
 
 
@@ -150,20 +158,18 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     the scan to the serial recurrence's accuracy.  At level d, entry j >= d
     holds the composite of the d maps ending at step j and takes in the one
     ending d steps earlier.  Composites can overflow before the nodes
-    would; warnings are off here, and every caller checks its nodes for
-    finiteness.
+    would; `_rk4_linear`, the only caller, turns overflow warnings off, and
+    every caller of it checks its nodes for finiteness.
     """
     K, n = maps.shape[-3:-1]
-    diag = (Ellipsis, np.arange(n), np.arange(n))
     out = np.zeros(maps.shape[:-3] + (K + 1,) + maps.shape[-2:])
     E = out[..., 1:, :, :]
     E[...] = maps
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = 1
-        while d < K:
-            E[..., d:, :, :] += E[..., :-d, :, :] + E[..., d:, :, :n] @ E[..., :-d, :, :]
-            d *= 2
-    out[diag] += 1.0
+    d = 1
+    while d < K:
+        E[..., d:, :, :] += E[..., :-d, :, :] + E[..., d:, :, :n] @ E[..., :-d, :, :]
+        d *= 2
+    _add_identity(out)
     return out
 
 
@@ -172,9 +178,12 @@ def _rk4_linear(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
 
     As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
     one half grid or on a stack of them; delta is a scalar or one step per
-    grid.  A run from y under the forcing C v is Z y + G v.
+    grid.  A run from y under the forcing C v is Z y + G v.  Overflow and
+    invalid-value warnings are off for the whole run: a run that overflows
+    has non-finite nodes, which every caller checks.
     """
-    return _run_maps(_step_maps(As, Cs, delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run_maps(_step_maps(As, Cs, delta))
 
 
 def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
@@ -192,7 +201,6 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int):
     if not 0 <= i < grid.N:
         raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
     half, delta = _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
-    _check_steps(delta, M)
     Ys = _affine_nodes(p, half, delta)
     if not np.isfinite(Ys).all():
         raise NonFinite(f"propagation diverged on interval {i}")

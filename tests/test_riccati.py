@@ -314,6 +314,20 @@ def _reference_case(source):
     return p, sq.grid_from_durations(np.array([0.2, 0.5, 0.3]) * (p.b - p.a), p.a, p.b)
 
 
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo", 2, 3, 8, 11, 12, 20])
+def test_one_control_feedback_is_lapack_solve_bitwise(source):
+    # For m = 1 the sweep's in-place substitutions scale by 1 / L_00, as trsm does, so the
+    # feedback is bitwise numpy.linalg's solve pair on the same X_i and Cholesky factor.
+    p, grid = _reference_case(source)
+    assert p.m == 1
+    _, sweep, _ = sq.solve(p, grid, M=16)
+    yo = np.r_[0:p.n, p.n + 1]
+    for i in range(sweep.N):
+        L = np.linalg.cholesky(sweep.T[i])
+        ref = -np.linalg.solve(L.T, np.linalg.solve(L, sweep.X[i][p.n:p.n + 1, yo]))
+        assert sweep.feedback[i].tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(30)))
 def test_quadratic_forms_match_per_block_formulas(source):
     p, grid = _reference_case(source)

@@ -143,6 +143,21 @@ class TestSimulateState:
         weighted = replace(dontchev, W=sq.CoefficientFunction.constant([[3.0]]))
         assert sq.evaluate_cost(weighted, u, calm) == sq.evaluate_cost(weighted, u, sq.simulate_state(weighted, u, 8))
 
+    def test_trajectory_from_another_start_rejected(self, dontchev):
+        # dontchev's run from q_a = 1 would cost 1.7183 and give p(a) = -3.437 for q_a = 2,
+        # whose own run costs 6.8731 and gives p(a) = -6.873
+        grid = sq.uniform_grid(3, 0, 1)
+        u = zero_control(grid)
+        run = sq.simulate_state(dontchev, u, 8)
+        moved = replace(dontchev, q_a=np.array([2.0]))
+        for call in (lambda: sq.evaluate_cost(moved, u, run), lambda: sq.running_costs(moved, u, run),
+                     lambda: sq.simulate_costate(moved, run, 8)):
+            with pytest.raises(NodeMismatch, match="start state"):
+                call()
+        own = sq.simulate_state(moved, u, 8)
+        assert sq.evaluate_cost(moved, u, own) == pytest.approx(6.8731, abs=1e-4)
+        assert sq.simulate_costate(moved, own, 8).ps[0, 0, 0] == pytest.approx(-6.873, abs=1e-3)
+
 
 class TestCost:
     def test_zero_control_cost(self, dontchev, analytic):
@@ -278,6 +293,19 @@ class TestSampledResidual:
         r = sq.pmp_residual_sampled(timevarying, sol, costate)
         assert r.shape == (3, 1)
 
+    def test_costate_of_another_problem_rejected(self, dontchev):
+        # dontchev's own costate gives residual 9.7e-6; with B = 3 the same costate gave 2.67
+        grid = sq.uniform_grid(3, 0, 1)
+        _, _, sol = sq.solve(dontchev, grid, M=8)
+        costate = sq.simulate_costate(dontchev, sq.simulate_state(dontchev, sq.PiecewiseConstantControl(grid, sol.U), 8), 8)
+        assert np.max(np.abs(sq.pmp_residual_sampled(dontchev, sol, costate))) == pytest.approx(9.7e-6, rel=0.01)
+        three = sq.CoefficientFunction.constant([[3.0]])
+        for changes, what in [({"B": three}, "other dynamics"), ({"A": three}, "other dynamics"),
+                              ({"W": three}, "other weights"), ({"x_ref": sq.CoefficientFunction.constant([1.0])}, "other weights"),
+                              ({"S": np.array([[3.0]])}, "other weights"), ({"q_b": np.array([1.0])}, "other weights")]:
+            with pytest.raises(NodeMismatch, match=what):
+                sq.pmp_residual_sampled(replace(dontchev, **changes), sol, costate)
+
 
 class TestPermanentControl:
     def test_reference_residual_small(self, dontchev_entry, dontchev):
@@ -287,6 +315,21 @@ class TestPermanentControl:
     def test_zero_control_not_stationary(self, dontchev):
         res = sq.pmp_residual_permanent(dontchev, lambda t: np.zeros(1), M=128)
         assert res >= 0.1
+
+    def test_subnormal_dense_step_rejected(self):
+        # on [0, 1e-305] at M = 512 the step is 9.8e-309, below the smallest normal float,
+        # as on the sampled runs; at M = 1 it is 5e-306
+        tiny = sq.validate_problem(make_problem(0, 1e-305, A=[[0.5]], B=[[1.0]], W=[[1.0]],
+                                                R=[[1.0]], S=[[0.0]], q_a=[1.0]))
+
+        def zero(t):
+            return np.zeros(1)
+
+        for run in (lambda: sq.cost_of_permanent(tiny, zero, M=512), lambda: sq.pmp_residual_permanent(tiny, zero, M=512),
+                    lambda: sq.simulate_state(tiny, zero_control(sq.uniform_grid(1, 0, 1e-305)), M=512)):
+            with pytest.raises(InvalidInterval, match="smallest normal float"):
+                run()
+        assert sq.cost_of_permanent(tiny, zero, M=1) == pytest.approx(1e-305, rel=1e-12)
 
     def test_reference_cost(self, dontchev_entry, dontchev, analytic):
         cost = sq.cost_of_permanent(dontchev, dontchev_entry.reference_control, M=512)

@@ -129,6 +129,28 @@ def test_horizon_half_grid_bitwise_per_interval(grid, M):
         assert np.float64(delta[i]).tobytes() == np.float64(delta_i).tobytes()
 
 
+def _linspace_grids(a, b):
+    """uniform:N for N in 1, 3, 7, 64, 1000 and two seeded durations: grids on [a, b]."""
+    grids = [sq.uniform_grid(N, a, b) for N in (1, 3, 7, 64, 1000)]
+    for seed, N in ((0, 5), (1, 50)):
+        d = np.random.default_rng(seed).uniform(1.0, 4.0, size=N)
+        grids.append(sq.grid_from_durations(d / d.sum() * (b - a), a, b))
+    return grids
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 24, 64, 512])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-3.7, 2.1), (1e6, 1e6 + 1.0), (0.0, 1.3)])
+def test_half_grid_is_linspace_bitwise(a, b, M):
+    # _half_grid repeats linspace's arithmetic without calling it, for scalar and stacked ends;
+    # M = 3 and 24 make 4M no power of two, so the order of the division shows
+    for grid in _linspace_grids(a, b):
+        stacked, _ = transition._horizon_half_grid(grid, M)
+        for i in range(grid.N):
+            ref = np.linspace(grid.s[i], grid.s[i + 1], 4 * M + 1).tobytes()
+            assert stacked[i].tobytes() == ref
+            assert _interval_half_grid(grid, i, M)[0].tobytes() == ref
+
+
 # -- the step-map kernel against the stage-by-stage RK4 loop it replaced ------
 
 
