@@ -31,10 +31,12 @@ these nodes (`simulate.simulate_state`) instead of forming them again.
 `compute_all_blocks` returns one stack: row i of step (N, n, n+m+1),
 state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
 (N, 2M+1, n, n+m+1) and times (N, 2M+1) is interval i, and each view above
-carries that axis too (blocks.Zstep[i] is interval i's).  Two per-interval
-kernels fill row i in place: `transition.propagate_interval` gives the
-interval's node times and nodes, and `compute_blocks` its two quadratic
-forms; step is then read off the stacked nodes once.
+carries that axis too (blocks.Zstep[i] is interval i's).  Two kernels run
+once per interval: `transition.propagate_interval` fills row i of times and
+Ys, and `compute_blocks` forms row i of state_cost.  The rest runs once per
+solve on the stacked node times: the Simpson weights, W, x, R and v (one
+`eval_many` each), every control_cost in one einsum, the symmetrization of
+both forms, and step, read off the stacked nodes.
 """
 
 from __future__ import annotations
@@ -109,23 +111,11 @@ def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
     return _simpson_pattern(num_nodes) * (delta / 3.0)
 
 
-def compute_blocks(p: LQProblem, times: np.ndarray, Ys: np.ndarray):
-    """One interval's (state_cost, control_cost), by composite Simpson on its node times and nodes."""
-    w = simpson_weights(times.shape[0], (times[-1] - times[0]) / (times.shape[0] - 1))
-
-    Wk = p.W.eval_many(times)
-    Rk = p.R.eval_many(times)
-    xk = p.x_ref.eval_many(times)
-    vk = p.v_ref.eval_many(times)
-
+def compute_blocks(w: np.ndarray, Wk: np.ndarray, xk: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """One interval's state form, not yet symmetrized, by Simpson weights w on its nodes Ys and W, x there."""
     Y = Ys.copy()  # [Z | Gamma | xi - x]
     Y[..., -1] -= xk
-    Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
-    Iv[..., :-1] = np.eye(p.m)
-    np.negative(vk, out=Iv[..., -1])
-    state_cost = np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
-    control_cost = np.einsum("k,kai,kaj->ij", w, Iv, Rk @ Iv)
-    return 0.5 * (state_cost + state_cost.T), 0.5 * (control_cost + control_cost.T)
+    return np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
 
 
 def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBlocks:
@@ -135,10 +125,19 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     check_grid(p, grid)
     for i in range(grid.N):
         t, Y = propagate_interval(p, grid, i, M)
-        state, control = compute_blocks(p, t, Y)
         if i == 0:  # after the first call, so a bad M raises its own error first
-            times, Ys, state_cost, control_cost = (np.empty((grid.N,) + a.shape) for a in (t, Y, state, control))
-        times[i], Ys[i], state_cost[i], control_cost[i] = t, Y, state, control
+            times, Ys = np.empty((grid.N,) + t.shape), np.empty((grid.N,) + Y.shape)
+        times[i], Ys[i] = t, Y
+    K = times.shape[1]
+    w = simpson_weights(K, ((times[:, -1] - times[:, 0]) / (K - 1))[:, None])
+    Wk, Rk = p.W.eval_many(times), p.R.eval_many(times)
+    xk, vk = p.x_ref.eval_many(times), p.v_ref.eval_many(times)
+    state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])
+    Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
+    Iv[..., :-1] = np.eye(p.m)
+    np.negative(vk, out=Iv[..., -1])
+    control_cost = np.einsum("nk,nkai,nkaj->nij", w, Iv, Rk @ Iv)
+    state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
     step = Ys[:, -1].copy()
     step[-1, :, -1] -= p.q_b
     return IntervalBlocks(step, state_cost, control_cost, Ys, times, dynamics=(p.A, p.B, p.omega))

@@ -173,7 +173,7 @@ def _write_json(path: str, doc) -> None:
 
 
 def _vec_str(v, digits=10) -> str:
-    return "[" + ", ".join(f"{float(x):.{digits}g}" for x in np.atleast_1d(v)) + "]"
+    return "[" + ", ".join(f"{float(x):.{digits}g}" for x in v) + "]"
 
 
 def cmd_solve(args) -> int:
@@ -188,8 +188,8 @@ def cmd_solve(args) -> int:
     res_max = float(np.max(np.linalg.norm(residuals, axis=1)))
 
     print(f"problem: {label}  N={grid.N}  ||h||={grid.norm_delta:.10g}  M={M}")
-    for i in range(grid.N):
-        print(f"U[{i}] = {_vec_str(sol.U[i])}")
+    for i, u in enumerate(sol.U.tolist()):
+        print(f"U[{i}] = {_vec_str(u)}")
     print(f"predicted cost = {sol.predicted_cost:.10g}")
     print(f"simulated cost = {sol.simulated_cost:.10g}")
     print(f"q(b) = {_vec_str(traj.q_end)}")
@@ -209,8 +209,8 @@ def cmd_solve(args) -> int:
                 "predicted_cost": sol.predicted_cost,
                 "simulated_cost": sol.simulated_cost,
                 "steps": [
-                    {"i": i, "gain": sweep.gain[i].tolist(), "offset": sweep.offset[i].tolist()}
-                    for i in range(grid.N)
+                    {"i": i, "gain": gain, "offset": offset}
+                    for i, (gain, offset) in enumerate(zip(sweep.gain.tolist(), sweep.offset.tolist()))
                 ],
             })
         else:

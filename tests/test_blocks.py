@@ -186,7 +186,7 @@ class TestConsistency:
         assert all(a is b for a, b in zip(blocks.dynamics, (p.A, p.B, p.omega), strict=True))
         for i in range(grid.N):
             times, Ys = blocks_module.propagate_interval(p, grid, i, 8)
-            state_cost, control_cost = blocks_module.compute_blocks(p, times, Ys)
+            state_cost, control_cost = _reference_interval_forms(p, times, Ys)
             step = Ys[-1].copy()
             if i == grid.N - 1:
                 step[:, -1] -= p.q_b
@@ -197,7 +197,8 @@ class TestConsistency:
                 assert stacked[i].tobytes() == row.tobytes()  # bitwise, signed zeros too
 
     def test_no_broadcast_helper_per_interval(self, homogeneous, monkeypatch):
-        # one propagation and one block assembly per interval, and no np.broadcast_to on that path
+        # one propagation and one state form per interval, no np.broadcast_to on that path, and
+        # W, x, R and v evaluated once per solve, on every interval's node times (counted by identity)
         calls = {"broadcast_to": 0, "propagate_interval": 0, "compute_blocks": 0}
 
         def counting(module, name):
@@ -212,8 +213,37 @@ class TestConsistency:
         counting(np, "broadcast_to")
         counting(blocks_module, "propagate_interval")
         counting(blocks_module, "compute_blocks")
-        sq.compute_all_blocks(homogeneous, sq.uniform_grid(4, homogeneous.a, homogeneous.b), M=8)
+        p = homogeneous
+        names = {id(p.W): "W", id(p.x_ref): "x_ref", id(p.R): "R", id(p.v_ref): "v_ref"}
+        evals = dict.fromkeys(names.values(), 0)
+        eval_many = sq.CoefficientFunction.eval_many
+
+        def counting_eval(coefficient, ts):
+            if id(coefficient) in names:
+                evals[names[id(coefficient)]] += 1
+            return eval_many(coefficient, ts)
+
+        monkeypatch.setattr(sq.CoefficientFunction, "eval_many", counting_eval)
+        sq.compute_all_blocks(p, sq.uniform_grid(4, p.a, p.b), M=8)
         assert calls == {"broadcast_to": 0, "propagate_interval": 4, "compute_blocks": 4}
+        assert evals == {"W": 1, "x_ref": 1, "R": 1, "v_ref": 1}
+
+
+def _reference_interval_forms(p, times, Ys):
+    """One interval's symmetrized (state_cost, control_cost), formed on that interval alone."""
+    w = sq.simpson_weights(times.shape[0], (times[-1] - times[0]) / (times.shape[0] - 1))
+    Wk = p.W.eval_many(times)
+    Rk = p.R.eval_many(times)
+    xk = p.x_ref.eval_many(times)
+    vk = p.v_ref.eval_many(times)
+    Y = Ys.copy()  # [Z | Gamma | xi - x]
+    Y[..., -1] -= xk
+    Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
+    Iv[..., :-1] = np.eye(p.m)
+    np.negative(vk, out=Iv[..., -1])
+    state_cost = np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
+    control_cost = np.einsum("k,kai,kaj->ij", w, Iv, Rk @ Iv)
+    return 0.5 * (state_cost + state_cost.T), 0.5 * (control_cost + control_cost.T)
 
 
 # -- constant-coefficient blocks against Van Loan's exact integrals -------------

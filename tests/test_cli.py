@@ -106,6 +106,22 @@ class TestSolve:
         assert len(doc["U"]) == 2
         assert doc["steps"][0]["i"] == 0
 
+    @pytest.mark.parametrize("source, m", [(("--problem", "dontchev", "--grid", "uniform:4"), 1),
+                                           (("--random", "seed:1"), 2)])
+    def test_rows_follow_their_intervals(self, capsys, tmp_path, source, m):
+        # steps[i] and the U[i] line are interval i's, so a swapped or shifted row fails
+        path = tmp_path / "sol.json"
+        code, out, _ = run_cli(capsys, "solve", *source, "--substeps", "8", "--format", "json", "--out", str(path))
+        assert code == 0
+        problem, grid, _, _ = cli._resolve(cli.build_parser().parse_args(["solve", *source]))
+        _, sweep, sol, _ = cli._solve(problem, grid, 8)
+        steps = json.loads(path.read_text())["steps"]
+        U_lines = [line for line in out.splitlines() if line.startswith("U[")]
+        assert problem.m == m and len(steps) == len(U_lines) == grid.N > 1
+        for i in range(grid.N):
+            assert steps[i] == {"i": i, "gain": sweep.gain[i].tolist(), "offset": sweep.offset[i].tolist()}
+            assert U_lines[i] == f"U[{i}] = {cli._vec_str(sol.U[i])}"
+
     def test_json_file_is_one_indented_document(self, capsys, tmp_path):
         path = tmp_path / "sol.json"
         code, _, _ = run_cli(capsys, "solve", "--problem", "timevarying-demo", "--grid", "uniform:3",
