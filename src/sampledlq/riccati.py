@@ -25,8 +25,8 @@ are read-only views carrying that axis (segments as in `transition.ZView`):
 
 so K_i = Q_i - P_i^T T_i^{-1} P_i, J_i = G_i - P_i^T T_i^{-1} H_i and
 Y_i = F_i - <T_i^{-1} H_i, H_i>, with K[N] = S, J[N] = 0 and Y[N] = 0.  The
-optimal coefficients follow forward as U_i = feedback_i [q(s_i); 1], and the
-optimal cost is V_0(q_a).
+optimal coefficients follow forward as U_i = feedback_i [q(s_i); 1], on the
+grid the blocks record, and the optimal cost is V_0(q_a).
 
 Because the last interval's step absorbs the -q_b shift, the forward
 recursion's final node is the shifted terminal state q(b) - q_b; every stated
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import IntervalBlocks, compute_all_blocks
-from .errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, NonFinite, TNotPD
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
 from .problem import LQProblem, SamplingGrid
 from .transition import ZView
 
@@ -138,15 +138,13 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
     return RiccatiSweep(X=X, feedback=feedback, V=V)
 
 
-def forward_synthesis(
-    sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarray, grid: SamplingGrid
-) -> SampledSolution:
-    """Optimal coefficients and state samples on grid, the blocks' grid, by forward induction from q_a."""
+def forward_synthesis(sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarray) -> SampledSolution:
+    """Optimal coefficients and state samples on the blocks' grid, by forward induction from q_a."""
     N, (n, m) = sweep.N, sweep.dims
     if blocks.N != N:
         raise DimensionMismatch(f"sweep has {N} intervals, blocks {blocks.N}")
-    if not (np.array_equal(blocks.times[:, 0], grid.s[:-1]) and np.array_equal(blocks.times[:, -1], grid.s[1:])):
-        raise NodeMismatch("blocks were not computed on this grid")
+    if blocks.dims != (n, m):
+        raise DimensionMismatch(f"sweep has (n, m) = {(n, m)}, blocks {blocks.dims}")
     q_a = np.asarray(q_a, dtype=float)
     if q_a.shape != (n,):
         raise DimensionMismatch(f"q_a has shape {q_a.shape}, sweep expects {(n,)}")
@@ -159,7 +157,7 @@ def forward_synthesis(
         np.matmul(sweep.feedback[i], y1, out=U[i])
         z[n:-1] = U[i]
         np.matmul(blocks.step[i], z, out=q_nodes[i + 1])
-    return SampledSolution(grid=grid, U=U, q_nodes=q_nodes, predicted_cost=value_function(sweep, 0, q_a))
+    return SampledSolution(grid=blocks.grid, U=U, q_nodes=q_nodes, predicted_cost=value_function(sweep, 0, q_a))
 
 
 def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
@@ -189,5 +187,5 @@ def solve(p: LQProblem, grid: SamplingGrid, M: int = 64):
     """Full pipeline: blocks, backward sweep, forward synthesis; returns (blocks, sweep, solution)."""
     blocks = compute_all_blocks(p, grid, M)
     sweep = backward_sweep(blocks, p.S)
-    solution = forward_synthesis(sweep, blocks, p.q_a, grid=grid)
+    solution = forward_synthesis(sweep, blocks, p.q_a)
     return blocks, sweep, solution

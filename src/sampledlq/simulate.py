@@ -18,7 +18,10 @@ use linear interpolation of q.
 Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
 residual and the averaged control are each one Simpson reduction over them,
 and the cost quadrature here and the block quadrature integrate the same
-discrete functional.
+discrete functional.  A `Trajectory` records the control it ran and a
+`CostateTrajectory` the state run it followed, so the cost and the sampled
+residual take the control, the grid and the nodes from the record and
+cannot be handed another's.
 
 A batch of controls (the oracle's) marches only the zero control.  Its cost
 is quadratic in the controls, so each interval's cost about the zero-control
@@ -70,11 +73,17 @@ class PiecewiseConstantControl:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    grid: SamplingGrid
+    """The state run of one control, with the control it ran."""
+
+    control: PiecewiseConstantControl
     times: np.ndarray  # (N, 2M+1) node times; times[i] is interval i's
     qs: np.ndarray     # (N, 2M+1, n) states
     q_end: np.ndarray
     dynamics: tuple    # the problem's (A, B, omega), as in `IntervalBlocks`
+
+    @property
+    def grid(self) -> SamplingGrid:
+        return self.control.grid
 
     @property
     def substeps(self) -> int:
@@ -83,21 +92,12 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class CostateTrajectory:
-    grid: SamplingGrid
-    times: np.ndarray  # (N, 2M+1)
-    ps: np.ndarray     # (N, 2M+1, n)
+    """The costate along one state run, with that run."""
+
+    state: Trajectory
+    ps: np.ndarray     # (N, 2M+1, n), on state.times
     p_end: np.ndarray
-    dynamics: tuple    # the state run's (A, B, omega)
-    weights: tuple     # the problem's (W, x_ref, S, q_b), which with dynamics fix ps
-
-    @property
-    def substeps(self) -> int:
-        return (self.times.shape[1] - 1) // 2
-
-
-def _check_control_dim(p: LQProblem, m: int) -> None:
-    if m != p.m:
-        raise DimensionMismatch(f"control has m={m}, problem has m={p.m}")
+    weights: tuple     # the problem's (W, x_ref, S, q_b), which with the run fix ps
 
 
 def _check_dynamics(p: LQProblem, record, what: str) -> None:
@@ -147,7 +147,6 @@ def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np
     at the nodes or constant over them; returns (...).  A finite state too
     large for its cost to be finite raises NonFinite.
     """
-    _check_control_dim(p, us.shape[-1])
     w = simpson_weights(times.shape[-1], np.asarray(delta)[..., None])
     e = qs - p.x_ref.eval_many(times)
     du = us - p.v_ref.eval_many(times)
@@ -164,7 +163,7 @@ def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np
 def simulate_state(
     p: LQProblem, u: PiecewiseConstantControl, M: int = 64, blocks: Optional[IntervalBlocks] = None
 ) -> Trajectory:
-    """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a.
+    """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a; the run records u.
 
     One kernel call forms every interval's [Z | Gamma | xi] nodes, and the
     march applies them to [q_i; U_i; 1].  Given p's blocks on u's grid at
@@ -172,7 +171,8 @@ def simulate_state(
     same; blocks computed from other A, B or omega objects than p's, or
     whose node times are not this grid's at M, raise NodeMismatch.
     """
-    _check_control_dim(p, u.m)
+    if u.m != p.m:
+        raise DimensionMismatch(f"control has m={u.m}, problem has m={p.m}")
     grid = u.grid
     check_grid(p, grid)
     half, delta = _horizon_half_grid(grid, M)
@@ -187,7 +187,7 @@ def simulate_state(
             raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
         nodes = blocks.Ys
     qs, q_end = _march(nodes, p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
-    return Trajectory(grid=grid, times=times, qs=qs, q_end=q_end, dynamics=(p.A, p.B, p.omega))
+    return Trajectory(control=u, times=times, qs=qs, q_end=q_end, dynamics=(p.A, p.B, p.omega))
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -195,18 +195,16 @@ def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
     return float(0.5 * (d @ (p.S @ d)))
 
 
-def running_costs(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> np.ndarray:
-    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>]; traj must be a run of p's dynamics from q_a."""
-    if not np.array_equal(traj.grid.s, u.grid.s):
-        raise NodeMismatch("trajectory and control use different grids")
+def running_costs(p: LQProblem, traj: Trajectory) -> np.ndarray:
+    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>] on traj, a run of p's dynamics from q_a."""
     _check_trajectory(p, traj)
     delta = traj.grid.h / (2 * traj.substeps)
-    return _running_cost(p, traj.times, delta, traj.qs, u.U[:, None])
+    return _running_cost(p, traj.times, delta, traj.qs, traj.control.U[:, None])
 
 
-def evaluate_cost(p: LQProblem, u: PiecewiseConstantControl, traj: Trajectory) -> float:
-    """C(u) by composite Simpson on the trajectory nodes plus the terminal term."""
-    return float(np.sum(running_costs(p, u, traj)) + terminal_cost(p, traj.q_end))
+def evaluate_cost(p: LQProblem, traj: Trajectory) -> float:
+    """C(u) of traj's control u by composite Simpson on the trajectory nodes plus the terminal term."""
+    return float(np.sum(running_costs(p, traj)) + terminal_cost(p, traj.q_end))
 
 
 def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, p_end: np.ndarray) -> np.ndarray:
@@ -236,34 +234,27 @@ def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTraj
     half, delta = _horizon_half_grid(traj.grid, M)
     p_end = -(p.S @ (traj.q_end - p.q_b))
     ps = _costate(p, half, delta, traj.qs, p_end)
-    return CostateTrajectory(grid=traj.grid, times=traj.times, ps=ps, p_end=p_end,
-                             dynamics=traj.dynamics, weights=(p.W, p.x_ref, p.S, p.q_b))
+    return CostateTrajectory(state=traj, ps=ps, p_end=p_end, weights=(p.W, p.x_ref, p.S, p.q_b))
 
 
-def pmp_residual_sampled(p: LQProblem, sol, costate: CostateTrajectory) -> np.ndarray:
-    """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds), one row per interval.
+def pmp_residual_sampled(p: LQProblem, costate: CostateTrajectory) -> np.ndarray:
+    """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds), one row per interval, for the state run's control.
 
-    costate must come from p's own A, B, omega, W, x_ref, S and q_b objects.
+    costate's run must be one of p's dynamics from q_a, and costate must come
+    from p's own W, x_ref, S and q_b objects.
     """
-    grid = costate.grid
-    if not np.array_equal(sol.grid.s, grid.s):
-        raise NodeMismatch("solution and costate use different grids")
-    _check_dynamics(p, costate, "costate was")
+    traj = costate.state
+    _check_trajectory(p, traj)
     if any(c is not d for c, d in zip(costate.weights, (p.W, p.x_ref, p.S, p.q_b))):
         raise NodeMismatch("costate was computed for other weights (W, x_ref, S or q_b)")
-    U = np.asarray(sol.U, dtype=float)
-    if U.shape[0] != grid.N:
-        raise NodeMismatch(f"{U.shape[0]} coefficients for {grid.N} intervals")
-    if U.shape[1:] != (p.m,):
-        raise DimensionMismatch(f"control coefficients have shape {U.shape}, expected ({grid.N}, {p.m})")
-    times = costate.times
-    w = simpson_weights(times.shape[1], grid.h[:, None] / (2 * costate.substeps))
+    times = traj.times
+    w = simpson_weights(times.shape[1], traj.grid.h[:, None] / (2 * traj.substeps))
     R = p.R.eval_many(times)
     Rbar = np.einsum("ik,ikab->iab", w, R)
     RV = np.einsum("ik,ikab,ikb->ia", w, R, p.v_ref.eval_many(times))
     integral = np.einsum("ik,ikab,ika->ib", w, p.B.eval_many(times), costate.ps)
     Rbar = 0.5 * (Rbar + np.swapaxes(Rbar, -1, -2))
-    return U - np.linalg.solve(Rbar, (RV + integral)[..., None])[..., 0]
+    return traj.control.U - np.linalg.solve(Rbar, (RV + integral)[..., None])[..., 0]
 
 
 def _eval_control_function(u_fn: Callable, ts: np.ndarray, m: int) -> np.ndarray:

@@ -50,7 +50,7 @@ def solve_with_simulation(problem, grid, M):
     blocks, sweep, sol = sq.solve(problem, grid, M)
     control = sq.PiecewiseConstantControl(grid, sol.U)
     traj = sq.simulate_state(problem, control, M)
-    sol = sol.with_simulated_cost(sq.evaluate_cost(problem, control, traj))
+    sol = sol.with_simulated_cost(sq.evaluate_cost(problem, traj))
     return blocks, sweep, sol, traj
 
 
@@ -59,6 +59,6 @@ def max_relative_residual(problem, sol, M_res):
     control = sq.PiecewiseConstantControl(sol.grid, sol.U)
     traj = sq.simulate_state(problem, control, M_res)
     costate = sq.simulate_costate(problem, traj, M_res)
-    r = sq.pmp_residual_sampled(problem, sol, costate)
+    r = sq.pmp_residual_sampled(problem, costate)
     scale = 1.0 + np.linalg.norm(np.atleast_2d(sol.U), axis=1)
     return float(np.max(np.linalg.norm(r, axis=1) / scale))

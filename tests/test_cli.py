@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import inspect
 import io
 import json
 import os
@@ -495,14 +496,29 @@ TRACED_NAMES = (
     ("sampledlq.problem", "CoefficientFunction.eval_many"),
 )
 
+# what the tracer's computed counts read from a call's arguments, bound by name as it binds them
+COUNTER_READS = {
+    ("sampledlq.blocks", "propagate_interval"): lambda a: a["M"],
+    ("sampledlq.cli", "simulate_state"): lambda a: (a["u"].grid.N, a["M"]),
+    ("sampledlq.cli", "simulate_costate"): lambda a: (a["traj"].grid.N, a["M"]),
+    ("sampledlq.oracle", "costs_of_control_batch"): lambda a: np.shape(a["Us"]),
+}
+
 
 class TestTracedNames:
     def test_pipeline_calls_through_module_names(self, capsys, monkeypatch):
         calls = dict.fromkeys(TRACED_NAMES, 0)
+        reads = {key: set() for key in COUNTER_READS}
 
         def counting(key, fn):
+            signature = inspect.signature(fn)
+
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                if key in COUNTER_READS:
+                    bound = signature.bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    reads[key].add(COUNTER_READS[key](bound.arguments))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -516,6 +532,12 @@ class TestTracedNames:
             code, _, _ = run_cli(capsys, *argv, "--substeps", "8")
             assert code == 0
         assert all(calls.values()), [key for key, count in calls.items() if not count]
+        # the solve runs uniform:2 at M = 8; oracle-check's batches are (controls, N, m)
+        assert reads[("sampledlq.blocks", "propagate_interval")] == {8}
+        assert reads[("sampledlq.cli", "simulate_state")] == {(2, 8)}
+        assert reads[("sampledlq.cli", "simulate_costate")] == {(2, 8)}
+        batches = reads[("sampledlq.oracle", "costs_of_control_batch")]
+        assert batches and all(len(shape) == 3 and min(shape) > 0 for shape in batches)
 
 
 class TestConsoleScript:

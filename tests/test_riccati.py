@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import sampledlq as sq
-from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NodeMismatch, NonFinite, TNotPD
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval
 
@@ -141,9 +141,13 @@ class TestSynthesis:
         grid = sq.uniform_grid(2, 0, 1)
         blocks, sweep, _ = sq.solve(dontchev, grid, M=8)
         with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, replace(blocks, step=blocks.step[:1]), dontchev.q_a, grid)
+            sq.forward_synthesis(sweep, replace(blocks, step=blocks.step[:1]), dontchev.q_a)
         with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, blocks, np.zeros(2), grid)
+            sq.forward_synthesis(sweep, blocks, np.zeros(2))
+        # double-integrator's (n, m) = (2, 1) blocks on as many intervals as dontchev's (1, 1) sweep
+        di = sq.get_problem("double-integrator").problem
+        with pytest.raises(DimensionMismatch):
+            sq.forward_synthesis(sweep, sq.compute_all_blocks(di, sq.uniform_grid(2, di.a, di.b), M=8), dontchev.q_a)
         # one interval's blocks, not a stack: their rows are not intervals
         one = replace(blocks, step=blocks.step[0], state_cost=blocks.state_cost[0], control_cost=blocks.control_cost[0])
         with pytest.raises(DimensionMismatch):
@@ -152,16 +156,13 @@ class TestSynthesis:
             with pytest.raises(DimensionMismatch):
                 sq.value_function(sweep, j, [1.0, 2.0, 3.0])
 
-    def test_blocks_of_another_grid_rejected(self, dontchev):
-        # uniform:3's coefficients would be returned as the other grid's: predicted 0.8791, simulated 0.9145
+    def test_solution_on_the_blocks_grid(self, dontchev):
+        # the blocks record their grid, so no other grid can be named for their coefficients
         grid = sq.uniform_grid(3, 0, 1)
-        blocks, sweep, _ = sq.solve(dontchev, grid, M=8)
-        with pytest.raises(NodeMismatch):
-            sq.forward_synthesis(sweep, blocks, dontchev.q_a, sq.grid_from_durations([0.2, 0.3, 0.5], 0, 1))
-        # a tail grid's own blocks still serve it
-        tail = grid.tail(1)
-        tail_blocks, tail_sweep, _ = sq.solve(dontchev, tail, M=8)
-        assert sq.forward_synthesis(tail_sweep, tail_blocks, dontchev.q_a, tail).grid is tail
+        for g in (grid, grid.tail(1)):
+            blocks, sweep, sol = sq.solve(dontchev, g, M=8)
+            assert blocks.grid is g and sol.grid is g
+            assert sq.forward_synthesis(sweep, blocks, dontchev.q_a).grid is g
 
 
 class TestTailConsistency:
@@ -220,7 +221,7 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     grid = sq.uniform_grid(2, 0, 1)
     blocks, sweep, _ = sq.solve(timevarying, grid, M=8)
     cases = [
-        (blocks, ["step", "state_cost", "control_cost", "Ys", "times", "dynamics"],
+        (blocks, ["step", "state_cost", "control_cost", "Ys", "times", "grid", "dynamics"],
          ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
         (sweep, ["X", "feedback", "V"],
          ["G", "H", "P", "Q", "T", "K", "J", "gain", "offset"]),
@@ -228,7 +229,7 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     for obj, stored, views in cases:
         assert [f.name for f in fields(obj)] == stored
         for name in views:
-            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f != "dynamics")
+            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f not in ("grid", "dynamics"))
     assert sweep.X.shape == (2, 4, 4) and sweep.feedback.shape == (2, 1, 3) and sweep.V.shape == (3, 3, 3)
     assert np.array_equal(blocks.RV, -blocks.control_cost[..., :-1, -1])
     # a one-by-one block reads as an array over the stack

@@ -132,16 +132,16 @@ class TestSimulateState:
         u = zero_control(grid)
         calm = sq.simulate_state(dontchev, u, 8)
         steeper = replace(dontchev, A=sq.CoefficientFunction.constant([[2.0]]))
-        for run in (lambda: sq.evaluate_cost(steeper, u, calm), lambda: sq.running_costs(steeper, u, calm),
+        for run in (lambda: sq.evaluate_cost(steeper, calm), lambda: sq.running_costs(steeper, calm),
                     lambda: sq.simulate_costate(steeper, calm, 8)):
             with pytest.raises(NodeMismatch, match="other dynamics"):
                 run()
         own = sq.simulate_state(steeper, u, 8)
-        assert sq.evaluate_cost(steeper, u, own) == pytest.approx(13.3995, abs=1e-4)
+        assert sq.evaluate_cost(steeper, own) == pytest.approx(13.3995, abs=1e-4)
         assert sq.simulate_costate(steeper, own, 8).ps[0, 0, 0] == pytest.approx(-26.80, abs=1e-2)
         # other weights keep the dynamics, so the run still serves them
         weighted = replace(dontchev, W=sq.CoefficientFunction.constant([[3.0]]))
-        assert sq.evaluate_cost(weighted, u, calm) == sq.evaluate_cost(weighted, u, sq.simulate_state(weighted, u, 8))
+        assert sq.evaluate_cost(weighted, calm) == sq.evaluate_cost(weighted, sq.simulate_state(weighted, u, 8))
 
     def test_trajectory_from_another_start_rejected(self, dontchev):
         # dontchev's run from q_a = 1 would cost 1.7183 and give p(a) = -3.437 for q_a = 2,
@@ -150,12 +150,12 @@ class TestSimulateState:
         u = zero_control(grid)
         run = sq.simulate_state(dontchev, u, 8)
         moved = replace(dontchev, q_a=np.array([2.0]))
-        for call in (lambda: sq.evaluate_cost(moved, u, run), lambda: sq.running_costs(moved, u, run),
+        for call in (lambda: sq.evaluate_cost(moved, run), lambda: sq.running_costs(moved, run),
                      lambda: sq.simulate_costate(moved, run, 8)):
             with pytest.raises(NodeMismatch, match="start state"):
                 call()
         own = sq.simulate_state(moved, u, 8)
-        assert sq.evaluate_cost(moved, u, own) == pytest.approx(6.8731, abs=1e-4)
+        assert sq.evaluate_cost(moved, own) == pytest.approx(6.8731, abs=1e-4)
         assert sq.simulate_costate(moved, own, 8).ps[0, 0, 0] == pytest.approx(-6.873, abs=1e-3)
 
 
@@ -163,7 +163,7 @@ class TestCost:
     def test_zero_control_cost(self, dontchev, analytic):
         u = zero_control(sq.uniform_grid(2, 0, 1))
         traj = sq.simulate_state(dontchev, u, M=128)
-        assert sq.evaluate_cost(dontchev, u, traj) == pytest.approx(
+        assert sq.evaluate_cost(dontchev, traj) == pytest.approx(
             analytic["ORACLE_C"], abs=1e-10)
 
     def test_simulated_matches_predicted(self, dontchev, analytic):
@@ -171,7 +171,7 @@ class TestCost:
         _, _, sol = sq.solve(dontchev, grid, M=256)
         u = sq.PiecewiseConstantControl(grid, sol.U)
         traj = sq.simulate_state(dontchev, u, M=256)
-        cost = sq.evaluate_cost(dontchev, u, traj)
+        cost = sq.evaluate_cost(dontchev, traj)
         assert cost == pytest.approx(analytic["COST0"], abs=1e-10)
         assert cost == pytest.approx(sol.predicted_cost, abs=1e-10)
 
@@ -185,19 +185,24 @@ class TestCost:
         grid = sq.uniform_grid(3, 0, 1)
         u = sq.PiecewiseConstantControl(grid, np.array([[0.1], [0.2], [0.3]]))
         traj = sq.simulate_state(timevarying, u, M=64)
-        parts = sq.running_costs(timevarying, u, traj)
+        parts = sq.running_costs(timevarying, traj)
         assert parts.shape == (3,)
         assert np.all(parts >= 0.0)
-        total = sq.evaluate_cost(timevarying, u, traj)
+        total = sq.evaluate_cost(timevarying, traj)
         assert total == pytest.approx(np.sum(parts) + sq.terminal_cost(
             timevarying, traj.q_end), abs=1e-12)
 
-    def test_grid_mismatch_rejected(self, dontchev):
-        u = zero_control(sq.uniform_grid(2, 0, 1))
-        traj = sq.simulate_state(dontchev, u, M=8)
-        other = zero_control(sq.grid_from_durations([0.4, 0.6], 0.0, 1.0))
-        with pytest.raises(NodeMismatch):
-            sq.running_costs(dontchev, other, traj)
+    def test_cost_is_the_runs_own_control(self, dontchev):
+        # the run of the optimal control costs 0.8791 and the zero control's 1.7183; the
+        # optimal run's nodes under the zero control's coefficients would have read 0.4970
+        grid = sq.uniform_grid(3, 0, 1)
+        blocks, _, sol = sq.solve(dontchev, grid, M=8)
+        for u, expected in ((sq.PiecewiseConstantControl(grid, sol.U), 0.8791), (zero_control(grid), 1.7183)):
+            for traj in (sq.simulate_state(dontchev, u, 8), sq.simulate_state(dontchev, u, 8, blocks)):
+                assert traj.control is u and traj.grid is grid
+                cost = sq.evaluate_cost(dontchev, traj)
+                assert cost == sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, traj.control, 8))
+                assert cost == pytest.approx(expected, abs=1e-4)
 
     def test_batch_matches_loop(self):
         # every registry problem on an unequal grid and random seeds 0-29
@@ -214,7 +219,7 @@ class TestCost:
             batch = sq.costs_of_control_batch(p, grid, Us, M=32)
             for k in range(5):
                 u = sq.PiecewiseConstantControl(grid, Us[k])
-                single = sq.evaluate_cost(p, u, sq.simulate_state(p, u, M=32))
+                single = sq.evaluate_cost(p, sq.simulate_state(p, u, M=32))
                 assert abs(batch[k] - single) <= 1e-13 * (1.0 + abs(single))
 
     def test_batch_translation_invariant(self):
@@ -250,7 +255,7 @@ class TestCostate:
         u = zero_control(sq.uniform_grid(2, 0, 1))
         traj = sq.simulate_state(dontchev, u, M=256)
         costate = sq.simulate_costate(dontchev, traj, M=256)
-        for nodes, ps in zip(costate.times, costate.ps):
+        for nodes, ps in zip(costate.state.times, costate.ps):
             exact = -2.0 * np.exp(-0.5 * nodes) * (E - np.exp(nodes))
             assert np.allclose(ps[:, 0], exact, atol=1e-5)
 
@@ -290,21 +295,28 @@ class TestSampledResidual:
         u = sq.PiecewiseConstantControl(grid, sol.U)
         traj = sq.simulate_state(timevarying, u, M=64)
         costate = sq.simulate_costate(timevarying, traj, M=64)
-        r = sq.pmp_residual_sampled(timevarying, sol, costate)
+        r = sq.pmp_residual_sampled(timevarying, costate)
         assert r.shape == (3, 1)
 
     def test_costate_of_another_problem_rejected(self, dontchev):
         # dontchev's own costate gives residual 9.7e-6; with B = 3 the same costate gave 2.67
         grid = sq.uniform_grid(3, 0, 1)
         _, _, sol = sq.solve(dontchev, grid, M=8)
-        costate = sq.simulate_costate(dontchev, sq.simulate_state(dontchev, sq.PiecewiseConstantControl(grid, sol.U), 8), 8)
-        assert np.max(np.abs(sq.pmp_residual_sampled(dontchev, sol, costate))) == pytest.approx(9.7e-6, rel=0.01)
+        u = sq.PiecewiseConstantControl(grid, sol.U)
+        costate = sq.simulate_costate(dontchev, sq.simulate_state(dontchev, u, 8), 8)
+        assert np.max(np.abs(sq.pmp_residual_sampled(dontchev, costate))) == pytest.approx(9.7e-6, rel=0.01)
         three = sq.CoefficientFunction.constant([[3.0]])
         for changes, what in [({"B": three}, "other dynamics"), ({"A": three}, "other dynamics"),
+                              ({"q_a": np.array([2.0])}, "start state"),
                               ({"W": three}, "other weights"), ({"x_ref": sq.CoefficientFunction.constant([1.0])}, "other weights"),
                               ({"S": np.array([[3.0]])}, "other weights"), ({"q_b": np.array([1.0])}, "other weights")]:
             with pytest.raises(NodeMismatch, match=what):
-                sq.pmp_residual_sampled(replace(dontchev, **changes), sol, costate)
+                sq.pmp_residual_sampled(replace(dontchev, **changes), costate)
+        # the costate of the same control run from q_a = 2 gave dontchev's residual 2.83
+        moved = replace(dontchev, q_a=np.array([2.0]))
+        moved_costate = sq.simulate_costate(moved, sq.simulate_state(moved, u, 8), 8)
+        with pytest.raises(NodeMismatch, match="start state"):
+            sq.pmp_residual_sampled(dontchev, moved_costate)
 
 
 class TestPermanentControl:
@@ -370,11 +382,9 @@ class TestAveragedControl:
         grid = sq.uniform_grid(2, 0, 1)
         _, _, sol = sq.solve(dontchev, grid, M=128)
         u_star = sq.PiecewiseConstantControl(grid, sol.U)
-        cost_star = sq.evaluate_cost(dontchev, u_star,
-                                     sq.simulate_state(dontchev, u_star, M=128))
+        cost_star = sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, u_star, M=128))
         u_avg = sq.averaged_control(dontchev_entry.reference_control, grid, M=128)
-        cost_avg = sq.evaluate_cost(dontchev, u_avg,
-                                    sq.simulate_state(dontchev, u_avg, M=128))
+        cost_avg = sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, u_avg, M=128))
         cost_ref = sq.cost_of_permanent(dontchev, dontchev_entry.reference_control, M=512)
         assert cost_ref <= cost_star + 1e-12
         assert cost_star <= cost_avg + 1e-12
@@ -412,20 +422,10 @@ class TestTypedErrors:
         two = zero_control(grid, m=2)
         with pytest.raises(DimensionMismatch):
             sq.simulate_state(dontchev, two, M=8)
-        traj = sq.simulate_state(dontchev, zero_control(grid), M=8)
-        with pytest.raises(DimensionMismatch):
-            sq.running_costs(dontchev, two, traj)
         with pytest.raises(DimensionMismatch):
             sq.cost_of_permanent(dontchev, lambda t: np.zeros(2), M=8)
         with pytest.raises(DimensionMismatch):
             sq.pmp_residual_permanent(dontchev, lambda t: np.zeros(2), M=8)
-
-    def test_residual_control_dimension_checked(self):
-        p, grid = sq.random_problem(5)  # m = 3
-        _, _, sol = sq.solve(p, grid, M=16)
-        costate = sq.simulate_costate(p, sq.simulate_state(p, sq.PiecewiseConstantControl(grid, sol.U), M=16), M=16)
-        with pytest.raises(DimensionMismatch):
-            sq.pmp_residual_sampled(p, replace(sol, U=sol.U[:, :1]), costate)
 
     @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-0.5, 1.0), (0.0, 0.5)])
     def test_grid_off_problem_interval_rejected(self, dontchev, a, b):

@@ -217,14 +217,14 @@ def _reference_simulate_state(p, u, M, dtype=float):
         times.append(half[::2])
         qs.append(nodes[..., 0])
         q = nodes[-1]
-    return simulate.Trajectory(grid=u.grid, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0],
+    return simulate.Trajectory(control=u, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0],
                                dynamics=(p.A, p.B, p.omega))
 
 
 def _reference_costs_of_control_batch(p, grid, Us, M):
     """Test-only reference for costs_of_control_batch: one reference state run and cost per control."""
     controls = [sq.PiecewiseConstantControl(grid, U) for U in Us]
-    return np.array([sq.evaluate_cost(p, u, _reference_simulate_state(p, u, M)) for u in controls])
+    return np.array([sq.evaluate_cost(p, _reference_simulate_state(p, u, M)) for u in controls])
 
 
 def _reference_dense_state(p, u_fn, M):
