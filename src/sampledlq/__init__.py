@@ -16,7 +16,6 @@ from .problem import (
     grid_from_durations,
     load_problem,
     make_problem,
-    register_coefficient,
     uniform_grid,
     validate_problem,
 )

@@ -118,7 +118,7 @@ def _resolve(args):
 def _simulate(problem, control, M, blocks=None):
     """(trajectory, cost) of one control, marched on the blocks' nodes when given."""
     traj = simulate_state(problem, control, M, blocks)
-    return traj, evaluate_cost(problem, traj)
+    return traj, evaluate_cost(traj)
 
 
 def _solve(problem, grid, M):
@@ -183,8 +183,8 @@ def cmd_solve(args) -> int:
     # format the blocks now: their node stack is as large as the costate run, so drop it first
     block_lines = [json.dumps(blocks.to_jsonable(i)) for i in range(grid.N)] if args.debug_blocks else []
     del blocks
-    costate = simulate_costate(problem, traj, M)
-    residuals = pmp_residual_sampled(problem, costate)
+    costate = simulate_costate(traj, M)
+    residuals = pmp_residual_sampled(costate)
     res_max = float(np.max(np.linalg.norm(residuals, axis=1)))
 
     print(f"problem: {label}  N={grid.N}  ||h||={grid.norm_delta:.10g}  M={M}")

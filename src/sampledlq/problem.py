@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,14 +38,6 @@ TOL_PD = 1e-10
 PROBES = 33  # equally spaced times at which validate_problem checks the coefficients
 INTP_MAX = int(np.iinfo(np.intp).max)  # the largest array length or index
 
-# named coefficient callables usable from problem files: name -> (shape, fn)
-_BUILTIN_COEFFICIENTS: dict = {}
-
-
-def register_coefficient(name: str, shape, fn: Callable) -> None:
-    """Register a named pure callable for use as a 'builtin' coefficient."""
-    _BUILTIN_COEFFICIENTS[name] = (tuple(shape), fn)
-
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -57,8 +49,8 @@ class CoefficientFunction:
     """A pure time-dependent matrix or vector coefficient.
 
     kind is 'constant', 'poly' (per-entry polynomial in t, lowest degree
-    first) or 'builtin' (named callable).  Evaluation at equal times is
-    bitwise identical; for 'builtin' that purity is the callable's
+    first) or 'builtin' (a callable t -> array).  Evaluation at equal times
+    is bitwise identical; for 'builtin' that purity is the callable's
     responsibility.
 
     Parameters
@@ -105,13 +97,6 @@ class CoefficientFunction:
         stack = np.ascontiguousarray(np.moveaxis(stack.reshape(shape + (-1,)), -1, 0))
         stack.setflags(write=False)
         return cls("poly", shape, stack)
-
-    @classmethod
-    def builtin(cls, name: str) -> "CoefficientFunction":
-        if not isinstance(name, str) or name not in _BUILTIN_COEFFICIENTS:
-            raise ValidationError(f"unknown builtin coefficient: {name!r}")
-        shape, fn = _BUILTIN_COEFFICIENTS[name]
-        return cls("builtin", shape, fn, name=name)
 
     @classmethod
     def zeros(cls, shape) -> "CoefficientFunction":
@@ -193,7 +178,6 @@ def as_coefficient(value, shape, name: str) -> CoefficientFunction:
       - a CoefficientFunction, used as it is;
       - a callable t -> array, wrapped as a 'builtin' of the given shape;
       - {"poly": nested coefficient lists} (see `CoefficientFunction.poly`);
-      - {"builtin": name} of a coefficient added by `register_coefficient`;
       - an array (a scalar counts as a vector of length 1): a constant.
     The result must have the given shape, else DimensionMismatch; name is
     used only in error messages.
@@ -215,12 +199,10 @@ def as_coefficient(value, shape, name: str) -> CoefficientFunction:
 
 
 def _coefficient_object(value: dict, name: str) -> CoefficientFunction:
-    """The coefficient of a {"poly": ...} or {"builtin": name} object."""
+    """The coefficient of a {"poly": ...} object."""
     if "poly" in value:
         return CoefficientFunction.poly(value["poly"])
-    if "builtin" in value:
-        return CoefficientFunction.builtin(value["builtin"])
-    raise ValidationError(f"{name}: expected a nested array, 'poly' or 'builtin' object")
+    raise ValidationError(f"{name}: expected a nested array or a 'poly' object")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,10 +18,10 @@ use linear interpolation of q.
 Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
 residual and the averaged control are each one Simpson reduction over them,
 and the cost quadrature here and the block quadrature integrate the same
-discrete functional.  A `Trajectory` records the control it ran and a
-`CostateTrajectory` the state run it followed, so the cost and the sampled
-residual take the control, the grid and the nodes from the record and
-cannot be handed another's.
+discrete functional.  A `Trajectory` records the problem and the control it
+ran and a `CostateTrajectory` the state run it followed, so the cost, the
+costate and the sampled residual take the problem, the control, the grid and
+the nodes from the record alone and cannot be handed another's.
 
 A batch of controls (the oracle's) marches only the zero control.  Its cost
 is quadratic in the controls, so each interval's cost about the zero-control
@@ -53,6 +53,8 @@ class PiecewiseConstantControl:
         U = np.array(self.U, dtype=float)  # a copy: the caller's array is not frozen
         if U.ndim == 1:
             U = U[:, None]
+        if U.ndim != 2:
+            raise DimensionMismatch(f"control coefficients have shape {U.shape}, expected (N, m) or (N,)")
         if U.shape[0] != self.grid.N:
             raise DimensionMismatch(f"{U.shape[0]} coefficients for {self.grid.N} intervals")
         if not np.all(np.isfinite(U)):
@@ -73,13 +75,13 @@ class PiecewiseConstantControl:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The state run of one control, with the control it ran."""
+    """The state run of one control, with the problem and the control it ran."""
 
+    problem: LQProblem
     control: PiecewiseConstantControl
     times: np.ndarray  # (N, 2M+1) node times; times[i] is interval i's
     qs: np.ndarray     # (N, 2M+1, n) states
     q_end: np.ndarray
-    dynamics: tuple    # the problem's (A, B, omega), as in `IntervalBlocks`
 
     @property
     def grid(self) -> SamplingGrid:
@@ -97,20 +99,6 @@ class CostateTrajectory:
     state: Trajectory
     ps: np.ndarray     # (N, 2M+1, n), on state.times
     p_end: np.ndarray
-    weights: tuple     # the problem's (W, x_ref, S, q_b), which with the run fix ps
-
-
-def _check_dynamics(p: LQProblem, record, what: str) -> None:
-    """record (blocks or a run) must come from p's own A, B and omega objects."""
-    if any(c is not d for c, d in zip(record.dynamics, (p.A, p.B, p.omega))):
-        raise NodeMismatch(f"{what} computed for other dynamics (A, B or omega)")
-
-
-def _check_trajectory(p: LQProblem, traj: Trajectory) -> None:
-    """traj must be a run of p's dynamics from p's q_a, which its first node holds bitwise."""
-    _check_dynamics(p, traj, "trajectory was")
-    if not np.array_equal(traj.qs[0, 0], p.q_a):
-        raise NodeMismatch("trajectory was run from another start state than q_a")
 
 
 def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
@@ -163,13 +151,14 @@ def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np
 def simulate_state(
     p: LQProblem, u: PiecewiseConstantControl, M: int = 64, blocks: Optional[IntervalBlocks] = None
 ) -> Trajectory:
-    """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a; the run records u.
+    """Integrate dq/dt = A q + B U_i + omega from q(a) = q_a; the run records p and u.
 
     One kernel call forms every interval's [Z | Gamma | xi] nodes, and the
     march applies them to [q_i; U_i; 1].  Given p's blocks on u's grid at
     M, the march applies the nodes they hold instead, which are bitwise the
     same; blocks computed from other A, B or omega objects than p's, or
-    whose node times are not this grid's at M, raise NodeMismatch.
+    whose node times are not this grid's at M, raise NodeMismatch; other
+    q_a or weights keep them, as `dataclasses.replace(p, q_a=...)` does.
     """
     if u.m != p.m:
         raise DimensionMismatch(f"control has m={u.m}, problem has m={p.m}")
@@ -181,13 +170,14 @@ def simulate_state(
         nodes = _affine_nodes(p, half, delta)
     elif blocks.dims != (p.n, p.m):
         raise DimensionMismatch(f"blocks have (n, m) = {blocks.dims}, problem has {(p.n, p.m)}")
+    elif any(c is not d for c, d in zip(blocks.dynamics, (p.A, p.B, p.omega))):
+        raise NodeMismatch("blocks were computed for other dynamics (A, B or omega)")
+    elif not np.array_equal(blocks.times, times):
+        raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
     else:
-        _check_dynamics(p, blocks, "blocks were")
-        if not np.array_equal(blocks.times, times):
-            raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
         nodes = blocks.Ys
     qs, q_end = _march(nodes, p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
-    return Trajectory(control=u, times=times, qs=qs, q_end=q_end, dynamics=(p.A, p.B, p.omega))
+    return Trajectory(problem=p, control=u, times=times, qs=qs, q_end=q_end)
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -195,16 +185,15 @@ def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
     return float(0.5 * (d @ (p.S @ d)))
 
 
-def running_costs(p: LQProblem, traj: Trajectory) -> np.ndarray:
-    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>] on traj, a run of p's dynamics from q_a."""
-    _check_trajectory(p, traj)
+def running_costs(traj: Trajectory) -> np.ndarray:
+    """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>] on traj, under the problem it ran."""
     delta = traj.grid.h / (2 * traj.substeps)
-    return _running_cost(p, traj.times, delta, traj.qs, traj.control.U[:, None])
+    return _running_cost(traj.problem, traj.times, delta, traj.qs, traj.control.U[:, None])
 
 
-def evaluate_cost(p: LQProblem, traj: Trajectory) -> float:
+def evaluate_cost(traj: Trajectory) -> float:
     """C(u) of traj's control u by composite Simpson on the trajectory nodes plus the terminal term."""
-    return float(np.sum(running_costs(p, traj)) + terminal_cost(p, traj.q_end))
+    return float(np.sum(running_costs(traj)) + terminal_cost(traj.problem, traj.q_end))
 
 
 def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, p_end: np.ndarray) -> np.ndarray:
@@ -226,27 +215,21 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     return ps[::-1, ::-1]
 
 
-def simulate_costate(p: LQProblem, traj: Trajectory, M: int = 64) -> CostateTrajectory:
-    """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj, a run of p's dynamics from q_a."""
+def simulate_costate(traj: Trajectory, M: int = 64) -> CostateTrajectory:
+    """Integrate the costate backward from p(b) = -S (q(b) - q_b) along traj, under the problem it ran."""
     if traj.substeps != M:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
-    _check_trajectory(p, traj)
+    p = traj.problem
     half, delta = _horizon_half_grid(traj.grid, M)
     p_end = -(p.S @ (traj.q_end - p.q_b))
     ps = _costate(p, half, delta, traj.qs, p_end)
-    return CostateTrajectory(state=traj, ps=ps, p_end=p_end, weights=(p.W, p.x_ref, p.S, p.q_b))
+    return CostateTrajectory(state=traj, ps=ps, p_end=p_end)
 
 
-def pmp_residual_sampled(p: LQProblem, costate: CostateTrajectory) -> np.ndarray:
-    """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds), one row per interval, for the state run's control.
-
-    costate's run must be one of p's dynamics from q_a, and costate must come
-    from p's own W, x_ref, S and q_b objects.
-    """
+def pmp_residual_sampled(costate: CostateTrajectory) -> np.ndarray:
+    """Residuals r_i = U_i - Rbar_i^{-1} (RV_i + int B^T p ds) per interval, for the state run's problem and control."""
     traj = costate.state
-    _check_trajectory(p, traj)
-    if any(c is not d for c, d in zip(costate.weights, (p.W, p.x_ref, p.S, p.q_b))):
-        raise NodeMismatch("costate was computed for other weights (W, x_ref, S or q_b)")
+    p = traj.problem
     times = traj.times
     w = simpson_weights(times.shape[1], traj.grid.h[:, None] / (2 * traj.substeps))
     R = p.R.eval_many(times)

@@ -50,7 +50,7 @@ def solve_with_simulation(problem, grid, M):
     blocks, sweep, sol = sq.solve(problem, grid, M)
     control = sq.PiecewiseConstantControl(grid, sol.U)
     traj = sq.simulate_state(problem, control, M)
-    sol = sol.with_simulated_cost(sq.evaluate_cost(problem, traj))
+    sol = sol.with_simulated_cost(sq.evaluate_cost(traj))
     return blocks, sweep, sol, traj
 
 
@@ -58,7 +58,7 @@ def max_relative_residual(problem, sol, M_res):
     """Worst interval residual scaled by 1 + |U_i|."""
     control = sq.PiecewiseConstantControl(sol.grid, sol.U)
     traj = sq.simulate_state(problem, control, M_res)
-    costate = sq.simulate_costate(problem, traj, M_res)
-    r = sq.pmp_residual_sampled(problem, costate)
+    costate = sq.simulate_costate(traj, M_res)
+    r = sq.pmp_residual_sampled(costate)
     scale = 1.0 + np.linalg.norm(np.atleast_2d(sol.U), axis=1)
     return float(np.max(np.linalg.norm(r, axis=1) / scale))

@@ -54,7 +54,7 @@ def convergence(dontchev, dontchev_entry):
         grid = sq.uniform_grid(N, dontchev.a, dontchev.b)
         _, _, sol, traj = solve_with_simulation(dontchev, grid, 64)
         u_avg = sq.averaged_control(u_ref, grid, M=64)
-        cost_avg = sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, u_avg, M=64))
+        cost_avg = sq.evaluate_cost(sq.simulate_state(dontchev, u_avg, M=64))
         ref_nodes = np.array([u_ref(float(grid.s[i])) for i in range(N)])
         node_err = float(np.max(np.abs(sol.U[:, 0] - ref_nodes)))
         data[N] = {
@@ -192,7 +192,7 @@ def test_criterion_7_dynamic_programming(request, dontchev, random_suite):
     for problem, grid, sweep, sol in cases:
         control = sq.PiecewiseConstantControl(grid, sol.U)
         traj = sq.simulate_state(problem, control, M=64)
-        rc = sq.running_costs(problem, traj)
+        rc = sq.running_costs(traj)
         tc = sq.terminal_cost(problem, traj.q_end)
         ys = [traj.qs[j][0] for j in range(grid.N)]
         ys.append(traj.q_end - problem.q_b)

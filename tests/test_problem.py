@@ -384,16 +384,6 @@ class TestJsonLoading:
         with pytest.raises(ValidationError, match=repr(key)):
             sq.load_problem({**self._doc(), key: [5.0]})
 
-    def test_registered_builtin(self):
-        sq.register_coefficient("test-decay", (1, 1), lambda t: np.array([[np.exp(-t)]]))
-        doc = self._doc()
-        doc["A"] = {"builtin": "test-decay"}
-        p = sq.load_problem(doc)
-        assert p.A(1.0)[0, 0] == pytest.approx(np.exp(-1.0))
-
-
-sq.register_coefficient("test-forms-matrix", (2, 2), lambda t: np.array([[t, 1.0], [0.0, 2.0]]))
-sq.register_coefficient("test-forms-vector", (2,), lambda t: np.array([t, 3.0]))
 
 
 def _make_base():
@@ -417,7 +407,7 @@ MAKE_PROBLEM_CASES = [
     ("A", [[1.0, 2.0, 3.0]], DimensionMismatch),
     ("A", CoefficientFunction.poly([[[0.0, 1.0], [1.0]], [[0.0], [2.0]]]), _MATRIX_AT_HALF),
     ("A", CoefficientFunction.poly([[[0.0, 1.0]]]), DimensionMismatch),
-    ("A", CoefficientFunction.builtin("test-forms-matrix"), _MATRIX_AT_HALF),
+    ("A", CoefficientFunction.constant([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])),
     ("A", lambda t: np.array([[t, 1.0], [0.0, 2.0]]), _MATRIX_AT_HALF),
     ("A", None, np.zeros((2, 2))),
     ("W", 2.0, np.diag([2.0, 2.0])),
@@ -433,7 +423,7 @@ MAKE_PROBLEM_CASES = [
     ("omega", [[0.5, 3.0]], DimensionMismatch),
     ("omega", CoefficientFunction.poly([[0.0, 1.0], [3.0]]), _VECTOR_AT_HALF),
     ("omega", CoefficientFunction.poly([[0.0, 1.0]]), DimensionMismatch),
-    ("omega", CoefficientFunction.builtin("test-forms-vector"), _VECTOR_AT_HALF),
+    ("omega", CoefficientFunction.constant([0.5, 3.0]), _VECTOR_AT_HALF),
     ("omega", lambda t: np.array([t, 3.0]), _VECTOR_AT_HALF),
     ("omega", None, np.zeros(2)),
     ("x", [0.5, 3.0], _VECTOR_AT_HALF),
@@ -442,14 +432,14 @@ MAKE_PROBLEM_CASES = [
     ("v", [0.5, 1.0], DimensionMismatch),
     ("v", None, np.zeros(1)),
     ("A", {"poly": [[[0.0, 1.0], [1.0]], [[0.0], [2.0]]]}, _MATRIX_AT_HALF),
-    ("A", {"builtin": "test-forms-matrix"}, _MATRIX_AT_HALF),
+    ("A", {"builtin": "decay"}, ValidationError),  # the retired named-coefficient form
     ("A", {"matrix": [[1.0]]}, ValidationError),
     ("W", {"poly": [[[1.0], [0.0]], [[0.0], [0.0, 2.0]]]}, np.eye(2)),
     ("W", None, np.zeros((2, 2))),
     ("R", {"poly": [[[1.0, 2.0]]]}, np.array([[2.0]])),
     ("R", None, NotPD),  # a zero R
     ("B", {"poly": [[[0.0]], [[0.0, 2.0]]]}, np.array([[0.0], [1.0]])),
-    ("B", {"builtin": "test-forms-vector"}, DimensionMismatch),
+    ("B", {"poly": [[[0.0, 2.0]]]}, DimensionMismatch),
     ("B", None, ValidationError),
     ("S", None, np.zeros((2, 2))),
     ("S", {"poly": [[[1.0], [0.0]], [[0.0], [1.0]]]}, ValidationError),
@@ -465,8 +455,8 @@ LOAD_PROBLEM_CASES = [
     ("A", [[1.0, 2.0, 3.0]], DimensionMismatch),
     ("A", {"poly": [[[0.0, 1.0], [1.0]], [[0.0], [2.0]]]}, _MATRIX_AT_HALF),
     ("A", {"poly": [[[0.0, 1.0]]]}, DimensionMismatch),
-    ("A", {"builtin": "test-forms-matrix"}, _MATRIX_AT_HALF),
-    ("A", {"builtin": "test-forms-vector"}, DimensionMismatch),
+    ("A", [[1, 2], [3, 4]], np.array([[1.0, 2.0], [3.0, 4.0]])),  # JSON integers read as floats
+    ("A", {"builtin": "decay"}, ValidationError),  # the retired named-coefficient form
     ("A", {"matrix": [[1.0]]}, ValidationError),
     ("A", lambda t: np.eye(2), ValidationError),
     ("A", None, np.zeros((2, 2))),
@@ -479,8 +469,8 @@ LOAD_PROBLEM_CASES = [
     ("omega", [[0.5, 3.0]], _VECTOR_AT_HALF),  # a (1, 2) JSON vector is reshaped
     ("omega", [[0.5], [3.0], [1.0]], DimensionMismatch),
     ("omega", {"poly": [[0.0, 1.0], [3.0]]}, _VECTOR_AT_HALF),
-    ("omega", {"builtin": "test-forms-vector"}, _VECTOR_AT_HALF),
-    ("omega", {"builtin": "test-forms-matrix"}, DimensionMismatch),
+    ("omega", [[0.5], [3.0]], _VECTOR_AT_HALF),  # a (2, 1) JSON column is reshaped
+    ("omega", {"poly": [[0.0, 1.0]]}, DimensionMismatch),
     ("omega", lambda t: np.zeros(2), ValidationError),
     ("omega", None, np.zeros(2)),
     ("x", [0.5, 3.0], _VECTOR_AT_HALF),

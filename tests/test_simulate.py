@@ -53,6 +53,13 @@ class TestPiecewiseConstantControl:
         with pytest.raises(DimensionMismatch):
             sq.PiecewiseConstantControl(grid, np.zeros((2, 1)))
 
+    def test_coefficients_of_other_rank_rejected(self):
+        # a (2, 1, 1) stack reads m = 1 from its second axis, and no run can march it
+        grid = sq.uniform_grid(2, 0, 1)
+        for U in (np.zeros((2, 1, 1)), 0.0):
+            with pytest.raises(DimensionMismatch, match="expected \\(N, m\\)"):
+                sq.PiecewiseConstantControl(grid, U)
+
     def test_nonfinite_rejected(self):
         grid = sq.uniform_grid(1, 0, 1)
         with pytest.raises(NonFinite):
@@ -125,45 +132,41 @@ class TestSimulateState:
         moved = replace(dontchev, q_a=np.array([2.0]))
         assert sq.simulate_state(moved, u, 8, scalar).qs.tobytes() == sq.simulate_state(moved, u, 8).qs.tobytes()
 
-    def test_foreign_trajectory_rejected(self, dontchev):
-        # dontchev's run (A = 0.5) would cost 1.7183 and give p(a) = -8.95 for A = 2,
-        # whose own run costs 13.3995 and gives p(a) = -26.80
+    def test_run_on_reused_blocks_records_the_moved_problem(self, dontchev):
+        # a new q_a keeps the blocks, as criterion 7's tail re-solves do, and the run
+        # then records the moved problem, whose cost is not dontchev's
         grid = sq.uniform_grid(3, 0, 1)
-        u = zero_control(grid)
-        calm = sq.simulate_state(dontchev, u, 8)
+        blocks, _, sol = sq.solve(dontchev, grid, M=8)
+        u = sq.PiecewiseConstantControl(grid, sol.U)
+        moved = replace(dontchev, q_a=np.array([2.0]))
+        traj = sq.simulate_state(moved, u, 8, blocks)
+        assert traj.problem is moved
+        assert sq.evaluate_cost(traj) == sq.evaluate_cost(sq.simulate_state(moved, u, 8))
+        assert sq.evaluate_cost(traj) != sq.evaluate_cost(sq.simulate_state(dontchev, u, 8, blocks))
+        assert sq.simulate_costate(traj, 8).state.problem is traj.problem
+
+    def test_foreign_trajectory_rejected(self, dontchev):
+        # a run records its problem, so these are A = 2's own values, never those of
+        # dontchev's run (A = 0.5) read under A = 2: 1.7183 and p(a) = -8.95
         steeper = replace(dontchev, A=sq.CoefficientFunction.constant([[2.0]]))
-        for run in (lambda: sq.evaluate_cost(steeper, calm), lambda: sq.running_costs(steeper, calm),
-                    lambda: sq.simulate_costate(steeper, calm, 8)):
-            with pytest.raises(NodeMismatch, match="other dynamics"):
-                run()
-        own = sq.simulate_state(steeper, u, 8)
-        assert sq.evaluate_cost(steeper, own) == pytest.approx(13.3995, abs=1e-4)
-        assert sq.simulate_costate(steeper, own, 8).ps[0, 0, 0] == pytest.approx(-26.80, abs=1e-2)
-        # other weights keep the dynamics, so the run still serves them
-        weighted = replace(dontchev, W=sq.CoefficientFunction.constant([[3.0]]))
-        assert sq.evaluate_cost(weighted, calm) == sq.evaluate_cost(weighted, sq.simulate_state(weighted, u, 8))
+        own = sq.simulate_state(steeper, zero_control(sq.uniform_grid(3, 0, 1)), 8)
+        assert sq.evaluate_cost(own) == pytest.approx(13.3995, abs=1e-4)
+        assert sq.simulate_costate(own, 8).ps[0, 0, 0] == pytest.approx(-26.80, abs=1e-2)
 
     def test_trajectory_from_another_start_rejected(self, dontchev):
-        # dontchev's run from q_a = 1 would cost 1.7183 and give p(a) = -3.437 for q_a = 2,
-        # whose own run costs 6.8731 and gives p(a) = -6.873
-        grid = sq.uniform_grid(3, 0, 1)
-        u = zero_control(grid)
-        run = sq.simulate_state(dontchev, u, 8)
+        # q_a = 2's own values, never those of dontchev's run from q_a = 1 read
+        # under q_a = 2: 1.7183 and p(a) = -3.437
         moved = replace(dontchev, q_a=np.array([2.0]))
-        for call in (lambda: sq.evaluate_cost(moved, run), lambda: sq.running_costs(moved, run),
-                     lambda: sq.simulate_costate(moved, run, 8)):
-            with pytest.raises(NodeMismatch, match="start state"):
-                call()
-        own = sq.simulate_state(moved, u, 8)
-        assert sq.evaluate_cost(moved, own) == pytest.approx(6.8731, abs=1e-4)
-        assert sq.simulate_costate(moved, own, 8).ps[0, 0, 0] == pytest.approx(-6.873, abs=1e-3)
+        own = sq.simulate_state(moved, zero_control(sq.uniform_grid(3, 0, 1)), 8)
+        assert sq.evaluate_cost(own) == pytest.approx(6.8731, abs=1e-4)
+        assert sq.simulate_costate(own, 8).ps[0, 0, 0] == pytest.approx(-6.873, abs=1e-3)
 
 
 class TestCost:
     def test_zero_control_cost(self, dontchev, analytic):
         u = zero_control(sq.uniform_grid(2, 0, 1))
         traj = sq.simulate_state(dontchev, u, M=128)
-        assert sq.evaluate_cost(dontchev, traj) == pytest.approx(
+        assert sq.evaluate_cost(traj) == pytest.approx(
             analytic["ORACLE_C"], abs=1e-10)
 
     def test_simulated_matches_predicted(self, dontchev, analytic):
@@ -171,7 +174,7 @@ class TestCost:
         _, _, sol = sq.solve(dontchev, grid, M=256)
         u = sq.PiecewiseConstantControl(grid, sol.U)
         traj = sq.simulate_state(dontchev, u, M=256)
-        cost = sq.evaluate_cost(dontchev, traj)
+        cost = sq.evaluate_cost(traj)
         assert cost == pytest.approx(analytic["COST0"], abs=1e-10)
         assert cost == pytest.approx(sol.predicted_cost, abs=1e-10)
 
@@ -185,10 +188,10 @@ class TestCost:
         grid = sq.uniform_grid(3, 0, 1)
         u = sq.PiecewiseConstantControl(grid, np.array([[0.1], [0.2], [0.3]]))
         traj = sq.simulate_state(timevarying, u, M=64)
-        parts = sq.running_costs(timevarying, traj)
+        parts = sq.running_costs(traj)
         assert parts.shape == (3,)
         assert np.all(parts >= 0.0)
-        total = sq.evaluate_cost(timevarying, traj)
+        total = sq.evaluate_cost(traj)
         assert total == pytest.approx(np.sum(parts) + sq.terminal_cost(
             timevarying, traj.q_end), abs=1e-12)
 
@@ -200,8 +203,8 @@ class TestCost:
         for u, expected in ((sq.PiecewiseConstantControl(grid, sol.U), 0.8791), (zero_control(grid), 1.7183)):
             for traj in (sq.simulate_state(dontchev, u, 8), sq.simulate_state(dontchev, u, 8, blocks)):
                 assert traj.control is u and traj.grid is grid
-                cost = sq.evaluate_cost(dontchev, traj)
-                assert cost == sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, traj.control, 8))
+                cost = sq.evaluate_cost(traj)
+                assert cost == sq.evaluate_cost(sq.simulate_state(dontchev, traj.control, 8))
                 assert cost == pytest.approx(expected, abs=1e-4)
 
     def test_batch_matches_loop(self):
@@ -219,7 +222,7 @@ class TestCost:
             batch = sq.costs_of_control_batch(p, grid, Us, M=32)
             for k in range(5):
                 u = sq.PiecewiseConstantControl(grid, Us[k])
-                single = sq.evaluate_cost(p, sq.simulate_state(p, u, M=32))
+                single = sq.evaluate_cost(sq.simulate_state(p, u, M=32))
                 assert abs(batch[k] - single) <= 1e-13 * (1.0 + abs(single))
 
     def test_batch_translation_invariant(self):
@@ -245,7 +248,7 @@ class TestCostate:
         grid = sq.uniform_grid(2, 0, 1)
         u = sq.PiecewiseConstantControl(grid, np.array([[0.3], [-0.1]]))
         traj = sq.simulate_state(timevarying, u, M=32)
-        costate = sq.simulate_costate(timevarying, traj, M=32)
+        costate = sq.simulate_costate(traj, M=32)
         expected = -timevarying.S @ (traj.q_end - timevarying.q_b)
         assert np.array_equal(costate.p_end, expected)
         assert np.array_equal(costate.ps[-1][-1], costate.p_end)
@@ -254,7 +257,7 @@ class TestCostate:
         # Uncontrolled state e^(t/2) gives p(t) = -2 e^(-t/2) (e - e^t).
         u = zero_control(sq.uniform_grid(2, 0, 1))
         traj = sq.simulate_state(dontchev, u, M=256)
-        costate = sq.simulate_costate(dontchev, traj, M=256)
+        costate = sq.simulate_costate(traj, M=256)
         for nodes, ps in zip(costate.state.times, costate.ps):
             exact = -2.0 * np.exp(-0.5 * nodes) * (E - np.exp(nodes))
             assert np.allclose(ps[:, 0], exact, atol=1e-5)
@@ -262,7 +265,7 @@ class TestCostate:
     def test_interval_joins_bitwise(self, timevarying):
         grid = sq.grid_from_durations([0.2, 0.5, 0.3], 0.0, 1.0)
         u = sq.PiecewiseConstantControl(grid, np.array([[0.4], [-0.2], [1.0]]))
-        costate = sq.simulate_costate(timevarying, sq.simulate_state(timevarying, u, M=8), M=8)
+        costate = sq.simulate_costate(sq.simulate_state(timevarying, u, M=8), M=8)
         for i in range(grid.N - 1):
             assert np.array_equal(costate.ps[i][-1], costate.ps[i + 1][0])
 
@@ -270,7 +273,7 @@ class TestCostate:
         u = zero_control(sq.uniform_grid(1, 0, 1))
         traj = sq.simulate_state(dontchev, u, M=16)
         with pytest.raises(NodeMismatch):
-            sq.simulate_costate(dontchev, traj, M=32)
+            sq.simulate_costate(traj, M=32)
 
 
 class TestSampledResidual:
@@ -294,29 +297,18 @@ class TestSampledResidual:
         _, _, sol = sq.solve(timevarying, grid, M=64)
         u = sq.PiecewiseConstantControl(grid, sol.U)
         traj = sq.simulate_state(timevarying, u, M=64)
-        costate = sq.simulate_costate(timevarying, traj, M=64)
-        r = sq.pmp_residual_sampled(timevarying, costate)
+        costate = sq.simulate_costate(traj, M=64)
+        r = sq.pmp_residual_sampled(costate)
         assert r.shape == (3, 1)
 
     def test_costate_of_another_problem_rejected(self, dontchev):
-        # dontchev's own costate gives residual 9.7e-6; with B = 3 the same costate gave 2.67
+        # the residual reads the problem its costate's run recorded: dontchev's own, never
+        # B = 3, under which this costate gives 2.67
         grid = sq.uniform_grid(3, 0, 1)
         _, _, sol = sq.solve(dontchev, grid, M=8)
         u = sq.PiecewiseConstantControl(grid, sol.U)
-        costate = sq.simulate_costate(dontchev, sq.simulate_state(dontchev, u, 8), 8)
-        assert np.max(np.abs(sq.pmp_residual_sampled(dontchev, costate))) == pytest.approx(9.7e-6, rel=0.01)
-        three = sq.CoefficientFunction.constant([[3.0]])
-        for changes, what in [({"B": three}, "other dynamics"), ({"A": three}, "other dynamics"),
-                              ({"q_a": np.array([2.0])}, "start state"),
-                              ({"W": three}, "other weights"), ({"x_ref": sq.CoefficientFunction.constant([1.0])}, "other weights"),
-                              ({"S": np.array([[3.0]])}, "other weights"), ({"q_b": np.array([1.0])}, "other weights")]:
-            with pytest.raises(NodeMismatch, match=what):
-                sq.pmp_residual_sampled(replace(dontchev, **changes), costate)
-        # the costate of the same control run from q_a = 2 gave dontchev's residual 2.83
-        moved = replace(dontchev, q_a=np.array([2.0]))
-        moved_costate = sq.simulate_costate(moved, sq.simulate_state(moved, u, 8), 8)
-        with pytest.raises(NodeMismatch, match="start state"):
-            sq.pmp_residual_sampled(dontchev, moved_costate)
+        costate = sq.simulate_costate(sq.simulate_state(dontchev, u, 8), 8)
+        assert np.max(np.abs(sq.pmp_residual_sampled(costate))) == pytest.approx(9.7e-6, rel=0.01)
 
 
 class TestPermanentControl:
@@ -382,9 +374,9 @@ class TestAveragedControl:
         grid = sq.uniform_grid(2, 0, 1)
         _, _, sol = sq.solve(dontchev, grid, M=128)
         u_star = sq.PiecewiseConstantControl(grid, sol.U)
-        cost_star = sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, u_star, M=128))
+        cost_star = sq.evaluate_cost(sq.simulate_state(dontchev, u_star, M=128))
         u_avg = sq.averaged_control(dontchev_entry.reference_control, grid, M=128)
-        cost_avg = sq.evaluate_cost(dontchev, sq.simulate_state(dontchev, u_avg, M=128))
+        cost_avg = sq.evaluate_cost(sq.simulate_state(dontchev, u_avg, M=128))
         cost_ref = sq.cost_of_permanent(dontchev, dontchev_entry.reference_control, M=512)
         assert cost_ref <= cost_star + 1e-12
         assert cost_star <= cost_avg + 1e-12
@@ -392,7 +384,7 @@ class TestAveragedControl:
 
 def _costate_at(p, grid, M):
     traj = sq.simulate_state(p, zero_control(grid), M=16)
-    return sq.simulate_costate(p, traj, M)
+    return sq.simulate_costate(traj, M)
 
 
 TAKES_M = {
@@ -457,7 +449,7 @@ class TestTypedErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for run in (lambda: sq.simulate_state(p, u, M=8),
-                        lambda: sq.simulate_costate(growing, sq.simulate_state(growing, u, M=8), M=8),
+                        lambda: sq.simulate_costate(sq.simulate_state(growing, u, M=8), M=8),
                         lambda: sq.costs_of_control_batch(p, grid, np.zeros((3, 4, 1)), M=8),
                         lambda: sq.pmp_residual_permanent(p, lambda t: [0.0], M=8),
                         lambda: sq.cost_of_permanent(p, lambda t: [0.0], M=8)):
@@ -486,4 +478,4 @@ class TestTypedErrors:
         traj = sq.simulate_state(p, zero_control(sq.uniform_grid(4, 0, 1)), M=8)
         assert np.all(traj.qs == 0.0)
         with pytest.raises(NonFinite, match="^simulation diverged$"):
-            sq.simulate_costate(p, traj, M=8)
+            sq.simulate_costate(traj, M=8)

@@ -217,14 +217,13 @@ def _reference_simulate_state(p, u, M, dtype=float):
         times.append(half[::2])
         qs.append(nodes[..., 0])
         q = nodes[-1]
-    return simulate.Trajectory(control=u, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0],
-                               dynamics=(p.A, p.B, p.omega))
+    return simulate.Trajectory(problem=p, control=u, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0])
 
 
 def _reference_costs_of_control_batch(p, grid, Us, M):
     """Test-only reference for costs_of_control_batch: one reference state run and cost per control."""
     controls = [sq.PiecewiseConstantControl(grid, U) for U in Us]
-    return np.array([sq.evaluate_cost(p, _reference_simulate_state(p, u, M)) for u in controls])
+    return np.array([sq.evaluate_cost(_reference_simulate_state(p, u, M)) for u in controls])
 
 
 def _reference_dense_state(p, u_fn, M):
@@ -279,7 +278,7 @@ def _kernel_outputs(p, grid, M):
         out += _propagate(p, grid, i, M)[1:]
     u = sq.PiecewiseConstantControl(grid, rng.uniform(-1.0, 1.0, size=(grid.N, p.m)))
     traj = sq.simulate_state(p, u, M)
-    out += [traj.qs, traj.q_end, sq.simulate_costate(p, traj, M).ps]
+    out += [traj.qs, traj.q_end, sq.simulate_costate(traj, M).ps]
     out.append(sq.costs_of_control_batch(p, grid, rng.uniform(-1.0, 1.0, size=(4, grid.N, p.m)), M))
 
     def u_fn(t):
