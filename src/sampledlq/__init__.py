@@ -24,7 +24,6 @@ from .riccati import (
     RiccatiSweep,
     SampledSolution,
     backward_sweep,
-    closed_loop_gain,
     forward_synthesis,
     solve,
     value_function,

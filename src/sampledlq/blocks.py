@@ -38,12 +38,14 @@ Ys, and `compute_blocks` forms row i of state_cost.  The rest runs once per
 solve on the stacked node times: the Simpson weights, W, x, R and v (one
 `eval_many` each), every control_cost in one einsum, the symmetrization of
 both forms, and step, read off the stacked nodes.
+
+`simpson_weights` is the package's one Simpson rule, used by `simulate` too:
+it reads the spacing off the node times, so none is passed apart from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,21 +98,18 @@ class IntervalBlocks:
         return {"i": i, **{name: getattr(self, name)[i].tolist() for name in views}}
 
 
-@lru_cache(maxsize=8)  # a few node counts per process; bounded, as a pattern is as long as the run
-def _simpson_pattern(num_nodes: int) -> np.ndarray:
-    """The read-only 1, 4, 2, 4, ..., 2, 4, 1 pattern of composite Simpson."""
-    w = np.ones(num_nodes)
+def simpson_weights(times: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights (..., K) on equally spaced node times (..., K), K odd >= 3.
+
+    Each row's spacing is read off its ends, (times[-1] - times[0]) / (K - 1).
+    """
+    K = times.shape[-1]
+    if K < 3 or K % 2 == 0:
+        raise ValidationError(f"Simpson needs an odd node count >= 3, got {K}")
+    w = np.ones(K)  # 1, 4, 2, 4, ..., 2, 4, 1
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w.setflags(write=False)
-    return w
-
-
-def simpson_weights(num_nodes: int, delta: float) -> np.ndarray:
-    """Composite Simpson weights for an odd node count with spacing delta, a fresh array."""
-    if num_nodes < 3 or num_nodes % 2 == 0:
-        raise ValidationError(f"Simpson needs an odd node count >= 3, got {num_nodes}")
-    return _simpson_pattern(num_nodes) * (delta / 3.0)
+    return w * (((times[..., -1] - times[..., 0]) / (K - 1))[..., None] / 3.0)
 
 
 def compute_blocks(w: np.ndarray, Wk: np.ndarray, xk: np.ndarray, Ys: np.ndarray) -> np.ndarray:
@@ -130,8 +129,7 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
         if i == 0:  # after the first call, so a bad M raises its own error first
             times, Ys = np.empty((grid.N,) + t.shape), np.empty((grid.N,) + Y.shape)
         times[i], Ys[i] = t, Y
-    K = times.shape[1]
-    w = simpson_weights(K, ((times[:, -1] - times[:, 0]) / (K - 1))[:, None])
+    w = simpson_weights(times)
     Wk, Rk = p.W.eval_many(times), p.R.eval_many(times)
     xk, vk = p.x_ref.eval_many(times), p.v_ref.eval_many(times)
     state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])

@@ -122,10 +122,10 @@ def _simulate(problem, control, M, blocks=None):
 
 
 def _solve(problem, grid, M):
-    """(blocks, sweep, solution carrying its simulated cost, trajectory) on one grid."""
+    """(blocks, sweep, solution, its simulated cost, its trajectory) on one grid."""
     blocks, sweep, sol = riccati_solve(problem, grid, M)
     traj, cost = _simulate(problem, PiecewiseConstantControl(grid, sol.U), M, blocks)
-    return blocks, sweep, sol.with_simulated_cost(cost), traj
+    return blocks, sweep, sol, cost, traj
 
 
 def _averaged(problem, u_ref, grid, M):
@@ -150,8 +150,8 @@ def _resolve_reference(args, entry, problem, max_N, M):
     if N_ref <= max_N:
         raise ValidationError(f"fine reference N={N_ref} must exceed the largest requested N={max_N}")
     grid_ref = uniform_grid(N_ref, problem.a, problem.b)
-    _, _, sol_ref, _ = _solve(problem, grid_ref, M)
-    return PiecewiseConstantControl(grid_ref, sol_ref.U), sol_ref.simulated_cost, f"fine:{N_ref}"
+    _, _, sol_ref, cost_ref, _ = _solve(problem, grid_ref, M)
+    return PiecewiseConstantControl(grid_ref, sol_ref.U), cost_ref, f"fine:{N_ref}"
 
 
 def _labels(name: str, m: int) -> list:
@@ -179,7 +179,7 @@ def _vec_str(v, digits=10) -> str:
 def cmd_solve(args) -> int:
     problem, grid, _, label = _resolve(args)
     M = args.substeps
-    blocks, sweep, sol, traj = _solve(problem, grid, M)
+    blocks, sweep, sol, cost, traj = _solve(problem, grid, M)
     # format the blocks now: their node stack is as large as the costate run, so drop it first
     block_lines = [json.dumps(blocks.to_jsonable(i)) for i in range(grid.N)] if args.debug_blocks else []
     del blocks
@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
     for i, u in enumerate(sol.U.tolist()):
         print(f"U[{i}] = {_vec_str(u)}")
     print(f"predicted cost = {sol.predicted_cost:.10g}")
-    print(f"simulated cost = {sol.simulated_cost:.10g}")
+    print(f"simulated cost = {cost:.10g}")
     print(f"q(b) = {_vec_str(traj.q_end)}")
     print(f"max sampled-stationarity residual = {res_max:.3e}")
 
@@ -207,7 +207,7 @@ def cmd_solve(args) -> int:
                 "q_nodes": sol.q_nodes.tolist(),
                 "q_end": traj.q_end.tolist(),
                 "predicted_cost": sol.predicted_cost,
-                "simulated_cost": sol.simulated_cost,
+                "simulated_cost": cost,
                 "steps": [
                     {"i": i, "gain": gain, "offset": offset}
                     for i, (gain, offset) in enumerate(zip(sweep.gain.tolist(), sweep.offset.tolist()))
@@ -238,11 +238,10 @@ def cmd_converge(args) -> int:
     traces = []
     for N in Ns:
         grid = uniform_grid(N, problem.a, problem.b)
-        _, _, sol, traj = _solve(problem, grid, M)
+        _, _, sol, cost, traj = _solve(problem, grid, M)
         _, cost_averaged = _averaged(problem, u_ref, grid, M)
         ref_at_nodes = np.array([ref_at(grid.s[i]) for i in range(N)])
         max_node_err = float(np.max(np.linalg.norm(sol.U - ref_at_nodes, axis=1)))
-        cost = sol.simulated_cost
         rows.append([N, grid.norm_delta, max_node_err, cost, cost - ref_cost, cost_averaged])
         traces.append((N, [[t, *sol.U[i], *ref_at(t)] for i in range(N) for t in traj.times[i]]))
 
@@ -265,12 +264,12 @@ def cmd_compare_averaged(args) -> int:
     problem, grid, entry, label = _resolve(args)
     M = args.substeps
     u_ref, ref_cost, ref_desc = _resolve_reference(args, entry, problem, grid.N, M)
-    _, _, sol, _ = _solve(problem, grid, M)
+    _, _, sol, cost, _ = _solve(problem, grid, M)
     u_h, cost_averaged = _averaged(problem, u_ref, grid, M)
     diffs = np.linalg.norm(sol.U - u_h.U, axis=1)
 
     print(f"problem: {label}  N={grid.N}  reference: {ref_desc}  M={M}")
-    print(f"cost_sampled  = {sol.simulated_cost:.10g}")
+    print(f"cost_sampled  = {cost:.10g}")
     print(f"cost_averaged = {cost_averaged:.10g}")
     print(f"max |U_averaged - U_optimal| = {float(np.max(diffs)):.6e}")
 

@@ -39,6 +39,11 @@ PROBES = 33  # equally spaced times at which validate_problem checks the coeffic
 INTP_MAX = int(np.iinfo(np.intp).max)  # the largest array length or index
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer count: a `numbers.Integral` (numpy integers too), but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -406,6 +411,8 @@ def _grid_from_nodes(s: np.ndarray) -> SamplingGrid:
 
 def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
     _check_interval(a, b)
+    if not _is_integer(N):
+        raise InvalidInterval(f"N must be an integer, got {N!r}")
     if N < 1:
         raise InvalidInterval(f"need N >= 1, got {N}")
     if N + 1 > INTP_MAX:

@@ -35,8 +35,7 @@ identity (value function, costate linearity) then holds verbatim at i = N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,10 +82,6 @@ class SampledSolution:
     U: np.ndarray        # (N, m)
     q_nodes: np.ndarray  # (N+1, n); the last node is q(b) - q_b
     predicted_cost: float
-    simulated_cost: Optional[float] = None
-
-    def with_simulated_cost(self, value: float) -> "SampledSolution":
-        return replace(self, simulated_cost=float(value))
 
 
 def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
@@ -174,13 +169,6 @@ def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
     if not np.isfinite(value):
         raise NonFinite(f"value function V_{j} overflowed")
     return value
-
-
-def closed_loop_gain(sweep: RiccatiSweep, i: int):
-    """(gain_i, offset_i) with U_i = gain_i q(s_i) + offset_i."""
-    if not 0 <= i < sweep.N:
-        raise IndexOutOfRange(f"gain index {i} out of range for N={sweep.N}")
-    return sweep.gain[i], sweep.offset[i]
 
 
 def solve(p: LQProblem, grid: SamplingGrid, M: int = 64):

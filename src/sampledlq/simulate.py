@@ -13,12 +13,15 @@ the forcing B u(t) + omega).  The costate runs backward from
 p(b) = -S (q(b) - q_b) through the same march, last interval first, on the
 [Zc | phi] nodes of -A^T and the forcing W (q - x), formed on the reversed
 half grids with step -delta; RK4 stages falling between stored state nodes
-use linear interpolation of q.
+use linear interpolation of q.  The march returns the run alone: its end
+value is its last node, which `Trajectory.q_end` and
+`CostateTrajectory.p_end` read.
 
 Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
 residual and the averaged control are each one Simpson reduction over them,
-and the cost quadrature here and the block quadrature integrate the same
-discrete functional.  A `Trajectory` records the problem and the control it
+with weights `blocks.simpson_weights` reads off the node times, and the cost
+quadrature here and the block quadrature integrate the same discrete
+functional.  A `Trajectory` records the problem and the control it
 ran and a `CostateTrajectory` the state run it followed, so the cost, the
 costate and the sampled residual take the problem, the control, the grid and
 the nodes from the record alone and cannot be handed another's.
@@ -37,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import IntervalBlocks, simpson_weights
-from .errors import DimensionMismatch, NodeMismatch, NonFinite
+from .errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _rk4_linear
 
@@ -81,7 +84,11 @@ class Trajectory:
     control: PiecewiseConstantControl
     times: np.ndarray  # (N, 2M+1) node times; times[i] is interval i's
     qs: np.ndarray     # (N, 2M+1, n) states
-    q_end: np.ndarray
+
+    @property
+    def q_end(self) -> np.ndarray:
+        """q(b), the last node of the run."""
+        return self.qs[-1, -1]
 
     @property
     def grid(self) -> SamplingGrid:
@@ -98,7 +105,11 @@ class CostateTrajectory:
 
     state: Trajectory
     ps: np.ndarray     # (N, 2M+1, n), on state.times
-    p_end: np.ndarray
+
+    @property
+    def p_end(self) -> np.ndarray:
+        """p(b) = -S (q(b) - q_b), the last node of the run."""
+        return self.ps[-1, -1]
 
 
 def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
@@ -109,9 +120,9 @@ def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
     interval's constant input.  On interval i the run is
     Y_i = nodes[i] [y_i; inputs[i]] with node 0 set to y_i itself (nodes[i, 0]
     is [Id | 0]), so the joins are exact, and y_{i+1} = Y_i[-1].  Returns the
-    runs (N, 2M+1, n) and the final value.  A run that overflows anywhere
-    raises NonFinite once it is done: non-finite values carry forward, and
-    the overflowed interval's run stays in the output.
+    runs (N, 2M+1, n), whose last node is the final value.  A run that
+    overflows anywhere raises NonFinite once it is done: non-finite values
+    carry forward, and the overflowed interval's run stays in the output.
     """
     ys = np.empty(nodes.shape[:3])
     n = ys.shape[-1]
@@ -124,18 +135,18 @@ def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
             y = run[-1]
     if not np.all(np.isfinite(ys)):
         raise NonFinite("simulation diverged")
-    return ys, y.copy()
+    return ys
 
 
-def _running_cost(p: LQProblem, times: np.ndarray, delta, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _running_cost(p: LQProblem, times: np.ndarray, qs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """1/2 int <W(q-x), q-x> + <R(u-v), u-v> by composite Simpson, one value per interval.
 
-    times (..., 2M+1) are node times with steps delta (...), qs
-    (..., 2M+1, n) the state nodes and us (..., 2M+1 or 1, m) the controls
-    at the nodes or constant over them; returns (...).  A finite state too
+    times (..., 2M+1) are equally spaced node times, qs (..., 2M+1, n) the
+    state nodes and us (..., 2M+1 or 1, m) the controls at the nodes or
+    constant over them; returns (...).  A finite state too
     large for its cost to be finite raises NonFinite.
     """
-    w = simpson_weights(times.shape[-1], np.asarray(delta)[..., None])
+    w = simpson_weights(times)
     e = qs - p.x_ref.eval_many(times)
     du = us - p.v_ref.eval_many(times)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,8 +187,8 @@ def simulate_state(
         raise NodeMismatch(f"blocks were not computed on this grid at M={M}")
     else:
         nodes = blocks.Ys
-    qs, q_end = _march(nodes, p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
-    return Trajectory(problem=p, control=u, times=times, qs=qs, q_end=q_end)
+    qs = _march(nodes, p.q_a, np.hstack((u.U, np.ones((grid.N, 1)))))
+    return Trajectory(problem=p, control=u, times=times, qs=qs)
 
 
 def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
@@ -187,8 +198,7 @@ def terminal_cost(p: LQProblem, q_end: np.ndarray) -> float:
 
 def running_costs(traj: Trajectory) -> np.ndarray:
     """Per-interval values of 1/2 int [<W(q-x), q-x> + <R(U_i-v), U_i-v>] on traj, under the problem it ran."""
-    delta = traj.grid.h / (2 * traj.substeps)
-    return _running_cost(traj.problem, traj.times, delta, traj.qs, traj.control.U[:, None])
+    return _running_cost(traj.problem, traj.times, traj.qs, traj.control.U[:, None])
 
 
 def evaluate_cost(traj: Trajectory) -> float:
@@ -211,8 +221,7 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     forcing = p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None]
     minus_At = -np.swapaxes(p.A.eval_many(half), -1, -2)
     nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
-    ps, _ = _march(nodes, p_end, np.ones((half.shape[0], 1)))
-    return ps[::-1, ::-1]
+    return _march(nodes, p_end, np.ones((half.shape[0], 1)))[::-1, ::-1]
 
 
 def simulate_costate(traj: Trajectory, M: int = 64) -> CostateTrajectory:
@@ -221,9 +230,8 @@ def simulate_costate(traj: Trajectory, M: int = 64) -> CostateTrajectory:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
     p = traj.problem
     half, delta = _horizon_half_grid(traj.grid, M)
-    p_end = -(p.S @ (traj.q_end - p.q_b))
-    ps = _costate(p, half, delta, traj.qs, p_end)
-    return CostateTrajectory(state=traj, ps=ps, p_end=p_end)
+    ps = _costate(p, half, delta, traj.qs, -(p.S @ (traj.q_end - p.q_b)))
+    return CostateTrajectory(state=traj, ps=ps)
 
 
 def pmp_residual_sampled(costate: CostateTrajectory) -> np.ndarray:
@@ -231,7 +239,7 @@ def pmp_residual_sampled(costate: CostateTrajectory) -> np.ndarray:
     traj = costate.state
     p = traj.problem
     times = traj.times
-    w = simpson_weights(times.shape[1], traj.grid.h[:, None] / (2 * traj.substeps))
+    w = simpson_weights(times)
     R = p.R.eval_many(times)
     Rbar = np.einsum("ik,ikab->iab", w, R)
     RV = np.einsum("ik,ikab,ikb->ia", w, R, p.v_ref.eval_many(times))
@@ -257,12 +265,13 @@ def _dense_state(p: LQProblem, u_fn: Callable, M: int):
 
     [a, b] is one interval whose nodes [Z | xi_u] carry the forcing B u + omega.
     """
+    if not p.validated:
+        raise ValidationError("problem must be validated before simulating a control on it")
     half, delta = _half_grid(p.a, p.b, p.b - p.a, M)
     u_half = _eval_control_function(u_fn, half, p.m)
     forcing = p.B.eval_many(half) @ u_half[..., None] + p.omega.eval_many(half)[..., None]
     nodes = _rk4_linear(p.A.eval_many(half), forcing, delta)
-    qs, _ = _march(nodes[None], p.q_a, np.ones((1, 1)))
-    return half, delta, u_half, qs[0]
+    return half, delta, u_half, _march(nodes[None], p.q_a, np.ones((1, 1)))[0]
 
 
 def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
@@ -285,18 +294,18 @@ def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
 
 def cost_of_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
     """C(u_fn) for an arbitrary (not piecewise-constant) control, densely simulated."""
-    half, delta, u_half, qs = _dense_state(p, u_fn, M)
-    running = _running_cost(p, half[::2], delta, qs, u_half[::2])
+    half, _, u_half, qs = _dense_state(p, u_fn, M)
+    running = _running_cost(p, half[::2], qs, u_half[::2])
     return float(running + terminal_cost(p, qs[-1]))
 
 
 def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64) -> PiecewiseConstantControl:
     """Interval means U_i = (1/h_i) int u(s) ds by composite Simpson; m is the size of u_fn's values."""
-    half, delta = _horizon_half_grid(grid, M)
+    half, _ = _horizon_half_grid(grid, M)
     nodes = half[:, ::2]
     m = np.size(u_fn(float(nodes[0, 0])))
     vals = _eval_control_function(u_fn, nodes.ravel(), m).reshape(nodes.shape + (m,))
-    w = simpson_weights(nodes.shape[1], delta[:, None])
+    w = simpson_weights(nodes)
     return PiecewiseConstantControl(grid=grid, U=np.einsum("ik,ika->ia", w, vals) / grid.h[:, None])
 
 
@@ -330,10 +339,10 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
     times = half[:, ::2]
     nodes = _affine_nodes(p, half, delta)
     zero = np.zeros((grid.N, m))
-    q0, q0_end = _march(nodes, p.q_a, np.hstack((zero, np.ones((grid.N, 1)))))
-    c0 = _running_cost(p, times, delta, q0, zero[:, None])
+    q0 = _march(nodes, p.q_a, np.hstack((zero, np.ones((grid.N, 1)))))
+    c0 = _running_cost(p, times, q0, zero[:, None])
 
-    w = simpson_weights(times.shape[1], delta[:, None])[..., None, None]  # (N, 2M+1, 1, 1)
+    w = simpson_weights(times)[..., None, None]  # (N, 2M+1, 1, 1)
     D = nodes[..., :-1]
     R = p.R.symmetrized().eval_many(times)
     flat = (grid.N, -1, n + m)  # the nodes' rows stacked, for one GEMM per interval
@@ -351,7 +360,7 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
         for i in range(grid.N):
             dz[i, :n] = dy
             dy = D[i, -1] @ dz[i]
-        d = (q0_end - p.q_b)[:, None] + dy
+        d = (q0[-1, -1] - p.q_b)[:, None] + dy
         costs = (np.sum(c0) + np.einsum("ial,ial->l", dz, g[..., None] + 0.5 * (H @ dz))
                  + 0.5 * np.einsum("al,al->l", p.S @ d, d))
     if not np.all(np.isfinite(costs)):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInterval, NonFinite, TooLarge, ValidationError
-from .problem import INTP_MAX, LQProblem, SamplingGrid
+from .problem import INTP_MAX, LQProblem, SamplingGrid, _is_integer
 
 TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
@@ -65,6 +65,8 @@ def _half_grid(lo, hi, h, M: int):
     be quietly wrong.  That check also rules out a zero spacing, the one
     case where linspace's arithmetic differs.
     """
+    if not _is_integer(M):
+        raise ValidationError(f"M must be an integer, got {M!r}")
     if M < 1:
         raise ValidationError(f"need M >= 1, got {M}")
     if 4 * M + 1 > INTP_MAX:

@@ -46,12 +46,10 @@ def analytic():
 
 
 def solve_with_simulation(problem, grid, M):
-    """Pipeline plus simulated cost: (blocks, sweep, solution, trajectory)."""
+    """Pipeline plus simulation: (blocks, sweep, solution, its simulated cost, its trajectory)."""
     blocks, sweep, sol = sq.solve(problem, grid, M)
-    control = sq.PiecewiseConstantControl(grid, sol.U)
-    traj = sq.simulate_state(problem, control, M)
-    sol = sol.with_simulated_cost(sq.evaluate_cost(traj))
-    return blocks, sweep, sol, traj
+    traj = sq.simulate_state(problem, sq.PiecewiseConstantControl(grid, sol.U), M)
+    return blocks, sweep, sol, sq.evaluate_cost(traj), traj
 
 
 def max_relative_residual(problem, sol, M_res):

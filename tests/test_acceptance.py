@@ -52,14 +52,14 @@ def convergence(dontchev, dontchev_entry):
     data = {}
     for N in GRID_SIZES:
         grid = sq.uniform_grid(N, dontchev.a, dontchev.b)
-        _, _, sol, traj = solve_with_simulation(dontchev, grid, 64)
+        _, _, sol, cost, _ = solve_with_simulation(dontchev, grid, 64)
         u_avg = sq.averaged_control(u_ref, grid, M=64)
         cost_avg = sq.evaluate_cost(sq.simulate_state(dontchev, u_avg, M=64))
         ref_nodes = np.array([u_ref(float(grid.s[i])) for i in range(N)])
         node_err = float(np.max(np.abs(sol.U[:, 0] - ref_nodes)))
         data[N] = {
             "sol": sol,
-            "cost_sampled": sol.simulated_cost,
+            "cost_sampled": cost,
             "cost_averaged": cost_avg,
             "node_err": node_err,
             "U_averaged": u_avg.U,

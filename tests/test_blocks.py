@@ -17,38 +17,46 @@ def homogeneous():
 
 class TestSimpsonWeights:
     def test_three_nodes(self):
-        w = sq.simpson_weights(3, 0.5)
+        w = sq.simpson_weights(np.array([0.0, 0.5, 1.0]))
         assert np.allclose(w, np.array([1.0, 4.0, 1.0]) * 0.5 / 3.0)
 
     def test_weights_sum_to_length(self):
-        w = sq.simpson_weights(9, 0.125)
+        w = sq.simpson_weights(np.linspace(0.0, 1.0, 9))
         assert np.sum(w) == pytest.approx(1.0, abs=1e-15)
 
     def test_even_count_rejected(self):
         with pytest.raises(ValidationError):
-            sq.simpson_weights(4, 0.1)
+            sq.simpson_weights(np.linspace(0.0, 0.3, 4))
 
     def test_exact_for_cubics(self):
         nodes = np.linspace(0.0, 1.0, 5)
-        w = sq.simpson_weights(5, 0.25)
+        w = sq.simpson_weights(nodes)
         assert w @ nodes**3 == pytest.approx(0.25, abs=1e-15)
 
     def test_fresh_writable_result(self):
-        first = sq.simpson_weights(7, 0.5)
+        first = sq.simpson_weights(np.linspace(0.0, 3.0, 7))
         assert first.flags.writeable
         first[:] = -1.0
-        second = sq.simpson_weights(7, 0.5)
+        second = sq.simpson_weights(np.linspace(0.0, 3.0, 7))
         assert second.tobytes() == (np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) * (0.5 / 3.0)).tobytes()
         assert not np.shares_memory(first, second)
-        rows = sq.simpson_weights(7, np.array([[0.5], [0.25]]))  # one spacing per row
+        rows = sq.simpson_weights(np.stack([np.linspace(0.0, 3.0, 7), np.linspace(1.0, 2.5, 7)]))
         assert rows.shape == (2, 7) and rows[0].tobytes() == second.tobytes()
+
+    def test_spacing_read_from_each_rows_ends(self):
+        # each row of a (2, 3, K) stack of node times gets the spacing of its own ends
+        ends = np.array([[[0.0, 1.0], [1.0, 1.5], [-2.0, 6.0]], [[0.25, 0.5], [3.0, 7.0], [0.0, 1e-3]]])
+        times = ends[..., :1] + np.arange(5) * ((ends[..., 1:] - ends[..., :1]) / 4)
+        w = sq.simpson_weights(times)
+        assert w.shape == (2, 3, 5)
+        assert np.allclose(w.sum(axis=-1), ends[..., 1] - ends[..., 0], rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("bad", [1, 2, 4])
     def test_bad_count_rejected_after_a_valid_one(self, bad):
-        sq.simpson_weights(5, 0.25)
-        sq.simpson_weights(3, 0.25)
+        sq.simpson_weights(np.linspace(0.0, 1.0, 5))
+        sq.simpson_weights(np.linspace(0.0, 1.0, 3))
         with pytest.raises(ValidationError):
-            sq.simpson_weights(bad, 0.25)
+            sq.simpson_weights(np.linspace(0.0, 1.0, bad))
 
 
 class TestScalarBenchmarkBlocks:
@@ -231,7 +239,7 @@ class TestConsistency:
 
 def _reference_interval_forms(p, times, Ys):
     """One interval's symmetrized (state_cost, control_cost), formed on that interval alone."""
-    w = sq.simpson_weights(times.shape[0], (times[-1] - times[0]) / (times.shape[0] - 1))
+    w = sq.simpson_weights(times)
     Wk = p.W.eval_many(times)
     Rk = p.R.eval_many(times)
     xk = p.x_ref.eval_many(times)

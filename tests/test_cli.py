@@ -115,7 +115,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", *source, "--substeps", "8", "--format", "json", "--out", str(path))
         assert code == 0
         problem, grid, _, _ = cli._resolve(cli.build_parser().parse_args(["solve", *source]))
-        _, sweep, sol, _ = cli._solve(problem, grid, 8)
+        _, sweep, sol, _, _ = cli._solve(problem, grid, 8)
         steps = json.loads(path.read_text())["steps"]
         U_lines = [line for line in out.splitlines() if line.startswith("U[")]
         assert problem.m == m and len(steps) == len(U_lines) == grid.N > 1

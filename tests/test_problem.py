@@ -301,6 +301,15 @@ class TestGrids:
         with pytest.raises(InvalidInterval):
             sq.uniform_grid(2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("N", [2.5, 2.0, True, "2", None])
+    def test_uniform_count_must_be_an_integer(self, N):
+        with pytest.raises(InvalidInterval, match="integer"):
+            sq.uniform_grid(N, 0.0, 1.0)
+
+    def test_uniform_numpy_integer_count(self):
+        g = sq.uniform_grid(np.int64(3), 0.0, 1.0)
+        assert g.s.tobytes() == sq.uniform_grid(3, 0.0, 1.0).s.tobytes()
+
     def test_uniform_beyond_index_range(self):
         # N + 1 sample times past np.intp's range; nothing is allocated before the check
         with pytest.raises(TooLarge, match=f"N = {2**64}"):

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -253,6 +253,13 @@ class TestCostate:
         assert np.array_equal(costate.p_end, expected)
         assert np.array_equal(costate.ps[-1][-1], costate.p_end)
 
+    def test_run_ends_are_read_off_the_last_node(self, timevarying):
+        traj = sq.simulate_state(timevarying, zero_control(sq.uniform_grid(2, 0, 1)), M=4)
+        costate = sq.simulate_costate(traj, M=4)
+        assert [f.name for f in fields(traj)] == ["problem", "control", "times", "qs"]
+        assert [f.name for f in fields(costate)] == ["state", "ps"]
+        assert np.shares_memory(traj.q_end, traj.qs) and np.shares_memory(costate.p_end, costate.ps)
+
     def test_scalar_closed_form(self, dontchev):
         # Uncontrolled state e^(t/2) gives p(t) = -2 e^(-t/2) (e - e^t).
         u = zero_control(sq.uniform_grid(2, 0, 1))
@@ -408,6 +415,26 @@ class TestTypedErrors:
     def test_nonpositive_substeps_rejected(self, dontchev, name, M):
         with pytest.raises(ValidationError):
             TAKES_M[name](dontchev, sq.uniform_grid(2, 0, 1), M)
+
+    @pytest.mark.parametrize("M", [2.5, 2.0, True])
+    @pytest.mark.parametrize("name", sorted(TAKES_M))
+    def test_non_integer_substeps_rejected(self, dontchev, name, M):
+        # 2.5 once ran as 6 node times an interval; True once ran as M = 1
+        with pytest.raises(ValidationError):
+            TAKES_M[name](dontchev, sq.uniform_grid(2, 0, 1), M)
+
+    def test_numpy_integer_substeps_run(self, dontchev):
+        u = zero_control(sq.uniform_grid(2, 0, 1))
+        assert sq.simulate_state(dontchev, u, np.int64(4)).qs.tobytes() == sq.simulate_state(dontchev, u, 4).qs.tobytes()
+        assert sq.solve(dontchev, u.grid, np.int32(4))[2].U.tobytes() == sq.solve(dontchev, u.grid, 4)[2].U.tobytes()
+
+    @pytest.mark.parametrize("run", [sq.cost_of_permanent, sq.pmp_residual_permanent])
+    @pytest.mark.parametrize("interval, R", [((1.0, 0.0), 1.0), ((0.0, 1.0), -1.0)])
+    def test_dense_run_needs_validated_problem(self, run, interval, R):
+        # unvalidated, a backward interval gave a negative cost and R = -1 a residual of 3.44
+        p = make_problem(*interval, A=0.5, B=1.0, W=2.0, R=R, S=0.0, q_a=[1.0])
+        with pytest.raises(ValidationError, match="validated"):
+            run(p, lambda t: [0.0], 4)
 
     def test_control_dimension_checked(self, dontchev):
         grid = sq.uniform_grid(2, 0, 1)

@@ -61,7 +61,7 @@ class TestPropagateInterval:
         grid = sq.uniform_grid(1, 0, 1)
         M = 32
         times, Zs, Gammas, Xis = _propagate(timevarying, grid, 0, M)
-        w = sq.simpson_weights(2 * M + 1, float(grid.h[0]) / (2 * M))
+        w = sq.simpson_weights(times)
         Zend = Zs[-1]
         gamma = np.zeros_like(Gammas[-1])
         xi = np.zeros_like(Xis[-1])
@@ -217,7 +217,7 @@ def _reference_simulate_state(p, u, M, dtype=float):
         times.append(half[::2])
         qs.append(nodes[..., 0])
         q = nodes[-1]
-    return simulate.Trajectory(problem=p, control=u, times=np.stack(times), qs=np.stack(qs), q_end=q[:, 0])
+    return simulate.Trajectory(problem=p, control=u, times=np.stack(times), qs=np.stack(qs))
 
 
 def _reference_costs_of_control_batch(p, grid, Us, M):
