@@ -34,10 +34,11 @@ state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
 (N, 2M+1, n, n+m+1) and times (N, 2M+1) is interval i, and each view above
 carries that axis too (blocks.Zstep[i] is interval i's).  Two kernels run
 once per interval: `transition.propagate_interval` fills row i of times and
-Ys, and `compute_blocks` forms row i of state_cost.  The rest runs once per
-solve on the stacked node times: the Simpson weights, W, x, R and v (one
-`eval_many` each), every control_cost in one einsum, the symmetrization of
-both forms, and step, read off the stacked nodes.
+Ys, and `compute_blocks` forms row i of state_cost with one GEMM.  The rest
+runs once per solve on the stacked node times: the Simpson weights, W, x, R
+and v (one `eval_many` each), every control_cost in one batched GEMM, the
+symmetrization of both forms, and step, read off the stacked nodes.  Each
+GEMM stacks an interval's (node, row) pairs: sum_k w_k F_k^T G_k = (w F)^T G.
 
 `simpson_weights` is the package's one Simpson rule, used by `simulate` too:
 it reads the spacing off the node times, so none is passed apart from them.
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
-from .problem import LQProblem, SamplingGrid, check_grid
+from .problem import LQProblem, SamplingGrid, _is_integer, check_grid
 from .transition import ZView, propagate_interval
 
 
@@ -92,10 +93,10 @@ class IntervalBlocks:
 
     def to_jsonable(self, i: int) -> dict:
         """Interval i of the stack: its index and every paper-named block, in table order."""
-        if not 0 <= i < self.N:
-            raise IndexOutOfRange(f"interval {i} out of range for N={self.N}")
+        if not _is_integer(i) or not 0 <= i < self.N:
+            raise IndexOutOfRange(f"interval {i!r} is not an integer in range for N={self.N}")
         views = (name for name, view in vars(IntervalBlocks).items() if isinstance(view, ZView))
-        return {"i": i, **{name: getattr(self, name)[i].tolist() for name in views}}
+        return {"i": int(i), **{name: getattr(self, name)[i].tolist() for name in views}}
 
 
 def simpson_weights(times: np.ndarray) -> np.ndarray:
@@ -116,7 +117,8 @@ def compute_blocks(w: np.ndarray, Wk: np.ndarray, xk: np.ndarray, Ys: np.ndarray
     """One interval's state form, not yet symmetrized, by Simpson weights w on its nodes Ys and W, x there."""
     Y = Ys.copy()  # [Z | Gamma | xi - x]
     Y[..., -1] -= xk
-    return np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
+    d = Y.shape[-1]  # the weighted nodes' rows stacked, for one GEMM
+    return (w[:, None, None] * Y).reshape(-1, d).T @ (Wk @ Y).reshape(-1, d)
 
 
 def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBlocks:
@@ -136,7 +138,8 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
     Iv[..., :-1] = np.eye(p.m)
     np.negative(vk, out=Iv[..., -1])
-    control_cost = np.einsum("nk,nkai,nkaj->nij", w, Iv, Rk @ Iv)
+    flat = (grid.N, -1, p.m + 1)  # each interval's node rows stacked, for one GEMM per interval
+    control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ (Rk @ Iv).reshape(flat)
     state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
     step = Ys[:, -1].copy()
     step[-1, :, -1] -= p.q_b

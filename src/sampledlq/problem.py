@@ -389,8 +389,8 @@ class SamplingGrid:
 
     def tail(self, j: int) -> "SamplingGrid":
         """Sub-grid over [s_j, b], sharing node values bitwise."""
-        if not 0 <= j < self.N:
-            raise InvalidInterval(f"tail index {j} out of range for N={self.N}")
+        if not _is_integer(j) or not 0 <= j < self.N:
+            raise InvalidInterval(f"tail index {j!r} is not an integer in range for N={self.N}")
         return SamplingGrid(h=self.h[j:], s=self.s[j:])
 
 

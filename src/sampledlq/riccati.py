@@ -41,7 +41,7 @@ import numpy as np
 
 from .blocks import IntervalBlocks, compute_all_blocks
 from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
-from .problem import LQProblem, SamplingGrid
+from .problem import LQProblem, SamplingGrid, _is_integer
 from .transition import ZView
 
 
@@ -157,8 +157,8 @@ def forward_synthesis(sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarr
 
 def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
     """V_j(y) = 1/2 [y; 1]^T V_j [y; 1] = 1/2 <K_j y, y> + <J_j, y> + 1/2 Y_j."""
-    if not 0 <= j <= sweep.N:
-        raise IndexOutOfRange(f"value function index {j} out of range for N={sweep.N}")
+    if not _is_integer(j) or not 0 <= j <= sweep.N:
+        raise IndexOutOfRange(f"value function index {j!r} is not an integer in range for N={sweep.N}")
     y = np.asarray(y, dtype=float)
     n = sweep.dims[0]
     if y.shape != (n,):

@@ -200,8 +200,8 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int):
     The times run from s_i to s_{i+1} exactly, with spacing h_i / 2M; a
     node at time t holds Y(t) with q(t) = Y(t) [y; U; 1].
     """
-    if not 0 <= i < grid.N:
-        raise IndexOutOfRange(f"interval {i} out of range for N={grid.N}")
+    if not _is_integer(i) or not 0 <= i < grid.N:
+        raise IndexOutOfRange(f"interval {i!r} is not an integer in range for N={grid.N}")
     half, delta = _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
     Ys = _affine_nodes(p, half, delta)
     if not np.isfinite(Ys).all():

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,10 @@ class TestConsistency:
         assert isinstance(doc["RV2"], float)
         with pytest.raises(IndexOutOfRange):  # would wrap to the last interval
             blocks.to_jsonable(-1)
+        for bad in (1.5, True, np.float64(0.0)):  # True would index a new axis, not interval 1
+            with pytest.raises(IndexOutOfRange):
+                blocks.to_jsonable(bad)
+        assert json.dumps(blocks.to_jsonable(np.int64(0))) == json.dumps(doc)
         one = replace(blocks, step=blocks.step[0], state_cost=blocks.state_cost[0], control_cost=blocks.control_cost[0])
         with pytest.raises(DimensionMismatch):  # a record without the interval axis, not a stack
             one.to_jsonable(0)
@@ -205,9 +210,10 @@ class TestConsistency:
                 assert stacked[i].tobytes() == row.tobytes()  # bitwise, signed zeros too
 
     def test_no_broadcast_helper_per_interval(self, homogeneous, monkeypatch):
-        # one propagation and one state form per interval, no np.broadcast_to on that path, and
-        # W, x, R and v evaluated once per solve, on every interval's node times (counted by identity)
-        calls = {"broadcast_to": 0, "propagate_interval": 0, "compute_blocks": 0}
+        # one propagation and one state form per interval, no np.broadcast_to on that path, no
+        # np.einsum (both forms are GEMMs), and W, x, R and v evaluated once per solve, on every
+        # interval's node times (counted by identity)
+        calls = {"broadcast_to": 0, "einsum": 0, "propagate_interval": 0, "compute_blocks": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -219,6 +225,7 @@ class TestConsistency:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(np, "broadcast_to")
+        counting(np, "einsum")
         counting(blocks_module, "propagate_interval")
         counting(blocks_module, "compute_blocks")
         p = homogeneous
@@ -233,11 +240,22 @@ class TestConsistency:
 
         monkeypatch.setattr(sq.CoefficientFunction, "eval_many", counting_eval)
         sq.compute_all_blocks(p, sq.uniform_grid(4, p.a, p.b), M=8)
-        assert calls == {"broadcast_to": 0, "propagate_interval": 4, "compute_blocks": 4}
+        assert calls == {"broadcast_to": 0, "einsum": 0, "propagate_interval": 4, "compute_blocks": 4}
         assert evals == {"W": 1, "x_ref": 1, "R": 1, "v_ref": 1}
 
 
-def _reference_interval_forms(p, times, Ys):
+def _gemm_form(w, F, G):
+    """sum_k w_k F_k^T G_k as compute_all_blocks forms it: the weighted node rows stacked, one GEMM."""
+    d = F.shape[-1]
+    return (w[:, None, None] * F).reshape(-1, d).T @ G.reshape(-1, d)
+
+
+def _einsum_form(w, F, G):
+    """sum_k w_k F_k^T G_k by numpy's three-operand einsum, the blocks' formula before the GEMM."""
+    return np.einsum("k,kai,kaj->ij", w, F, G)
+
+
+def _reference_interval_forms(p, times, Ys, form=_gemm_form):
     """One interval's symmetrized (state_cost, control_cost), formed on that interval alone."""
     w = sq.simpson_weights(times)
     Wk = p.W.eval_many(times)
@@ -249,9 +267,26 @@ def _reference_interval_forms(p, times, Ys):
     Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
     Iv[..., :-1] = np.eye(p.m)
     np.negative(vk, out=Iv[..., -1])
-    state_cost = np.einsum("k,kai,kaj->ij", w, Y, Wk @ Y)
-    control_cost = np.einsum("k,kai,kaj->ij", w, Iv, Rk @ Iv)
+    state_cost = form(w, Y, Wk @ Y)
+    control_cost = form(w, Iv, Rk @ Iv)
     return 0.5 * (state_cost + state_cost.T), 0.5 * (control_cost + control_cost.T)
+
+
+@pytest.mark.parametrize("M", [8, 32])
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo", 3, 8, 11])
+def test_gemm_forms_match_the_einsum(source, M):
+    # the GEMM changes only the order of accumulation, so the forms agree with the einsum's to rounding
+    if isinstance(source, str):
+        p = sq.get_problem(source).problem
+        grid = sq.grid_from_durations([0.2, 0.5, 0.3], p.a, p.b)
+    else:
+        p, grid = sq.random_problem(source)
+    blocks = sq.compute_all_blocks(p, grid, M)
+    for i in range(grid.N):
+        refs = _reference_interval_forms(p, blocks.times[i], blocks.Ys[i], form=_einsum_form)
+        for name, ref in zip(("state_cost", "control_cost"), refs):
+            err = np.max(np.abs(getattr(blocks, name)[i] - ref))
+            assert err <= 1e-14 * (1.0 + np.max(np.abs(ref))), (name, i, err)
 
 
 # -- constant-coefficient blocks against Van Loan's exact integrals -------------

@@ -331,6 +331,13 @@ class TestGrids:
         assert np.array_equal(t.s, g.s[1:])
         assert np.array_equal(t.h, g.h[1:])
 
+    def test_tail_index_must_be_an_integer(self):
+        g = sq.grid_from_durations([0.2, 0.3, 0.5], 0.0, 1.0)
+        for bad in (1.5, True, np.float64(1.0)):  # True would slice as 1
+            with pytest.raises(InvalidInterval):
+                g.tail(bad)
+        assert np.array_equal(g.tail(np.int64(1)).s, g.tail(1).s)
+
 
 class TestJsonLoading:
     def _doc(self):

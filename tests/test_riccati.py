@@ -132,6 +132,10 @@ class TestSynthesis:
             sq.value_function(sweep, 3, [0.0])
         with pytest.raises(IndexOutOfRange):
             sq.value_function(sweep, -1, [0.0])
+        for bad in (1.5, True, np.float64(1.0), "1"):  # no float, bool or string is an index, integer-valued or not
+            with pytest.raises(IndexOutOfRange):
+                sq.value_function(sweep, bad, [0.0])
+        assert sq.value_function(sweep, np.int64(1), [0.5]) == sq.value_function(sweep, 1, [0.5])
 
     def test_dimension_guards(self, dontchev):
         grid = sq.uniform_grid(2, 0, 1)

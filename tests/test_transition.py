@@ -5,7 +5,7 @@ import pytest
 
 import sampledlq as sq
 from sampledlq import simulate, transition
-from sampledlq.errors import InvalidInterval, TooLarge
+from sampledlq.errors import IndexOutOfRange, InvalidInterval, TooLarge
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval
 
@@ -416,3 +416,12 @@ def test_substeps_beyond_index_range(dontchev):
     # 4M + 1 half-grid nodes past np.intp's range; nothing is allocated before the check
     with pytest.raises(TooLarge, match=f"M = {2**64}"):
         propagate_interval(dontchev, sq.uniform_grid(1, 0.0, 1.0), 0, 2**64)
+
+
+def test_interval_index_must_be_an_integer(dontchev):
+    grid = sq.uniform_grid(3, 0.0, 1.0)
+    for bad in (1.5, True, np.float64(1.0), 3, -1):
+        with pytest.raises(IndexOutOfRange):
+            propagate_interval(dontchev, grid, bad, 4)
+    for t, ref in zip(propagate_interval(dontchev, grid, np.int64(1), 4), propagate_interval(dontchev, grid, 1, 4)):
+        assert t.tobytes() == ref.tobytes()
