@@ -18,6 +18,10 @@ matmuls give all K+1 nodes [Z | G] of the run.  Half grids stacked on leading
 axes (one per sampling interval) run independently, so one call forms the
 [Z | Gamma | xi] nodes of every interval; `simulate` carries the state across
 the interval joins with them.
+
+With A, B and omega constant every step has the same map (a zero-order
+hold): the kernel forms it once and composes it by doubling, K - 1
+compositions in place of the scan's K log2(K), into bitwise the scan's nodes.
 """
 
 from __future__ import annotations
@@ -159,15 +163,22 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     which keeps the low bits that rounding P2 P1 near Id loses and holds
     the scan to the serial recurrence's accuracy.  At level d, entry j >= d
     holds the composite of the d maps ending at step j and takes in the one
-    ending d steps earlier.  Composites can overflow before the nodes
-    would; `_rk4_linear`, the only caller, turns overflow warnings off, and
-    every caller of it checks its nodes for finiteness.
+    ending d steps earlier.  On equal maps (stride 0 on the step axis) the
+    entries j >= d - 1 all hold one composite U of d maps, so a level fills
+    only entries d .. 2d-1, as U after entries 0 .. d-1: doubling, bitwise
+    the scan.  Composites can overflow before the nodes would; `_rk4_linear`,
+    the only caller, turns overflow warnings off, and every caller of it
+    checks its nodes for finiteness.
     """
     K, n = maps.shape[-3:-1]
     out = np.zeros(maps.shape[:-3] + (K + 1,) + maps.shape[-2:])
     E = out[..., 1:, :, :]
     E[...] = maps
     d = 1
+    while d < K and maps.strides[-3] == 0:
+        U, lo = E[..., d - 1 : d, :, :], E[..., : min(d, K - d), :, :]
+        E[..., d : d + lo.shape[-3], :, :] = U + (lo + U[..., :n] @ lo)
+        d *= 2
     while d < K:
         E[..., d:, :, :] += E[..., :-d, :, :] + E[..., d:, :, :n] @ E[..., :-d, :, :]
         d *= 2
@@ -180,18 +191,31 @@ def _rk4_linear(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
 
     As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
     one half grid or on a stack of them; delta is a scalar or one step per
-    grid.  A run from y under the forcing C v is Z y + G v.  Overflow and
+    grid.  As and Cs both stride 0 on the half-step axis (constants, as
+    `eval_many` gives them) give one step map, formed on the first three
+    points.  A run from y under the forcing C v is Z y + G v.  Overflow and
     invalid-value warnings are off for the whole run: a run that overflows
     has non-finite nodes, which every caller checks.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        if As.strides[-3] == 0 == Cs.strides[-3]:
+            one = np.ascontiguousarray(_step_maps(As[..., :3, :, :], Cs[..., :3, :, :], delta))
+            shape = one.shape[:-3] + (As.shape[-3] // 2,) + one.shape[-2:]  # repeated with stride 0
+            return _run_maps(np.ndarray(shape, float, buffer=one, strides=one.strides[:-3] + (0,) + one.strides[-2:]))
         return _run_maps(_step_maps(As, Cs, delta))
 
 
 def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
     """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (..., 4M+1) of them."""
-    forcing = np.concatenate((p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
-    return _rk4_linear(p.A.eval_many(half), forcing, delta)
+    try:
+        if p.B.kind == p.omega.kind == "constant":  # one (n, m+1) value, stride 0 on the half grid as A's
+            value = np.concatenate((p.B.eval_many(p.a), p.omega.eval_many(p.a)[:, None]), axis=-1, dtype=float)
+            forcing = np.ndarray(half.shape + value.shape, float, value, strides=(0,) * half.ndim + value.strides)
+        else:
+            forcing = np.concatenate((p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
+        return _rk4_linear(p.A.eval_many(half), forcing, delta)
+    except MemoryError:
+        raise TooLarge(f"M = {(half.shape[-1] - 1) // 4} substeps: 2M+1 RK4 nodes do not fit in memory") from None
 
 
 def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int):

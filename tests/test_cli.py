@@ -346,6 +346,18 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {name}{10**15}") and "do not fit in memory" in err
 
+    @pytest.mark.parametrize("problem", ["dontchev", "timevarying-demo"])
+    def test_nodes_beyond_memory(self, capsys, monkeypatch, problem):
+        # a half grid that fits but RK4 nodes that do not; a stand-in for the nodes'
+        # allocation raises, on the equal-step path (dontchev) and on the scan
+        def no_memory(maps):
+            raise MemoryError
+
+        monkeypatch.setattr(transition, "_run_maps", no_memory)
+        code, out, err = run_cli(capsys, "solve", "--problem", problem, "--grid", "uniform:2", "--substeps", "8")
+        assert code == 2 and out == ""
+        assert err.startswith("error: M = 8 substeps") and "do not fit in memory" in err
+
     def test_invalid_problem_file(self, capsys, tmp_path):
         path = write_problem(tmp_path, R=[[0.0]])
         code, _, err = run_cli(capsys, "solve", "--problem", path,

@@ -479,7 +479,9 @@ class TestTypedErrors:
                         lambda: sq.simulate_costate(sq.simulate_state(growing, u, M=8), M=8),
                         lambda: sq.costs_of_control_batch(p, grid, np.zeros((3, 4, 1)), M=8),
                         lambda: sq.pmp_residual_permanent(p, lambda t: [0.0], M=8),
-                        lambda: sq.cost_of_permanent(p, lambda t: [0.0], M=8)):
+                        lambda: sq.cost_of_permanent(p, lambda t: [0.0], M=8),
+                        # per interval, 64 equal steps each amplifying by about 8e6
+                        lambda: sq.compute_all_blocks(p, grid, M=32)):
                 with pytest.raises(NonFinite):
                     run()
 

@@ -372,10 +372,97 @@ def test_horizon_scan_error_within_serial_loop_error(source, monkeypatch):
         return max(float(np.max(np.abs(q - r) / (1.0 + np.abs(r)))) for q, r in zip(traj.qs, ref))
 
     scan = error(sq.simulate_state(p, u, M))
+    equal = []
+
+    def serial(maps):
+        equal.append(maps.strides[-3] == 0)
+        return _reference_run_maps(maps)
+
     with monkeypatch.context() as mp:
-        mp.setattr(transition, "_run_maps", _reference_run_maps)
+        mp.setattr(transition, "_run_maps", serial)
         loop = error(sq.simulate_state(p, u, M))
+    # constant A, B and omega hand the serial loop the one step map, repeated, that the doubling composed
+    assert equal == [all(cf.kind == "constant" for cf in (p.A, p.B, p.omega))]
     assert scan <= 4.0 * loop
+
+
+# -- constant A, B and omega: one step map, composed by doubling ---------------
+
+
+def _spy_step_maps(monkeypatch):
+    """Record the half-step count of every coefficient array `_step_maps` is handed."""
+    points = []
+    original = transition._step_maps
+
+    def spy(As, Cs, delta):
+        points.append(As.shape[-3])
+        return original(As, Cs, delta)
+
+    monkeypatch.setattr(transition, "_step_maps", spy)
+    return points
+
+
+def _scan_nodes(p, half, delta):
+    """_affine_nodes' nodes with every coefficient copied out to full size, so every step map is formed and scanned."""
+    forcing = np.concatenate((p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
+    return transition._rk4_linear(np.array(p.A.eval_many(half)), forcing, delta)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 16, 32, 64])
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", 2, 4, 8, 10, 14])
+def test_equal_step_doubling_bitwise_equal_to_scan(source, M, monkeypatch):
+    # M = 3 and 5 make 2M no power of two, so the last doubling fills part of a level
+    p = _kernel_case(source)[0]
+    durations = np.array([0.2, 0.5, 0.3]) * (p.b - p.a)
+    for grid in (sq.uniform_grid(5, p.a, p.b), sq.grid_from_durations(durations, p.a, p.b)):
+        half, delta = transition._horizon_half_grid(grid, M)
+        with monkeypatch.context() as mp:
+            points = _spy_step_maps(mp)
+            stacked = transition._affine_nodes(p, half, delta)
+            per_interval = [propagate_interval(p, grid, i, M)[1] for i in range(grid.N)]
+        assert points == [3] * (1 + grid.N)  # one step map per run, on three half-step points
+        assert stacked.tobytes() == _scan_nodes(p, half, delta).tobytes()
+        for i, Ys in enumerate(per_interval):
+            assert Ys.tobytes() == _scan_nodes(p, half[i], delta[i]).tobytes() == stacked[i].tobytes()
+        # and _run_maps on the equal maps, repeated by a stride-0 view and copied out
+        forcing = np.concatenate((p.B.eval_many(half[:, :3]), p.omega.eval_many(half[:, :3])[..., None]), axis=-1)
+        maps = np.broadcast_to(transition._step_maps(p.A.eval_many(half[:, :3]), forcing, delta),
+                               (grid.N, 2 * M) + stacked.shape[-2:])
+        assert transition._run_maps(maps).tobytes() == transition._run_maps(maps.copy()).tobytes()
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", 4, "timevarying-demo", 1, 3])
+def test_equal_step_path_serves_its_callers(source, monkeypatch):
+    # the per-interval propagation, a state run without blocks and the oracle's batch form one
+    # step map per run on constant A, B and omega; polynomial A or omega keeps the scan
+    p, grid = _kernel_case(source)
+    M = 8
+    u = sq.PiecewiseConstantControl(grid, np.ones((grid.N, p.m)))
+    constant = all(cf.kind == "constant" for cf in (p.A, p.B, p.omega))
+    assert constant == (source not in ("timevarying-demo", 1, 3))
+    for run in (lambda: propagate_interval(p, grid, 1, M), lambda: sq.simulate_state(p, u, M),
+                lambda: sq.costs_of_control_batch(p, grid, np.ones((2, grid.N, p.m)), M)):
+        with monkeypatch.context() as mp:
+            points = _spy_step_maps(mp)
+            run()
+        assert points == [3 if constant else 4 * M + 1]
+
+
+@pytest.mark.parametrize("source", ["dontchev", "timevarying-demo"])
+def test_nodes_out_of_memory_raise_too_large(source, monkeypatch):
+    # a MemoryError while the nodes are formed, here from a stand-in for their allocation, is TooLarge
+    p = _kernel_case(source)[0]
+    grid = sq.uniform_grid(3, p.a, p.b)
+
+    def no_memory(maps):
+        raise MemoryError
+
+    monkeypatch.setattr(transition, "_run_maps", no_memory)
+    u = sq.PiecewiseConstantControl(grid, np.zeros((grid.N, p.m)))
+    for run in (lambda: propagate_interval(p, grid, 0, 8), lambda: sq.simulate_state(p, u, 8),
+                lambda: sq.costs_of_control_batch(p, grid, np.zeros((2, grid.N, p.m)), 8)):
+        with pytest.raises(TooLarge, match=r"M = 8 substeps: 2M\+1 RK4 nodes do not fit in memory"):
+            run()
 
 
 @pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(10)))
