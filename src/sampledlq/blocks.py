@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, _is_integer, check_grid
 from .transition import ZView, propagate_interval
 
@@ -122,25 +122,36 @@ def compute_blocks(w: np.ndarray, Wk: np.ndarray, xk: np.ndarray, Ys: np.ndarray
 
 
 def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBlocks:
-    """Every interval's blocks stacked on a leading axis, row i interval i; q_a is never an input."""
+    """Every interval's blocks stacked on a leading axis, row i interval i; q_a is never an input.
+
+    Forms that overflow raise `NonFinite` naming the first such interval, and
+    stacks or forms that do not fit in memory `TooLarge`.
+    """
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
-    for i in range(grid.N):
-        t, Y = propagate_interval(p, grid, i, M)
-        if i == 0:  # after the first call, so a bad M raises its own error first
-            times, Ys = np.empty((grid.N,) + t.shape), np.empty((grid.N,) + Y.shape)
-        times[i], Ys[i] = t, Y
-    w = simpson_weights(times)
-    Wk, Rk = p.W.eval_many(times), p.R.eval_many(times)
-    xk, vk = p.x_ref.eval_many(times), p.v_ref.eval_many(times)
-    state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])
-    Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
-    Iv[..., :-1] = np.eye(p.m)
-    np.negative(vk, out=Iv[..., -1])
-    flat = (grid.N, -1, p.m + 1)  # each interval's node rows stacked, for one GEMM per interval
-    control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ (Rk @ Iv).reshape(flat)
-    state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
+    try:
+        for i in range(grid.N):
+            t, Y = propagate_interval(p, grid, i, M)
+            if i == 0:  # after the first call, so a bad M raises its own error first
+                times, Ys = np.empty((grid.N,) + t.shape), np.empty((grid.N,) + Y.shape)
+            times[i], Ys[i] = t, Y
+        w = simpson_weights(times)
+        Wk, Rk = p.W.eval_many(times), p.R.eval_many(times)
+        xk, vk = p.x_ref.eval_many(times), p.v_ref.eval_many(times)
+        with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is caught below
+            state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])
+            Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
+            Iv[..., :-1] = np.eye(p.m)
+            np.negative(vk, out=Iv[..., -1])
+            flat = (grid.N, -1, p.m + 1)  # each interval's node rows stacked, for one GEMM per interval
+            control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ (Rk @ Iv).reshape(flat)
+            state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
+    except MemoryError:
+        raise TooLarge(f"N = {grid.N} intervals at M = {M} substeps: the blocks do not fit in memory") from None
+    finite = np.isfinite(state_cost).all(axis=(1, 2)) & np.isfinite(control_cost).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFinite(f"cost forms overflowed on interval {np.argmin(finite)}")
     step = Ys[:, -1].copy()
     step[-1, :, -1] -= p.q_b
     return IntervalBlocks(step, state_cost, control_cost, Ys, times, grid, dynamics=(p.A, p.B, p.omega))

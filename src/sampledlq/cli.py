@@ -1,8 +1,13 @@
 """Command-line front end: solve, converge, compare-averaged, oracle-check.
 
 Exit codes: 0 ok, 2 input/validation, 3 numerical failure, 4 oracle
-disagreement.  Data files use '.' decimals and 17 significant digits so that
-reruns of identical command lines are byte-identical.
+disagreement.  CSV files use '.' decimals and 17 significant digits so that
+reruns of identical command lines are byte-identical.  A JSON file's text is
+`json.dumps(doc, indent=2)` of its document with every array as nested lists,
+written by `_json` from the arrays themselves: each array, and the solve's
+`steps` records, is one template of `%s` slots for its shape, filled once
+with the entries' `float.__repr__` spellings (NaN and the infinities as json
+spells them).  An `--out` path that cannot be written exits 2.
 
 `main(argv)` can be called repeatedly in one process: the argument parser is
 built on the first call and reused, and no state carries from one call to
@@ -15,9 +20,10 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -159,17 +165,82 @@ def _labels(name: str, m: int) -> list:
     return [f"{name}_{j + 1}" for j in range(m)] if m > 1 else [name]
 
 
+def _open_out(path: str):
+    """path opened to write text as it is given; a path that cannot be opened is a ValidationError."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from None
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as f:
+    with _open_out(path) as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
 
 
+class _Records(dict):
+    """Arrays with N rows by name, written as a JSON list of N records: record r maps each name to row r."""
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values: list) -> list:
+    """json's spelling of each float in values: float.__repr__, or NaN, Infinity and -Infinity."""
+    cells = list(map(float.__repr__, values))
+    if math.isfinite(sum(values)):  # then so is every value
+        return cells
+    return [_NONFINITE.get(c, c) for c in cells]
+
+
+def _cells(a: np.ndarray) -> list:
+    """json's spelling of each entry of a float or integer array, in C order."""
+    values = a.ravel().tolist()
+    return list(map(int.__repr__, values)) if a.dtype.kind in "iu" else _floats(values)
+
+
+def _nest(shape: tuple, pad: str, leaf: str = "%s") -> str:
+    """Template of nested lists of that shape in json's indent=2 layout at indent pad, each entry leaf."""
+    if not shape:
+        return leaf
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + ",\n".join([inner + _nest(shape[1:], inner, leaf)] * shape[0]) + "\n" + pad + "]"
+
+
+def _json(v, pad: str = "") -> str:
+    """json.dumps(v, indent=2) at indent pad, with v's ndarrays and _Records read as the nested lists they hold.
+
+    v's dicts have str keys.  An array or a _Records is one block, a
+    template filled once: json's own encoder with an indent recurses in
+    Python over every list and dict, as a recursion here would.
+    """
+    inner = pad + "  "
+    if isinstance(v, np.ndarray):
+        return _nest(v.shape, pad) % tuple(_cells(v))
+    if isinstance(v, _Records):
+        N = len(next(iter(v.values())))
+        keys = (json.dumps(k).replace("%", "%%") for k in v)
+        items = (f"{inner}  {k}: {_nest(a.shape[1:], inner + '  ')}" for k, a in zip(keys, v.values()))
+        record = "{\n" + ",\n".join(items) + "\n" + inner + "}"
+        rows = [np.array(_cells(a), dtype=object).reshape(N, math.prod(a.shape[1:])) for a in v.values()]
+        return _nest((N,), pad, record) % tuple(np.concatenate(rows, axis=1).ravel().tolist())
+    if isinstance(v, dict) and v:
+        return "{\n" + ",\n".join(f"{inner}{json.dumps(k)}: {_json(x, inner)}" for k, x in v.items()) + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)) and v:
+        return "[\n" + ",\n".join(inner + _json(x, inner) for x in v) + "\n" + pad + "]"
+    if isinstance(v, float):
+        return _floats([v])[0]
+    return json.dumps(v)
+
+
 def _write_json(path: str, doc) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps(doc, indent=2) + "\n")
+    with _open_out(path) as f:
+        f.write(_json(doc) + "\n")
 
 
 def _vec_str(v, digits=10) -> str:
@@ -202,16 +273,13 @@ def cmd_solve(args) -> int:
         if args.format == "json":
             _write_json(args.out, {
                 "problem": label,
-                "grid": {"h": grid.h.tolist(), "s": grid.s.tolist()},
-                "U": sol.U.tolist(),
-                "q_nodes": sol.q_nodes.tolist(),
-                "q_end": traj.q_end.tolist(),
+                "grid": {"h": grid.h, "s": grid.s},
+                "U": sol.U,
+                "q_nodes": sol.q_nodes,
+                "q_end": traj.q_end,
                 "predicted_cost": sol.predicted_cost,
                 "simulated_cost": cost,
-                "steps": [
-                    {"i": i, "gain": gain, "offset": offset}
-                    for i, (gain, offset) in enumerate(zip(sweep.gain.tolist(), sweep.offset.tolist()))
-                ],
+                "steps": _Records(i=np.arange(grid.N), gain=sweep.gain, offset=sweep.offset),
             })
         else:
             header = ["i", "s_i", "h_i"] + [f"U_{j + 1}" for j in range(problem.m)]
@@ -294,7 +362,7 @@ def cmd_oracle_check(args) -> int:
     print(f"certificate |Hq U + g| = {report.certificate_norm:.3e}")
 
     if args.out:
-        _write_json(args.out, report.to_jsonable())
+        _write_json(args.out, {f.name: getattr(report, f.name) for f in fields(report)})
 
     if report.max_rel_diff > ORACLE_REL_TOL:
         raise OracleMismatch(f"oracle disagreement: max rel diff {report.max_rel_diff:.3e} > {ORACLE_REL_TOL:g}")

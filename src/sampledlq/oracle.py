@@ -18,7 +18,7 @@ interval-major: component j = i*m + r is entry r of U_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,6 @@ class CrossCheckReport:
     cost_qp: float
     cost_diff: float
     certificate_norm: float
-
-    def to_jsonable(self) -> dict:
-        """The fields in declaration order, arrays as nested lists."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
 
 def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:

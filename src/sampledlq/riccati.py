@@ -9,10 +9,15 @@ interval's map z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0:
     V_i        = X_i[(y, 1), (y, 1)] + X_i[(y, 1), U] feedback_i
 
 1/2 z^T X_i z is the cost from s_i on, optimal after s_{i+1}, and V_i, its
-minimum over U, is one Schur complement.  `numpy.linalg.cholesky` gives L_i,
-and a T_i that is not positive definite raises `TNotPD(i)`.  A forward and a
-back substitution then solve for feedback_i in place, a row at a time, each
-row scaled by 1 / L_i[j, j] rather than divided by it: that is how
+minimum over U, is one Schur complement.  The loop runs on z permuted once
+per solve to [y; 1; U], so that X_i's [y; 1] and U parts are basic slices;
+X is permuted back at the end.  An X_i that is not finite raises `NonFinite`
+before T_i is read.  For m = 1, L_i = sqrt(T_i) from T_i read as a number,
+which is LAPACK's 1 x 1 factor bitwise, and a T_i that is not > 0 (NaN
+included) raises `TNotPD(i)`; for m >= 2 `numpy.linalg.cholesky` gives L_i,
+and a T_i that is not positive definite raises `TNotPD(i)`.  A forward and
+a back substitution then solve for feedback_i in place, a row at a time,
+each row scaled by 1 / L_i[j, j] rather than divided by it: that is how
 OpenBLAS's trsm scales, so for m = 1 the result is bitwise LAPACK's
 `solve(L^T, solve(L, .))` without its Python-level wrappers.  `RiccatiSweep`
 stacks the forms on a leading index axis: X (N, n+m+1, n+m+1), feedback
@@ -35,6 +40,7 @@ identity (value function, costate linearity) then holds verbatim at i = N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,46 +97,57 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
     if S.shape != (n, n):
         raise DimensionMismatch(f"S has shape {S.shape}, expected {(n, n)}")
     N = blocks.N
-    X = np.empty((N, n + m + 1, n + m + 1))
+    X = np.empty((N, n + m + 1, n + m + 1))  # on [y; 1; U] until the loop ends
     feedback = np.empty((N, m, n + 1))
     V = np.zeros((N + 1, n + 1, n + 1))
     V[N, :n, :n] = 0.5 * (S + S.T)
 
-    U, yo = slice(n, n + m), np.r_[0:n, n + m]  # the U and [y; 1] entries of z
-    yo_yo = np.ix_(yo, yo)
-    Phi = np.zeros((N, n + 1, n + m + 1))  # [step_i; e_last]
-    Phi[:, :n] = blocks.step
-    Phi[:, n, -1] = 1.0
+    order, corner = [*range(n), n + m, *range(n, n + m)], [m, *range(m)]  # z to [y; 1; U], [U; 1] to [1; U]
+    state_cost = blocks.state_cost.take(order, axis=1).take(order, axis=2)
+    control_cost = blocks.control_cost.take(corner, axis=1).take(corner, axis=2)
+    Phi = np.zeros((N, n + 1, n + m + 1))  # [step_i; the row that keeps the 1]
+    Phi[:, :n] = blocks.step.take(order, axis=2)
+    Phi[:, n, n] = 1.0
+    yo, U = slice(0, n + 1), slice(n + 1, None)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(N)):
             Xi = X[i]
             form = Phi[i].T @ V[i + 1] @ Phi[i]
-            form += blocks.state_cost[i]
-            form[n:, n:] += blocks.control_cost[i]
+            form += state_cost[i]
+            form[n:, n:] += control_cost[i]
             np.add(form, form.T, out=Xi)  # symmetrized as 0.5 * (form + form.T)
             Xi *= 0.5
             if not np.isfinite(Xi).all():
                 raise NonFinite(f"cost-to-go form overflowed on interval {i}")
-            try:
-                L = np.linalg.cholesky(Xi[U, U])
-            except np.linalg.LinAlgError as exc:
-                raise TNotPD(i) from exc
             f = feedback[i]
             np.negative(Xi[U, yo], out=f)
-            scale = 1.0 / L.diagonal()
-            for j in range(m):  # L w = f, then L^T f = w, a row at a time in place
-                if j:
-                    f[j] -= L[j, :j] @ f[:j]
-                f[j] *= scale[j]
-            for j in reversed(range(m)):
-                if j < m - 1:
-                    f[j] -= L[j + 1:, j] @ f[j + 1:]
-                f[j] *= scale[j]
+            if m == 1:  # the substitutions with L = sqrt(T), LAPACK's 1 x 1 factor: two scalings
+                T = float(Xi[-1, -1])
+                if not T > 0:
+                    raise TNotPD(i)
+                scale = 1.0 / math.sqrt(T)
+                f *= scale
+                f *= scale
+            else:
+                try:
+                    L = np.linalg.cholesky(Xi[U, U])
+                except np.linalg.LinAlgError as exc:
+                    raise TNotPD(i) from exc
+                scale = 1.0 / L.diagonal()
+                for j in range(m):  # L w = f, then L^T f = w, a row at a time in place
+                    if j:
+                        f[j] -= L[j, :j] @ f[:j]
+                    f[j] *= scale[j]
+                for j in reversed(range(m)):
+                    if j < m - 1:
+                        f[j] -= L[j + 1:, j] @ f[j + 1:]
+                    f[j] *= scale[j]
             form = Xi[yo, U] @ f
-            form += Xi[yo_yo]
+            form += Xi[yo, yo]
             np.add(form, form.T, out=V[i])
             V[i] *= 0.5
-    return RiccatiSweep(X=X, feedback=feedback, V=V)
+    back = [*range(n), *range(n + 1, n + m + 1), n]  # [y; 1; U] to z
+    return RiccatiSweep(X=X.take(back, axis=1).take(back, axis=2), feedback=feedback, V=V)
 
 
 def forward_synthesis(sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarray) -> SampledSolution:

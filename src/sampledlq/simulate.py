@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import IntervalBlocks, simpson_weights
-from .errors import DimensionMismatch, NodeMismatch, NonFinite, ValidationError
+from .errors import DimensionMismatch, NodeMismatch, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _rk4_linear
 
@@ -215,13 +215,17 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     are formed on the reversed half grids with step -delta, and the march
     takes the last interval first.
     """
-    q_half = np.empty(half.shape + qs.shape[-1:])
-    q_half[..., ::2, :] = qs
-    q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
-    forcing = p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None]
-    minus_At = -np.swapaxes(p.A.eval_many(half), -1, -2)
-    nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
-    return _march(nodes, p_end, np.ones((half.shape[0], 1)))[::-1, ::-1]
+    try:
+        q_half = np.empty(half.shape + qs.shape[-1:])
+        q_half[..., ::2, :] = qs
+        q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
+        forcing = p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None]
+        minus_At = -np.swapaxes(p.A.eval_many(half), -1, -2)
+        nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
+        return _march(nodes, p_end, np.ones((half.shape[0], 1)))[::-1, ::-1]
+    except MemoryError:
+        M = (half.shape[-1] - 1) // 4
+        raise TooLarge(f"M = {M} substeps: the costate's 2M+1 RK4 nodes do not fit in memory") from None
 
 
 def simulate_costate(traj: Trajectory, M: int = 64) -> CostateTrajectory:

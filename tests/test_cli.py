@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sampledlq.cli as cli
 from sampledlq import transition
@@ -358,12 +361,88 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: M = 8 substeps") and "do not fit in memory" in err
 
+    @pytest.mark.parametrize("argv, target", [
+        (["solve", "--problem", "dontchev", "--grid", "uniform:2", "--format", "json"], "."),
+        (["solve", "--problem", "dontchev", "--grid", "uniform:2"], "missing/x.csv"),
+        (["compare-averaged", "--problem", "dontchev", "--grid", "uniform:2"], "missing/x.csv"),
+        (["oracle-check", "--problem", "dontchev", "--grid", "uniform:2"], "."),
+        (["converge", "--problem", "dontchev", "--grids", "2"], "missing/x.csv"),
+        (["converge", "--problem", "dontchev", "--grids", "2"], "c_trace_N2.csv"),
+    ], ids=["json-dir", "csv-missing-dir", "compare-missing-dir", "oracle-dir", "converge-missing-dir", "trace-dir"])
+    def test_unwritable_out(self, capsys, tmp_path, argv, target):
+        # a directory, or a path under one that does not exist; the last case writes c.csv and
+        # meets a directory where its trace file goes
+        path = tmp_path / target
+        if target.startswith("c_trace"):
+            path.mkdir()
+        out = tmp_path / "c.csv" if target.startswith("c_trace") else path
+        code, _, err = run_cli(capsys, *argv, "--substeps", "8", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {str(path)!r}: ") and err.count("\n") == 1
+
+    def test_overflowing_block_forms(self, capsys, tmp_path):
+        # finite nodes, up to about 1e259, whose Simpson forms overflow: the error line alone, no numpy warning
+        path = write_problem(tmp_path, A=[[30000.0]], W=[[1.0]], S=[[1.0]], qb=[1.0])
+        code, out, err = run_cli(capsys, "solve", "--problem", path, "--grid", "uniform:4", "--substeps", "16")
+        assert (code, out, err) == (3, "", "error: cost forms overflowed on interval 0\n")
+
     def test_invalid_problem_file(self, capsys, tmp_path):
         path = write_problem(tmp_path, R=[[0.0]])
         code, _, err = run_cli(capsys, "solve", "--problem", path,
                                "--grid", "uniform:1")
         assert code == 2
         assert "error:" in err
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                                          float("nan"), float("inf"), float("-inf")])
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_ARRAYS = hnp.arrays(np.float64, _SHAPES, elements=_FLOATS) | hnp.arrays(np.int64, _SHAPES)
+
+
+@st.composite
+def _records(draw):
+    """cli._Records of 0-4 rows, float or integer columns of any row shape; keys may hold '%'."""
+    N = draw(st.integers(0, 4))
+    keys = draw(st.lists(st.text(), min_size=1, max_size=3, unique=True))
+    return cli._Records({
+        key: draw(hnp.arrays(draw(st.sampled_from([np.float64, np.int64])),
+                             (N, *draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))))
+        for key in keys
+    })
+
+
+def _steps(N, m, n):
+    rng = np.random.default_rng(N + 10 * m + 100 * n)
+    return cli._Records(i=np.arange(N), gain=rng.normal(size=(N, m, n)), offset=rng.normal(size=(N, m)))
+
+
+def _tolisted(v):
+    """The document json.dumps is given: arrays as nested lists, a _Records as its list of records."""
+    if isinstance(v, cli._Records):
+        return [{key: a[r].tolist() for key, a in v.items()} for r in range(len(next(iter(v.values()))))]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {key: _tolisted(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_tolisted(x) for x in v]
+    return v
+
+
+_LEAVES = st.none() | st.booleans() | st.integers() | _FLOATS | st.text() | _ARRAYS | _records()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_LEAVES, lambda inner: st.dictionaries(st.text(), inner, max_size=4) | st.lists(inner, max_size=3),
+                    max_leaves=10))
+@example({"steps": _steps(3, 1, 2), "U": np.zeros((3, 1)), "empty": _steps(0, 2, 2), "": {}, "é\u2603": []})
+@example(_steps(5, 3, 4))
+def test_json_writer_is_json_dumps_indent_2(doc):
+    # the writer's text is json's with indent=2, from the arrays themselves: NaN and the
+    # infinities as json spells them, -0.0, subnormals, the largest float, integers, zero-length
+    # axes and non-ASCII keys and labels, which json escapes
+    assert cli._json(doc) == json.dumps(_tolisted(doc), indent=2)
 
 
 class TestConverge:

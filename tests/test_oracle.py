@@ -101,10 +101,3 @@ class TestCrossCheck:
             scale = 1.0 + np.max(np.abs(report.U_sweep))
             assert report.max_abs_diff <= 1e-8 * scale, f"seed {seed}"
             assert abs(report.cost_diff) <= 1e-8 * (1.0 + abs(report.cost_sweep))
-
-    def test_report_jsonable(self, dontchev):
-        report = cross_check(dontchev, sq.uniform_grid(2, 0, 1), M=16)
-        doc = report.to_jsonable()
-        assert set(doc) >= {"U_sweep", "U_qp", "max_abs_diff", "max_rel_diff",
-                            "cost_sweep", "cost_qp", "certificate_norm"}
-        assert doc["max_abs_diff"] == report.max_abs_diff

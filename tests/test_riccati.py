@@ -181,27 +181,42 @@ class TestTailConsistency:
         with pytest.raises(TNotPD):
             sq.backward_sweep(bad, dontchev.S)
 
+    @staticmethod
+    def _double_integrator(m):
+        return sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2)[:, :m], W=np.eye(2),
+                                                R=np.eye(m), S=np.eye(2), q_a=[1.0, 0.0]))
+
     @pytest.mark.parametrize("j", [1, 2])
-    @pytest.mark.parametrize("kind", ["indefinite", "zero"])
-    def test_nonpositive_T_names_its_interval(self, kind, j):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2), W=np.eye(2),
-                                             R=np.eye(2), S=np.eye(2), q_a=[1.0, 0.0]))
+    @pytest.mark.parametrize("kind, m", [("indefinite", 2), ("zero", 2), ("indefinite", 1), ("zero", 1)],
+                             ids=["indefinite", "zero", "indefinite-m1", "zero-m1"])
+    def test_nonpositive_T_names_its_interval(self, kind, j, m):
+        # m = 2 factors T_j; m = 1 reads it as a number
+        p = self._double_integrator(m)
         blocks = sq.compute_all_blocks(p, sq.uniform_grid(4, 0, 1), M=8)
         step, state_cost, control_cost = blocks.step.copy(), blocks.state_cost.copy(), blocks.control_cost.copy()
         if kind == "indefinite":
-            # the tail after interval j is unchanged, so T_j becomes diag(1, -1) up to rounding
+            # the tail after interval j is unchanged, so T_j becomes diag(1, -1) or -1 up to rounding
             T = sq.backward_sweep(blocks, p.S).T[j]
-            control_cost[j, :2, :2] += np.diag([1.0, -1.0]) - T
+            control_cost[j, :m, :m] += np.diag([1.0, -1.0][-m:]) - T
         else:
             # no U entry left on interval j: T_j is exactly zero
-            U = slice(2, 4)
+            U = slice(2, 2 + m)
             step[j, :, U] = 0.0
             state_cost[j, U, :] = state_cost[j, :, U] = 0.0
-            control_cost[j, :2, :] = control_cost[j, :, :2] = 0.0
+            control_cost[j, :m, :] = control_cost[j, :, :m] = 0.0
         bad = replace(blocks, step=step, state_cost=state_cost, control_cost=control_cost)
         with pytest.raises(TNotPD) as info:
             sq.backward_sweep(bad, p.S)
         assert info.value.i == j
+
+    def test_nan_in_X_is_nonfinite_before_T_is_read(self):
+        # m = 1: a NaN at T_2 itself, which "not T > 0" would call TNotPD, is an overflowed form
+        p = self._double_integrator(1)
+        blocks = sq.compute_all_blocks(p, sq.uniform_grid(4, 0, 1), M=8)
+        state_cost = blocks.state_cost.copy()
+        state_cost[2, 2, 2] = np.nan
+        with pytest.raises(NonFinite, match="interval 2$"):
+            sq.backward_sweep(replace(blocks, state_cost=state_cost), p.S)
 
     def test_overflowing_cost_to_go_is_typed(self, dontchev):
         # <S q_b, q_b> overflows; the form's inf would turn every entry of the
@@ -358,3 +373,45 @@ def test_quadratic_forms_match_per_block_formulas(source):
     for g, r in zip(got, ref):
         assert np.shape(g) == np.shape(r)
         assert np.max(np.abs(g - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
+
+
+def _fancy_index_sweep(blocks, S):
+    """(X, feedback, V) of the sweep that read X_i's [y; 1] and U parts by fancy indexing and factored every T_i."""
+    (n, m), N = blocks.dims, blocks.N
+    X, feedback, V = np.empty((N, n + m + 1, n + m + 1)), np.empty((N, m, n + 1)), np.zeros((N + 1, n + 1, n + 1))
+    V[N, :n, :n] = 0.5 * (S + S.T)
+    U, yo = slice(n, n + m), np.r_[0:n, n + m]
+    Phi = np.zeros((N, n + 1, n + m + 1))
+    Phi[:, :n] = blocks.step
+    Phi[:, n, -1] = 1.0
+    for i in reversed(range(N)):
+        form = Phi[i].T @ V[i + 1] @ Phi[i]
+        form += blocks.state_cost[i]
+        form[n:, n:] += blocks.control_cost[i]
+        X[i] = 0.5 * (form + form.T)
+        L = np.linalg.cholesky(X[i][U, U])
+        f = feedback[i]
+        np.negative(X[i][U, yo], out=f)
+        scale = 1.0 / L.diagonal()
+        for j in range(m):
+            if j:
+                f[j] -= L[j, :j] @ f[:j]
+            f[j] *= scale[j]
+        for j in reversed(range(m)):
+            if j < m - 1:
+                f[j] -= L[j + 1:, j] @ f[j + 1:]
+            f[j] *= scale[j]
+        form = X[i][yo, U] @ f
+        form += X[i][np.ix_(yo, yo)]
+        V[i] = 0.5 * (form + form.T)
+    return X, feedback, V
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(12)))
+def test_sweep_bitwise_equal_to_fancy_index_loop(source):
+    # the sweep reads a [y; 1; U] permutation of X_i by basic slices, and for m = 1 takes
+    # sqrt(T_i) itself; every byte of X, feedback and V is the loop's (seeds 0-11 have m = 1 to 3)
+    p, grid = _reference_case(source)
+    blocks, sweep, _ = sq.solve(p, grid, M=16)
+    for got, ref in zip((sweep.X, sweep.feedback, sweep.V), _fancy_index_sweep(blocks, p.S)):
+        assert got.tobytes() == ref.tobytes()

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import sampledlq as sq
+from sampledlq import blocks as blocks_module
+from sampledlq import simulate as simulate_module
 from sampledlq import transition
-from sampledlq.errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, ValidationError
+from sampledlq.errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, TooLarge, ValidationError
 from sampledlq.problem import make_problem
 
 E = np.e
@@ -484,6 +486,34 @@ class TestTypedErrors:
                         lambda: sq.compute_all_blocks(p, grid, M=32)):
                 with pytest.raises(NonFinite):
                     run()
+
+    @pytest.mark.parametrize("durations, first", [([0.25] * 4, 0), ([0.02, 0.02, 0.24, 0.24, 0.24, 0.24], 2)])
+    def test_block_forms_overflow_names_the_first_interval(self, durations, first):
+        # A = 30000 at M = 16: the nodes stay finite (up to about 1e259 on intervals of 1/4), but
+        # the Simpson forms, which square them, overflow on every interval of 0.24 or more
+        p = sq.validate_problem(make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[1.0]],
+                                             q_a=[1.0], q_b=[1.0]))
+        grid = sq.grid_from_durations(np.array(durations), 0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"cost forms overflowed on interval {first}$"):
+                sq.compute_all_blocks(p, grid, M=16)
+
+    @pytest.mark.parametrize("module, name, run, what", [
+        (blocks_module, "simpson_weights", lambda p, traj: sq.compute_all_blocks(p, traj.grid, 8), "the blocks"),
+        (blocks_module, "compute_blocks", lambda p, traj: sq.compute_all_blocks(p, traj.grid, 8), "the blocks"),
+        (simulate_module, "_rk4_linear", lambda p, traj: sq.simulate_costate(traj, 8), "the costate's"),
+    ], ids=["stacks", "forms", "costate"])
+    def test_out_of_memory_past_the_nodes_raises_too_large(self, dontchev, monkeypatch, module, name, run, what):
+        # a MemoryError from a stand-in for an allocation after node formation is TooLarge, exit 2
+        traj = sq.simulate_state(dontchev, zero_control(sq.uniform_grid(3, 0, 1)), 8)
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(module, name, no_memory)
+        with pytest.raises(TooLarge, match=f"M = 8 substeps: {what} .*do not fit in memory"):
+            run(dontchev, traj)
 
     @staticmethod
     def _growing(q_a, q_b):
