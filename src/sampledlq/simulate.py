@@ -11,9 +11,10 @@ nodes, and `simulate_state` given them only marches.  The march serves one
 control (`simulate_state`) and a dense control (one interval [a, b] under
 the forcing B u(t) + omega).  The costate runs backward from
 p(b) = -S (q(b) - q_b) through the same march, last interval first, on the
-[Zc | phi] nodes of -A^T and the forcing W (q - x), formed on the reversed
-half grids with step -delta; RK4 stages falling between stored state nodes
-use linear interpolation of q.  The march returns the run alone: its end
+[Zc | phi] nodes of the table [-A^T | W (q - x)], written into one array and
+run on the reversed half grids with step -delta; RK4 stages falling between
+stored state nodes use linear interpolation of q.  The dense run's table is
+[A | B u + omega].  The march returns the run alone: its end
 value is its last node, which `Trajectory.q_end` and
 `CostateTrajectory.p_end` read.
 
@@ -212,16 +213,19 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     half (N, 4M+1) are the stacked half grids with steps delta (N,) and qs
     (N, 2M+1, n) the state nodes on them; q at half-step stages is the
     average of the adjacent nodes.  The [Zc | phi] nodes of every interval
-    are formed on the reversed half grids with step -delta, and the march
-    takes the last interval first.
+    are formed from the table [-A^T | W (q - x)] on the reversed half grids
+    with step -delta, and the march takes the last interval first.
     """
     try:
-        q_half = np.empty(half.shape + qs.shape[-1:])
+        n = qs.shape[-1]
+        q_half = np.empty(half.shape + (n,))
         q_half[..., ::2, :] = qs
         q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
-        forcing = p.W.eval_many(half) @ (q_half - p.x_ref.eval_many(half))[..., None]
-        minus_At = -np.swapaxes(p.A.eval_many(half), -1, -2)
-        nodes = _rk4_linear(minus_At[::-1, ::-1], forcing[::-1, ::-1], -delta[::-1])
+        q_half -= p.x_ref.eval_many(half)
+        F = np.empty(half.shape + (n, n + 1))  # the table [-A^T | W (q - x)]
+        np.negative(np.swapaxes(p.A.eval_many(half), -1, -2), out=F[..., :n])
+        np.matmul(p.W.eval_many(half), q_half[..., None], out=F[..., n:])
+        nodes = _rk4_linear(F[::-1, ::-1], -delta[::-1])
         return _march(nodes, p_end, np.ones((half.shape[0], 1)))[::-1, ::-1]
     except MemoryError:
         M = (half.shape[-1] - 1) // 4
@@ -267,15 +271,22 @@ def _eval_control_function(u_fn: Callable, ts: np.ndarray, m: int) -> np.ndarray
 def _dense_state(p: LQProblem, u_fn: Callable, M: int):
     """Half grid, step, control values on it and state nodes of u_fn over [a, b], 2M RK4 steps.
 
-    [a, b] is one interval whose nodes [Z | xi_u] carry the forcing B u + omega.
+    [a, b] is one interval whose nodes [Z | xi_u], from the table
+    [A | B u + omega], carry that forcing.  Nodes that do not fit in memory
+    raise `TooLarge`.
     """
     if not p.validated:
         raise ValidationError("problem must be validated before simulating a control on it")
     half, delta = _half_grid(p.a, p.b, p.b - p.a, M)
     u_half = _eval_control_function(u_fn, half, p.m)
-    forcing = p.B.eval_many(half) @ u_half[..., None] + p.omega.eval_many(half)[..., None]
-    nodes = _rk4_linear(p.A.eval_many(half), forcing, delta)
-    return half, delta, u_half, _march(nodes[None], p.q_a, np.ones((1, 1)))[0]
+    try:
+        F = np.empty(half.shape + (p.n, p.n + 1))  # the table [A | B u + omega]
+        F[..., :p.n] = p.A.eval_many(half)
+        np.matmul(p.B.eval_many(half), u_half[..., None], out=F[..., p.n:])
+        F[..., p.n] += p.omega.eval_many(half)
+        return half, delta, u_half, _march(_rk4_linear(F, delta)[None], p.q_a, np.ones((1, 1)))[0]
+    except MemoryError:
+        raise TooLarge(f"M = {M} substeps: the dense run's 2M+1 RK4 nodes do not fit in memory") from None
 
 
 def pmp_residual_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:

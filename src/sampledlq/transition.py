@@ -11,17 +11,22 @@ control U and start state y.  The 2M half-steps leave 2M+1 stored nodes whose
 spacing matches composite Simpson quadrature downstream.
 
 Y' = A(t) Y + C(t) is linear, so each RK4 step is an affine map
-Y_{k+1} = Phi_k Y_k + psi_k.  The kernel forms the maps of every step in one
-vectorized pass of the stage formulas and runs them as a prefix scan from
-[Id | 0]: composing affine maps is associative, so log2(K) levels of batched
-matmuls give all K+1 nodes [Z | G] of the run.  Half grids stacked on leading
-axes (one per sampling interval) run independently, so one call forms the
-[Z | Gamma | xi] nodes of every interval; `simulate` carries the state across
-the interval joins with them.
+Y_{k+1} = Phi_k Y_k + psi_k.  The kernel reads one coefficient table
+F = [A | C] per run, which its callers build: [A | B | omega] for the
+interval nodes, [-A^T | W (q - x)] for the costate and [A | B u + omega] for
+the dense run.  It forms the maps of every step in one vectorized pass of
+the stage formulas, run on [Id | 0] with A distributed over it, so each
+stage is a table row plus a step times A @ (the previous stage), and runs
+them as a prefix scan from [Id | 0]: composing affine maps is associative,
+so log2(K) levels of batched matmuls give all K+1 nodes [Z | G] of the
+run.  Half grids stacked on leading axes (one per sampling interval) run
+independently, so one call forms the [Z | Gamma | xi] nodes of every
+interval; `simulate` carries the state across the interval joins with them.
 
 With A, B and omega constant every step has the same map (a zero-order
-hold): the kernel forms it once and composes it by doubling, K - 1
-compositions in place of the scan's K log2(K), into bitwise the scan's nodes.
+hold): the table is one value repeated with stride 0, and the kernel forms
+the map once and composes it by doubling, K - 1 compositions in place of the
+scan's K log2(K), into bitwise the scan's nodes.
 """
 
 from __future__ import annotations
@@ -97,58 +102,56 @@ def _horizon_half_grid(grid: SamplingGrid, M: int):
 def _add_identity(out: np.ndarray) -> None:
     """out += [Id | 0] on each trailing (n, w) matrix, n <= w, as one add on a strided view of the diagonals.
 
-    out must be C-contiguous: on any other layout `reshape` would copy, and
-    the add would be lost.
+    `_run_maps` alone calls it, once per run, to turn the scanned
+    increments into nodes.  out must be C-contiguous: on any other layout
+    `reshape` would copy, and the add would be lost.
     """
     n, w = out.shape[-2:]
     diagonals = out.reshape(out.shape[:-2] + (-1,))[..., : n * (w + 1) : w + 1]
     diagonals += 1.0
 
 
-def _step_maps(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
+def _step_maps(F: np.ndarray, delta) -> np.ndarray:
     """Increments E_k = [Phi_k - Id | psi_k] of the RK4 steps of Y' = A(t) Y + C(t).
 
-    As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
-    one half-step grid or on a stack of them, and delta is the step, a scalar
-    or one per grid (shape ...).  The stage formulas run once over every step
-    on Y = [Id | 0] with forcing [0 | C], so Y_{k+1} = Phi_k Y_k + [0 | psi_k]
-    with [Phi_k - Id | psi_k] = maps[..., k], shape (..., K, n, n+c).  The
-    increment is returned without adding Id, which would round away its low
-    bits.  The stages live in four step-sized C-contiguous buffers updated in
-    place.  A map that overflows makes the nodes non-finite; `_rk4_linear`,
-    the only caller, turns overflow warnings off.
+    F (..., 2K+1, n, n+c) is the coefficient table [A | C] on one half-step
+    grid or on a stack of them, and delta is the step, a scalar or one per
+    grid (shape ...).  Run from Y = [Id | 0] under the forcing [0 | C], the
+    RK4 stages of step k, on the table's points F_0, F_1, F_2 = F[..., 2k],
+    F[..., 2k+1], F[..., 2k+2] with A_j = F_j[:, :n], are
+
+        k1 = F_0,  k2 = F_1 + (delta/2) A_1 k1,  k3 = F_1 + (delta/2) A_1 k2,
+        k4 = F_2 + delta A_2 k3,
+
+    the classical stages with A distributed over the basis, so no stage adds
+    Id.  Y_{k+1} = Phi_k Y_k + [0 | psi_k] with [Phi_k - Id | psi_k] =
+    maps[..., k] = delta/6 (k1 + 2 (k2 + k3) + k4), shape (..., K, n, n+c).
+    The increment is returned without adding Id, which would round away its
+    low bits.  The stages live in three step-sized C-contiguous buffers
+    updated in place.  A map that overflows makes the nodes non-finite;
+    `_rk4_linear`, the only caller, turns overflow warnings off.
     """
-    n = As.shape[-1]
+    n = F.shape[-2]
     delta = np.asarray(delta, dtype=float)[..., None, None, None]
     hd = 0.5 * delta
-    sixth = delta / 6.0
-    A0, A1, A2 = As[..., :-1:2, :, :], As[..., 1::2, :, :], As[..., 2::2, :, :]
-    C0, C1, C2 = Cs[..., :-1:2, :, :], Cs[..., 1::2, :, :], Cs[..., 2::2, :, :]
-
-    def stage(A, T, C, out):
-        """out = A @ T + [0 | C]."""
-        np.matmul(A, T, out=out)
-        out[..., n:] += C
-        return out
-
-    def shifted(scale, k, out):
-        """out = Y + scale * k."""
-        np.multiply(scale, k, out=out)
-        _add_identity(out)
-        return out
-
-    k1 = np.concatenate((A0, C0), axis=-1)  # A0 @ Y + [0 | C0]
-    T = shifted(hd, k1, np.empty(k1.shape))
-    k2 = stage(A1, T, C1, np.empty(k1.shape))
-    k3 = stage(A1, shifted(hd, k2, T), C1, np.empty(k1.shape))
+    F0, F1, F2 = F[..., :-1:2, :, :], F[..., 1::2, :, :], F[..., 2::2, :, :]
+    A1 = F1[..., :n]
+    k2 = np.matmul(A1, F0)
+    k2 *= hd
+    k2 += F1
+    k3 = np.matmul(A1, k2)
+    k3 *= hd
+    k3 += F1
+    k4 = np.matmul(F2[..., :n], k3)
+    k4 *= delta
+    k4 += F2
+    # delta/6 * (k1 + 2 (k2 + k3) + k4), summed in that order
     k2 += k3
-    k4 = stage(A2, shifted(delta, k3, T), C2, k3)
-    # sixth * (k1 + 2 (k2 + k3) + k4), summed in that order
     k2 *= 2.0
-    k1 += k2
-    k1 += k4
-    k1 *= sixth
-    return k1
+    k2 += F0
+    k2 += k4
+    k2 *= delta / 6.0
+    return k2
 
 
 def _run_maps(maps: np.ndarray) -> np.ndarray:
@@ -186,34 +189,41 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_linear(As: np.ndarray, Cs: np.ndarray, delta) -> np.ndarray:
+def _rk4_linear(F: np.ndarray, delta) -> np.ndarray:
     """Nodes [Z | G] (..., K+1, n, n+c) of Y' = A(t) Y + C(t), Y = [Id | 0] at each half grid's start.
 
-    As (..., 2K+1, n, n) and Cs (..., 2K+1, n, c) hold coefficient values on
-    one half grid or on a stack of them; delta is a scalar or one step per
-    grid.  As and Cs both stride 0 on the half-step axis (constants, as
-    `eval_many` gives them) give one step map, formed on the first three
-    points.  A run from y under the forcing C v is Z y + G v.  Overflow and
-    invalid-value warnings are off for the whole run: a run that overflows
-    has non-finite nodes, which every caller checks.
+    F (..., 2K+1, n, n+c) is the coefficient table [A | C] on one half grid
+    or on a stack of them; delta is a scalar or one step per grid.  A table
+    with stride 0 on the half-step axis (one constant value repeated, as
+    `_affine_nodes` builds it for constant A, B and omega) gives one step
+    map, formed on the first three points.  A run from y under the forcing
+    C v is Z y + G v.  Overflow and invalid-value warnings are off for the
+    whole run: a run that overflows has non-finite nodes, which every caller
+    checks.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if As.strides[-3] == 0 == Cs.strides[-3]:
-            one = np.ascontiguousarray(_step_maps(As[..., :3, :, :], Cs[..., :3, :, :], delta))
-            shape = one.shape[:-3] + (As.shape[-3] // 2,) + one.shape[-2:]  # repeated with stride 0
+        if F.strides[-3] == 0:
+            one = _step_maps(F[..., :3, :, :], delta)
+            shape = one.shape[:-3] + (F.shape[-3] // 2,) + one.shape[-2:]  # repeated with stride 0
             return _run_maps(np.ndarray(shape, float, buffer=one, strides=one.strides[:-3] + (0,) + one.strides[-2:]))
-        return _run_maps(_step_maps(As, Cs, delta))
+        return _run_maps(_step_maps(F, delta))
 
 
 def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
-    """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (..., 4M+1) of them."""
+    """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (..., 4M+1) of them.
+
+    The kernel's table is [A | B | omega], each constant one evaluated once,
+    at a; with all three constant it is that one (n, n+m+1) value, repeated
+    on the half grid with stride 0.
+    """
     try:
-        if p.B.kind == p.omega.kind == "constant":  # one (n, m+1) value, stride 0 on the half grid as A's
-            value = np.concatenate((p.B.eval_many(p.a), p.omega.eval_many(p.a)[:, None]), axis=-1, dtype=float)
-            forcing = np.ndarray(half.shape + value.shape, float, value, strides=(0,) * half.ndim + value.strides)
-        else:
-            forcing = np.concatenate((p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
-        return _rk4_linear(p.A.eval_many(half), forcing, delta)
+        constant = p.A.kind == p.B.kind == p.omega.kind == "constant"
+        F = np.empty((() if constant else half.shape) + (p.n, p.n + p.m + 1))
+        for cf, cols in zip((p.A, p.B, p.omega), (slice(0, p.n), slice(p.n, -1), -1)):
+            F[..., cols] = cf.eval_many(p.a if cf.kind == "constant" else half)
+        if constant:
+            F = np.ndarray(half.shape + F.shape, float, F, strides=(0,) * half.ndim + F.strides)
+        return _rk4_linear(F, delta)
     except MemoryError:
         raise TooLarge(f"M = {(half.shape[-1] - 1) // 4} substeps: 2M+1 RK4 nodes do not fit in memory") from None
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sampledlq.cli as cli
-from sampledlq import transition
+from sampledlq import simulate, transition
 from sampledlq.oracle import cross_check
 
 
@@ -360,6 +360,18 @@ class TestErrors:
         code, out, err = run_cli(capsys, "solve", "--problem", problem, "--grid", "uniform:2", "--substeps", "8")
         assert code == 2 and out == ""
         assert err.startswith("error: M = 8 substeps") and "do not fit in memory" in err
+
+    @pytest.mark.parametrize("command", ["converge", "compare-averaged"])
+    def test_dense_run_beyond_memory(self, capsys, monkeypatch, command):
+        # the closed-form reference's dense run: a stand-in for its nodes' allocation raises
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulate, "_rk4_linear", no_memory)
+        grids = ["--grids", "2,4"] if command == "converge" else ["--grid", "uniform:2"]
+        code, out, err = run_cli(capsys, command, "--problem", "dontchev", *grids)
+        assert code == 2
+        assert err == "error: M = 512 substeps: the dense run's 2M+1 RK4 nodes do not fit in memory\n"
 
     @pytest.mark.parametrize("argv, target", [
         (["solve", "--problem", "dontchev", "--grid", "uniform:2", "--format", "json"], "."),

@@ -503,7 +503,10 @@ class TestTypedErrors:
         (blocks_module, "simpson_weights", lambda p, traj: sq.compute_all_blocks(p, traj.grid, 8), "the blocks"),
         (blocks_module, "compute_blocks", lambda p, traj: sq.compute_all_blocks(p, traj.grid, 8), "the blocks"),
         (simulate_module, "_rk4_linear", lambda p, traj: sq.simulate_costate(traj, 8), "the costate's"),
-    ], ids=["stacks", "forms", "costate"])
+        (simulate_module, "_rk4_linear", lambda p, traj: sq.cost_of_permanent(p, lambda t: [0.0], 8), "the dense run's"),
+        (simulate_module, "_rk4_linear", lambda p, traj: sq.pmp_residual_permanent(p, lambda t: [0.0], 8),
+         "the dense run's"),
+    ], ids=["stacks", "forms", "costate", "dense-cost", "dense-residual"])
     def test_out_of_memory_past_the_nodes_raises_too_large(self, dontchev, monkeypatch, module, name, run, what):
         # a MemoryError from a stand-in for an allocation after node formation is TooLarge, exit 2
         traj = sq.simulate_state(dontchev, zero_control(sq.uniform_grid(3, 0, 1)), 8)

@@ -84,9 +84,11 @@ class TestPropagateInterval:
 
 
 def _transition(p, t, s, M):
-    """Z(t, s) from one _rk4_linear run of Z' = A Z on the half grid from s to t, backward when t < s."""
+    """Z(t, s) from one _rk4_linear run of Z' = A Z on the half grid from s to t, backward when t < s.
+
+    The table is A alone (no forcing columns), copied out so that a constant A is scanned too."""
     half, delta = transition._half_grid(s, t, t - s, M)
-    return transition._rk4_linear(p.A.eval_many(half), np.zeros(half.shape + (p.n, 0)), delta)[-1]
+    return transition._rk4_linear(np.array(p.A.eval_many(half)), delta)[-1]
 
 
 class TestTransitionMatrix:
@@ -188,15 +190,16 @@ def _reference_run_maps(maps):
     return np.stack(out, axis=-3)
 
 
-def _reference_nodes(As, Cs, delta):
-    """Test-only reference for transition._rk4_linear: the stage loop run from [Id | 0] under the
-    forcing [0 | C], one stacked half grid at a time."""
-    lead, n = As.shape[:-3], As.shape[-1]
+def _reference_nodes(F, delta):
+    """Test-only reference for transition._rk4_linear: the stage loop on the table F = [A | C] run
+    from [Id | 0] under the forcing [0 | C], one stacked half grid at a time."""
+    lead, n = F.shape[:-3], F.shape[-2]
     delta = np.broadcast_to(delta, lead)
-    out = np.empty(lead + ((As.shape[-3] + 1) // 2, n, n + Cs.shape[-1]))
+    out = np.empty(lead + ((F.shape[-3] + 1) // 2,) + F.shape[-2:])
     for idx in np.ndindex(lead):
-        forcing = np.concatenate((np.zeros(As[idx].shape), Cs[idx]), axis=-1)
-        out[idx] = _reference_rk4_linear(As[idx], forcing, np.eye(n, out.shape[-1]), delta[idx])
+        As = F[idx][..., :n]
+        forcing = np.concatenate((np.zeros(As.shape), F[idx][..., n:]), axis=-1)
+        out[idx] = _reference_rk4_linear(As, forcing, np.eye(n, out.shape[-1]), delta[idx])
     return out
 
 
@@ -390,22 +393,26 @@ def test_horizon_scan_error_within_serial_loop_error(source, monkeypatch):
 
 
 def _spy_step_maps(monkeypatch):
-    """Record the half-step count of every coefficient array `_step_maps` is handed."""
+    """Record the half-step count of every coefficient table `_step_maps` is handed."""
     points = []
     original = transition._step_maps
 
-    def spy(As, Cs, delta):
-        points.append(As.shape[-3])
-        return original(As, Cs, delta)
+    def spy(F, delta):
+        points.append(F.shape[-3])
+        return original(F, delta)
 
     monkeypatch.setattr(transition, "_step_maps", spy)
     return points
 
 
 def _scan_nodes(p, half, delta):
-    """_affine_nodes' nodes with every coefficient copied out to full size, so every step map is formed and scanned."""
-    forcing = np.concatenate((p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
-    return transition._rk4_linear(np.array(p.A.eval_many(half)), forcing, delta)
+    """_affine_nodes' nodes with the table [A | B | omega] copied out to full size, so every step map is formed and scanned."""
+    return transition._rk4_linear(_table(p, half), delta)
+
+
+def _table(p, half):
+    """The table [A | B | omega] on a half grid, every coefficient evaluated there and copied out."""
+    return np.concatenate((p.A.eval_many(half), p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 5, 16, 32, 64])
@@ -425,8 +432,7 @@ def test_equal_step_doubling_bitwise_equal_to_scan(source, M, monkeypatch):
         for i, Ys in enumerate(per_interval):
             assert Ys.tobytes() == _scan_nodes(p, half[i], delta[i]).tobytes() == stacked[i].tobytes()
         # and _run_maps on the equal maps, repeated by a stride-0 view and copied out
-        forcing = np.concatenate((p.B.eval_many(half[:, :3]), p.omega.eval_many(half[:, :3])[..., None]), axis=-1)
-        maps = np.broadcast_to(transition._step_maps(p.A.eval_many(half[:, :3]), forcing, delta),
+        maps = np.broadcast_to(transition._step_maps(_table(p, half[:, :3]), delta),
                                (grid.N, 2 * M) + stacked.shape[-2:])
         assert transition._run_maps(maps).tobytes() == transition._run_maps(maps.copy()).tobytes()
 
@@ -482,6 +488,55 @@ def test_propagation_within_one_ulp_of_long_double_loop(source):
         forcing = np.concatenate((np.zeros(As.shape), p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
         ref = _reference_rk4_linear(As.astype(ld), forcing.astype(ld), np.eye(p.n, Ys.shape[-1], dtype=ld), ld(delta))
         assert np.max(np.abs(Ys - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
+
+
+def _long_double_nodes(As, C, delta):
+    """The stage loop in long double from [Id | 0] under the forcing [0 | C], on float64 coefficient values."""
+    ld = np.longdouble
+    n = As.shape[-1]
+    forcing = np.concatenate((np.zeros(As.shape), C), axis=-1).astype(ld)
+    return _reference_rk4_linear(As.astype(ld), forcing, np.eye(n, forcing.shape[-1], dtype=ld), ld(delta))
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(10)))
+def test_stacked_nodes_within_one_ulp_of_long_double_loop(source):
+    # the simulations' one kernel call on every interval's half grid, under the same bound as the
+    # per-interval propagation: one ulp of 1 + |ref|.  N = 8, M = 32.
+    p = _kernel_case(source)[0]
+    half, delta = transition._horizon_half_grid(sq.uniform_grid(8, p.a, p.b), 32)
+    Ys = transition._affine_nodes(p, half, delta)
+    for i in range(half.shape[0]):
+        C = np.concatenate((p.B.eval_many(half[i]), p.omega.eval_many(half[i])[..., None]), axis=-1)
+        ref = _long_double_nodes(p.A.eval_many(half[i]), C, delta[i])
+        assert np.max(np.abs(Ys[i] - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(10)))
+def test_costate_nodes_within_one_ulp_of_long_double_loop(source, monkeypatch):
+    # the costate's table [-A^T | W (q - x)] on the reversed half grids with step -delta, each
+    # interval's [Zc | phi] nodes under the same bound.  N = 8, M = 32, a seeded control.
+    p = _kernel_case(source)[0]
+    grid = sq.uniform_grid(8, p.a, p.b)
+    M = 32
+    u = sq.PiecewiseConstantControl(grid, np.random.default_rng(0).uniform(-1.0, 1.0, size=(grid.N, p.m)))
+    traj = sq.simulate_state(p, u, M)
+    runs = []
+
+    def kept(F, delta):
+        runs.append(transition._rk4_linear(F, delta))
+        return runs[-1]
+
+    monkeypatch.setattr(simulate, "_rk4_linear", kept)
+    sq.simulate_costate(traj, M)
+    half, delta = transition._horizon_half_grid(grid, M)
+    for i, nodes in zip(reversed(range(grid.N)), runs[0]):  # the march takes the last interval first
+        back = half[i, ::-1]
+        q_half = np.empty(back.shape + (p.n,))
+        q_half[::2] = traj.qs[i, ::-1]
+        q_half[1::2] = 0.5 * (traj.qs[i, ::-1][:-1] + traj.qs[i, ::-1][1:])
+        C = p.W.eval_many(back) @ (q_half - p.x_ref.eval_many(back))[..., None]
+        ref = _long_double_nodes(-np.swapaxes(p.A.eval_many(back), -1, -2), C, -delta[i])
+        assert np.max(np.abs(nodes - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("M", [1, 64])
