@@ -506,8 +506,8 @@ def test_stacked_nodes_within_one_ulp_of_long_double_loop(source):
     half, delta = transition._horizon_half_grid(sq.uniform_grid(8, p.a, p.b), 32)
     Ys = transition._affine_nodes(p, half, delta)
     for i in range(half.shape[0]):
-        C = np.concatenate((p.B.eval_many(half[i]), p.omega.eval_many(half[i])[..., None]), axis=-1)
-        ref = _long_double_nodes(p.A.eval_many(half[i]), C, delta[i])
+        F = _table(p, half[i])
+        ref = _long_double_nodes(F[..., :p.n], F[..., p.n:], delta[i])
         assert np.max(np.abs(Ys[i] - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
 
 
