@@ -12,14 +12,12 @@ interval's map z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0:
 minimum over U, is one Schur complement.  The loop runs on z permuted once
 per solve to [y; 1; U], so that X_i's [y; 1] and U parts are basic slices;
 X is permuted back at the end.  An X_i that is not finite raises `NonFinite`
-before T_i is read.  For m = 1, L_i = sqrt(T_i) from T_i read as a number,
-which is LAPACK's 1 x 1 factor bitwise, and a T_i that is not > 0 (NaN
-included) raises `TNotPD(i)`; for m >= 2 `numpy.linalg.cholesky` gives L_i,
-and a T_i that is not positive definite raises `TNotPD(i)`.  A forward and
-a back substitution then solve for feedback_i in place, a row at a time,
-each row scaled by 1 / L_i[j, j] rather than divided by it: that is how
-OpenBLAS's trsm scales, so for m = 1 the result is bitwise LAPACK's
-`solve(L^T, solve(L, .))` without its Python-level wrappers.  `RiccatiSweep`
+before T_i is read.  feedback_i is `solve(L_i^T, solve(L_i, .))` on the
+Cholesky factor L_i of T_i, and a T_i that is not positive definite (NaN
+included) raises `TNotPD(i)`.  For m >= 2 `numpy.linalg` does both; for
+m = 1 L_i = sqrt(T_i), LAPACK's 1 x 1 factor, and two in-place scalings by
+1 / L_i are bitwise the solve pair that m >= 2 calls (trsm scales by the
+reciprocal), without its Python-level wrappers.  `RiccatiSweep`
 stacks the forms on a leading index axis: X (N, n+m+1, n+m+1), feedback
 (N, m, n+1) and V (N+1, n+1, n+1), whose last row is V_N.  The paper's names
 are read-only views carrying that axis (segments as in `transition.ZView`):
@@ -121,7 +119,7 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
                 raise NonFinite(f"cost-to-go form overflowed on interval {i}")
             f = feedback[i]
             np.negative(Xi[U, yo], out=f)
-            if m == 1:  # the substitutions with L = sqrt(T), LAPACK's 1 x 1 factor: two scalings
+            if m == 1:  # the solve pair with L = sqrt(T), LAPACK's 1 x 1 factor: two scalings
                 T = float(Xi[-1, -1])
                 if not T > 0:
                     raise TNotPD(i)
@@ -133,15 +131,7 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
                     L = np.linalg.cholesky(Xi[U, U])
                 except np.linalg.LinAlgError as exc:
                     raise TNotPD(i) from exc
-                scale = 1.0 / L.diagonal()
-                for j in range(m):  # L w = f, then L^T f = w, a row at a time in place
-                    if j:
-                        f[j] -= L[j, :j] @ f[:j]
-                    f[j] *= scale[j]
-                for j in reversed(range(m)):
-                    if j < m - 1:
-                        f[j] -= L[j + 1:, j] @ f[j + 1:]
-                    f[j] *= scale[j]
+                f[...] = np.linalg.solve(L.T, np.linalg.solve(L, f))
             form = Xi[yo, U] @ f
             form += Xi[yo, yo]
             np.add(form, form.T, out=V[i])

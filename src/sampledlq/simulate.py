@@ -277,7 +277,7 @@ def _dense_state(p: LQProblem, u_fn: Callable, M: int):
     """
     if not p.validated:
         raise ValidationError("problem must be validated before simulating a control on it")
-    half, delta = _half_grid(p.a, p.b, p.b - p.a, M)
+    half, delta = _half_grid(p.a, p.b, M)
     u_half = _eval_control_function(u_fn, half, p.m)
     try:
         F = np.empty(half.shape + (p.n, p.n + 1))  # the table [A | B u + omega]

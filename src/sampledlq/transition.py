@@ -63,11 +63,11 @@ class ZView:
         return block
 
 
-def _half_grid(lo, hi, h, M: int):
-    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = h / 2M.
+def _half_grid(lo, hi, M: int):
+    """The 4M+1 RK4 half-step times on [lo, hi] and the step delta = (hi - lo) / 2M.
 
-    lo, hi and h are scalars, or arrays (N,) of interval ends and lengths,
-    which give one half grid per row (N, 4M+1) and N steps.  The times are
+    lo and hi are scalars, or arrays (N,) of interval ends, which give one
+    half grid per row (N, 4M+1) and N steps.  The times are
     `np.linspace(lo, hi, 4M+1)`'s, bitwise: k * ((hi - lo) / 4M) + lo, with
     the last set to hi.  Every step's size must be a normal float: a
     subnormal step has lost relative precision, so the RK4 run on it would
@@ -80,13 +80,14 @@ def _half_grid(lo, hi, h, M: int):
         raise ValidationError(f"need M >= 1, got {M}")
     if 4 * M + 1 > INTP_MAX:
         raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes exceed the platform's array index range")
-    delta = h / (2 * M)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    span = hi - lo
+    delta = span / (2 * M)
     smallest = abs(delta).min() if isinstance(delta, np.ndarray) else abs(delta)
     if smallest < TINY:
         raise InvalidInterval(f"step h/(2M) = {smallest:g} at M = {M} is below the smallest normal float")
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     try:
-        half = np.arange(4 * M + 1, dtype=float) * ((hi - lo) / (4 * M))[..., None]
+        half = np.arange(4 * M + 1, dtype=float) * (span / (4 * M))[..., None]
     except MemoryError:
         raise TooLarge(f"M = {M} substeps: 4M+1 half-grid nodes do not fit in memory") from None
     half += lo[..., None]
@@ -96,7 +97,7 @@ def _half_grid(lo, hi, h, M: int):
 
 def _horizon_half_grid(grid: SamplingGrid, M: int):
     """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `propagate_interval`'s."""
-    return _half_grid(grid.s[:-1], grid.s[1:], grid.h, M)
+    return _half_grid(grid.s[:-1], grid.s[1:], M)
 
 
 def _add_identity(out: np.ndarray) -> None:
@@ -236,7 +237,7 @@ def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int):
     """
     if not _is_integer(i) or not 0 <= i < grid.N:
         raise IndexOutOfRange(f"interval {i!r} is not an integer in range for N={grid.N}")
-    half, delta = _half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+    half, delta = _half_grid(grid.s[i], grid.s[i + 1], M)
     Ys = _affine_nodes(p, half, delta)
     if not np.isfinite(Ys).all():
         raise NonFinite(f"propagation diverged on interval {i}")

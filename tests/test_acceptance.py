@@ -7,8 +7,8 @@ structural invariants of the backward sweep, dynamic-programming consistency,
 and the distinction from interval-averaged coefficients.
 
 Each test prints exactly one "[criterion k] PASS/FAIL: ..." line (through
-the terminal reporter, past output capture, so it is always visible) and
-then asserts.
+the terminal reporter with output capture suspended, so a plain `pytest`
+run shows it) and then asserts.
 """
 
 import time
@@ -25,9 +25,11 @@ RANDOM_SEEDS = range(100)
 
 def _report(request, k: int, ok: bool, detail: str) -> None:
     line = f"[criterion {k}] {'PASS' if ok else 'FAIL'}: {detail}"
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
-    if reporter is not None:
-        reporter.write_line(line)
+    plugins = request.config.pluginmanager
+    reporter, capture = plugins.get_plugin("terminalreporter"), plugins.get_plugin("capturemanager")
+    if reporter is not None and capture is not None:
+        with capture.global_and_fixture_disabled():
+            reporter.write_line(line)
     else:
         print(line, flush=True)
     assert ok, line

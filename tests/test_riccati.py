@@ -391,16 +391,7 @@ def _fancy_index_sweep(blocks, S):
         X[i] = 0.5 * (form + form.T)
         L = np.linalg.cholesky(X[i][U, U])
         f = feedback[i]
-        np.negative(X[i][U, yo], out=f)
-        scale = 1.0 / L.diagonal()
-        for j in range(m):
-            if j:
-                f[j] -= L[j, :j] @ f[:j]
-            f[j] *= scale[j]
-        for j in reversed(range(m)):
-            if j < m - 1:
-                f[j] -= L[j + 1:, j] @ f[j + 1:]
-            f[j] *= scale[j]
+        f[...] = np.linalg.solve(L.T, np.linalg.solve(L, -X[i][U, yo]))
         form = X[i][yo, U] @ f
         form += X[i][np.ix_(yo, yo)]
         V[i] = 0.5 * (form + form.T)
@@ -410,8 +401,74 @@ def _fancy_index_sweep(blocks, S):
 @pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(12)))
 def test_sweep_bitwise_equal_to_fancy_index_loop(source):
     # the sweep reads a [y; 1; U] permutation of X_i by basic slices, and for m = 1 takes
-    # sqrt(T_i) itself; every byte of X, feedback and V is the loop's (seeds 0-11 have m = 1 to 3)
+    # sqrt(T_i) itself and scales in place of the solve pair; every byte of X, feedback and V is
+    # the loop's (seeds 0-11 have m = 1 to 3)
     p, grid = _reference_case(source)
     blocks, sweep, _ = sq.solve(p, grid, M=16)
     for got, ref in zip((sweep.X, sweep.feedback, sweep.V), _fancy_index_sweep(blocks, p.S)):
         assert got.tobytes() == ref.tobytes()
+
+
+# -- the sweep and synthesis against a long-double reference ------------------
+
+
+def _longdouble_solve(blocks, S, q_a):
+    """Test-only reference: the sweep and synthesis in np.longdouble on the float64 blocks, with a
+    hand-written Cholesky factor and triangular solves (np.linalg takes no long double).
+    Returns U and the predicted cost."""
+    ld = np.longdouble
+    (n, m), N = blocks.dims, blocks.N
+    U, yo = slice(n, n + m), np.r_[0:n, n + m]
+    V = np.zeros((n + 1, n + 1), ld)
+    V[:n, :n] = 0.5 * (S.astype(ld) + S.T)
+    feedback = []
+    for i in reversed(range(N)):
+        Phi = np.zeros((n + 1, n + m + 1), ld)
+        Phi[:n], Phi[n, -1] = blocks.step[i], 1
+        X = Phi.T @ V @ Phi + blocks.state_cost[i]
+        X[n:, n:] += blocks.control_cost[i]
+        X = 0.5 * (X + X.T)
+        T, f = X[U, U], -X[U, yo]
+        L = np.zeros((m, m), ld)
+        for j in range(m):
+            L[j, j] = np.sqrt(T[j, j] - L[j, :j] @ L[j, :j])
+            L[j + 1:, j] = (T[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+        for j in range(m):  # L w = f
+            f[j] = (f[j] - L[j, :j] @ f[:j]) / L[j, j]
+        for j in reversed(range(m)):  # L^T f = w
+            f[j] = (f[j] - L[j + 1:, j] @ f[j + 1:]) / L[j, j]
+        V = X[np.ix_(yo, yo)] + X[yo, U] @ f
+        V = 0.5 * (V + V.T)
+        feedback.append(f)
+    q, Us = q_a.astype(ld), []
+    for i, f in enumerate(reversed(feedback)):
+        Us.append(f[:, :n] @ q + f[:, n])
+        q = blocks.step[i] @ np.concatenate((q, Us[-1], [1]))
+    z = np.append(q_a.astype(ld), 1)
+    return np.array(Us), 0.5 * (z @ V @ z)
+
+
+def _double_integrator_case(R=1.0, ratio=None):
+    """double-integrator at control weight R, on uniform:8 or on 8 durations alternating 1 : ratio."""
+    p = sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
+                                         R=[[R]], S=np.eye(2), q_a=[1.0, 0.0]))
+    if ratio is None:
+        return p, sq.uniform_grid(8, 0, 1)
+    d = np.tile([1.0, ratio], 4)
+    return p, sq.grid_from_durations(d / d.sum(), 0.0, 1.0)
+
+
+LONGDOUBLE_CASES = [("seed", k) for k in range(60)] + [("R", r) for r in (1e-2, 1e-5, 1e-8)] + [
+    ("ratio", r) for r in (1e3, 1e6)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double here")
+@pytest.mark.parametrize("kind, value", LONGDOUBLE_CASES, ids=[f"{k}={v:g}" for k, v in LONGDOUBLE_CASES])
+def test_sweep_and_synthesis_within_long_double_reference(kind, value):
+    # the float64 sweep (numpy's solve pair for m >= 2, two scalings for m = 1) and synthesis
+    # against the same recursion in long double on the same blocks: their own rounding only
+    p, grid = sq.random_problem(value) if kind == "seed" else _double_integrator_case(**{kind: value})
+    blocks, _, sol = sq.solve(p, grid, M=16)
+    ref_U, ref_cost = _longdouble_solve(blocks, p.S, p.q_a)
+    assert np.max(np.abs(sol.U - ref_U)) <= 1e-14 * (1.0 + np.max(np.abs(ref_U)))
+    assert abs(sol.predicted_cost - ref_cost) <= 1e-14 * (1.0 + abs(ref_cost))

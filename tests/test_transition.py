@@ -23,7 +23,7 @@ def _propagate(p, grid, i, M):
 
 def _interval_half_grid(grid, i, M):
     """Interval i's half grid and step, as propagate_interval forms them."""
-    return transition._half_grid(grid.s[i], grid.s[i + 1], float(grid.h[i]), M)
+    return transition._half_grid(grid.s[i], grid.s[i + 1], M)
 
 
 class TestPropagateInterval:
@@ -87,7 +87,7 @@ def _transition(p, t, s, M):
     """Z(t, s) from one _rk4_linear run of Z' = A Z on the half grid from s to t, backward when t < s.
 
     The table is A alone (no forcing columns), copied out so that a constant A is scanned too."""
-    half, delta = transition._half_grid(s, t, t - s, M)
+    half, delta = transition._half_grid(s, t, M)
     return transition._rk4_linear(np.array(p.A.eval_many(half)), delta)[-1]
 
 
@@ -231,7 +231,7 @@ def _reference_costs_of_control_batch(p, grid, Us, M):
 
 def _reference_dense_state(p, u_fn, M):
     """Test-only reference for simulate._dense_state: one stage-loop run over [a, b]."""
-    half, delta = transition._half_grid(p.a, p.b, p.b - p.a, M)
+    half, delta = transition._half_grid(p.a, p.b, M)
     u_half = simulate._eval_control_function(u_fn, half, p.m)
     qs = _reference_state_run(p, half, delta, np.asarray(p.q_a, dtype=float)[:, None], u_half[..., None])
     return half, delta, u_half, qs[..., 0]
