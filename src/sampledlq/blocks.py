@@ -33,12 +33,15 @@ again, and the forward synthesis returns its solution on that grid.
 state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
 (N, 2M+1, n, n+m+1) and times (N, 2M+1) is interval i, and each view above
 carries that axis too (blocks.Zstep[i] is interval i's).  Two kernels run
-once per interval: `transition.propagate_interval` fills row i of times and
-Ys, and `compute_blocks` forms row i of state_cost with one GEMM.  The rest
-runs once per solve on the stacked node times: the Simpson weights, W, x, R
-and v (one `eval_many` each), every control_cost in one batched GEMM, the
-symmetrization of both forms, and step, read off the stacked nodes.  Each
-GEMM stacks an interval's (node, row) pairs: sum_k w_k F_k^T G_k = (w F)^T G.
+once per interval: `transition.propagate_interval` runs interval i's RK4
+recurrence into row i of Ys, and `compute_blocks` forms row i of state_cost
+with one GEMM.  The rest runs once per solve: the horizon's half grids and
+node times, the table [A | B | omega] and every interval's RK4 step maps
+(`transition._affine_maps`, one `eval_many` per coefficient), the Simpson
+weights, W, x, R and v (one `eval_many` each), every control_cost in one
+batched GEMM, the symmetrization of both forms, and step, read off the
+stacked nodes.  Each GEMM stacks an interval's (node, row) pairs:
+sum_k w_k F_k^T G_k = (w F)^T G.
 
 `simpson_weights` is the package's one Simpson rule, used by `simulate` too:
 it reads the spacing off the node times, so none is passed apart from them.
@@ -52,7 +55,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, _is_integer, check_grid
-from .transition import ZView, propagate_interval
+from .transition import ZView, _affine_maps, _horizon_half_grid, propagate_interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +133,15 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
+    half, delta = _horizon_half_grid(grid, M)
+    maps = _affine_maps(p, half, delta)
     try:
+        times = half[:, ::2].copy()  # a copy, so the half grids can go
+        del half, delta
+        Ys = np.empty((grid.N, 2 * M + 1) + maps.shape[-2:])
         for i in range(grid.N):
-            t, Y = propagate_interval(p, grid, i, M)
-            if i == 0:  # after the first call, so a bad M raises its own error first
-                times, Ys = np.empty((grid.N,) + t.shape), np.empty((grid.N,) + Y.shape)
-            times[i], Ys[i] = t, Y
+            Ys[i] = propagate_interval(maps, i, M)
+        del maps  # the forms below need only the nodes
         w = simpson_weights(times)
         Wk, Rk = p.W.eval_many(times), p.R.eval_many(times)
         xk, vk = p.x_ref.eval_many(times), p.v_ref.eval_many(times)

@@ -20,8 +20,15 @@ stage is a table row plus a step times A @ (the previous stage), and runs
 them as a prefix scan from [Id | 0]: composing affine maps is associative,
 so log2(K) levels of batched matmuls give all K+1 nodes [Z | G] of the
 run.  Half grids stacked on leading axes (one per sampling interval) run
-independently, so one call forms the [Z | Gamma | xi] nodes of every
-interval; `simulate` carries the state across the interval joins with them.
+independently.
+
+The kernel runs in two phases: `_maps` forms the step maps from the table,
+and `_run_maps` composes them into nodes.  For the interval nodes,
+`_affine_maps` forms the table [A | B | omega] on the horizon's stacked
+half grids and every interval's maps, once per solve.  `propagate_interval`
+then runs one interval's recurrence, which `blocks.compute_all_blocks`
+calls once per interval, and `_affine_nodes` runs every interval's in one
+call, for `simulate`, which carries the state across the interval joins.
 
 With A, B and omega constant every step has the same map (a zero-order
 hold): the table is one value repeated with stride 0, and the kernel forms
@@ -37,6 +44,7 @@ from .errors import IndexOutOfRange, InvalidInterval, NonFinite, TooLarge, Valid
 from .problem import INTP_MAX, LQProblem, SamplingGrid, _is_integer
 
 TINY = float(np.finfo(float).tiny)  # the smallest normal float
+TABLE_BYTES = 2**20  # the most coefficient table `_affine_maps` holds at once
 
 
 class ZView:
@@ -130,7 +138,8 @@ def _step_maps(F: np.ndarray, delta) -> np.ndarray:
     The increment is returned without adding Id, which would round away its
     low bits.  The stages live in three step-sized C-contiguous buffers
     updated in place.  A map that overflows makes the nodes non-finite;
-    `_rk4_linear`, the only caller, turns overflow warnings off.
+    its callers, `_maps` and `_affine_maps`, run it with overflow warnings
+    off.
     """
     n = F.shape[-2]
     delta = np.asarray(delta, dtype=float)[..., None, None, None]
@@ -170,9 +179,8 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     ending d steps earlier.  On equal maps (stride 0 on the step axis) the
     entries j >= d - 1 all hold one composite U of d maps, so a level fills
     only entries d .. 2d-1, as U after entries 0 .. d-1: doubling, bitwise
-    the scan.  Composites can overflow before the nodes would; `_rk4_linear`,
-    the only caller, turns overflow warnings off, and every caller of it
-    checks its nodes for finiteness.
+    the scan.  Composites can overflow before the nodes would; every caller
+    turns overflow warnings off and checks the nodes for finiteness.
     """
     K, n = maps.shape[-3:-1]
     out = np.zeros(maps.shape[:-3] + (K + 1,) + maps.shape[-2:])
@@ -190,55 +198,106 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _maps(F: np.ndarray, delta) -> np.ndarray:
+    """The kernel's first phase: the step increments (..., K, n, n+c) of the table F (..., 2K+1, n, n+c).
+
+    A table with stride 0 on the half-step axis (one constant value
+    repeated, as `_affine_table` builds it for constant A, B and omega)
+    gives one step map per run, formed on the first three points and
+    repeated with stride 0, which `_run_maps` composes by doubling.  The
+    caller turns overflow warnings off.
+    """
+    if F.strides[-3] == 0:
+        one = _step_maps(F[..., :3, :, :], delta)
+        shape = one.shape[:-3] + (F.shape[-3] // 2,) + one.shape[-2:]
+        return np.ndarray(shape, float, buffer=one, strides=one.strides[:-3] + (0,) + one.strides[-2:])
+    return _step_maps(F, delta)
+
+
 def _rk4_linear(F: np.ndarray, delta) -> np.ndarray:
     """Nodes [Z | G] (..., K+1, n, n+c) of Y' = A(t) Y + C(t), Y = [Id | 0] at each half grid's start.
 
     F (..., 2K+1, n, n+c) is the coefficient table [A | C] on one half grid
-    or on a stack of them; delta is a scalar or one step per grid.  A table
-    with stride 0 on the half-step axis (one constant value repeated, as
-    `_affine_nodes` builds it for constant A, B and omega) gives one step
-    map, formed on the first three points.  A run from y under the forcing
-    C v is Z y + G v.  Overflow and invalid-value warnings are off for the
-    whole run: a run that overflows has non-finite nodes, which every caller
-    checks.
+    or on a stack of them; delta is a scalar or one step per grid.  The run
+    is the kernel's two phases, `_maps` then `_run_maps`.  A run from y
+    under the forcing C v is Z y + G v.  Overflow and invalid-value warnings
+    are off for the whole run: a run that overflows has non-finite nodes,
+    which every caller checks.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if F.strides[-3] == 0:
-            one = _step_maps(F[..., :3, :, :], delta)
-            shape = one.shape[:-3] + (F.shape[-3] // 2,) + one.shape[-2:]  # repeated with stride 0
-            return _run_maps(np.ndarray(shape, float, buffer=one, strides=one.strides[:-3] + (0,) + one.strides[-2:]))
-        return _run_maps(_step_maps(F, delta))
+        return _run_maps(_maps(F, delta))
+
+
+def _nodes_too_large(M: int) -> TooLarge:
+    return TooLarge(f"M = {M} substeps: 2M+1 RK4 nodes do not fit in memory")
+
+
+def _affine_table(p: LQProblem, half: np.ndarray) -> np.ndarray:
+    """The table [A | B | omega] (..., 4M+1, n, n+m+1) on one half grid or a stack of them.
+
+    Each constant coefficient is evaluated once, at a; with all three
+    constant the table is that one (n, n+m+1) value, repeated with stride 0.
+    """
+    constant = p.A.kind == p.B.kind == p.omega.kind == "constant"
+    F = np.empty((() if constant else half.shape) + (p.n, p.n + p.m + 1))
+    for cf, cols in zip((p.A, p.B, p.omega), (slice(0, p.n), slice(p.n, -1), -1)):
+        F[..., cols] = cf.eval_many(p.a if cf.kind == "constant" else half)
+    if constant:
+        F = np.ndarray(half.shape + F.shape, float, F, strides=(0,) * half.ndim + F.strides)
+    return F
+
+
+def _affine_maps(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
+    """The step increments (..., 2M, n, n+m+1) of [Z | Gamma | xi] on one half grid (4M+1,) or a stack (N, 4M+1).
+
+    The first phase of the interval nodes: one table [A | B | omega] and
+    one `_step_maps` call.  A stack whose table would pass TABLE_BYTES is
+    formed in chunks of intervals, each chunk's table freed once its maps
+    exist, so only the maps are held at full size.  Constant A, B and
+    omega give one map per interval, repeated with stride 0.  Maps that do
+    not fit in memory raise `TooLarge`.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = max(1, TABLE_BYTES // (8 * half.shape[-1] * p.n * (p.n + p.m + 1)))
+            if half.ndim == 1 or half.shape[0] <= rows or p.A.kind == p.B.kind == p.omega.kind == "constant":
+                return _maps(_affine_table(p, half), delta)
+            maps = np.empty((half.shape[0], half.shape[1] // 2, p.n, p.n + p.m + 1))
+            for lo in range(0, half.shape[0], rows):
+                maps[lo : lo + rows] = _step_maps(_affine_table(p, half[lo : lo + rows]), delta[lo : lo + rows])
+            return maps
+    except MemoryError:
+        raise _nodes_too_large((half.shape[-1] - 1) // 4) from None
 
 
 def _affine_nodes(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
-    """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (..., 4M+1) of them.
+    """[Z | Gamma | xi] (..., 2M+1, n, n+m+1) on one half grid (4M+1,) or a stack (N, 4M+1) of them.
 
-    The kernel's table is [A | B | omega], each constant one evaluated once,
-    at a; with all three constant it is that one (n, n+m+1) value, repeated
-    on the half grid with stride 0.
+    `_run_maps` on the maps of `_affine_maps`: the same two phases as
+    `compute_all_blocks`, which runs the second one interval at a time.
     """
     try:
-        constant = p.A.kind == p.B.kind == p.omega.kind == "constant"
-        F = np.empty((() if constant else half.shape) + (p.n, p.n + p.m + 1))
-        for cf, cols in zip((p.A, p.B, p.omega), (slice(0, p.n), slice(p.n, -1), -1)):
-            F[..., cols] = cf.eval_many(p.a if cf.kind == "constant" else half)
-        if constant:
-            F = np.ndarray(half.shape + F.shape, float, F, strides=(0,) * half.ndim + F.strides)
-        return _rk4_linear(F, delta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run_maps(_affine_maps(p, half, delta))
     except MemoryError:
-        raise TooLarge(f"M = {(half.shape[-1] - 1) // 4} substeps: 2M+1 RK4 nodes do not fit in memory") from None
+        raise _nodes_too_large((half.shape[-1] - 1) // 4) from None
 
 
-def propagate_interval(p: LQProblem, grid: SamplingGrid, i: int, M: int):
-    """Interval i's node times (2M+1,) and [Z | Gamma | xi] nodes (2M+1, n, n+m+1), via 2M RK4 half-steps.
+def propagate_interval(maps: np.ndarray, i: int, M: int) -> np.ndarray:
+    """Interval i's [Z | Gamma | xi] nodes (2M+1, n, n+m+1): the recurrence of its 2M RK4 step maps.
 
-    The times run from s_i to s_{i+1} exactly, with spacing h_i / 2M; a
-    node at time t holds Y(t) with q(t) = Y(t) [y; U; 1].
+    maps (N, 2M, n, n+m+1) are every interval's step increments, as
+    `_affine_maps` forms them on the horizon's half grids; a node at time t
+    holds Y(t) with q(t) = Y(t) [y; U; 1].  Nodes that overflow raise
+    `NonFinite` naming the interval.
     """
-    if not _is_integer(i) or not 0 <= i < grid.N:
-        raise IndexOutOfRange(f"interval {i!r} is not an integer in range for N={grid.N}")
-    half, delta = _half_grid(grid.s[i], grid.s[i + 1], M)
-    Ys = _affine_nodes(p, half, delta)
+    if not _is_integer(i) or not 0 <= i < maps.shape[0]:
+        raise IndexOutOfRange(f"interval {i!r} is not an integer in range for N={maps.shape[0]}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ys = _run_maps(maps[i])
+    except MemoryError:
+        raise _nodes_too_large(M) from None
     if not np.isfinite(Ys).all():
         raise NonFinite(f"propagation diverged on interval {i}")
-    return half[::2], Ys
+    return Ys

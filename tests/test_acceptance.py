@@ -29,6 +29,9 @@ def _report(request, k: int, ok: bool, detail: str) -> None:
     reporter, capture = plugins.get_plugin("terminalreporter"), plugins.get_plugin("capturemanager")
     if reporter is not None and capture is not None:
         with capture.global_and_fixture_disabled():
+            reporter.ensure_newline()  # ends a line after a file path, not after -q's progress dots
+            if reporter._tw.width_of_current_line:
+                reporter.write("\n")
             reporter.write_line(line)
     else:
         print(line, flush=True)

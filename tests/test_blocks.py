@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 import sampledlq as sq
 from sampledlq import blocks as blocks_module
+from sampledlq import transition
 from sampledlq.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 from sampledlq.problem import make_problem
 
@@ -198,7 +199,8 @@ class TestConsistency:
         blocks = sq.compute_all_blocks(p, grid, M=8)
         assert all(a is b for a, b in zip(blocks.dynamics, (p.A, p.B, p.omega), strict=True))
         for i in range(grid.N):
-            times, Ys = blocks_module.propagate_interval(p, grid, i, 8)
+            half, delta = transition._half_grid(grid.s[i], grid.s[i + 1], 8)
+            times, Ys = half[::2], transition._affine_nodes(p, half, delta)
             state_cost, control_cost = _reference_interval_forms(p, times, Ys)
             step = Ys[-1].copy()
             if i == grid.N - 1:
@@ -211,8 +213,9 @@ class TestConsistency:
 
     def test_no_broadcast_helper_per_interval(self, homogeneous, monkeypatch):
         # one propagation and one state form per interval, no np.broadcast_to on that path, no
-        # np.einsum (both forms are GEMMs), and W, x, R and v evaluated once per solve, on every
-        # interval's node times (counted by identity)
+        # np.einsum (both forms are GEMMs), A, B and omega evaluated once per solve for the step
+        # maps of every interval, and W, x, R and v once per solve, on every interval's node times
+        # (counted by identity)
         calls = {"broadcast_to": 0, "einsum": 0, "propagate_interval": 0, "compute_blocks": 0}
 
         def counting(module, name):
@@ -229,7 +232,8 @@ class TestConsistency:
         counting(blocks_module, "propagate_interval")
         counting(blocks_module, "compute_blocks")
         p = homogeneous
-        names = {id(p.W): "W", id(p.x_ref): "x_ref", id(p.R): "R", id(p.v_ref): "v_ref"}
+        names = {id(cf): name for name, cf in (("A", p.A), ("B", p.B), ("omega", p.omega), ("W", p.W),
+                                                ("x_ref", p.x_ref), ("R", p.R), ("v_ref", p.v_ref))}
         evals = dict.fromkeys(names.values(), 0)
         eval_many = sq.CoefficientFunction.eval_many
 
@@ -241,7 +245,7 @@ class TestConsistency:
         monkeypatch.setattr(sq.CoefficientFunction, "eval_many", counting_eval)
         sq.compute_all_blocks(p, sq.uniform_grid(4, p.a, p.b), M=8)
         assert calls == {"broadcast_to": 0, "einsum": 0, "propagate_interval": 4, "compute_blocks": 4}
-        assert evals == {"W": 1, "x_ref": 1, "R": 1, "v_ref": 1}
+        assert evals == {"A": 1, "B": 1, "omega": 1, "W": 1, "x_ref": 1, "R": 1, "v_ref": 1}
 
 
 def _gemm_form(w, F, G):

@@ -165,21 +165,25 @@ class TestSolve:
             assert "ZB" in doc and "Rbar" in doc
 
     def test_nodes_formed_once_per_interval(self, capsys, monkeypatch):
-        # the blocks form each interval's nodes once, and the state run marches those
-        calls = []
-        original = transition._affine_nodes
+        # the blocks form every interval's step maps once, on the stacked half grids, and run
+        # each interval's recurrence from them; the state run marches those nodes and forms none
+        calls = {"_affine_maps": [], "_affine_nodes": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args[1].shape)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[1].shape)
+                return original(*args, **kwargs)
+            return wrapper
 
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sampledlq"]:
-            if getattr(module, "_affine_nodes", None) is original:
-                monkeypatch.setattr(module, "_affine_nodes", counting)
+        for name in calls:
+            original = getattr(transition, name)
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "sampledlq"]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
         code, _, _ = run_cli(capsys, "solve", "--problem", "timevarying-demo", "--grid", "uniform:5",
                              "--substeps", "8")
         assert code == 0
-        assert calls == [(33,)] * 5  # one half grid of 4M+1 times per interval, nothing horizon-wide
+        assert calls == {"_affine_maps": [(5, 33)], "_affine_nodes": []}  # (N, 4M+1) half-grid times, once
 
 
 class TestParserReuse:

@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 import sampledlq as sq
 from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
 from sampledlq.problem import make_problem
-from sampledlq.transition import propagate_interval
+from sampledlq import transition
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +278,8 @@ def _reference_blocks(p, grid, M):
     """Test-only reference for compute_all_blocks: each paper-named block by its own Simpson integral."""
     out = []
     for i in range(grid.N):
-        times, Ys = propagate_interval(p, grid, i, M)
+        half, delta = transition._half_grid(grid.s[i], grid.s[i + 1], M)
+        times, Ys = half[::2], transition._affine_nodes(p, half, delta)
         w = sq.simpson_weights(times)
         Zs, Gammas, Xis = Ys[..., :p.n], Ys[..., p.n:-1], Ys[..., -1]
         Wk, Rk, xk, vk = (cf.eval_many(times) for cf in (p.W, p.R, p.x_ref, p.v_ref))

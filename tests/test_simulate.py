@@ -403,7 +403,8 @@ TAKES_M = {
     "cost_of_permanent": lambda p, grid, M: sq.cost_of_permanent(p, lambda t: np.zeros(1), M),
     "averaged_control": lambda p, grid, M: sq.averaged_control(lambda t: np.zeros(1), grid, M),
     "costs_of_control_batch": lambda p, grid, M: sq.costs_of_control_batch(p, grid, np.zeros((1, grid.N, 1)), M),
-    "propagate_interval": lambda p, grid, M: transition.propagate_interval(p, grid, 0, M),
+    # interval 0's nodes on its own half grid, as the per-interval propagation once formed them
+    "propagate_interval": lambda p, grid, M: transition._affine_nodes(p, *transition._half_grid(grid.s[0], grid.s[1], M)),
     "compute_all_blocks": lambda p, grid, M: sq.compute_all_blocks(p, grid, M),
     "solve": lambda p, grid, M: sq.solve(p, grid, M),
     "assemble_qp": lambda p, grid, M: sq.assemble_qp(p, grid, M),

@@ -5,7 +5,7 @@ import pytest
 
 import sampledlq as sq
 from sampledlq import simulate, transition
-from sampledlq.errors import IndexOutOfRange, InvalidInterval, TooLarge
+from sampledlq.errors import IndexOutOfRange, InvalidInterval, NonFinite, TooLarge
 from sampledlq.problem import make_problem
 from sampledlq.transition import propagate_interval
 
@@ -15,15 +15,16 @@ def timevarying():
     return sq.get_problem("timevarying-demo").problem
 
 
-def _propagate(p, grid, i, M):
-    """propagate_interval's node times, and its nodes split into Z, Gamma and xi."""
-    times, Ys = propagate_interval(p, grid, i, M)
-    return times, Ys[..., :p.n], Ys[..., p.n:-1], Ys[..., -1]
-
-
 def _interval_half_grid(grid, i, M):
-    """Interval i's half grid and step, as propagate_interval forms them."""
+    """Interval i's own half grid and step."""
     return transition._half_grid(grid.s[i], grid.s[i + 1], M)
+
+
+def _propagate(p, grid, i, M):
+    """Interval i's node times, and its nodes split into Z, Gamma and xi, from the kernel on its own half grid."""
+    half, delta = _interval_half_grid(grid, i, M)
+    Ys = transition._affine_nodes(p, half, delta)
+    return half[::2], Ys[..., :p.n], Ys[..., p.n:-1], Ys[..., -1]
 
 
 class TestPropagateInterval:
@@ -46,7 +47,7 @@ class TestPropagateInterval:
     def test_node_endpoints_bitwise(self, dontchev):
         grid = sq.grid_from_durations([0.3, 0.7], 0.0, 1.0)
         for i in range(grid.N):
-            times, _ = propagate_interval(dontchev, grid, i, M=4)
+            times = _propagate(dontchev, grid, i, M=4)[0]
             assert times[0] == grid.s[i]
             assert times[-1] == grid.s[i + 1]
             assert len(times) == 2 * 4 + 1
@@ -203,6 +204,11 @@ def _reference_nodes(F, delta):
     return out
 
 
+def _reference_affine_nodes(p, half, delta):
+    """Test-only reference for transition._affine_nodes: the stage loop on the table [A | B | omega]."""
+    return _reference_nodes(_table(p, half), delta)
+
+
 def _reference_state_run(p, half, delta, q, U, dtype=float):
     """Test-only reference: the stage loop on dq/dt = A q + B u + omega from q (n, L), with the
     forcing formed per half-step from U, (m, L) constant or (4M+1, m, L); coefficients and stages in dtype."""
@@ -264,7 +270,7 @@ def _use_reference_kernel(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(transition, "_rk4_linear", counted(_reference_nodes))
+    monkeypatch.setattr(transition, "_affine_nodes", counted(_reference_affine_nodes))
     monkeypatch.setattr(simulate, "_rk4_linear", counted(_reference_nodes))
     monkeypatch.setattr(sq, "simulate_state", counted(_reference_simulate_state))
     monkeypatch.setattr(sq, "costs_of_control_batch", counted(_reference_costs_of_control_batch))
@@ -306,10 +312,10 @@ def test_step_maps_match_stage_loop(source, M, monkeypatch):
     with monkeypatch.context() as mp:
         calls = _use_reference_kernel(mp)
         ref = _kernel_outputs(p, grid, M)
-    # the node reference ran for each interval's propagation and for no simulation;
+    # the interval-node reference ran for each interval's propagation and for no simulation;
     # the state, batch, dense-state and costate references ran for every simulation
     # (the dense residual runs state and costate)
-    assert calls == {"_reference_nodes": grid.N, "_reference_simulate_state": 1,
+    assert calls == {"_reference_affine_nodes": grid.N, "_reference_simulate_state": 1,
                      "_reference_costs_of_control_batch": 1, "_reference_dense_state": 2,
                      "_reference_costate": 2}
     assert len(got) == len(ref)
@@ -426,7 +432,7 @@ def test_equal_step_doubling_bitwise_equal_to_scan(source, M, monkeypatch):
         with monkeypatch.context() as mp:
             points = _spy_step_maps(mp)
             stacked = transition._affine_nodes(p, half, delta)
-            per_interval = [propagate_interval(p, grid, i, M)[1] for i in range(grid.N)]
+            per_interval = [transition._affine_nodes(p, *_interval_half_grid(grid, i, M)) for i in range(grid.N)]
         assert points == [3] * (1 + grid.N)  # one step map per run, on three half-step points
         assert stacked.tobytes() == _scan_nodes(p, half, delta).tobytes()
         for i, Ys in enumerate(per_interval):
@@ -439,19 +445,69 @@ def test_equal_step_doubling_bitwise_equal_to_scan(source, M, monkeypatch):
 
 @pytest.mark.parametrize("source", ["dontchev", "double-integrator", 4, "timevarying-demo", 1, 3])
 def test_equal_step_path_serves_its_callers(source, monkeypatch):
-    # the per-interval propagation, a state run without blocks and the oracle's batch form one
-    # step map per run on constant A, B and omega; polynomial A or omega keeps the scan
+    # the blocks, a state run without blocks and the oracle's batch form one step map per interval
+    # on constant A, B and omega, in one call on the stacked half grids; polynomial A or omega
+    # forms every step's map
     p, grid = _kernel_case(source)
     M = 8
     u = sq.PiecewiseConstantControl(grid, np.ones((grid.N, p.m)))
     constant = all(cf.kind == "constant" for cf in (p.A, p.B, p.omega))
     assert constant == (source not in ("timevarying-demo", 1, 3))
-    for run in (lambda: propagate_interval(p, grid, 1, M), lambda: sq.simulate_state(p, u, M),
+    for run in (lambda: sq.compute_all_blocks(p, grid, M), lambda: sq.simulate_state(p, u, M),
                 lambda: sq.costs_of_control_batch(p, grid, np.ones((2, grid.N, p.m)), M)):
         with monkeypatch.context() as mp:
             points = _spy_step_maps(mp)
             run()
         assert points == [3 if constant else 4 * M + 1]
+
+
+@pytest.mark.parametrize("source", ["timevarying-demo", 1, 3])
+def test_chunked_step_maps_bitwise_equal(source, monkeypatch):
+    # a table past TABLE_BYTES is formed in chunks of intervals, here 2 + 2 + 1 of 5, into
+    # bitwise the maps of one call, and the blocks and a state run on them do not move
+    p = _kernel_case(source)[0]
+    grid = sq.uniform_grid(5, p.a, p.b)
+    M = 8
+    u = sq.PiecewiseConstantControl(grid, np.ones((grid.N, p.m)))
+    half, delta = transition._horizon_half_grid(grid, M)
+    whole = transition._affine_maps(p, half, delta)
+    blocks, traj = sq.compute_all_blocks(p, grid, M), sq.simulate_state(p, u, M)
+    with monkeypatch.context() as mp:
+        mp.setattr(transition, "TABLE_BYTES", 2 * 8 * (4 * M + 1) * p.n * (p.n + p.m + 1))
+        points = _spy_step_maps(mp)
+        chunked = transition._affine_maps(p, half, delta)
+        assert points == [4 * M + 1] * 3
+        assert chunked.tobytes() == whole.tobytes()
+        chunked_blocks, chunked_traj = sq.compute_all_blocks(p, grid, M), sq.simulate_state(p, u, M)
+    for name in ("Ys", "step", "state_cost", "control_cost", "times"):
+        assert getattr(chunked_blocks, name).tobytes() == getattr(blocks, name).tobytes()
+    assert chunked_traj.qs.tobytes() == traj.qs.tobytes()
+
+
+@pytest.mark.parametrize("source", ["dontchev", "timevarying-demo"])
+def test_step_maps_out_of_memory_raise_too_large(source, monkeypatch):
+    # a MemoryError while the table and step maps are formed, before any recurrence, is TooLarge too
+    p = _kernel_case(source)[0]
+    grid = sq.uniform_grid(3, p.a, p.b)
+
+    def no_memory(F, delta):
+        raise MemoryError
+
+    monkeypatch.setattr(transition, "_step_maps", no_memory)
+    u = sq.PiecewiseConstantControl(grid, np.zeros((grid.N, p.m)))
+    for run in (lambda: sq.compute_all_blocks(p, grid, 8), lambda: sq.simulate_state(p, u, 8)):
+        with pytest.raises(TooLarge, match=r"M = 8 substeps: 2M\+1 RK4 nodes do not fit in memory"):
+            run()
+
+
+def test_blocks_name_the_interval_whose_nodes_overflow():
+    # A = 30000 at M = 32: steps of 1/64000 on the first interval stay finite, steps of 0.999/64
+    # on the second overflow; the recurrence of interval 1 raises, with no RuntimeWarning
+    p = sq.validate_problem(make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
+                                         S=[[1.0]], q_a=[1.0]))
+    grid = sq.grid_from_durations([0.001, 0.999], 0.0, 1.0)
+    with pytest.raises(NonFinite, match="propagation diverged on interval 1"):
+        sq.compute_all_blocks(p, grid, 32)
 
 
 @pytest.mark.parametrize("source", ["dontchev", "timevarying-demo"])
@@ -465,7 +521,7 @@ def test_nodes_out_of_memory_raise_too_large(source, monkeypatch):
 
     monkeypatch.setattr(transition, "_run_maps", no_memory)
     u = sq.PiecewiseConstantControl(grid, np.zeros((grid.N, p.m)))
-    for run in (lambda: propagate_interval(p, grid, 0, 8), lambda: sq.simulate_state(p, u, 8),
+    for run in (lambda: sq.compute_all_blocks(p, grid, 8), lambda: sq.simulate_state(p, u, 8),
                 lambda: sq.costs_of_control_batch(p, grid, np.zeros((2, grid.N, p.m)), 8)):
         with pytest.raises(TooLarge, match=r"M = 8 substeps: 2M\+1 RK4 nodes do not fit in memory"):
             run()
@@ -482,8 +538,8 @@ def test_propagation_within_one_ulp_of_long_double_loop(source):
     M = 32
     ld = np.longdouble
     for i in range(grid.N):
-        _, Ys = propagate_interval(p, grid, i, M)
         half, delta = _interval_half_grid(grid, i, M)
+        Ys = transition._affine_nodes(p, half, delta)
         As = p.A.eval_many(half)
         forcing = np.concatenate((np.zeros(As.shape), p.B.eval_many(half), p.omega.eval_many(half)[..., None]), axis=-1)
         ref = _reference_rk4_linear(As.astype(ld), forcing.astype(ld), np.eye(p.n, Ys.shape[-1], dtype=ld), ld(delta))
@@ -546,9 +602,9 @@ def test_subnormal_step_rejected_where_grids_meet_M(dontchev, M):
     with pytest.raises(InvalidInterval, match="smallest normal float"):
         transition._horizon_half_grid(grid, M)
     with pytest.raises(InvalidInterval, match="smallest normal float"):
-        propagate_interval(dontchev, grid, 0, M)
+        sq.compute_all_blocks(dontchev, grid, M)
     # the other interval's step is normal, as are both at 1e-300
-    assert np.all(np.diff(propagate_interval(dontchev, grid, 1, M)[0]) == 1.0 / (2 * M))
+    assert np.all(np.diff(_interval_half_grid(grid, 1, M)[0][::2]) == 1.0 / (2 * M))
     assert transition._horizon_half_grid(sq.grid_from_durations([1e-300, 1.0], 0.0, 1.0), M)[1][0] > 0
     with pytest.raises(InvalidInterval, match="smallest normal float"):
         simulate.simulate_state(dontchev, simulate.PiecewiseConstantControl(grid, np.zeros((2, 1))), M)
@@ -557,13 +613,12 @@ def test_subnormal_step_rejected_where_grids_meet_M(dontchev, M):
 def test_substeps_beyond_index_range(dontchev):
     # 4M + 1 half-grid nodes past np.intp's range; nothing is allocated before the check
     with pytest.raises(TooLarge, match=f"M = {2**64}"):
-        propagate_interval(dontchev, sq.uniform_grid(1, 0.0, 1.0), 0, 2**64)
+        sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0.0, 1.0), 2**64)
 
 
 def test_interval_index_must_be_an_integer(dontchev):
-    grid = sq.uniform_grid(3, 0.0, 1.0)
+    maps = transition._affine_maps(dontchev, *transition._horizon_half_grid(sq.uniform_grid(3, 0.0, 1.0), 4))
     for bad in (1.5, True, np.float64(1.0), 3, -1):
         with pytest.raises(IndexOutOfRange):
-            propagate_interval(dontchev, grid, bad, 4)
-    for t, ref in zip(propagate_interval(dontchev, grid, np.int64(1), 4), propagate_interval(dontchev, grid, 1, 4)):
-        assert t.tobytes() == ref.tobytes()
+            propagate_interval(maps, bad, 4)
+    assert propagate_interval(maps, np.int64(1), 4).tobytes() == propagate_interval(maps, 1, 4).tobytes()
