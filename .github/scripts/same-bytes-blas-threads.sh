@@ -8,7 +8,9 @@
 # timevarying-demo and seed 5 take the RK4 scan, double-integrator and seed 4 (constant A, B and
 # omega) the equal-step doubling, converge's closed-form reference the dense run's
 # [A | B u + omega] table, and the solve of seed 4 (n = 3, m = 3) the sweep's m >= 2 solve pair
-# in its feedback output; the JSON writer spells every float.
+# in its feedback output; the JSON writer spells every float.  At uniform:1000 with 64 substeps
+# the costate's vector run (printed as the residual line) does per-interval GEMMs large enough for
+# OpenBLAS to thread: double-integrator takes its constant-A path, timevarying-demo the general one.
 set -euo pipefail
 cd "$1"
 for t in 1 2; do
@@ -24,8 +26,13 @@ for t in 1 2; do
     --format json --out "multi-control-threads$t.json" > "multi-control-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq converge --problem dontchev --grids 2,4 \
     --out "converge-threads$t.csv" > "converge-threads$t.txt"
+  for p in double-integrator timevarying-demo; do
+    OPENBLAS_NUM_THREADS=$t sampledlq solve --problem $p --grid uniform:1000 --substeps 64 \
+      --format json --out "large-$p-threads$t.json" > "large-$p-threads$t.txt"
+  done
 done
-for f in solve-threads oracle-threads const-solve-threads const-oracle-threads multi-control-threads; do
+for f in solve-threads oracle-threads const-solve-threads const-oracle-threads multi-control-threads \
+    large-double-integrator-threads large-timevarying-demo-threads; do
   cmp "${f}1.txt" "${f}2.txt"
   cmp "${f}1.json" "${f}2.json"
 done

@@ -8,15 +8,17 @@ each) on the stacked half grids, and one march carries a run across the
 joins: it applies interval i's nodes to [q_i; U_i; 1] and takes q_{i+1} from
 the last node.  Blocks computed on the same grid and M already hold those
 nodes, and `simulate_state` given them only marches.  The march serves one
-control (`simulate_state`) and a dense control (one interval [a, b] under
-the forcing B u(t) + omega).  The costate runs backward from
-p(b) = -S (q(b) - q_b) through the same march, last interval first, on the
-[Zc | phi] nodes of the table [-A^T | W (q - x)], written into one array and
-run on the reversed half grids with step -delta; RK4 stages falling between
-stored state nodes use linear interpolation of q.  The dense run's table is
-[A | B u + omega].  The march returns the run alone: its end
-value is its last node, which `Trajectory.q_end` and
-`CostateTrajectory.p_end` read.
+control (`simulate_state`) and the batch's zero control.  The costate and
+the dense run (one interval [a, b] under the forcing B u(t) + omega) need
+only a vector, so they form no nodes: `transition._vector_run` composes
+each interval's RK4 step maps into a tree, marches the vector across the
+interval maps and fills in every node from the tree.  The costate runs
+backward from p(b) = -S (q(b) - q_b), last interval first, from -A^T and
+W (q - x) on the reversed half grids with step -delta; RK4 stages falling
+between stored state nodes use linear interpolation of q.  The dense run's
+coefficients are A and B u + omega.  A run is returned alone: its end value
+is its last node, which `Trajectory.q_end` and `CostateTrajectory.p_end`
+read.
 
 Runs are stored as (N, 2M+1, ...) arrays, so the running cost, the sampled
 residual and the averaged control are each one Simpson reduction over them,
@@ -43,7 +45,7 @@ import numpy as np
 from .blocks import IntervalBlocks, simpson_weights
 from .errors import DimensionMismatch, NodeMismatch, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
-from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _rk4_linear
+from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _vector_run
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,21 +214,26 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
 
     half (N, 4M+1) are the stacked half grids with steps delta (N,) and qs
     (N, 2M+1, n) the state nodes on them; q at half-step stages is the
-    average of the adjacent nodes.  The [Zc | phi] nodes of every interval
-    are formed from the table [-A^T | W (q - x)] on the reversed half grids
-    with step -delta, and the march takes the last interval first.
+    average of the adjacent nodes.  One vector run takes the last interval
+    first, on the reversed half grids with step -delta, from -A^T (one
+    matrix when A is constant) and W (q - x) formed chunk by chunk.
     """
+    half, qs = half[::-1, ::-1], qs[::-1, ::-1]
+
+    def coefficients(rows):
+        h, q = half[rows], qs[rows]
+        e = np.empty(h.shape + qs.shape[-1:])
+        e[..., ::2, :] = q
+        e[..., 1::2, :] = 0.5 * (q[..., :-1, :] + q[..., 1:, :])
+        e -= p.x_ref.eval_many(h)
+        if p.W.kind == "constant":
+            C = e @ p.W.eval_many(p.a).T
+        else:
+            C = np.einsum("...ab,...b->...a", p.W.eval_many(h), e)
+        return np.negative(np.swapaxes(p.A.eval_many(p.a if p.A.kind == "constant" else h), -1, -2)), C
+
     try:
-        n = qs.shape[-1]
-        q_half = np.empty(half.shape + (n,))
-        q_half[..., ::2, :] = qs
-        q_half[..., 1::2, :] = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
-        q_half -= p.x_ref.eval_many(half)
-        F = np.empty(half.shape + (n, n + 1))  # the table [-A^T | W (q - x)]
-        np.negative(np.swapaxes(p.A.eval_many(half), -1, -2), out=F[..., :n])
-        np.matmul(p.W.eval_many(half), q_half[..., None], out=F[..., n:])
-        nodes = _rk4_linear(F[::-1, ::-1], -delta[::-1])
-        return _march(nodes, p_end, np.ones((half.shape[0], 1)))[::-1, ::-1]
+        return _vector_run(coefficients, -delta[::-1], p_end, (half.shape[-1] - 1) // 2)[::-1, ::-1]
     except MemoryError:
         M = (half.shape[-1] - 1) // 4
         raise TooLarge(f"M = {M} substeps: the costate's 2M+1 RK4 nodes do not fit in memory") from None
@@ -271,20 +278,21 @@ def _eval_control_function(u_fn: Callable, ts: np.ndarray, m: int) -> np.ndarray
 def _dense_state(p: LQProblem, u_fn: Callable, M: int):
     """Half grid, step, control values on it and state nodes of u_fn over [a, b], 2M RK4 steps.
 
-    [a, b] is one interval whose nodes [Z | xi_u], from the table
-    [A | B u + omega], carry that forcing.  Nodes that do not fit in memory
-    raise `TooLarge`.
+    [a, b] is one interval of a vector run from q_a under the coefficients
+    A and B u + omega.  A run that does not fit in memory raises `TooLarge`.
     """
     if not p.validated:
         raise ValidationError("problem must be validated before simulating a control on it")
     half, delta = _half_grid(p.a, p.b, M)
     u_half = _eval_control_function(u_fn, half, p.m)
+
+    def coefficients(rows):
+        C = np.matmul(p.B.eval_many(half), u_half[..., None])[None, ..., 0]
+        C += p.omega.eval_many(half)
+        return p.A.eval_many(p.a if p.A.kind == "constant" else half[None]), C
+
     try:
-        F = np.empty(half.shape + (p.n, p.n + 1))  # the table [A | B u + omega]
-        F[..., :p.n] = p.A.eval_many(half)
-        np.matmul(p.B.eval_many(half), u_half[..., None], out=F[..., p.n:])
-        F[..., p.n] += p.omega.eval_many(half)
-        return half, delta, u_half, _march(_rk4_linear(F, delta)[None], p.q_a, np.ones((1, 1)))[0]
+        return half, delta, u_half, _vector_run(coefficients, np.array([delta]), p.q_a, 2 * M)[0]
     except MemoryError:
         raise TooLarge(f"M = {M} substeps: the dense run's 2M+1 RK4 nodes do not fit in memory") from None
 

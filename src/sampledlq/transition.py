@@ -12,9 +12,8 @@ spacing matches composite Simpson quadrature downstream.
 
 Y' = A(t) Y + C(t) is linear, so each RK4 step is an affine map
 Y_{k+1} = Phi_k Y_k + psi_k.  The kernel reads one coefficient table
-F = [A | C] per run, which its callers build: [A | B | omega] for the
-interval nodes, [-A^T | W (q - x)] for the costate and [A | B u + omega] for
-the dense run.  It forms the maps of every step in one vectorized pass of
+F = [A | C] per run, which its caller builds ([A | B | omega] for the
+interval nodes).  It forms the maps of every step in one vectorized pass of
 the stage formulas, run on [Id | 0] with A distributed over it, so each
 stage is a table row plus a step times A @ (the previous stage), and runs
 them as a prefix scan from [Id | 0]: composing affine maps is associative,
@@ -34,6 +33,14 @@ With A, B and omega constant every step has the same map (a zero-order
 hold): the table is one value repeated with stride 0, and the kernel forms
 the map once and composes it by doubling, K - 1 compositions in place of the
 scan's K log2(K), into bitwise the scan's nodes.
+
+A run that needs only a vector, the costate [-A^T | W (q - x)] and the
+dense run [A | B u + omega], forms no nodes: `_vector_run` composes each
+interval's step maps pairwise into one map (an up-sweep of about 2K
+compositions), marches the vector across those interval maps and applies
+the up-sweep's kept halves to vectors to fill in every node (the
+down-sweep).  With A constant each interval's steps share one homogeneous
+map, formed once on three half-step points.
 """
 
 from __future__ import annotations
@@ -138,8 +145,8 @@ def _step_maps(F: np.ndarray, delta) -> np.ndarray:
     The increment is returned without adding Id, which would round away its
     low bits.  The stages live in three step-sized C-contiguous buffers
     updated in place.  A map that overflows makes the nodes non-finite;
-    its callers, `_maps` and `_affine_maps`, run it with overflow warnings
-    off.
+    its callers, `_maps`, `_affine_maps` and `_increments`, run it with
+    overflow warnings off.
     """
     n = F.shape[-2]
     delta = np.asarray(delta, dtype=float)[..., None, None, None]
@@ -214,18 +221,101 @@ def _maps(F: np.ndarray, delta) -> np.ndarray:
     return _step_maps(F, delta)
 
 
-def _rk4_linear(F: np.ndarray, delta) -> np.ndarray:
-    """Nodes [Z | G] (..., K+1, n, n+c) of Y' = A(t) Y + C(t), Y = [Id | 0] at each half grid's start.
+def _apply(E: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y_j + E_j [y_j; 1] for the maps E of `_increments`' layouts and vectors y (r, J, n).
 
-    F (..., 2K+1, n, n+c) is the coefficient table [A | C] on one half grid
-    or on a stack of them; delta is a scalar or one step per grid.  The run
-    is the kernel's two phases, `_maps` then `_run_maps`.  A run from y
-    under the forcing C v is Z y + G v.  Overflow and invalid-value warnings
-    are off for the whole run: a run that overflows has non-finite nodes,
-    which every caller checks.
+    E is (r, J, n, n+1), one map per vector, or (r, 1, n, n+J), one
+    homogeneous part for an interval's J forcing columns: then the product
+    is one GEMM per interval.
     """
+    n = y.shape[-1]
+    if E.shape[-1] == n + 1:
+        return y + ((E[..., :n] @ y[..., None])[..., 0] + E[..., n])
+    return y + (y @ np.swapaxes(E[:, 0, :, :n], -1, -2) + np.swapaxes(E[:, 0, :, n:], -1, -2))
+
+
+def _increments(coefficients, rows: slice, delta: np.ndarray, L: int) -> np.ndarray:
+    """Step increments of y' = A y + c on r intervals, [Phi_k - Id | psi_k] padded with zero steps to L.
+
+    coefficients(rows) gives C (r, 2K+1, n), c on the intervals' half
+    grids, and A there (r, 2K+1, n, n), or one (n, n) when constant: then
+    the table has three points, [A | c at step k's point j] for j = 0, 1,
+    2, and `_step_maps` forms the homogeneous increment once per interval,
+    with A applied to every step's forcing as one product.  That layout,
+    (r, 1, n, n+K) with step k's psi in column n+k, is kept when K = L;
+    otherwise the increments are (r, L, n, n+1), and the pad steps' are
+    zero, which compose exactly.  A and C are dropped once the table holds
+    them.
+    """
+    A, C = coefficients(rows)
+    r, K, n = C.shape[0], C.shape[1] // 2, C.shape[-1]
+    if A.ndim == 2:
+        F = np.empty((r, 3, n, n + K))
+        F[..., :n] = A
+        for j in range(3):
+            F[:, j, :, n:] = np.swapaxes(C[:, j : j + 2 * K : 2], -1, -2)
+    else:
+        F = np.empty(C.shape + (n + 1,))
+        F[..., :n] = A
+        F[..., n] = C
+    del A, C
+    E = _step_maps(F, delta)
+    if K == L:
+        return E
+    padded = np.zeros((r, L, n, n + 1))
+    if E.shape[1] == 1:
+        padded[:, :K, :, :n] = E[..., :n]
+        padded[:, :K, :, n] = np.swapaxes(E[:, 0, :, n:], -1, -2)
+    else:
+        padded[:, :K] = E
+    return padded
+
+
+def _vector_run(coefficients, delta: np.ndarray, y: np.ndarray, K: int) -> np.ndarray:
+    """The run (N, K+1, n) of y' = A(t) y + c(t) from y over N intervals of K RK4 steps, interval 0 first.
+
+    coefficients(rows) gives A and c on the half grids (2K+1 points) of the
+    intervals in the slice rows, as `_increments` takes them; delta (N,)
+    are the steps.  Only vectors are run, never nodes.  Each interval's
+    step increments are composed pairwise, level by level, into one map (an
+    up-sweep, as increments, as `_run_maps` composes them: about 2K
+    compositions), and the left half of every level is kept.  The interval
+    maps march y across the joins, and the kept halves give y at every
+    node (the down-sweep).  Coefficients, tables and increments are formed
+    in chunks of intervals whose table is at most TABLE_BYTES.  A run that
+    overflows raises NonFinite("simulation diverged"); a MemoryError is
+    left to the caller.
+    """
+    N, n = delta.shape[0], y.shape[0]
+    depth = (K - 1).bit_length()
+    L = 1 << depth
+    rows = max(1, TABLE_BYTES // (8 * (2 * K + 1) * n * (n + 1)))
+    lefts, ends = [], np.empty((N, n, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_maps(_maps(F, delta))
+        for lo in range(0, N, rows):
+            r = slice(lo, lo + rows)
+            E = _increments(coefficients, r, delta[r], L)
+            for level in range(depth):
+                if E.shape[1] > 1:
+                    E1, E2 = E[:, ::2], E[:, 1::2]
+                else:  # the forcing columns pair up under the one homogeneous part
+                    E1, E2 = (np.concatenate((E[..., :n], E[..., n + j :: 2]), axis=-1) for j in (0, 1))
+                if lo == 0:
+                    lefts.append(np.empty((N,) + E1.shape[1:]))
+                lefts[level][r] = E1
+                E = E2 + (E1 + E2[..., :n] @ E1)
+            ends[r] = E[:, 0]
+        ys = np.empty((N, L + 1, n))
+        for i in range(N):
+            ys[i, 0] = y
+            y = ys[i, L] = y + (ends[i, :, :n] @ y + ends[i, :, n])
+        for level in reversed(range(depth)):
+            s = 2 << level
+            ys[:, s // 2 :: s] = _apply(lefts[level], ys[:, :-1:s])
+    ys = ys[:, : K + 1]
+    if not np.all(np.isfinite(ys)):
+        raise NonFinite("simulation diverged")
+    return ys
 
 
 def _nodes_too_large(M: int) -> TooLarge:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,6 +186,24 @@ class TestSolve:
         assert code == 0
         assert calls == {"_affine_maps": [(5, 33)], "_affine_nodes": []}  # (N, 4M+1) half-grid times, once
 
+
+    @pytest.mark.parametrize("problem", ["double-integrator", "timevarying-demo"])
+    def test_costate_peak_within_the_solve_peak(self, problem):
+        # the costate runs vectors, never a node stack, so its tracemalloc peak stays within that
+        # of the solve (blocks, sweep, synthesis and state run) on the same case; N = 400, M = 32
+        p = cli.registry.get_problem(problem).problem
+        grid = cli.uniform_grid(400, p.a, p.b)
+        tracemalloc.start()
+        try:
+            traj = cli._solve(p, grid, 32)[4]
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            simulate.simulate_costate(traj, 32)
+            costate_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert costate_peak <= solve_peak
 
 class TestParserReuse:
     SOLVE = ["solve", "--problem", "dontchev", "--grid", "uniform:3"]
@@ -371,7 +390,7 @@ class TestErrors:
         def no_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(simulate, "_rk4_linear", no_memory)
+        monkeypatch.setattr(simulate, "_vector_run", no_memory)
         grids = ["--grids", "2,4"] if command == "converge" else ["--grid", "uniform:2"]
         code, out, err = run_cli(capsys, command, "--problem", "dontchev", *grids)
         assert code == 2

@@ -503,9 +503,9 @@ class TestTypedErrors:
     @pytest.mark.parametrize("module, name, run, what", [
         (blocks_module, "simpson_weights", lambda p, traj: sq.compute_all_blocks(p, traj.grid, 8), "the blocks"),
         (blocks_module, "compute_blocks", lambda p, traj: sq.compute_all_blocks(p, traj.grid, 8), "the blocks"),
-        (simulate_module, "_rk4_linear", lambda p, traj: sq.simulate_costate(traj, 8), "the costate's"),
-        (simulate_module, "_rk4_linear", lambda p, traj: sq.cost_of_permanent(p, lambda t: [0.0], 8), "the dense run's"),
-        (simulate_module, "_rk4_linear", lambda p, traj: sq.pmp_residual_permanent(p, lambda t: [0.0], 8),
+        (simulate_module, "_vector_run", lambda p, traj: sq.simulate_costate(traj, 8), "the costate's"),
+        (simulate_module, "_vector_run", lambda p, traj: sq.cost_of_permanent(p, lambda t: [0.0], 8), "the dense run's"),
+        (simulate_module, "_vector_run", lambda p, traj: sq.pmp_residual_permanent(p, lambda t: [0.0], 8),
          "the dense run's"),
     ], ids=["stacks", "forms", "costate", "dense-cost", "dense-residual"])
     def test_out_of_memory_past_the_nodes_raises_too_large(self, dontchev, monkeypatch, module, name, run, what):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,11 +86,11 @@ class TestPropagateInterval:
 
 
 def _transition(p, t, s, M):
-    """Z(t, s) from one _rk4_linear run of Z' = A Z on the half grid from s to t, backward when t < s.
+    """Z(t, s) from the kernel's two phases on Z' = A Z on the half grid from s to t, backward when t < s.
 
     The table is A alone (no forcing columns), copied out so that a constant A is scanned too."""
     half, delta = transition._half_grid(s, t, M)
-    return transition._rk4_linear(np.array(p.A.eval_many(half)), delta)[-1]
+    return transition._run_maps(transition._maps(np.array(p.A.eval_many(half)), delta))[-1]
 
 
 class TestTransitionMatrix:
@@ -192,7 +193,7 @@ def _reference_run_maps(maps):
 
 
 def _reference_nodes(F, delta):
-    """Test-only reference for transition._rk4_linear: the stage loop on the table F = [A | C] run
+    """Test-only reference for the kernel's two phases: the stage loop on the table F = [A | C] run
     from [Id | 0] under the forcing [0 | C], one stacked half grid at a time."""
     lead, n = F.shape[:-3], F.shape[-2]
     delta = np.broadcast_to(delta, lead)
@@ -243,18 +244,19 @@ def _reference_dense_state(p, u_fn, M):
     return half, delta, u_half, qs[..., 0]
 
 
-def _reference_costate(p, half, delta, qs, p_end):
+def _reference_costate(p, half, delta, qs, p_end, dtype=float):
     """Test-only reference for simulate._costate: one backward stage-loop run per interval, last
-    interval first, each from the costate its successor left at the join."""
-    ps = np.empty_like(qs)
-    p_hi = p_end
+    interval first, each from the costate its successor left at the join; the table is formed in
+    float64 and the stages run in dtype."""
+    ps = np.empty(qs.shape, dtype=dtype)
+    p_hi = np.asarray(p_end, dtype=dtype)
     for i in reversed(range(half.shape[0])):
         q_half = np.empty((half.shape[1], qs.shape[-1]))
         q_half[::2] = qs[i]
         q_half[1::2] = 0.5 * (qs[i, :-1] + qs[i, 1:])
-        forcing = p.W.eval_many(half[i]) @ (q_half - p.x_ref.eval_many(half[i]))[..., None]
-        minus_At = -np.swapaxes(p.A.eval_many(half[i]), -1, -2)
-        ps[i] = _reference_rk4_linear(minus_At[::-1], forcing[::-1, :, 0], p_hi, -delta[i])[::-1]
+        forcing = (p.W.eval_many(half[i]) @ (q_half - p.x_ref.eval_many(half[i]))[..., None]).astype(dtype)
+        minus_At = (-np.swapaxes(p.A.eval_many(half[i]), -1, -2)).astype(dtype)
+        ps[i] = _reference_rk4_linear(minus_At[::-1], forcing[::-1, :, 0], p_hi, dtype(-delta[i]))[::-1]
         p_hi = ps[i, 0]
     return ps
 
@@ -271,7 +273,6 @@ def _use_reference_kernel(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(transition, "_affine_nodes", counted(_reference_affine_nodes))
-    monkeypatch.setattr(simulate, "_rk4_linear", counted(_reference_nodes))
     monkeypatch.setattr(sq, "simulate_state", counted(_reference_simulate_state))
     monkeypatch.setattr(sq, "costs_of_control_batch", counted(_reference_costs_of_control_batch))
     monkeypatch.setattr(simulate, "_dense_state", counted(_reference_dense_state))
@@ -413,7 +414,7 @@ def _spy_step_maps(monkeypatch):
 
 def _scan_nodes(p, half, delta):
     """_affine_nodes' nodes with the table [A | B | omega] copied out to full size, so every step map is formed and scanned."""
-    return transition._rk4_linear(_table(p, half), delta)
+    return transition._run_maps(transition._maps(_table(p, half), delta))
 
 
 def _table(p, half):
@@ -568,31 +569,75 @@ def test_stacked_nodes_within_one_ulp_of_long_double_loop(source):
 
 
 @pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"] + list(range(10)))
-def test_costate_nodes_within_one_ulp_of_long_double_loop(source, monkeypatch):
-    # the costate's table [-A^T | W (q - x)] on the reversed half grids with step -delta, each
-    # interval's [Zc | phi] nodes under the same bound.  N = 8, M = 32, a seeded control.
+def test_costate_nodes_within_one_ulp_of_long_double_loop(source):
+    # the costate's vector run, on the table [-A^T | W (q - x)] over the reversed half grids with
+    # step -delta, against the same table's stage loop in long double: the tree composes the step
+    # maps as increments, so every node is within two ulp of 1 + |ref|.  N = 8, M = 32, a seeded
+    # control.
     p = _kernel_case(source)[0]
     grid = sq.uniform_grid(8, p.a, p.b)
     M = 32
     u = sq.PiecewiseConstantControl(grid, np.random.default_rng(0).uniform(-1.0, 1.0, size=(grid.N, p.m)))
     traj = sq.simulate_state(p, u, M)
-    runs = []
-
-    def kept(F, delta):
-        runs.append(transition._rk4_linear(F, delta))
-        return runs[-1]
-
-    monkeypatch.setattr(simulate, "_rk4_linear", kept)
-    sq.simulate_costate(traj, M)
+    ps = sq.simulate_costate(traj, M).ps
     half, delta = transition._horizon_half_grid(grid, M)
-    for i, nodes in zip(reversed(range(grid.N)), runs[0]):  # the march takes the last interval first
-        back = half[i, ::-1]
-        q_half = np.empty(back.shape + (p.n,))
-        q_half[::2] = traj.qs[i, ::-1]
-        q_half[1::2] = 0.5 * (traj.qs[i, ::-1][:-1] + traj.qs[i, ::-1][1:])
-        C = p.W.eval_many(back) @ (q_half - p.x_ref.eval_many(back))[..., None]
-        ref = _long_double_nodes(-np.swapaxes(p.A.eval_many(back), -1, -2), C, -delta[i])
-        assert np.max(np.abs(nodes - ref) / (1.0 + np.abs(ref))) <= np.finfo(float).eps
+    ref = _reference_costate(p, half, delta, traj.qs, -(p.S @ (traj.q_end - p.q_b)), np.longdouble)
+    assert np.max(np.abs(ps - ref) / (1.0 + np.abs(ref))) <= 2 * np.finfo(float).eps
+
+
+def _costate_and_reference(p, grid, M):
+    """The costate of a seeded control's run and `_reference_costate` on the same run."""
+    u = sq.PiecewiseConstantControl(grid, np.random.default_rng(1).uniform(-1.0, 1.0, size=(grid.N, p.m)))
+    traj = sq.simulate_state(p, u, M)
+    half, delta = transition._horizon_half_grid(grid, M)
+    return sq.simulate_costate(traj, M).ps, _reference_costate(p, half, delta, traj.qs, -(p.S @ (traj.q_end - p.q_b)))
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("M", [1, 3, 5])
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo", 2, 3])
+def test_vector_run_pads_a_step_count_short_of_a_power_of_two(source, M):
+    # 2M = 2, 6 and 10 steps, the last two padded with zero increments to 8 and 16: the costate
+    # and the dense run against their stage loops
+    p, grid = _kernel_case(source)
+    _assert_close(*_costate_and_reference(p, grid, M))
+
+    def u_fn(t):
+        return np.cos(3.0 * t + np.arange(p.m))
+
+    _assert_close(simulate._dense_state(p, u_fn, M)[3], _reference_dense_state(p, u_fn, M)[3])
+
+
+@pytest.mark.parametrize("M", [4, 32])
+@pytest.mark.parametrize("source", ["dontchev", "timevarying-demo", 3, 4])
+def test_vector_run_on_durations_a_thousand_fold_apart(source, M):
+    # max h / min h = 1e3: every interval's steps differ, and the march joins runs of both sizes
+    p = _kernel_case(source)[0]
+    grid = sq.grid_from_durations(np.array([1e-3, 0.4, 1.0, 0.02, 1e-3]) / 1.422 * (p.b - p.a), p.a, p.b)
+    assert np.max(grid.h) / np.min(grid.h) == pytest.approx(1e3)
+    _assert_close(*_costate_and_reference(p, grid, M))
+
+
+@pytest.mark.parametrize("M", [3, 8])
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", 2, 4])
+def test_costate_constant_A_path_matches_general_path(source, M, monkeypatch):
+    # a constant A forms one homogeneous step increment per interval, on three half-step points;
+    # the same A as a degree-0 polynomial forms every step's, on the whole half grid
+    p, grid = _kernel_case(source)
+    poly = dataclasses.replace(p, A=sq.CoefficientFunction.poly(p.A.eval_many(p.a)[..., None]))
+    assert p.A.kind == "constant" and poly.A.kind == "poly"
+    runs = {}
+    for name, q in (("constant", p), ("poly", poly)):
+        with monkeypatch.context() as mp:
+            points = _spy_step_maps(mp)
+            runs[name] = _costate_and_reference(q, grid, M)
+        assert points == [3 if name == "constant" else 4 * M + 1] * 2  # the state run's, then the costate's
+        _assert_close(*runs[name])
+    _assert_close(runs["constant"][0], runs["poly"][0])
 
 
 @pytest.mark.parametrize("M", [1, 64])
