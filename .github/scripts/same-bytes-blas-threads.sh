@@ -11,6 +11,8 @@
 # in its feedback output; the JSON writer spells every float.  At uniform:1000 with 64 substeps
 # the costate's vector run (printed as the residual line) does per-interval GEMMs large enough for
 # OpenBLAS to thread: double-integrator takes its constant-A path, timevarying-demo the general one.
+# Both pad their 1000 interval maps to 1024 with zero maps, so they also take the padded
+# cross-interval tree (its batched compositions and vector levels) under one and two threads.
 set -euo pipefail
 cd "$1"
 for t in 1 2; do

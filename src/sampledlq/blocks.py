@@ -41,7 +41,8 @@ node times, the table [A | B | omega] and every interval's RK4 step maps
 weights, W, x, R and v (one `eval_many` each), every control_cost in one
 batched GEMM, the symmetrization of both forms, and step, read off the
 stacked nodes.  Each GEMM stacks an interval's (node, row) pairs:
-sum_k w_k F_k^T G_k = (w F)^T G.
+sum_k w_k F_k^T G_k = (w F)^T G.  With R and v constant, R [Id | -v] is
+formed once, at a, and the GEMM reads it repeated with stride 0.
 
 `simpson_weights` is the package's one Simpson rule, used by `simulate` too:
 it reads the spacing off the node times, so none is passed apart from them.
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, _is_integer, check_grid
-from .transition import ZView, _affine_maps, _horizon_half_grid, propagate_interval
+from .transition import ZView, _affine_maps, _horizon_half_grid, _repeated, propagate_interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,15 +144,19 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
             Ys[i] = propagate_interval(maps, i, M)
         del maps  # the forms below need only the nodes
         w = simpson_weights(times)
-        Wk, Rk = p.W.eval_many(times), p.R.eval_many(times)
-        xk, vk = p.x_ref.eval_many(times), p.v_ref.eval_many(times)
+        Wk, xk = p.W.eval_many(times), p.x_ref.eval_many(times)
+        constant = p.R.kind == p.v_ref.kind == "constant"
+        at = p.a if constant else times
         with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is caught below
             state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])
-            Iv = np.empty(vk.shape + (p.m + 1,))  # [Id | -v]
+            Iv = np.empty(np.shape(at) + (p.m, p.m + 1))  # [Id | -v]
             Iv[..., :-1] = np.eye(p.m)
-            np.negative(vk, out=Iv[..., -1])
+            np.negative(p.v_ref.eval_many(at), out=Iv[..., -1])
+            RIv = p.R.eval_many(at) @ Iv
+            if constant:
+                Iv, RIv = _repeated(Iv, times.shape), _repeated(RIv, times.shape)
             flat = (grid.N, -1, p.m + 1)  # each interval's node rows stacked, for one GEMM per interval
-            control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ (Rk @ Iv).reshape(flat)
+            control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ RIv.reshape(flat)
             state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
     except MemoryError:
         raise TooLarge(f"N = {grid.N} intervals at M = {M} substeps: the blocks do not fit in memory") from None

@@ -259,8 +259,7 @@ def cmd_solve(args) -> int:
     res_max = float(np.max(np.linalg.norm(residuals, axis=1)))
 
     print(f"problem: {label}  N={grid.N}  ||h||={grid.norm_delta:.10g}  M={M}")
-    for i, u in enumerate(sol.U.tolist()):
-        print(f"U[{i}] = {_vec_str(u)}")
+    print("\n".join(f"U[{i}] = {_vec_str(u)}" for i, u in enumerate(sol.U.tolist())))
     print(f"predicted cost = {sol.predicted_cost:.10g}")
     print(f"simulated cost = {cost:.10g}")
     print(f"q(b) = {_vec_str(traj.q_end)}")

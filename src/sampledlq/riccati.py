@@ -107,17 +107,16 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
     Phi[:, :n] = blocks.step.take(order, axis=2)
     Phi[:, n, n] = 1.0
     yo, U = slice(0, n + 1), slice(n + 1, None)
+    rows = zip(X[::-1], feedback[::-1], V[-2::-1], V[:0:-1], Phi[::-1], state_cost[::-1], control_cost[::-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in reversed(range(N)):
-            Xi = X[i]
-            form = Phi[i].T @ V[i + 1] @ Phi[i]
-            form += state_cost[i]
-            form[n:, n:] += control_cost[i]
+        for i, (Xi, f, Vi, V_next, Phi_i, sc, cc) in zip(range(N - 1, -1, -1), rows):
+            form = Phi_i.T @ V_next @ Phi_i
+            form += sc
+            form[n:, n:] += cc
             np.add(form, form.T, out=Xi)  # symmetrized as 0.5 * (form + form.T)
             Xi *= 0.5
             if not np.isfinite(Xi).all():
                 raise NonFinite(f"cost-to-go form overflowed on interval {i}")
-            f = feedback[i]
             np.negative(Xi[U, yo], out=f)
             if m == 1:  # the solve pair with L = sqrt(T), LAPACK's 1 x 1 factor: two scalings
                 T = float(Xi[-1, -1])
@@ -134,8 +133,8 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
                 f[...] = np.linalg.solve(L.T, np.linalg.solve(L, f))
             form = Xi[yo, U] @ f
             form += Xi[yo, yo]
-            np.add(form, form.T, out=V[i])
-            V[i] *= 0.5
+            np.add(form, form.T, out=Vi)
+            Vi *= 0.5
     back = [*range(n), *range(n + 1, n + m + 1), n]  # [y; 1; U] to z
     return RiccatiSweep(X=X.take(back, axis=1).take(back, axis=2), feedback=feedback, V=V)
 
@@ -154,11 +153,11 @@ def forward_synthesis(sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarr
     q_nodes = np.empty((N + 1, n))
     q_nodes[0] = q_a
     y1, z = np.ones(n + 1), np.ones(n + m + 1)  # [q(s_i); 1] and [q(s_i); U_i; 1]
-    for i in range(N):
-        y1[:n] = z[:n] = q_nodes[i]
-        np.matmul(sweep.feedback[i], y1, out=U[i])
-        z[n:-1] = U[i]
-        np.matmul(blocks.step[i], z, out=q_nodes[i + 1])
+    for feedback, step, u, q, q_next in zip(sweep.feedback, blocks.step, U, q_nodes[:-1], q_nodes[1:]):
+        y1[:n] = z[:n] = q
+        np.matmul(feedback, y1, out=u)
+        z[n:-1] = u
+        np.matmul(step, z, out=q_next)
     return SampledSolution(grid=blocks.grid, U=U, q_nodes=q_nodes, predicted_cost=value_function(sweep, 0, q_a))
 
 

@@ -11,11 +11,12 @@ nodes, and `simulate_state` given them only marches.  The march serves one
 control (`simulate_state`) and the batch's zero control.  The costate and
 the dense run (one interval [a, b] under the forcing B u(t) + omega) need
 only a vector, so they form no nodes: `transition._vector_run` composes
-each interval's RK4 step maps into a tree, marches the vector across the
-interval maps and fills in every node from the tree.  The costate runs
+each interval's RK4 step maps, and then the interval maps, into one tree,
+and fills in the vector at every join and node from it.  The costate runs
 backward from p(b) = -S (q(b) - q_b), last interval first, from -A^T and
-W (q - x) on the reversed half grids with step -delta; RK4 stages falling
-between stored state nodes use linear interpolation of q.  The dense run's
+W (q - x) on the reversed half grids with step -delta, each formed on
+forward rows and reversed once; RK4 stages falling between stored state
+nodes use linear interpolation of q.  The dense run's
 coefficients are A and B u + omega.  A run is returned alone: its end value
 is its last node, which `Trajectory.q_end` and `CostateTrajectory.p_end`
 read.
@@ -122,20 +123,23 @@ def _march(nodes: np.ndarray, y: np.ndarray, inputs: np.ndarray):
     run visits the intervals, y (n,) the start value and inputs (N, c) each
     interval's constant input.  On interval i the run is
     Y_i = nodes[i] [y_i; inputs[i]] with node 0 set to y_i itself (nodes[i, 0]
-    is [Id | 0]), so the joins are exact, and y_{i+1} = Y_i[-1].  Returns the
-    runs (N, 2M+1, n), whose last node is the final value.  A run that
+    is [Id | 0]), so the joins are exact, and y_{i+1} = Y_i[-1]: one GEMV of
+    nodes[i]'s stacked rows after node 0 into row i of the output.  Returns
+    the runs (N, 2M+1, n), whose last node is the final value.  A run that
     overflows anywhere raises NonFinite once it is done: non-finite values
     carry forward, and the overflowed interval's run stays in the output.
     """
-    ys = np.empty(nodes.shape[:3])
-    n = ys.shape[-1]
-    z = np.empty(nodes.shape[-1])
+    N, K, n, w = nodes.shape
+    ys = np.empty((N, K, n))
+    zs = np.empty((N, w))  # [y_i; inputs[i]], y_i filled as the run reaches it
+    zs[:, n:] = inputs
+    ys[0, 0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for Z, v, run in zip(nodes, inputs, ys):
-            run[0] = z[:n] = y
-            z[n:] = v
-            np.matmul(Z[1:].reshape(-1, Z.shape[-1]), z, out=run[1:].reshape(-1))
-            y = run[-1]
+        for Z, z, run in zip(nodes[:, 1:].reshape(N, -1, w), zs, ys[:, 1:].reshape(N, -1)):
+            z[:n] = y
+            np.matmul(Z, z, out=run)
+            y = run[-n:]
+    ys[1:, 0] = ys[:-1, -1]
     if not np.all(np.isfinite(ys)):
         raise NonFinite("simulation diverged")
     return ys
@@ -215,22 +219,26 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     half (N, 4M+1) are the stacked half grids with steps delta (N,) and qs
     (N, 2M+1, n) the state nodes on them; q at half-step stages is the
     average of the adjacent nodes.  One vector run takes the last interval
-    first, on the reversed half grids with step -delta, from -A^T (one
-    matrix when A is constant) and W (q - x) formed chunk by chunk.
+    first, on the reversed half grids with step -delta.  Its chunk of rows
+    is read forward: -A^T (one matrix when A is constant) and W (q - x) are
+    formed on the chunk's contiguous rows, and each finished array is
+    reversed once.
     """
-    half, qs = half[::-1, ::-1], qs[::-1, ::-1]
+    N = half.shape[0]
 
     def coefficients(rows):
-        h, q = half[rows], qs[rows]
-        e = np.empty(h.shape + qs.shape[-1:])
+        start, stop, _ = rows.indices(N)
+        h, q = half[N - stop : N - start], qs[N - stop : N - start]
+        e = np.empty(h.shape + q.shape[-1:])
         e[..., ::2, :] = q
-        e[..., 1::2, :] = 0.5 * (q[..., :-1, :] + q[..., 1:, :])
+        e[..., 1::2, :] = 0.5 * (q[..., 1:, :] + q[..., :-1, :])
         e -= p.x_ref.eval_many(h)
         if p.W.kind == "constant":
             C = e @ p.W.eval_many(p.a).T
         else:
             C = np.einsum("...ab,...b->...a", p.W.eval_many(h), e)
-        return np.negative(np.swapaxes(p.A.eval_many(p.a if p.A.kind == "constant" else h), -1, -2)), C
+        A = p.A.eval_many(p.a) if p.A.kind == "constant" else p.A.eval_many(h)[::-1, ::-1]
+        return np.negative(np.swapaxes(A, -1, -2)), C[::-1, ::-1]
 
     try:
         return _vector_run(coefficients, -delta[::-1], p_end, (half.shape[-1] - 1) // 2)[::-1, ::-1]

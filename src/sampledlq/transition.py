@@ -37,10 +37,12 @@ scan's K log2(K), into bitwise the scan's nodes.
 A run that needs only a vector, the costate [-A^T | W (q - x)] and the
 dense run [A | B u + omega], forms no nodes: `_vector_run` composes each
 interval's step maps pairwise into one map (an up-sweep of about 2K
-compositions), marches the vector across those interval maps and applies
-the up-sweep's kept halves to vectors to fill in every node (the
-down-sweep).  With A constant each interval's steps share one homogeneous
-map, formed once on three half-step points.
+compositions), then the N interval maps, padded with zero maps to a power
+of two, by the same up-sweep: the top of one tree.  Its down-sweep applies
+the kept halves to vectors, which gives the vector at every join and then
+at every node, in log2(N) + log2(K) levels with no loop over intervals.
+With A constant each interval's steps share one homogeneous map, formed
+once on three half-step points.
 """
 
 from __future__ import annotations
@@ -196,7 +198,9 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     d = 1
     while d < K and maps.strides[-3] == 0:
         U, lo = E[..., d - 1 : d, :, :], E[..., : min(d, K - d), :, :]
-        E[..., d : d + lo.shape[-3], :, :] = U + (lo + U[..., :n] @ lo)
+        dst = np.matmul(U[..., :n], lo, out=E[..., d : d + lo.shape[-3], :, :])
+        dst += lo
+        dst += U
         d *= 2
     while d < K:
         E[..., d:, :, :] += E[..., :-d, :, :] + E[..., d:, :, :n] @ E[..., :-d, :, :]
@@ -271,6 +275,37 @@ def _increments(coefficients, rows: slice, delta: np.ndarray, L: int) -> np.ndar
     return padded
 
 
+def _up_sweep(E: np.ndarray, lefts: list, rows: slice, N: int) -> np.ndarray:
+    """Compose the maps on E's axis 1 pairwise, level by level, into one map per row; returns it (r, n, n+1).
+
+    E holds the increments of r runs in `_increments`' layouts, a power of
+    two of them per run.  Pairs compose as increments, as `_run_maps`
+    composes them, E2 + (E1 + E2[:, :n] E1).  Each level's left halves are
+    copied to lefts[level][rows], an (N, ...) array that the first call
+    appends, so that no level is held past the next.
+    """
+    n = E.shape[2]
+    level = 0
+    while E.shape[1] > 1 or E.shape[-1] > n + 1:
+        if E.shape[1] > 1:
+            E1, E2 = E[:, ::2], E[:, 1::2]
+        else:  # the forcing columns pair up under the one homogeneous part
+            E1, E2 = (np.concatenate((E[..., :n], E[..., n + j :: 2]), axis=-1) for j in (0, 1))
+        if level == len(lefts):
+            lefts.append(np.empty((N,) + E1.shape[1:]))
+        lefts[level][rows] = E1
+        E = E2 + (E1 + E2[..., :n] @ E1)
+        level += 1
+    return E[:, 0]
+
+
+def _down_sweep(lefts: list, ys: np.ndarray) -> None:
+    """Fill ys (r, 2^depth + 1, n) between its given ends 0 and 2^depth from `_up_sweep`'s left halves."""
+    for level in reversed(range(len(lefts))):
+        s = 2 << level
+        ys[:, s // 2 :: s] = _apply(lefts[level], ys[:, :-1:s])
+
+
 def _vector_run(coefficients, delta: np.ndarray, y: np.ndarray, K: int) -> np.ndarray:
     """The run (N, K+1, n) of y' = A(t) y + c(t) from y over N intervals of K RK4 steps, interval 0 first.
 
@@ -279,39 +314,31 @@ def _vector_run(coefficients, delta: np.ndarray, y: np.ndarray, K: int) -> np.nd
     are the steps.  Only vectors are run, never nodes.  Each interval's
     step increments are composed pairwise, level by level, into one map (an
     up-sweep, as increments, as `_run_maps` composes them: about 2K
-    compositions), and the left half of every level is kept.  The interval
-    maps march y across the joins, and the kept halves give y at every
-    node (the down-sweep).  Coefficients, tables and increments are formed
-    in chunks of intervals whose table is at most TABLE_BYTES.  A run that
-    overflows raises NonFinite("simulation diverged"); a MemoryError is
-    left to the caller.
+    compositions), and the left half of every level is kept.  The N
+    interval maps, padded with zero maps to a power of two, are the top of
+    the tree: the same up-sweep composes them into the horizon's map, and
+    the down-sweep gives y at every join, then, from the kept halves, at
+    every node.  Coefficients, tables and increments are formed in chunks
+    of intervals whose table is at most TABLE_BYTES.  A run that overflows
+    raises NonFinite("simulation diverged"); a MemoryError is left to the
+    caller.
     """
     N, n = delta.shape[0], y.shape[0]
-    depth = (K - 1).bit_length()
-    L = 1 << depth
+    L = 1 << (K - 1).bit_length()
     rows = max(1, TABLE_BYTES // (8 * (2 * K + 1) * n * (n + 1)))
-    lefts, ends = [], np.empty((N, n, n + 1))
+    lefts, tops = [], []
+    ends = np.zeros((1, 1 << (N - 1).bit_length(), n, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, N, rows):
-            r = slice(lo, lo + rows)
-            E = _increments(coefficients, r, delta[r], L)
-            for level in range(depth):
-                if E.shape[1] > 1:
-                    E1, E2 = E[:, ::2], E[:, 1::2]
-                else:  # the forcing columns pair up under the one homogeneous part
-                    E1, E2 = (np.concatenate((E[..., :n], E[..., n + j :: 2]), axis=-1) for j in (0, 1))
-                if lo == 0:
-                    lefts.append(np.empty((N,) + E1.shape[1:]))
-                lefts[level][r] = E1
-                E = E2 + (E1 + E2[..., :n] @ E1)
-            ends[r] = E[:, 0]
+            r = slice(lo, min(lo + rows, N))
+            ends[0, r] = _up_sweep(_increments(coefficients, r, delta[r], L), lefts, r, N)
+        joins = np.empty((1, ends.shape[1] + 1, n))
+        joins[0, 0] = y
+        joins[:, -1:] = _apply(_up_sweep(ends, tops, slice(None), 1)[:, None], joins[:, :1])
+        _down_sweep(tops, joins)
         ys = np.empty((N, L + 1, n))
-        for i in range(N):
-            ys[i, 0] = y
-            y = ys[i, L] = y + (ends[i, :, :n] @ y + ends[i, :, n])
-        for level in reversed(range(depth)):
-            s = 2 << level
-            ys[:, s // 2 :: s] = _apply(lefts[level], ys[:, :-1:s])
+        ys[:, 0], ys[:, L] = joins[0, :N], joins[0, 1 : N + 1]
+        _down_sweep(lefts, ys)
     ys = ys[:, : K + 1]
     if not np.all(np.isfinite(ys)):
         raise NonFinite("simulation diverged")
@@ -332,9 +359,12 @@ def _affine_table(p: LQProblem, half: np.ndarray) -> np.ndarray:
     F = np.empty((() if constant else half.shape) + (p.n, p.n + p.m + 1))
     for cf, cols in zip((p.A, p.B, p.omega), (slice(0, p.n), slice(p.n, -1), -1)):
         F[..., cols] = cf.eval_many(p.a if cf.kind == "constant" else half)
-    if constant:
-        F = np.ndarray(half.shape + F.shape, float, F, strides=(0,) * half.ndim + F.strides)
-    return F
+    return _repeated(F, half.shape) if constant else F
+
+
+def _repeated(value: np.ndarray, shape: tuple) -> np.ndarray:
+    """value repeated over the leading axes shape with stride 0, a view of value's buffer."""
+    return np.ndarray(shape + value.shape, float, value, strides=(0,) * len(shape) + value.strides)
 
 
 def _affine_maps(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:

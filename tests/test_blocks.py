@@ -248,6 +248,23 @@ class TestConsistency:
         assert evals == {"A": 1, "B": 1, "omega": 1, "W": 1, "x_ref": 1, "R": 1, "v_ref": 1}
 
 
+@pytest.mark.parametrize("M", [8, 32])
+@pytest.mark.parametrize("source", ["dontchev", "timevarying-demo", 0, 4, 11])
+def test_constant_control_form_bitwise_equal_to_per_node_form(source, M):
+    # constant R and v form R [Id | -v] once and the GEMM reads it repeated with stride 0; the same
+    # R and v as degree-0 polynomials form it at every node: the control forms agree bitwise
+    if isinstance(source, str):
+        p = sq.get_problem(source).problem
+        grid = sq.grid_from_durations([0.2, 0.5, 0.3], p.a, p.b)
+    else:
+        p, grid = sq.random_problem(source)
+    poly = replace(p, R=sq.CoefficientFunction.poly(p.R.eval_many(p.a)[..., None]),
+                   v_ref=sq.CoefficientFunction.poly(p.v_ref.eval_many(p.a)[..., None]))
+    assert p.R.kind == p.v_ref.kind == "constant" and poly.R.kind == poly.v_ref.kind == "poly"
+    constant, per_node = (sq.compute_all_blocks(q, grid, M).control_cost for q in (p, poly))
+    assert constant.tobytes() == per_node.tobytes()
+
+
 def _gemm_form(w, F, G):
     """sum_k w_k F_k^T G_k as compute_all_blocks forms it: the weighted node rows stacked, one GEMM."""
     d = F.shape[-1]

@@ -622,6 +622,38 @@ def test_vector_run_on_durations_a_thousand_fold_apart(source, M):
     _assert_close(*_costate_and_reference(p, grid, M))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 7, "durations"])
+@pytest.mark.parametrize("source", ["double-integrator", "timevarying-demo"])
+def test_interval_tree_on_interval_counts_short_of_a_power_of_two(source, N):
+    # the N interval maps are the top of the vector run's tree, padded with zero maps to 1, 2, 4,
+    # 8, 8 and 8; double-integrator takes the constant-A path, timevarying-demo the general one
+    p = sq.get_problem(source).problem
+    if N == "durations":
+        grid = sq.grid_from_durations(np.array([0.1, 0.3, 0.05, 0.25, 0.2, 0.1]) * (p.b - p.a), p.a, p.b)
+    else:
+        grid = sq.uniform_grid(N, p.a, p.b)
+    assert (p.A.kind == "constant") == (source == "double-integrator")
+    _assert_close(*_costate_and_reference(p, grid, 4))
+
+
+@pytest.mark.parametrize("source", ["double-integrator", "timevarying-demo"])
+def test_costate_in_chunks_of_intervals(source, monkeypatch):
+    # a table past TABLE_BYTES is formed in chunks of intervals, here 2 + 2 + 2 + 1 of 7 counted
+    # from the last interval, each read forward off the stacked half grids and state run: bitwise
+    # the run of one chunk, and within the stage loop's bound
+    p = sq.get_problem(source).problem
+    grid, M = sq.uniform_grid(7, p.a, p.b), 4
+    whole = _costate_and_reference(p, grid, M)
+    with monkeypatch.context() as mp:
+        mp.setattr(transition, "TABLE_BYTES", 2 * 8 * (4 * M + 1) * p.n * (p.n + 1))
+        rows, increments = [], transition._increments
+        mp.setattr(transition, "_increments", lambda c, r, *args: rows.append(r) or increments(c, r, *args))
+        chunked, ref = _costate_and_reference(p, grid, M)
+    assert [(r.start, r.stop) for r in rows] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    assert chunked.tobytes() == whole[0].tobytes()
+    _assert_close(chunked, ref)
+
+
 @pytest.mark.parametrize("M", [3, 8])
 @pytest.mark.parametrize("source", ["dontchev", "double-integrator", 2, 4])
 def test_costate_constant_A_path_matches_general_path(source, M, monkeypatch):
