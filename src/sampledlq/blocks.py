@@ -22,12 +22,15 @@ y, U, 1 of z as in `transition.ZView`; RV is negated, a copy):
                           ZWZOmegaX  = state_cost[y, 1]
                           WZOmegaX2  = state_cost[1, 1]
 
-The blocks also keep their grid and the nodes they were integrated on: Ys,
-the [Z | Gamma | xi] values, times, their 2M+1 node times, and dynamics,
-the problem's A, B and omega objects that alone fix those values.  The
-state run of the same dynamics under a control on the same grid and M
-marches these nodes (`simulate.simulate_state`) instead of forming them
-again, and the forward synthesis returns its solution on that grid.
+The blocks hold the whole terminal cost: S, the problem's validated,
+symmetric terminal weight, beside the -q_b shift the last step carries, so
+the backward sweep starts from them alone.  They also keep their grid and
+the nodes they were integrated on: Ys, the [Z | Gamma | xi] values, times,
+their 2M+1 node times, and dynamics, the problem's A, B and omega objects
+that alone fix those values.  The state run of the same dynamics under a
+control on the same grid and M marches these nodes
+(`simulate.simulate_state`) instead of forming them again, and the forward
+synthesis returns its solution on that grid.
 
 `compute_all_blocks` returns one stack: row i of step (N, n, n+m+1),
 state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
@@ -66,6 +69,7 @@ class IntervalBlocks:
     step: np.ndarray          # (N, n, n+m+1), [Zstep | ZB | ZOmega]
     state_cost: np.ndarray    # (N, n+m+1, n+m+1)
     control_cost: np.ndarray  # (N, m+1, m+1)
+    S: np.ndarray             # (n, n), the terminal weight
     Ys: np.ndarray            # (N, 2M+1, n, n+m+1), [Z | Gamma | xi] at the nodes
     times: np.ndarray         # (N, 2M+1), the node times
     grid: SamplingGrid        # the grid they were computed on
@@ -165,4 +169,4 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
         raise NonFinite(f"cost forms overflowed on interval {np.argmin(finite)}")
     step = Ys[:, -1].copy()
     step[-1, :, -1] -= p.q_b
-    return IntervalBlocks(step, state_cost, control_cost, Ys, times, grid, dynamics=(p.A, p.B, p.omega))
+    return IntervalBlocks(step, state_cost, control_cost, p.S, Ys, times, grid, dynamics=(p.A, p.B, p.omega))

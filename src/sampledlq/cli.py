@@ -251,9 +251,11 @@ def cmd_solve(args) -> int:
     problem, grid, _, label = _resolve(args)
     M = args.substeps
     blocks, sweep, sol, cost, traj = _solve(problem, grid, M)
-    # format the blocks now: their node stack is as large as the costate run, so drop it first
+    # format the blocks now: their node stack is as large as the costate run, so drop it, and the
+    # sweep that records it, first
     block_lines = [json.dumps(blocks.to_jsonable(i)) for i in range(grid.N)] if args.debug_blocks else []
-    del blocks
+    steps = _Records(i=np.arange(grid.N), gain=sweep.gain, offset=sweep.offset)
+    del blocks, sweep
     costate = simulate_costate(traj, M)
     residuals = pmp_residual_sampled(costate)
     res_max = float(np.max(np.linalg.norm(residuals, axis=1)))
@@ -278,7 +280,7 @@ def cmd_solve(args) -> int:
                 "q_end": traj.q_end,
                 "predicted_cost": sol.predicted_cost,
                 "simulated_cost": cost,
-                "steps": _Records(i=np.arange(grid.N), gain=sweep.gain, offset=sweep.offset),
+                "steps": steps,
             })
         else:
             header = ["i", "s_i", "h_i"] + [f"U_{j + 1}" for j in range(problem.m)]
@@ -305,7 +307,7 @@ def cmd_converge(args) -> int:
     traces = []
     for N in Ns:
         grid = uniform_grid(N, problem.a, problem.b)
-        _, _, sol, cost, traj = _solve(problem, grid, M)
+        sol, cost, traj = _solve(problem, grid, M)[2:]  # the sweep holds the blocks: keep neither
         _, cost_averaged = _averaged(problem, u_ref, grid, M)
         ref_at_nodes = np.array([ref_at(grid.s[i]) for i in range(N)])
         max_node_err = float(np.max(np.linalg.norm(sol.U - ref_at_nodes, axis=1)))
@@ -331,7 +333,7 @@ def cmd_compare_averaged(args) -> int:
     problem, grid, entry, label = _resolve(args)
     M = args.substeps
     u_ref, ref_cost, ref_desc = _resolve_reference(args, entry, problem, grid.N, M)
-    _, _, sol, cost, _ = _solve(problem, grid, M)
+    sol, cost = _solve(problem, grid, M)[2:4]
     u_h, cost_averaged = _averaged(problem, u_ref, grid, M)
     diffs = np.linalg.norm(sol.U - u_h.U, axis=1)
 

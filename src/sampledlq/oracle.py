@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotPD, TooLarge
+from .errors import NotPD, TooLarge
 from .problem import LQProblem, SamplingGrid
 from .riccati import solve as riccati_solve
 from .simulate import costs_of_control_batch
@@ -71,8 +71,6 @@ def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:
     flat[pair_rows, k] = 1.0
 
     costs = costs_of_control_batch(p, grid, batch, M)
-    if not np.all(np.isfinite(costs)):
-        raise NonFinite("oracle cost evaluations are not finite")
     c = float(costs[0])
     Cp = costs[1 : 1 + dim]
     Cm = costs[1 + dim : 1 + 2 * dim]
@@ -95,7 +93,7 @@ def solve_qp(qp: DenseQP):
 
 def cross_check(p: LQProblem, grid: SamplingGrid, M: int = 64) -> CrossCheckReport:
     """Solve by sweep and by QP, report the disagreement."""
-    _, _, sol = riccati_solve(p, grid, M)
+    sol = riccati_solve(p, grid, M)[2]  # the sweep, which holds the blocks, is not kept through the QP
     qp = assemble_qp(p, grid, M)
     U_qp = solve_qp(qp)
     U_sweep = sol.U.reshape(-1)

@@ -22,13 +22,12 @@ from .problem import (
 
 @dataclass(frozen=True)
 class ProblemRegistryEntry:
-    name: str
     problem: LQProblem
     reference_control: Optional[Callable] = None
-    note: str = ""
 
 
 def _dontchev_reference(t: float) -> float:
+    """The closed-form optimal permanent control u*(t) = 2 (e^{3t} - e^3) / (e^{3t/2} (2 + e^3))."""
     e3 = math.exp(3.0)
     return 2.0 * (math.exp(3.0 * t) - e3) / (math.exp(1.5 * t) * (2.0 + e3))
 
@@ -45,13 +44,9 @@ def _build_registry() -> dict:
             q_a=[1.0],
         )
     )
-    entries["dontchev"] = ProblemRegistryEntry(
-        name="dontchev",
-        problem=dontchev,
-        reference_control=_dontchev_reference,
-        note="closed-form optimal permanent control u*(t) = 2(e^{3t} - e^3) / (e^{3t/2} (2 + e^3))",
-    )
+    entries["dontchev"] = ProblemRegistryEntry(dontchev, reference_control=_dontchev_reference)
 
+    # position/velocity chain, homogeneous
     double_integrator = validate_problem(
         make_problem(
             a=0.0, b=1.0,
@@ -60,13 +55,9 @@ def _build_registry() -> dict:
             q_a=[1.0, 0.0],
         )
     )
-    entries["double-integrator"] = ProblemRegistryEntry(
-        name="double-integrator",
-        problem=double_integrator,
-        note="position/velocity chain, homogeneous",
-    )
+    entries["double-integrator"] = ProblemRegistryEntry(double_integrator)
 
-    # nonautonomous, nonhomogeneous: A(t) and omega(t) polynomial in t
+    # nonautonomous, nonhomogeneous, forced and target-shifted: A(t) and omega(t) polynomial in t
     timevarying = validate_problem(
         make_problem(
             a=0.0, b=1.0,
@@ -79,11 +70,7 @@ def _build_registry() -> dict:
             q_b=[0.5, 0.0],
         )
     )
-    entries["timevarying-demo"] = ProblemRegistryEntry(
-        name="timevarying-demo",
-        problem=timevarying,
-        note="polynomial A(t), forced and target-shifted",
-    )
+    entries["timevarying-demo"] = ProblemRegistryEntry(timevarying)
     return entries
 
 

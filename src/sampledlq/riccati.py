@@ -1,8 +1,10 @@
 """Backward Riccati-type recursion and forward synthesis of the optimal control.
 
 The value function at s_i is V_i(y) = 1/2 [y; 1]^T V_i [y; 1], with
-V_N = [[S, 0], [0, 0]].  With z = [y; U; 1] and Phi_i = [step_i; e_last] the
-interval's map z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0:
+V_N = [[S, 0], [0, 0]] for the terminal weight S the blocks hold: with the
+last step's -q_b shift, the blocks carry the whole terminal cost.  With
+z = [y; U; 1] and Phi_i = [step_i; e_last] the interval's map
+z -> [q(s_{i+1}); 1], the sweep runs i = N-1 .. 0 from the blocks alone:
 
     X_i        = Phi_i^T V_{i+1} Phi_i + state_cost_i + control_cost_i (on the [U; 1] corner)
     feedback_i = -T_i^{-1} X_i[U, (y, 1)],   T_i = X_i[U, U] = L_i L_i^T
@@ -28,8 +30,9 @@ are read-only views carrying that axis (segments as in `transition.ZView`):
 
 so K_i = Q_i - P_i^T T_i^{-1} P_i, J_i = G_i - P_i^T T_i^{-1} H_i and
 Y_i = F_i - <T_i^{-1} H_i, H_i>, with K[N] = S, J[N] = 0 and Y[N] = 0.  The
-optimal coefficients follow forward as U_i = feedback_i [q(s_i); 1], on the
-grid the blocks record, and the optimal cost is V_0(q_a).
+sweep records the blocks it ran over, so the optimal coefficients follow
+forward from the sweep alone as U_i = feedback_i [q(s_i); 1], on the grid
+the blocks record, and the optimal cost is V_0(q_a).
 
 Because the last interval's step absorbs the -q_b shift, the forward
 recursion's final node is the shifted terminal state q(b) - q_b; every stated
@@ -51,11 +54,12 @@ from .transition import ZView
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSweep:
-    """The recursion's quadratic forms, stacked by interval index."""
+    """The recursion's quadratic forms, stacked by interval index, with the blocks it ran over."""
 
     X: np.ndarray         # (N, n+m+1, n+m+1), cost-to-go forms on [y; U; 1]
     feedback: np.ndarray  # (N, m, n+1), [gain | offset]
     V: np.ndarray         # (N+1, n+1, n+1), value forms on [y; 1]; V[N] = [[S, 0], [0, 0]]
+    blocks: IntervalBlocks  # the blocks it ran over, which hold S and the grid
 
     F = ZView("X", "1", "1")
     G = ZView("X", "y", "1")
@@ -88,17 +92,13 @@ class SampledSolution:
     predicted_cost: float
 
 
-def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
-    """Run the recursion over the stacked blocks from terminal weight S."""
-    n, m = blocks.dims
-    S = np.asarray(S, dtype=float)
-    if S.shape != (n, n):
-        raise DimensionMismatch(f"S has shape {S.shape}, expected {(n, n)}")
-    N = blocks.N
+def backward_sweep(blocks: IntervalBlocks) -> RiccatiSweep:
+    """Run the recursion over the stacked blocks from their terminal weight S; the sweep records them."""
+    (n, m), N = blocks.dims, blocks.N
     X = np.empty((N, n + m + 1, n + m + 1))  # on [y; 1; U] until the loop ends
     feedback = np.empty((N, m, n + 1))
     V = np.zeros((N + 1, n + 1, n + 1))
-    V[N, :n, :n] = 0.5 * (S + S.T)
+    V[N, :n, :n] = blocks.S
 
     order, corner = [*range(n), n + m, *range(n, n + m)], [m, *range(m)]  # z to [y; 1; U], [U; 1] to [1; U]
     state_cost = blocks.state_cost.take(order, axis=1).take(order, axis=2)
@@ -136,16 +136,12 @@ def backward_sweep(blocks: IntervalBlocks, S: np.ndarray) -> RiccatiSweep:
             np.add(form, form.T, out=Vi)
             Vi *= 0.5
     back = [*range(n), *range(n + 1, n + m + 1), n]  # [y; 1; U] to z
-    return RiccatiSweep(X=X.take(back, axis=1).take(back, axis=2), feedback=feedback, V=V)
+    return RiccatiSweep(X=X.take(back, axis=1).take(back, axis=2), feedback=feedback, V=V, blocks=blocks)
 
 
-def forward_synthesis(sweep: RiccatiSweep, blocks: IntervalBlocks, q_a: np.ndarray) -> SampledSolution:
-    """Optimal coefficients and state samples on the blocks' grid, by forward induction from q_a."""
-    N, (n, m) = sweep.N, sweep.dims
-    if blocks.N != N:
-        raise DimensionMismatch(f"sweep has {N} intervals, blocks {blocks.N}")
-    if blocks.dims != (n, m):
-        raise DimensionMismatch(f"sweep has (n, m) = {(n, m)}, blocks {blocks.dims}")
+def forward_synthesis(sweep: RiccatiSweep, q_a: np.ndarray) -> SampledSolution:
+    """Optimal coefficients and state samples on the sweep's grid, by forward induction from q_a."""
+    N, (n, m), blocks = sweep.N, sweep.dims, sweep.blocks
     q_a = np.asarray(q_a, dtype=float)
     if q_a.shape != (n,):
         raise DimensionMismatch(f"q_a has shape {q_a.shape}, sweep expects {(n,)}")
@@ -180,6 +176,6 @@ def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
 def solve(p: LQProblem, grid: SamplingGrid, M: int = 64):
     """Full pipeline: blocks, backward sweep, forward synthesis; returns (blocks, sweep, solution)."""
     blocks = compute_all_blocks(p, grid, M)
-    sweep = backward_sweep(blocks, p.S)
-    solution = forward_synthesis(sweep, blocks, p.q_a)
+    sweep = backward_sweep(blocks)
+    solution = forward_synthesis(sweep, p.q_a)
     return blocks, sweep, solution

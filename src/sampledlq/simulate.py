@@ -174,9 +174,11 @@ def simulate_state(
     One kernel call forms every interval's [Z | Gamma | xi] nodes, and the
     march applies them to [q_i; U_i; 1].  Given p's blocks on u's grid at
     M, the march applies the nodes they hold instead, which are bitwise the
-    same; blocks computed from other A, B or omega objects than p's, or
-    whose node times are not this grid's at M, raise NodeMismatch; other
-    q_a or weights keep them, as `dataclasses.replace(p, q_a=...)` does.
+    same.  The A, B and omega objects the blocks record alone fix those
+    nodes, their sizes included: blocks computed from other objects than
+    p's, or whose node times are not this grid's at M, raise NodeMismatch;
+    other q_a, weights or S keep them, as `dataclasses.replace(p, q_a=...)`
+    does.
     """
     if u.m != p.m:
         raise DimensionMismatch(f"control has m={u.m}, problem has m={p.m}")
@@ -186,8 +188,6 @@ def simulate_state(
     times = half[:, ::2]
     if blocks is None:
         nodes = _affine_nodes(p, half, delta)
-    elif blocks.dims != (p.n, p.m):
-        raise DimensionMismatch(f"blocks have (n, m) = {blocks.dims}, problem has {(p.n, p.m)}")
     elif any(c is not d for c, d in zip(blocks.dynamics, (p.A, p.B, p.omega))):
         raise NodeMismatch("blocks were computed for other dynamics (A, B or omega)")
     elif not np.array_equal(blocks.times, times):

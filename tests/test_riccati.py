@@ -141,17 +141,11 @@ class TestSynthesis:
         grid = sq.uniform_grid(2, 0, 1)
         blocks, sweep, _ = sq.solve(dontchev, grid, M=8)
         with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, replace(blocks, step=blocks.step[:1]), dontchev.q_a)
-        with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, blocks, np.zeros(2))
-        # double-integrator's (n, m) = (2, 1) blocks on as many intervals as dontchev's (1, 1) sweep
-        di = sq.get_problem("double-integrator").problem
-        with pytest.raises(DimensionMismatch):
-            sq.forward_synthesis(sweep, sq.compute_all_blocks(di, sq.uniform_grid(2, di.a, di.b), M=8), dontchev.q_a)
+            sq.forward_synthesis(sweep, np.zeros(2))
         # one interval's blocks, not a stack: their rows are not intervals
         one = replace(blocks, step=blocks.step[0], state_cost=blocks.state_cost[0], control_cost=blocks.control_cost[0])
         with pytest.raises(DimensionMismatch):
-            sq.backward_sweep(one, dontchev.S)
+            sq.backward_sweep(one)
         for j in (0, 2):
             with pytest.raises(DimensionMismatch):
                 sq.value_function(sweep, j, [1.0, 2.0, 3.0])
@@ -162,7 +156,17 @@ class TestSynthesis:
         for g in (grid, grid.tail(1)):
             blocks, sweep, sol = sq.solve(dontchev, g, M=8)
             assert blocks.grid is g and sol.grid is g
-            assert sq.forward_synthesis(sweep, blocks, dontchev.q_a).grid is g
+            assert sq.forward_synthesis(sweep, dontchev.q_a).grid is g
+
+    def test_sweep_records_its_blocks_and_their_terminal_weight(self):
+        # S = [[2, 1], [0, 2]] validates to its symmetric part; the blocks hold that S, and V_N is it bitwise
+        p = sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
+                                             R=[[1.0]], S=[[2.0, 1.0], [0.0, 2.0]], q_a=[1.0, 0.0]))
+        blocks, sweep, _ = sq.solve(p, sq.uniform_grid(3, 0, 1), M=8)
+        assert sweep.blocks is blocks
+        assert blocks.S.tobytes() == p.S.tobytes()
+        assert sweep.V[-1, :2, :2].tobytes() == blocks.S.tobytes()
+        assert not np.any(sweep.V[-1, 2]) and not np.any(sweep.V[-1, :, 2])
 
 
 class TestTailConsistency:
@@ -179,7 +183,7 @@ class TestTailConsistency:
         blocks = sq.compute_all_blocks(dontchev, sq.uniform_grid(1, 0, 1), M=8)
         bad = replace(blocks, control_cost=np.array([[[-5.0, 0.0], [0.0, 0.0]]]))
         with pytest.raises(TNotPD):
-            sq.backward_sweep(bad, dontchev.S)
+            sq.backward_sweep(bad)
 
     @staticmethod
     def _double_integrator(m):
@@ -196,7 +200,7 @@ class TestTailConsistency:
         step, state_cost, control_cost = blocks.step.copy(), blocks.state_cost.copy(), blocks.control_cost.copy()
         if kind == "indefinite":
             # the tail after interval j is unchanged, so T_j becomes diag(1, -1) or -1 up to rounding
-            T = sq.backward_sweep(blocks, p.S).T[j]
+            T = sq.backward_sweep(blocks).T[j]
             control_cost[j, :m, :m] += np.diag([1.0, -1.0][-m:]) - T
         else:
             # no U entry left on interval j: T_j is exactly zero
@@ -206,7 +210,7 @@ class TestTailConsistency:
             control_cost[j, :m, :] = control_cost[j, :, :m] = 0.0
         bad = replace(blocks, step=step, state_cost=state_cost, control_cost=control_cost)
         with pytest.raises(TNotPD) as info:
-            sq.backward_sweep(bad, p.S)
+            sq.backward_sweep(bad)
         assert info.value.i == j
 
     def test_nan_in_X_is_nonfinite_before_T_is_read(self):
@@ -216,7 +220,7 @@ class TestTailConsistency:
         state_cost = blocks.state_cost.copy()
         state_cost[2, 2, 2] = np.nan
         with pytest.raises(NonFinite, match="interval 2$"):
-            sq.backward_sweep(replace(blocks, state_cost=state_cost), p.S)
+            sq.backward_sweep(replace(blocks, state_cost=state_cost))
 
     def test_overflowing_cost_to_go_is_typed(self, dontchev):
         # <S q_b, q_b> overflows; the form's inf would turn every entry of the
@@ -254,15 +258,16 @@ def test_paper_names_are_views_of_the_stored_forms(timevarying):
     grid = sq.uniform_grid(2, 0, 1)
     blocks, sweep, _ = sq.solve(timevarying, grid, M=8)
     cases = [
-        (blocks, ["step", "state_cost", "control_cost", "Ys", "times", "grid", "dynamics"],
+        (blocks, ["step", "state_cost", "control_cost", "S", "Ys", "times", "grid", "dynamics"],
          ["Zstep", "ZB", "ZOmega", "ZWZ", "ZBWZ", "ZBWZB", "ZBWZOmegaX", "ZWZOmegaX", "Rbar"]),
-        (sweep, ["X", "feedback", "V"],
+        (sweep, ["X", "feedback", "V", "blocks"],
          ["G", "H", "P", "Q", "T", "K", "J", "gain", "offset"]),
     ]
     for obj, stored, views in cases:
         assert [f.name for f in fields(obj)] == stored
         for name in views:
-            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored if f not in ("grid", "dynamics"))
+            assert any(np.shares_memory(getattr(obj, name), getattr(obj, f)) for f in stored
+                       if f not in ("grid", "dynamics", "blocks"))
     assert sweep.X.shape == (2, 4, 4) and sweep.feedback.shape == (2, 1, 3) and sweep.V.shape == (3, 3, 3)
     assert np.array_equal(blocks.RV, -blocks.control_cost[..., :-1, -1])
     # a one-by-one block reads as an array over the stack

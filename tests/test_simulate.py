@@ -124,7 +124,7 @@ class TestSimulateState:
             with pytest.raises(NodeMismatch):
                 sq.simulate_state(timevarying, u, 8, blocks)
         scalar = sq.compute_all_blocks(dontchev, grid, M=8)
-        with pytest.raises(DimensionMismatch):  # n = 1 blocks for an n = 2 problem
+        with pytest.raises(NodeMismatch, match="other dynamics"):  # n = 1 blocks for an n = 2 problem
             sq.simulate_state(timevarying, u, 8, scalar)
         # dontchev's blocks (A = 0.5) would march q(b) = e^0.5 for A = 2, not e^2
         steeper = replace(dontchev, A=sq.CoefficientFunction.constant([[2.0]]))
