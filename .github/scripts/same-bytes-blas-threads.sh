@@ -13,6 +13,9 @@
 # OpenBLAS to thread: double-integrator takes its constant-A path, timevarying-demo the general one.
 # Both pad their 1000 interval maps to 1024 with zero maps, so they also take the padded
 # cross-interval tree (its batched compositions and vector levels) under one and two threads.
+# The oracle check of seed 183 (n = 4, m = 3, N = 8, polynomial A and omega, nonzero x, v and
+# q_b: 24 unknowns, 325 controls) runs the batch's widest Gramian GEMM, on [Z | Gamma | e0]
+# with n+m+1 = 8 columns, whose last column and corner give the zero control's gradient and cost.
 set -euo pipefail
 cd "$1"
 for t in 1 2; do
@@ -24,6 +27,8 @@ for t in 1 2; do
     --format json --debug-blocks --out "const-solve-threads$t.json" > "const-solve-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq oracle-check --random seed:4 \
     --out "const-oracle-threads$t.json" > "const-oracle-threads$t.txt"
+  OPENBLAS_NUM_THREADS=$t sampledlq oracle-check --random seed:183 \
+    --out "wide-oracle-threads$t.json" > "wide-oracle-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq solve --random seed:4 --grid uniform:8 \
     --format json --out "multi-control-threads$t.json" > "multi-control-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq converge --problem dontchev --grids 2,4 \
@@ -33,8 +38,8 @@ for t in 1 2; do
       --format json --out "large-$p-threads$t.json" > "large-$p-threads$t.txt"
   done
 done
-for f in solve-threads oracle-threads const-solve-threads const-oracle-threads multi-control-threads \
-    large-double-integrator-threads large-timevarying-demo-threads; do
+for f in solve-threads oracle-threads const-solve-threads const-oracle-threads wide-oracle-threads \
+    multi-control-threads large-double-integrator-threads large-timevarying-demo-threads; do
   cmp "${f}1.txt" "${f}2.txt"
   cmp "${f}1.json" "${f}2.json"
 done

@@ -297,8 +297,9 @@ def validate_problem(p: LQProblem) -> LQProblem:
 
     S, W(t), R(t) are symmetrized as (M + M^T)/2 before the checks.  PSD/PD
     holds only at the PROBES equally spaced times; with continuous coefficients
-    this is a practical guard, not a proof.  Every coefficient is evaluated at
-    all probes before any check, so a builtin that raises does so first.
+    this is a practical guard, not a proof.  Builtins and polynomials are
+    evaluated at all probes before any check, so a builtin that raises does so
+    first; a constant is checked once, at a, where a failing one fails first.
     """
     _check_interval(p.a, p.b)
     n, m = p.n, p.m
@@ -325,8 +326,8 @@ def validate_problem(p: LQProblem) -> LQProblem:
         raise NotPSD("S", p.a, s_min)
 
     ts = np.linspace(p.a, p.b, PROBES)
-    vals = [cf.eval_many(ts) for cf in (p.A, p.B, p.omega, p.x_ref, p.v_ref, W, R)]
-    bad = [~np.isfinite(v).reshape(PROBES, -1).all(axis=1) for v in vals]
+    vals = [cf.eval_many(ts[:1] if cf.kind == "constant" else ts) for cf in (p.A, p.B, p.omega, p.x_ref, p.v_ref, W, R)]
+    bad = [~np.isfinite(v).reshape(len(v), -1).all(axis=1) for v in vals]
     # a non-finite W or R probe is decomposed as zero: its finite check fails before its eigenvalue one
     w_min, r_min = (
         np.linalg.eigvalsh(np.where(b[:, None, None], 0.0, v))[:, 0] for b, v in zip(bad[5:], vals[5:])
@@ -335,7 +336,9 @@ def validate_problem(p: LQProblem) -> LQProblem:
     # probe-by-probe scan meets first: the earliest failing probe, and within
     # it the first failing check in this order.
     names = ("A", "B", "omega", "x", "v", "W", None, "R", None)
-    fails = np.stack(bad[:6] + [w_min < -TOL_PD, bad[6], r_min <= TOL_PD], axis=1)
+    fails = np.empty((PROBES, 9), dtype=bool)
+    for j, f in enumerate(bad[:6] + [w_min < -TOL_PD, bad[6], r_min <= TOL_PD]):
+        fails[:, j] = f  # a constant's one flag holds at every probe
     if fails.any():
         k = int(np.argmax(fails.any(axis=1)))
         check = int(np.argmax(fails[k]))

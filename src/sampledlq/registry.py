@@ -13,6 +13,8 @@ from .problem import (
     CoefficientFunction,
     LQProblem,
     SamplingGrid,
+    _is_integer,
+    _readonly,
     grid_from_durations,
     make_problem,
     uniform_grid,
@@ -94,8 +96,11 @@ def random_problem(seed: int):
     Weights are built as W = M^T M and R = c_R I + M^T M, so validation always
     passes; dimensions stay desk-scale (n <= 4, m <= 3, N <= 8).  Even seeds
     give homogeneous problems, odd seeds forced ones; every third seed gets a
-    polynomial (nonautonomous) A(t).  A negative seed raises ValidationError.
+    polynomial (nonautonomous) A(t), drawn as the coefficient stack a 'poly'
+    holds.  A seed that is not a non-negative integer raises ValidationError.
     """
+    if not _is_integer(seed):
+        raise ValidationError(f"random seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"random seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -106,7 +111,7 @@ def random_problem(seed: int):
 
     if seed % 3 == 0:
         deg = int(rng.integers(1, 3))
-        A = CoefficientFunction.poly(np.moveaxis(rng.uniform(-0.8, 0.8, size=(deg + 1, n, n)), 0, -1))
+        A = CoefficientFunction("poly", (n, n), _readonly(rng.uniform(-0.8, 0.8, size=(deg + 1, n, n))))
     else:
         A = rng.uniform(-1.0, 1.0, size=(n, n))
     B = rng.uniform(-1.0, 1.0, size=(n, m))
@@ -125,7 +130,7 @@ def random_problem(seed: int):
     if homogeneous:
         omega = x = v = q_b = None
     else:
-        omega = CoefficientFunction.poly(np.moveaxis(rng.uniform(-0.5, 0.5, size=(2, n)), 0, -1))
+        omega = CoefficientFunction("poly", (n,), _readonly(rng.uniform(-0.5, 0.5, size=(2, n))))
         x = rng.uniform(-0.5, 0.5, size=n)
         v = rng.uniform(-0.5, 0.5, size=m)
         q_b = rng.uniform(-0.5, 0.5, size=n)

@@ -34,6 +34,8 @@ A batch of controls (the oracle's) marches only the zero control.  Its cost
 is quadratic in the controls, so each interval's cost about the zero-control
 run is one Simpson quadratic form in [dy_i; U_i] on the same nodes, and the
 controls enter through those small forms alone, never through node arrays.
+The zero control's cost and the forms' linear terms come from the same
+Gramian GEMM per interval, on the march's nodes with e0 = q0 - x as last column.
 """
 
 from __future__ import annotations
@@ -355,7 +357,9 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
         g_i = int D^T W e0, minus int R v on the U rows
 
     on the nodes of the zero-control run, and its terminal cost is taken at
-    q0(b) + dy_N, as the offset (q0(b) - q_b) + dy_N.  The controls meet
+    q0(b) + dy_N, as the offset (q0(b) - q_b) + dy_N.  After the march e0
+    replaces the nodes' xi column: int [D | e0]^T W [D | e0] holds the W parts
+    of H, g and 2 c0_i, and one product R v their R parts.  The controls meet
     only the (n+m)-sized forms, so no node array is L wide.  Rounding
     scales with the zero-control error e0 and each control's response
     D dz, not with |q|: a run far from the origin but on target loses
@@ -369,21 +373,22 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
     half, delta = _horizon_half_grid(grid, M)
     times = half[:, ::2]
     nodes = _affine_nodes(p, half, delta)
-    zero = np.zeros((grid.N, m))
-    q0 = _march(nodes, p.q_a, np.hstack((zero, np.ones((grid.N, 1)))))
-    c0 = _running_cost(p, times, q0, zero[:, None])
+    q0 = _march(nodes, p.q_a, np.hstack((np.zeros((grid.N, m)), np.ones((grid.N, 1)))))
 
-    w = simpson_weights(times)[..., None, None]  # (N, 2M+1, 1, 1)
+    w = simpson_weights(times)  # (N, 2M+1)
     D = nodes[..., :-1]
-    R = p.R.symmetrized().eval_many(times)
-    flat = (grid.N, -1, n + m)  # the nodes' rows stacked, for one GEMM per interval
+    flat = (grid.N, -1, n + m + 1)  # the nodes' rows stacked, for one GEMM per interval
     with np.errstate(over="ignore", invalid="ignore"):
-        wWD = w * (p.W.symmetrized().eval_many(times) @ D)
-        H = np.swapaxes(D.reshape(flat), 1, 2) @ wWD.reshape(flat)
-        H[:, n:, n:] += np.sum(w * R, axis=1)
-        e0 = q0 - p.x_ref.eval_many(times)
-        g = np.einsum("ikaj,ika->ij", wWD, e0)
-        g[:, n:] -= np.einsum("ikab,ikb->ia", w * R, p.v_ref.eval_many(times))
+        nodes[..., -1] = q0 - p.x_ref.eval_many(times)  # e0 in place of xi, which the march has used
+        wWY = w[..., None, None] * (p.W.symmetrized().eval_many(times) @ nodes)
+        G = np.swapaxes(nodes.reshape(flat), 1, 2) @ wWY.reshape(flat)
+        R, v = p.R.symmetrized().eval_many(times), p.v_ref.eval_many(times)
+        Rv = np.einsum("ikab,ikb->ika", R, v)
+        H = G[:, :-1, :-1]
+        H[:, n:, n:] += np.einsum("ik,ikab->iab", w, R)
+        g = G[:, :-1, -1]
+        g[:, n:] -= np.einsum("ik,ika->ia", w, Rv)
+        c0 = 0.5 * (G[:, -1, -1] + np.einsum("ik,ika,ika->i", w, Rv, v))
 
         dz = np.empty((grid.N, n + m, Us.shape[0]))
         dz[:, n:] = Us.transpose(1, 2, 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -189,6 +190,50 @@ class TestValidation:
                          W=[[1.0]], R=CoefficientFunction.poly([[[0.5, -1.0]]]), S=[[0.0]], q_a=[1.0])
         with pytest.raises(ValidationError, match=r"^A\(0\.5\) is not finite$"):
             sq.validate_problem(p)
+
+    # Constants are probed once, at a; builtins and polynomials at every probe.
+    # a = 0.25 so that "at a" is not t = 0.
+
+    def test_failing_constant_fails_at_a_before_a_later_builtin(self):
+        # W has a NaN entry; x turns non-finite only past t = 0.5
+        W = np.eye(2)
+        W[0, 1] = np.nan
+        p = make_problem(0.25, 1.25, A=np.zeros((2, 2)), B=[[0.0], [1.0]], W=W, R=[[1.0]], S=np.eye(2),
+                         q_a=[1.0, 0.0], x=lambda t: np.array([np.inf if t > 0.5 else 0.0, 0.0]))
+        with pytest.raises(ValidationError, match=r"^W\(0\.25\) is not finite$"):
+            sq.validate_problem(p)
+
+    def test_constant_not_pd_fails_at_a_before_a_builtin_at_probe_5(self):
+        t5 = np.linspace(0.25, 1.25, 33)[5]
+        p = make_problem(0.25, 1.25, A=lambda t: np.array([[np.inf if t == t5 else 0.0]]), B=[[1.0, 0.0]],
+                         W=[[1.0]], R=[[1.0, 2.0], [2.0, 1.0]], S=[[0.0]], q_a=[1.0])
+        with pytest.raises(NotPD) as info:
+            sq.validate_problem(p)
+        assert (info.value.name, info.value.t) == ("R", 0.25)
+        assert info.value.eigenvalue == pytest.approx(-1.0)
+
+    def test_constants_keep_the_check_order_within_a_probe(self):
+        p = make_problem(0.25, 1.25, A=[[np.inf]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
+        with pytest.raises(ValidationError, match=r"^A\(0\.25\) is not finite$"):
+            sq.validate_problem(p)
+
+    def test_c_R_of_a_constant_is_its_eigenvalue(self):
+        R = np.array([[2.0, 0.3, -0.1], [0.1, 1.5, 0.2], [0.4, -0.2, 1.1]])
+        p = make_problem(0.25, 1.25, A=np.zeros((3, 3)), B=np.eye(3), W=np.eye(3), R=R, S=np.eye(3), q_a=np.ones(3))
+        assert sq.validate_problem(p).c_R == float(np.linalg.eigvalsh(0.5 * (R + R.T))[0])
+
+    def test_builtin_is_evaluated_at_every_probe_first(self):
+        # W fails at a, but x is evaluated at all 33 probes before any check
+        ts = []
+
+        def x(t):
+            ts.append(t)
+            return np.zeros(1)
+
+        p = make_problem(0.25, 1.25, A=[[0.0]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0], x=x)
+        with pytest.raises(NotPSD):
+            sq.validate_problem(p)
+        assert np.array_equal(ts, np.linspace(0.25, 1.25, 33))
 
     def test_c_R_quantified(self):
         rng = np.random.default_rng(5)
@@ -600,3 +645,41 @@ def test_load_problem_equals_make_problem(data):
             assert np.array_equal(x, y)
         else:
             assert type(x) is type(y) and x == y
+
+
+def _problem_digest(seeds) -> str:
+    """SHA-256 of every field of random_problem(K) for K in seeds, in dataclasses.fields order, then its grid."""
+    h = hashlib.sha256()
+
+    def array(a):
+        h.update(repr((a.dtype.str, a.shape, a.flags.writeable, a.flags.c_contiguous)).encode())
+        h.update(a.tobytes())
+
+    for seed in seeds:
+        p, grid = sq.random_problem(seed)
+        for f in dataclasses.fields(p):
+            v = getattr(p, f.name)
+            if isinstance(v, CoefficientFunction):
+                h.update(repr((v.kind, v.shape)).encode())
+                array(v.data)
+            elif isinstance(v, np.ndarray):
+                array(v)
+            else:
+                h.update(repr(v).encode())
+        array(grid.h)
+        array(grid.s)
+    return h.hexdigest()
+
+
+class TestRandomProblem:
+    def test_workload_problems_are_pinned(self):
+        # K = 0..599 are the oracle-random workload's problems at workload seed 0
+        assert _problem_digest(range(600)) == "56a40df943a694af72f85315d6fde0e2cdcf9064a6b00b5195bbb6bcde509ccb"
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None, 2.0])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sq.random_problem(seed)
+
+    def test_numpy_integer_seed(self):
+        assert _problem_digest([np.int64(5)]) == _problem_digest([5])

@@ -220,9 +220,10 @@ class TestCost:
         cases.append((skew, sq.grid_from_durations([0.2, 0.5, 0.3], 0.0, 1.0)))
         rng = np.random.default_rng(0)
         for p, grid in cases:
-            Us = rng.normal(size=(5, grid.N, p.m))
+            # row 0, the zero control, checks the zero-control cost c0 alone
+            Us = np.concatenate((np.zeros((1, grid.N, p.m)), rng.normal(size=(5, grid.N, p.m))))
             batch = sq.costs_of_control_batch(p, grid, Us, M=32)
-            for k in range(5):
+            for k in range(6):
                 u = sq.PiecewiseConstantControl(grid, Us[k])
                 single = sq.evaluate_cost(sq.simulate_state(p, u, M=32))
                 assert abs(batch[k] - single) <= 1e-13 * (1.0 + abs(single))
