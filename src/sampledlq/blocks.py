@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, _is_integer, check_grid
-from .transition import ZView, _affine_maps, _horizon_half_grid, _repeated, propagate_interval
+from .transition import ZView, _affine_maps, _horizon_half_grid, propagate_interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,3 +170,8 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     step = Ys[:, -1].copy()
     step[-1, :, -1] -= p.q_b
     return IntervalBlocks(step, state_cost, control_cost, p.S, Ys, times, grid, dynamics=(p.A, p.B, p.omega))
+
+
+def _repeated(value: np.ndarray, shape: tuple) -> np.ndarray:
+    """value repeated over the leading axes shape with stride 0, a view of value's buffer."""
+    return np.ndarray(shape + value.shape, float, value, strides=(0,) * len(shape) + value.strides)

@@ -57,16 +57,20 @@ class CrossCheckReport:
 
 
 def assemble_qp(p: LQProblem, grid: SamplingGrid, M: int = 64) -> DenseQP:
-    """Reconstruct the dense QP from cost evaluations of basis controls."""
+    """Reconstruct the dense QP from cost evaluations of basis controls; `TooLarge` past GUARD_MN or memory."""
     dim = p.m * grid.N
     if dim > GUARD_MN:
         raise TooLarge(f"oracle guard exceeded: mN = {dim} > {GUARD_MN}")
-    j, k = np.triu_indices(dim, 1)  # the pairs j < k, row-major
-    batch = np.zeros((1 + 2 * dim + j.size, grid.N, p.m))
-    flat = batch.reshape(batch.shape[0], dim)
+    L = 1 + 2 * dim + dim * (dim - 1) // 2  # zero, +-e_j and e_j + e_k
+    try:
+        j, k = np.triu_indices(dim, 1)  # the pairs j < k, row-major
+        batch = np.zeros((L, grid.N, p.m))
+    except MemoryError:
+        raise TooLarge(f"oracle batch: {L} controls of mN = {dim} do not fit in memory") from None
+    flat = batch.reshape(L, dim)
     np.fill_diagonal(flat[1 : 1 + dim], 1.0)
     np.fill_diagonal(flat[1 + dim : 1 + 2 * dim], -1.0)
-    pair_rows = np.arange(1 + 2 * dim, flat.shape[0])
+    pair_rows = np.arange(1 + 2 * dim, L)
     flat[pair_rows, j] = 1.0
     flat[pair_rows, k] = 1.0
 

@@ -363,7 +363,8 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
     only the (n+m)-sized forms, so no node array is L wide.  Rounding
     scales with the zero-control error e0 and each control's response
     D dz, not with |q|: a run far from the origin but on target loses
-    nothing to the size of its state.
+    nothing to the size of its state.  Forms that do not fit in memory
+    raise `TooLarge`.
     """
     Us = np.asarray(Us, dtype=float)
     if Us.ndim != 3 or Us.shape[1] != grid.N or Us.shape[2] != p.m:
@@ -373,32 +374,35 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
     half, delta = _horizon_half_grid(grid, M)
     times = half[:, ::2]
     nodes = _affine_nodes(p, half, delta)
-    q0 = _march(nodes, p.q_a, np.hstack((np.zeros((grid.N, m)), np.ones((grid.N, 1)))))
+    try:
+        q0 = _march(nodes, p.q_a, np.hstack((np.zeros((grid.N, m)), np.ones((grid.N, 1)))))
 
-    w = simpson_weights(times)  # (N, 2M+1)
-    D = nodes[..., :-1]
-    flat = (grid.N, -1, n + m + 1)  # the nodes' rows stacked, for one GEMM per interval
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes[..., -1] = q0 - p.x_ref.eval_many(times)  # e0 in place of xi, which the march has used
-        wWY = w[..., None, None] * (p.W.symmetrized().eval_many(times) @ nodes)
-        G = np.swapaxes(nodes.reshape(flat), 1, 2) @ wWY.reshape(flat)
-        R, v = p.R.symmetrized().eval_many(times), p.v_ref.eval_many(times)
-        Rv = np.einsum("ikab,ikb->ika", R, v)
-        H = G[:, :-1, :-1]
-        H[:, n:, n:] += np.einsum("ik,ikab->iab", w, R)
-        g = G[:, :-1, -1]
-        g[:, n:] -= np.einsum("ik,ika->ia", w, Rv)
-        c0 = 0.5 * (G[:, -1, -1] + np.einsum("ik,ika,ika->i", w, Rv, v))
+        w = simpson_weights(times)  # (N, 2M+1)
+        D = nodes[..., :-1]
+        flat = (grid.N, -1, n + m + 1)  # the nodes' rows stacked, for one GEMM per interval
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes[..., -1] = q0 - p.x_ref.eval_many(times)  # e0 in place of xi, which the march has used
+            wWY = w[..., None, None] * (p.W.symmetrized().eval_many(times) @ nodes)
+            G = np.swapaxes(nodes.reshape(flat), 1, 2) @ wWY.reshape(flat)
+            R, v = p.R.symmetrized().eval_many(times), p.v_ref.eval_many(times)
+            Rv = np.einsum("ikab,ikb->ika", R, v)
+            H = G[:, :-1, :-1]
+            H[:, n:, n:] += np.einsum("ik,ikab->iab", w, R)
+            g = G[:, :-1, -1]
+            g[:, n:] -= np.einsum("ik,ika->ia", w, Rv)
+            c0 = 0.5 * (G[:, -1, -1] + np.einsum("ik,ika,ika->i", w, Rv, v))
 
-        dz = np.empty((grid.N, n + m, Us.shape[0]))
-        dz[:, n:] = Us.transpose(1, 2, 0)
-        dy = np.zeros((n, Us.shape[0]))
-        for i in range(grid.N):
-            dz[i, :n] = dy
-            dy = D[i, -1] @ dz[i]
-        d = (q0[-1, -1] - p.q_b)[:, None] + dy
-        costs = (np.sum(c0) + np.einsum("ial,ial->l", dz, g[..., None] + 0.5 * (H @ dz))
-                 + 0.5 * np.einsum("al,al->l", p.S @ d, d))
+            dz = np.empty((grid.N, n + m, Us.shape[0]))
+            dz[:, n:] = Us.transpose(1, 2, 0)
+            dy = np.zeros((n, Us.shape[0]))
+            for i in range(grid.N):
+                dz[i, :n] = dy
+                dy = D[i, -1] @ dz[i]
+            d = (q0[-1, -1] - p.q_b)[:, None] + dy
+            costs = (np.sum(c0) + np.einsum("ial,ial->l", dz, g[..., None] + 0.5 * (H @ dz))
+                     + 0.5 * np.einsum("al,al->l", p.S @ d, d))
+    except MemoryError:
+        raise TooLarge(f"M = {M} substeps: the batch's forms for {Us.shape[0]} controls do not fit in memory") from None
     if not np.all(np.isfinite(costs)):
         raise NonFinite("batch cost is not finite")
     return costs

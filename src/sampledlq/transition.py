@@ -21,8 +21,8 @@ so log2(K) levels of batched matmuls give all K+1 nodes [Z | G] of the
 run.  Half grids stacked on leading axes (one per sampling interval) run
 independently.
 
-The kernel runs in two phases: `_maps` forms the step maps from the table,
-and `_run_maps` composes them into nodes.  For the interval nodes,
+The kernel runs in two phases: `_step_maps` forms the step maps from the
+table, and `_run_maps` composes them into nodes.  For the interval nodes,
 `_affine_maps` forms the table [A | B | omega] on the horizon's stacked
 half grids and every interval's maps, once per solve.  `propagate_interval`
 then runs one interval's recurrence, which `blocks.compute_all_blocks`
@@ -30,9 +30,10 @@ calls once per interval, and `_affine_nodes` runs every interval's in one
 call, for `simulate`, which carries the state across the interval joins.
 
 With A, B and omega constant every step has the same map (a zero-order
-hold): the table is one value repeated with stride 0, and the kernel forms
-the map once and composes it by doubling, K - 1 compositions in place of the
-scan's K log2(K), into bitwise the scan's nodes.
+hold): `_affine_maps` forms it once per interval, on the first three
+half-step points, and repeats it with stride 0 on the step axis, which
+`_run_maps` composes by doubling, K - 1 compositions in place of the scan's
+K log2(K), into bitwise the scan's nodes.
 
 A run that needs only a vector, the costate [-A^T | W (q - x)] and the
 dense run [A | B u + omega], forms no nodes: `_vector_run` composes each
@@ -100,7 +101,7 @@ def _half_grid(lo, hi, M: int):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     span = hi - lo
     delta = span / (2 * M)
-    smallest = abs(delta).min() if isinstance(delta, np.ndarray) else abs(delta)
+    smallest = abs(delta).min()
     if smallest < TINY:
         raise InvalidInterval(f"step h/(2M) = {smallest:g} at M = {M} is below the smallest normal float")
     try:
@@ -115,18 +116,6 @@ def _half_grid(lo, hi, M: int):
 def _horizon_half_grid(grid: SamplingGrid, M: int):
     """Every interval's half grid stacked (N, 4M+1) and the (N,) steps, bitwise equal to `propagate_interval`'s."""
     return _half_grid(grid.s[:-1], grid.s[1:], M)
-
-
-def _add_identity(out: np.ndarray) -> None:
-    """out += [Id | 0] on each trailing (n, w) matrix, n <= w, as one add on a strided view of the diagonals.
-
-    `_run_maps` alone calls it, once per run, to turn the scanned
-    increments into nodes.  out must be C-contiguous: on any other layout
-    `reshape` would copy, and the add would be lost.
-    """
-    n, w = out.shape[-2:]
-    diagonals = out.reshape(out.shape[:-2] + (-1,))[..., : n * (w + 1) : w + 1]
-    diagonals += 1.0
 
 
 def _step_maps(F: np.ndarray, delta) -> np.ndarray:
@@ -147,7 +136,7 @@ def _step_maps(F: np.ndarray, delta) -> np.ndarray:
     The increment is returned without adding Id, which would round away its
     low bits.  The stages live in three step-sized C-contiguous buffers
     updated in place.  A map that overflows makes the nodes non-finite;
-    its callers, `_maps`, `_affine_maps` and `_increments`, run it with
+    its callers, `_affine_maps` and `_increments`, run it with
     overflow warnings off.
     """
     n = F.shape[-2]
@@ -188,10 +177,12 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     ending d steps earlier.  On equal maps (stride 0 on the step axis) the
     entries j >= d - 1 all hold one composite U of d maps, so a level fills
     only entries d .. 2d-1, as U after entries 0 .. d-1: doubling, bitwise
-    the scan.  Composites can overflow before the nodes would; every caller
+    the scan.  The increments become nodes by one add of [Id | 0], on a
+    strided view of out's diagonals (out is C-contiguous, so `reshape` does
+    not copy).  Composites can overflow before the nodes would; every caller
     turns overflow warnings off and checks the nodes for finiteness.
     """
-    K, n = maps.shape[-3:-1]
+    K, n, w = maps.shape[-3:]
     out = np.zeros(maps.shape[:-3] + (K + 1,) + maps.shape[-2:])
     E = out[..., 1:, :, :]
     E[...] = maps
@@ -205,24 +196,9 @@ def _run_maps(maps: np.ndarray) -> np.ndarray:
     while d < K:
         E[..., d:, :, :] += E[..., :-d, :, :] + E[..., d:, :, :n] @ E[..., :-d, :, :]
         d *= 2
-    _add_identity(out)
+    diagonals = out.reshape(out.shape[:-2] + (-1,))[..., : n * (w + 1) : w + 1]
+    diagonals += 1.0
     return out
-
-
-def _maps(F: np.ndarray, delta) -> np.ndarray:
-    """The kernel's first phase: the step increments (..., K, n, n+c) of the table F (..., 2K+1, n, n+c).
-
-    A table with stride 0 on the half-step axis (one constant value
-    repeated, as `_affine_table` builds it for constant A, B and omega)
-    gives one step map per run, formed on the first three points and
-    repeated with stride 0, which `_run_maps` composes by doubling.  The
-    caller turns overflow warnings off.
-    """
-    if F.strides[-3] == 0:
-        one = _step_maps(F[..., :3, :, :], delta)
-        shape = one.shape[:-3] + (F.shape[-3] // 2,) + one.shape[-2:]
-        return np.ndarray(shape, float, buffer=one, strides=one.strides[:-3] + (0,) + one.strides[-2:])
-    return _step_maps(F, delta)
 
 
 def _apply(E: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -350,38 +326,33 @@ def _nodes_too_large(M: int) -> TooLarge:
 
 
 def _affine_table(p: LQProblem, half: np.ndarray) -> np.ndarray:
-    """The table [A | B | omega] (..., 4M+1, n, n+m+1) on one half grid or a stack of them.
-
-    Each constant coefficient is evaluated once, at a; with all three
-    constant the table is that one (n, n+m+1) value, repeated with stride 0.
-    """
-    constant = p.A.kind == p.B.kind == p.omega.kind == "constant"
-    F = np.empty((() if constant else half.shape) + (p.n, p.n + p.m + 1))
+    """The table [A | B | omega] (..., 4M+1, n, n+m+1) on a half grid or a stack; a constant is evaluated at a alone."""
+    F = np.empty(half.shape + (p.n, p.n + p.m + 1))
     for cf, cols in zip((p.A, p.B, p.omega), (slice(0, p.n), slice(p.n, -1), -1)):
         F[..., cols] = cf.eval_many(p.a if cf.kind == "constant" else half)
-    return _repeated(F, half.shape) if constant else F
-
-
-def _repeated(value: np.ndarray, shape: tuple) -> np.ndarray:
-    """value repeated over the leading axes shape with stride 0, a view of value's buffer."""
-    return np.ndarray(shape + value.shape, float, value, strides=(0,) * len(shape) + value.strides)
+    return F
 
 
 def _affine_maps(p: LQProblem, half: np.ndarray, delta) -> np.ndarray:
     """The step increments (..., 2M, n, n+m+1) of [Z | Gamma | xi] on one half grid (4M+1,) or a stack (N, 4M+1).
 
     The first phase of the interval nodes: one table [A | B | omega] and
-    one `_step_maps` call.  A stack whose table would pass TABLE_BYTES is
-    formed in chunks of intervals, each chunk's table freed once its maps
-    exist, so only the maps are held at full size.  Constant A, B and
-    omega give one map per interval, repeated with stride 0.  Maps that do
-    not fit in memory raise `TooLarge`.
+    one `_step_maps` call.  Constant A, B and omega give one map per
+    interval, formed on its first three half-step points and repeated with
+    stride 0 on the step axis.  Otherwise a stack whose table would pass
+    TABLE_BYTES is formed in chunks of intervals, each chunk's table freed
+    once its maps exist, so only the maps are held at full size.  Maps that
+    do not fit in memory raise `TooLarge`.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            if p.A.kind == p.B.kind == p.omega.kind == "constant":
+                one = _step_maps(_affine_table(p, half[..., :3]), delta)
+                shape = one.shape[:-3] + (half.shape[-1] // 2,) + one.shape[-2:]
+                return np.ndarray(shape, float, one, strides=one.strides[:-3] + (0,) + one.strides[-2:])
             rows = max(1, TABLE_BYTES // (8 * half.shape[-1] * p.n * (p.n + p.m + 1)))
-            if half.ndim == 1 or half.shape[0] <= rows or p.A.kind == p.B.kind == p.omega.kind == "constant":
-                return _maps(_affine_table(p, half), delta)
+            if half.ndim == 1 or half.shape[0] <= rows:
+                return _step_maps(_affine_table(p, half), delta)
             maps = np.empty((half.shape[0], half.shape[1] // 2, p.n, p.n + p.m + 1))
             for lo in range(0, half.shape[0], rows):
                 maps[lo : lo + rows] = _step_maps(_affine_table(p, half[lo : lo + rows]), delta[lo : lo + rows])

@@ -396,6 +396,21 @@ class TestErrors:
         assert code == 2
         assert err == "error: M = 512 substeps: the dense run's 2M+1 RK4 nodes do not fit in memory\n"
 
+    @pytest.mark.parametrize("target, name, message", [
+        (np, "triu_indices", "oracle batch: 10 controls of mN = 3"),
+        (simulate, "_march", "M = 8 substeps: the batch's forms for 10 controls"),
+    ], ids=["controls", "forms"])
+    def test_oracle_batch_beyond_memory(self, capsys, monkeypatch, target, name, message):
+        # seed 5 (mN = 3): a stand-in for the control batch's allocation, or for the zero-control
+        # march the batch's forms start from, raises
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(target, name, no_memory)
+        code, out, err = run_cli(capsys, "oracle-check", "--random", "seed:5", "--substeps", "8")
+        assert code == 2 and out == ""
+        assert err == f"error: {message} do not fit in memory\n"
+
     @pytest.mark.parametrize("argv, target", [
         (["solve", "--problem", "dontchev", "--grid", "uniform:2", "--format", "json"], "."),
         (["solve", "--problem", "dontchev", "--grid", "uniform:2"], "missing/x.csv"),

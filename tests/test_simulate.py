@@ -508,7 +508,9 @@ class TestTypedErrors:
         (simulate_module, "_vector_run", lambda p, traj: sq.cost_of_permanent(p, lambda t: [0.0], 8), "the dense run's"),
         (simulate_module, "_vector_run", lambda p, traj: sq.pmp_residual_permanent(p, lambda t: [0.0], 8),
          "the dense run's"),
-    ], ids=["stacks", "forms", "costate", "dense-cost", "dense-residual"])
+        (simulate_module, "_march", lambda p, traj: sq.costs_of_control_batch(p, traj.grid, np.zeros((2, 3, 1)), 8),
+         "the batch's"),
+    ], ids=["stacks", "forms", "costate", "dense-cost", "dense-residual", "batch"])
     def test_out_of_memory_past_the_nodes_raises_too_large(self, dontchev, monkeypatch, module, name, run, what):
         # a MemoryError from a stand-in for an allocation after node formation is TooLarge, exit 2
         traj = sq.simulate_state(dontchev, zero_control(sq.uniform_grid(3, 0, 1)), 8)

@@ -90,7 +90,7 @@ def _transition(p, t, s, M):
 
     The table is A alone (no forcing columns), copied out so that a constant A is scanned too."""
     half, delta = transition._half_grid(s, t, M)
-    return transition._run_maps(transition._maps(np.array(p.A.eval_many(half)), delta))[-1]
+    return transition._run_maps(transition._step_maps(np.array(p.A.eval_many(half)), delta))[-1]
 
 
 class TestTransitionMatrix:
@@ -414,7 +414,7 @@ def _spy_step_maps(monkeypatch):
 
 def _scan_nodes(p, half, delta):
     """_affine_nodes' nodes with the table [A | B | omega] copied out to full size, so every step map is formed and scanned."""
-    return transition._run_maps(transition._maps(_table(p, half), delta))
+    return transition._run_maps(transition._step_maps(_table(p, half), delta))
 
 
 def _table(p, half):
