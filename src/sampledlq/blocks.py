@@ -44,8 +44,7 @@ node times, the table [A | B | omega] and every interval's RK4 step maps
 weights, W, x, R and v (one `eval_many` each), every control_cost in one
 batched GEMM, the symmetrization of both forms, and step, read off the
 stacked nodes.  Each GEMM stacks an interval's (node, row) pairs:
-sum_k w_k F_k^T G_k = (w F)^T G.  With R and v constant, R [Id | -v] is
-formed once, at a, and the GEMM reads it repeated with stride 0.
+sum_k w_k F_k^T G_k = (w F)^T G.
 
 `simpson_weights` is the package's one Simpson rule, used by `simulate` too:
 it reads the spacing off the node times, so none is passed apart from them.
@@ -149,16 +148,12 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
         del maps  # the forms below need only the nodes
         w = simpson_weights(times)
         Wk, xk = p.W.eval_many(times), p.x_ref.eval_many(times)
-        constant = p.R.kind == p.v_ref.kind == "constant"
-        at = p.a if constant else times
         with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is caught below
             state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])
-            Iv = np.empty(np.shape(at) + (p.m, p.m + 1))  # [Id | -v]
+            Iv = np.empty(times.shape + (p.m, p.m + 1))  # [Id | -v]
             Iv[..., :-1] = np.eye(p.m)
-            np.negative(p.v_ref.eval_many(at), out=Iv[..., -1])
-            RIv = p.R.eval_many(at) @ Iv
-            if constant:
-                Iv, RIv = _repeated(Iv, times.shape), _repeated(RIv, times.shape)
+            np.negative(p.v_ref.eval_many(times), out=Iv[..., -1])
+            RIv = p.R.eval_many(times) @ Iv
             flat = (grid.N, -1, p.m + 1)  # each interval's node rows stacked, for one GEMM per interval
             control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ RIv.reshape(flat)
             state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
@@ -171,7 +166,3 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     step[-1, :, -1] -= p.q_b
     return IntervalBlocks(step, state_cost, control_cost, p.S, Ys, times, grid, dynamics=(p.A, p.B, p.omega))
 
-
-def _repeated(value: np.ndarray, shape: tuple) -> np.ndarray:
-    """value repeated over the leading axes shape with stride 0, a view of value's buffer."""
-    return np.ndarray(shape + value.shape, float, value, strides=(0,) * len(shape) + value.strides)

@@ -87,6 +87,8 @@ def _resolve(args):
     """Returns (problem, grid, registry entry or None, label).
 
     The grid is None only for a subcommand without --grid (converge)."""
+    if args.random and args.problem is not None:
+        raise ValidationError("give one of --problem or --random, not both")
     if args.random:
         kind, _, rest = args.random.partition(":")
         if kind != "seed" or not rest:
@@ -146,6 +148,9 @@ def _resolve_reference(args, entry, problem, max_N, M):
     if spec == "closed-form":
         if entry is None or entry.reference_control is None:
             raise MissingReference("no closed-form reference control for this problem")
+        if not np.array_equal(problem.q_a, entry.problem.q_a):
+            raise MissingReference(f"the closed-form reference holds only for q_a = {_vec_str(entry.problem.q_a)}; "
+                                   "use --reference fine:N")
         u_ref = entry.reference_control
         ref_cost = cost_of_permanent(problem, u_ref, M=512)
         return u_ref, ref_cost, "closed-form"
@@ -190,10 +195,7 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _floats(values: list) -> list:
     """json's spelling of each float in values: float.__repr__, or NaN, Infinity and -Infinity."""
-    cells = list(map(float.__repr__, values))
-    if math.isfinite(sum(values)):  # then so is every value
-        return cells
-    return [_NONFINITE.get(c, c) for c in cells]
+    return [_NONFINITE.get(c, c) for c in map(float.__repr__, values)]
 
 
 def _cells(a: np.ndarray) -> list:

@@ -238,7 +238,7 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
     Coefficients take the forms `as_coefficient` accepts; S must be a
     constant matrix and q_a, q_b constant vectors.  A scalar A, W, R or S
     stands for that multiple of the identity, None for zero (q_a has no
-    default), and a 1-D B for one column.
+    default), and a 1-D B for one column.  n and m must be at least 1.
     """
     q_a = _state_vector(q_a, "q_a")
     n = q_a.shape[0]
@@ -250,9 +250,12 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
     elif callable(B):
         m = np.atleast_2d(np.asarray(B(float(a)), dtype=float)).shape[1]
     else:
-        arr = np.asarray(B, dtype=float)
-        m = 1 if arr.ndim < 2 else arr.shape[1]
-        B = arr.reshape(-1, m)
+        B = np.asarray(B, dtype=float)
+        m = 1 if B.ndim < 2 else B.shape[1]
+    if n < 1 or m < 1:
+        raise DimensionMismatch(f"need positive dimensions, got n={n}, m={m}")
+    if isinstance(B, np.ndarray):
+        B = B.reshape(-1, m)
     if isinstance(S, CoefficientFunction) and S.kind == "constant":
         S = S.data
     elif isinstance(S, dict) or callable(S):

@@ -13,9 +13,9 @@ the dense run (one interval [a, b] under the forcing B u(t) + omega) need
 only a vector, so they form no nodes: `transition._vector_run` composes
 each interval's RK4 step maps, and then the interval maps, into one tree,
 and fills in the vector at every join and node from it.  The costate runs
-backward from p(b) = -S (q(b) - q_b), last interval first, from -A^T and
-W (q - x) on the reversed half grids with step -delta, each formed on
-forward rows and reversed once; RK4 stages falling between stored state
+backward from p(b) = -S (q(b) - q_b), last interval first, with step
+-delta: the half grids and the state nodes are reversed once, so it reads
+-A^T and W (q - x) in run order; RK4 stages falling between stored state
 nodes use linear interpolation of q.  The dense run's
 coefficients are A and B u + omega.  A run is returned alone: its end value
 is its last node, which `Trajectory.q_end` and `CostateTrajectory.p_end`
@@ -221,26 +221,20 @@ def _costate(p: LQProblem, half: np.ndarray, delta: np.ndarray, qs: np.ndarray, 
     half (N, 4M+1) are the stacked half grids with steps delta (N,) and qs
     (N, 2M+1, n) the state nodes on them; q at half-step stages is the
     average of the adjacent nodes.  One vector run takes the last interval
-    first, on the reversed half grids with step -delta.  Its chunk of rows
-    is read forward: -A^T (one matrix when A is constant) and W (q - x) are
-    formed on the chunk's contiguous rows, and each finished array is
-    reversed once.
+    first, on the reversed half grids with step -delta.  half and qs are
+    reversed once, so a chunk of rows reads -A^T (one matrix when A is
+    constant) and W (q - x) in run order.
     """
-    N = half.shape[0]
+    half, qs = half[::-1, ::-1], qs[::-1, ::-1]
 
     def coefficients(rows):
-        start, stop, _ = rows.indices(N)
-        h, q = half[N - stop : N - start], qs[N - stop : N - start]
+        h, q = half[rows], qs[rows]
         e = np.empty(h.shape + q.shape[-1:])
         e[..., ::2, :] = q
         e[..., 1::2, :] = 0.5 * (q[..., 1:, :] + q[..., :-1, :])
         e -= p.x_ref.eval_many(h)
-        if p.W.kind == "constant":
-            C = e @ p.W.eval_many(p.a).T
-        else:
-            C = np.einsum("...ab,...b->...a", p.W.eval_many(h), e)
-        A = p.A.eval_many(p.a) if p.A.kind == "constant" else p.A.eval_many(h)[::-1, ::-1]
-        return np.negative(np.swapaxes(A, -1, -2)), C[::-1, ::-1]
+        A = p.A.eval_many(p.a if p.A.kind == "constant" else h)
+        return np.negative(np.swapaxes(A, -1, -2)), np.einsum("...ab,...b->...a", p.W.eval_many(h), e)
 
     try:
         return _vector_run(coefficients, -delta[::-1], p_end, (half.shape[-1] - 1) // 2)[::-1, ::-1]

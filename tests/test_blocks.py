@@ -251,8 +251,8 @@ class TestConsistency:
 @pytest.mark.parametrize("M", [8, 32])
 @pytest.mark.parametrize("source", ["dontchev", "timevarying-demo", 0, 4, 11])
 def test_constant_control_form_bitwise_equal_to_per_node_form(source, M):
-    # constant R and v form R [Id | -v] once and the GEMM reads it repeated with stride 0; the same
-    # R and v as degree-0 polynomials form it at every node: the control forms agree bitwise
+    # constant R and v read at every node (stride 0) against the same R and v as degree-0
+    # polynomials evaluated at every node: the control forms agree bitwise
     if isinstance(source, str):
         p = sq.get_problem(source).problem
         grid = sq.grid_from_durations([0.2, 0.5, 0.3], p.a, p.b)

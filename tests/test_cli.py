@@ -280,6 +280,15 @@ class TestErrors:
         assert code == 2
         assert "--qa" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--problem", "nonexistent", "--random", "seed:2", "--grid", "uniform:2"),
+        ("oracle-check", "--random", "seed:5", "--problem", "dontchev"),
+    ])
+    def test_problem_and_random_are_exclusive(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "one of --problem or --random, not both" in err
+
     @pytest.mark.parametrize("spec, message", [("3", "seed:K"), ("seed:-3", "non-negative")])
     def test_bad_seed_spec(self, capsys, spec, message):
         code, _, err = run_cli(capsys, "solve", "--random", spec)
@@ -537,6 +546,20 @@ class TestConverge:
         assert code == 0
         header = (tmp_path / "conv_trace_N1.csv").read_text().splitlines()[0]
         assert header == "t,u_sampled_1,u_sampled_2,u_sampled_3,u_reference_1,u_reference_2,u_reference_3"
+
+    @pytest.mark.parametrize("argv", [
+        ("converge", "--problem", "dontchev", "--grids", "4,8", "--substeps", "16"),
+        ("compare-averaged", "--problem", "dontchev", "--grid", "uniform:4", "--substeps", "16"),
+    ])
+    def test_closed_form_holds_only_at_its_own_qa(self, capsys, argv):
+        # dontchev's closed form is the optimum from q_a = 1; from q_a = 2 it is not a reference
+        code, out, err = run_cli(capsys, *argv, "--qa", "2")
+        assert code == 2 and out == ""
+        assert "--reference fine:N" in err
+        code, out, _ = run_cli(capsys, *argv, "--qa", "2", "--reference", "fine:16")
+        assert code == 0 and "reference: fine:16" in out
+        code, out, _ = run_cli(capsys, *argv, "--qa", "1")
+        assert code == 0 and "reference: closed-form" in out
 
     def test_no_closed_form_for_file_problem(self, capsys, tmp_path):
         path = write_problem(tmp_path)

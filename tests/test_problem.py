@@ -287,6 +287,16 @@ class TestNonFiniteAndMisSizedData:
         with pytest.raises(DimensionMismatch):
             make_problem(**{**_make_base(), "B": B})
 
+    @pytest.mark.parametrize("data, dims", [
+        (dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)), W=np.zeros((0, 0)), S=np.zeros((0, 0)), q_a=[]), "n=0, m=1"),
+        (dict(B=np.zeros((1, 0)), R=np.zeros((0, 0))), "n=1, m=0"),
+    ])
+    def test_empty_dimensions(self, data, dims):
+        # make_problem is the library's way in, so it rejects n or m < 1 as load_problem does, before
+        # validation would index an empty eigenvalue list or B is reshaped to no columns
+        with pytest.raises(DimensionMismatch, match=dims):
+            self._base(**data)
+
     @pytest.mark.parametrize("field, value", [("S", [[1.0]]), ("qa", [1.0]), ("qb", [1.0, 2.0, 3.0])])
     def test_mis_sized_json_constants(self, field, value):
         with pytest.raises(DimensionMismatch):
