@@ -16,6 +16,11 @@
 # The oracle check of seed 183 (n = 4, m = 3, N = 8, polynomial A and omega, nonzero x, v and
 # q_b: 24 unknowns, 325 controls) runs the batch's widest Gramian GEMM, on [Z | Gamma | e0]
 # with n+m+1 = 8 columns, whose last column and corner give the zero control's gradient and cost.
+# With A, B, omega, W, x, R and v all constant the blocks form one state form and one control form
+# per distinct interval length and copy them to every interval of that length: double-integrator
+# on uniform:8 forms one, on durations:0.25,0.5,0.25 two that fill three rows, on uniform:1000 the
+# nine distinct lengths linspace leaves, converge's dontchev grids one each, and the solve of seed
+# 4 on uniform:8 four; every other case forms one per interval.
 set -euo pipefail
 cd "$1"
 for t in 1 2; do
@@ -25,6 +30,8 @@ for t in 1 2; do
     --out "oracle-threads$t.json" > "oracle-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq solve --problem double-integrator --grid uniform:8 \
     --format json --debug-blocks --out "const-solve-threads$t.json" > "const-solve-threads$t.txt"
+  OPENBLAS_NUM_THREADS=$t sampledlq solve --problem double-integrator --grid durations:0.25,0.5,0.25 \
+    --format json --debug-blocks --out "shared-forms-threads$t.json" > "shared-forms-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq oracle-check --random seed:4 \
     --out "const-oracle-threads$t.json" > "const-oracle-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq oracle-check --random seed:183 \
@@ -38,8 +45,8 @@ for t in 1 2; do
       --format json --out "large-$p-threads$t.json" > "large-$p-threads$t.txt"
   done
 done
-for f in solve-threads oracle-threads const-solve-threads const-oracle-threads wide-oracle-threads \
-    multi-control-threads large-double-integrator-threads large-timevarying-demo-threads; do
+for f in solve-threads oracle-threads const-solve-threads shared-forms-threads const-oracle-threads \
+    wide-oracle-threads multi-control-threads large-double-integrator-threads large-timevarying-demo-threads; do
   cmp "${f}1.txt" "${f}2.txt"
   cmp "${f}1.json" "${f}2.json"
 done

@@ -35,14 +35,19 @@ synthesis returns its solution on that grid.
 `compute_all_blocks` returns one stack: row i of step (N, n, n+m+1),
 state_cost (N, n+m+1, n+m+1), control_cost (N, m+1, m+1), Ys
 (N, 2M+1, n, n+m+1) and times (N, 2M+1) is interval i, and each view above
-carries that axis too (blocks.Zstep[i] is interval i's).  Two kernels run
-once per interval: `transition.propagate_interval` runs interval i's RK4
-recurrence into row i of Ys, and `compute_blocks` forms row i of state_cost
-with one GEMM.  The rest runs once per solve: the horizon's half grids and
-node times, the table [A | B | omega] and every interval's RK4 step maps
-(`transition._affine_maps`, one `eval_many` per coefficient), the Simpson
-weights, W, x, R and v (one `eval_many` each), every control_cost in one
-batched GEMM, the symmetrization of both forms, and step, read off the
+carries that axis too (blocks.Zstep[i] is interval i's).
+`transition.propagate_interval` runs once per interval, interval i's RK4
+recurrence into row i of Ys.  The forms run once per group of intervals:
+with A, B, omega, W, x, R and v all constant, every input of an interval's
+forms (its nodes, its Simpson weights, W, x, R and v) depends on its length
+alone, so intervals of bitwise equal length form one group and take the
+forms of its first; otherwise each interval is a group.  `compute_blocks`
+forms one group's state_cost with one GEMM, and one batched GEMM forms
+every group's control_cost.  The rest runs once per solve: the horizon's
+half grids and node times, the table [A | B | omega] and every interval's
+RK4 step maps (`transition._affine_maps`, one `eval_many` per coefficient),
+the Simpson weights, W, x, R and v (one `eval_many` each) on the groups'
+node times, the symmetrization of both forms, and step, read off the
 stacked nodes.  Each GEMM stacks an interval's (node, row) pairs:
 sum_k w_k F_k^T G_k = (w F)^T G.
 
@@ -131,8 +136,12 @@ def compute_blocks(w: np.ndarray, Wk: np.ndarray, xk: np.ndarray, Ys: np.ndarray
 def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBlocks:
     """Every interval's blocks stacked on a leading axis, row i interval i; q_a is never an input.
 
-    Forms that overflow raise `NonFinite` naming the first such interval, and
-    stacks or forms that do not fit in memory `TooLarge`.
+    With A, B, omega, W, x, R and v all of kind "constant", intervals of
+    bitwise equal length s[i+1] - s[i] share one state form and one
+    control form, formed on the first of them and bitwise equal to their
+    own; any other problem forms each interval's.  Forms that overflow raise `NonFinite`
+    naming the first such interval, and stacks or forms that do not fit in
+    memory `TooLarge`.
     """
     if not p.validated:
         raise ValidationError("problem must be validated before computing blocks")
@@ -146,22 +155,29 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
         for i in range(grid.N):
             Ys[i] = propagate_interval(maps, i, M)
         del maps  # the forms below need only the nodes
-        w = simpson_weights(times)
-        Wk, xk = p.W.eval_many(times), p.x_ref.eval_many(times)
+        heads, at, rows = range(grid.N), times, slice(None)  # the intervals formed, their node times, each row's form
+        if all(cf.kind == "constant" for cf in (p.A, p.B, p.omega, p.W, p.x_ref, p.R, p.v_ref)):
+            first = {}  # each distinct length's first interval: the forms depend on the length alone
+            own = [first.setdefault(h, i) for i, h in enumerate(np.diff(grid.s).tolist())]
+            heads = list(first.values())
+            at, rows = times[heads], np.searchsorted(heads, own)
+        w = simpson_weights(at)
+        Wk, xk = p.W.eval_many(at), p.x_ref.eval_many(at)
         with np.errstate(over="ignore", invalid="ignore"):  # a form that overflows is caught below
-            state_cost = np.stack([compute_blocks(w[i], Wk[i], xk[i], Ys[i]) for i in range(grid.N)])
-            Iv = np.empty(times.shape + (p.m, p.m + 1))  # [Id | -v]
+            state_cost = np.stack([compute_blocks(w[k], Wk[k], xk[k], Ys[i]) for k, i in enumerate(heads)])
+            Iv = np.empty(at.shape + (p.m, p.m + 1))  # [Id | -v]
             Iv[..., :-1] = np.eye(p.m)
-            np.negative(p.v_ref.eval_many(times), out=Iv[..., -1])
-            RIv = p.R.eval_many(times) @ Iv
-            flat = (grid.N, -1, p.m + 1)  # each interval's node rows stacked, for one GEMM per interval
+            np.negative(p.v_ref.eval_many(at), out=Iv[..., -1])
+            RIv = p.R.eval_many(at) @ Iv
+            flat = (len(heads), -1, p.m + 1)  # each formed interval's node rows stacked, one GEMM per group
             control_cost = np.swapaxes((w[..., None, None] * Iv).reshape(flat), 1, 2) @ RIv.reshape(flat)
             state_cost, control_cost = (0.5 * (f + np.swapaxes(f, -1, -2)) for f in (state_cost, control_cost))
+        finite = np.isfinite(state_cost).all(axis=(1, 2)) & np.isfinite(control_cost).all(axis=(1, 2))
+        if not finite.all():  # a shared form's first interval is the first that takes it
+            raise NonFinite(f"cost forms overflowed on interval {heads[np.argmin(finite)]}")
+        state_cost, control_cost = state_cost[rows], control_cost[rows]
     except MemoryError:
         raise TooLarge(f"N = {grid.N} intervals at M = {M} substeps: the blocks do not fit in memory") from None
-    finite = np.isfinite(state_cost).all(axis=(1, 2)) & np.isfinite(control_cost).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFinite(f"cost forms overflowed on interval {np.argmin(finite)}")
     step = Ys[:, -1].copy()
     step[-1, :, -1] -= p.q_b
     return IntervalBlocks(step, state_cost, control_cost, p.S, Ys, times, grid, dynamics=(p.A, p.B, p.omega))

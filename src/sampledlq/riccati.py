@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import IntervalBlocks, compute_all_blocks
-from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD, ValidationError
 from .problem import LQProblem, SamplingGrid, _is_integer
 from .transition import ZView
 
@@ -145,6 +145,8 @@ def forward_synthesis(sweep: RiccatiSweep, q_a: np.ndarray) -> SampledSolution:
     q_a = np.asarray(q_a, dtype=float)
     if q_a.shape != (n,):
         raise DimensionMismatch(f"q_a has shape {q_a.shape}, sweep expects {(n,)}")
+    if not np.isfinite(q_a).all():
+        raise ValidationError(f"q_a is not finite: {q_a.tolist()}")
     U = np.empty((N, m))
     q_nodes = np.empty((N + 1, n))
     q_nodes[0] = q_a
@@ -158,13 +160,18 @@ def forward_synthesis(sweep: RiccatiSweep, q_a: np.ndarray) -> SampledSolution:
 
 
 def value_function(sweep: RiccatiSweep, j: int, y: np.ndarray) -> float:
-    """V_j(y) = 1/2 [y; 1]^T V_j [y; 1] = 1/2 <K_j y, y> + <J_j, y> + 1/2 Y_j."""
+    """V_j(y) = 1/2 [y; 1]^T V_j [y; 1] = 1/2 <K_j y, y> + <J_j, y> + 1/2 Y_j.
+
+    A y that is not finite raises `ValidationError`; a finite y whose value overflows, `NonFinite`.
+    """
     if not _is_integer(j) or not 0 <= j <= sweep.N:
         raise IndexOutOfRange(f"value function index {j!r} is not an integer in range for N={sweep.N}")
     y = np.asarray(y, dtype=float)
     n = sweep.dims[0]
     if y.shape != (n,):
         raise DimensionMismatch(f"y has shape {y.shape}, expected {(n,)}")
+    if not np.isfinite(y).all():
+        raise ValidationError(f"y is not finite: {y.tolist()}")
     z = np.append(y, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(0.5 * (z @ (sweep.V[j] @ z)))

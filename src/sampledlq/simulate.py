@@ -46,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import IntervalBlocks, simpson_weights
-from .errors import DimensionMismatch, NodeMismatch, NonFinite, TooLarge, ValidationError
+from .errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, TooLarge, ValidationError
 from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _vector_run
 
@@ -76,10 +76,11 @@ class PiecewiseConstantControl:
         return self.U.shape[1]
 
     def __call__(self, t: float) -> np.ndarray:
-        """Right-continuous evaluation, with u(b) = U_{N-1}."""
+        """Right-continuous evaluation on [a, b], with u(b) = U_{N-1}; any other t raises `InvalidInterval`."""
+        if not self.grid.a <= t <= self.grid.b:  # NaN included
+            raise InvalidInterval(f"t = {t!r} is outside the control's grid [{self.grid.a}, {self.grid.b}]")
         idx = int(np.searchsorted(self.grid.s, t, side="right") - 1)
-        idx = min(max(idx, 0), self.grid.N - 1)
-        return self.U[idx]
+        return self.U[min(idx, self.grid.N - 1)]
 
 
 @dataclass(frozen=True, eq=False)

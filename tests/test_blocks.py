@@ -196,26 +196,21 @@ class TestConsistency:
             grid = sq.grid_from_durations([0.2, 0.5, 0.3], p.a, p.b)
         else:
             p, grid = sq.random_problem(source)
-        blocks = sq.compute_all_blocks(p, grid, M=8)
-        assert all(a is b for a, b in zip(blocks.dynamics, (p.A, p.B, p.omega), strict=True))
-        for i in range(grid.N):
-            half, delta = transition._half_grid(grid.s[i], grid.s[i + 1], 8)
-            times, Ys = half[::2], transition._affine_nodes(p, half, delta)
-            state_cost, control_cost = _reference_interval_forms(p, times, Ys)
-            step = Ys[-1].copy()
-            if i == grid.N - 1:
-                step[:, -1] -= p.q_b
-            rows = {"step": step, "state_cost": state_cost, "control_cost": control_cost, "Ys": Ys, "times": times}
-            for name, row in rows.items():
-                stacked = getattr(blocks, name)
-                assert stacked.shape == (grid.N,) + row.shape
-                assert stacked[i].tobytes() == row.tobytes()  # bitwise, signed zeros too
+        _assert_rows_are_the_interval_blocks(p, grid, 8)
 
-    def test_no_broadcast_helper_per_interval(self, homogeneous, monkeypatch):
-        # one propagation and one state form per interval, no np.broadcast_to on that path, no
+    @pytest.mark.parametrize("source, durations, poly_W, forms", [
+        ("double-integrator", None, False, 1),
+        ("timevarying-demo", None, False, 4),
+        ("dontchev", [0.25, 0.5, 0.25], False, 2),
+        ("double-integrator", None, True, 4),
+    ], ids=["double-integrator", "timevarying-demo", "dontchev-durations", "double-integrator-poly-W"])
+    def test_no_broadcast_helper_per_interval(self, source, durations, poly_W, forms, monkeypatch):
+        # one propagation per interval and one state form per distinct form (one per length for
+        # constant data, one per interval otherwise: the kind decides, not the values, so W as a
+        # degree-0 polynomial keeps one per interval), no np.broadcast_to on that path, no
         # np.einsum (both forms are GEMMs), A, B and omega evaluated once per solve for the step
-        # maps of every interval, and W, x, R and v once per solve, on every interval's node times
-        # (counted by identity)
+        # maps of every interval, and W, x, R and v once per solve, on the formed intervals' node
+        # times (counted by identity)
         calls = {"broadcast_to": 0, "einsum": 0, "propagate_interval": 0, "compute_blocks": 0}
 
         def counting(module, name):
@@ -231,7 +226,10 @@ class TestConsistency:
         counting(np, "einsum")
         counting(blocks_module, "propagate_interval")
         counting(blocks_module, "compute_blocks")
-        p = homogeneous
+        p = sq.get_problem(source).problem
+        if poly_W:
+            p = replace(p, W=sq.CoefficientFunction.poly(p.W.eval_many(p.a)[..., None]))
+        grid = sq.uniform_grid(4, p.a, p.b) if durations is None else sq.grid_from_durations(durations, p.a, p.b)
         names = {id(cf): name for name, cf in (("A", p.A), ("B", p.B), ("omega", p.omega), ("W", p.W),
                                                 ("x_ref", p.x_ref), ("R", p.R), ("v_ref", p.v_ref))}
         evals = dict.fromkeys(names.values(), 0)
@@ -243,9 +241,51 @@ class TestConsistency:
             return eval_many(coefficient, ts)
 
         monkeypatch.setattr(sq.CoefficientFunction, "eval_many", counting_eval)
-        sq.compute_all_blocks(p, sq.uniform_grid(4, p.a, p.b), M=8)
-        assert calls == {"broadcast_to": 0, "einsum": 0, "propagate_interval": 4, "compute_blocks": 4}
+        blocks = sq.compute_all_blocks(p, grid, M=8)
+        assert calls == {"broadcast_to": 0, "einsum": 0, "propagate_interval": grid.N, "compute_blocks": forms}
+        assert blocks.state_cost.shape[0] == blocks.control_cost.shape[0] == grid.N
         assert evals == {"A": 1, "B": 1, "omega": 1, "W": 1, "x_ref": 1, "R": 1, "v_ref": 1}
+
+
+# -- constant data on equal intervals: one form per distinct length ---------------
+
+
+def _assert_rows_are_the_interval_blocks(p, grid, M):
+    """Every row of the blocks is bitwise the blocks of its interval, formed on that interval alone."""
+    blocks = sq.compute_all_blocks(p, grid, M)
+    assert all(a is b for a, b in zip(blocks.dynamics, (p.A, p.B, p.omega), strict=True))
+    for i in range(grid.N):
+        half, delta = transition._half_grid(grid.s[i], grid.s[i + 1], M)
+        times, Ys = half[::2], transition._affine_nodes(p, half, delta)
+        state_cost, control_cost = _reference_interval_forms(p, times, Ys)
+        step = Ys[-1].copy()
+        if i == grid.N - 1:
+            step[:, -1] -= p.q_b
+        rows = {"step": step, "state_cost": state_cost, "control_cost": control_cost, "Ys": Ys, "times": times}
+        for name, row in rows.items():
+            stacked = getattr(blocks, name)
+            assert stacked.shape == (grid.N,) + row.shape
+            assert stacked[i].tobytes() == row.tobytes(), (name, i)  # bitwise, signed zeros too
+
+
+@pytest.mark.parametrize("M", [1, 3, 16, 64])
+@pytest.mark.parametrize("spec", ["uniform:5", "uniform:6", "durations"])
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo"])
+def test_shared_forms_bitwise_equal_to_per_interval_forms(source, spec, M):
+    # uniform:5 on [0, 1] has lengths that differ in their last bits, uniform:6 and the dyadic
+    # durations repeat lengths exactly
+    p = sq.get_problem(source).problem
+    if spec == "durations":
+        grid = sq.grid_from_durations([0.125, 0.25, 0.125, 0.25, 0.25], p.a, p.b)
+    else:
+        grid = sq.uniform_grid(int(spec.split(":")[1]), p.a, p.b)
+    _assert_rows_are_the_interval_blocks(p, grid, M)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_blocks_bitwise_equal_to_per_interval_forms(seed):
+    p, grid = sq.random_problem(seed)
+    _assert_rows_are_the_interval_blocks(p, grid, 8)
 
 
 @pytest.mark.parametrize("M", [8, 32])

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import sampledlq as sq
-from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NonFinite, TNotPD, ValidationError
 from sampledlq.problem import make_problem
 from sampledlq import transition
 
@@ -228,6 +228,17 @@ class TestTailConsistency:
         p = replace(dontchev, S=np.array([[1.0]]), q_b=np.array([1e200]))
         with pytest.raises(NonFinite):
             sq.solve(p, sq.uniform_grid(2, 0, 1), M=8)
+
+    def test_nonfinite_state_is_rejected_by_name(self, dontchev):
+        # a NaN or infinite q_a or y is a bad argument (exit 2), not an overflow
+        _, sweep, _ = sq.solve(dontchev, sq.uniform_grid(2, 0, 1), M=8)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="^q_a is not finite") as caught:
+                sq.forward_synthesis(sweep, [bad])
+            assert not isinstance(caught.value, NonFinite) and caught.value.exit_code == 2
+            for j in (0, 2):
+                with pytest.raises(ValidationError, match="^y is not finite"):
+                    sq.value_function(sweep, j, [bad])
 
     def test_overflowing_value_function_is_typed(self, dontchev):
         # the sweep's forms stay finite, but 1/2 <K_0 q_a, q_a> overflows

@@ -32,6 +32,15 @@ class TestPiecewiseConstantControl:
         assert u(0.5)[0] == 2.0
         assert u(1.0)[0] == 2.0
 
+    def test_times_outside_the_grid_rejected(self):
+        # u(a) = U_0 and u(b) = U_{N-1}; a time before a, after b or not a number names no interval
+        grid = sq.uniform_grid(4, 0.0, 1.0)
+        u = sq.PiecewiseConstantControl(grid, np.arange(4.0))
+        assert u(0.0)[0] == 0.0 and u(1.0)[0] == 3.0 and u(0.75)[0] == 3.0
+        for t in (-5.0, -1e-300, 1.0 + 2**-52, 7.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInterval, match="outside the control's grid"):
+                u(t)
+
     def test_one_dimensional_promotion(self):
         grid = sq.uniform_grid(3, 0, 1)
         u = sq.PiecewiseConstantControl(grid, np.array([1.0, 2.0, 3.0]))
@@ -489,10 +498,12 @@ class TestTypedErrors:
                 with pytest.raises(NonFinite):
                     run()
 
-    @pytest.mark.parametrize("durations, first", [([0.25] * 4, 0), ([0.02, 0.02, 0.24, 0.24, 0.24, 0.24], 2)])
+    @pytest.mark.parametrize("durations, first", [([0.25] * 4, 0), ([0.02, 0.02, 0.24, 0.24, 0.24, 0.24], 2),
+                                                  ([0.03125, 0.25, 0.03125, 0.25, 0.1875, 0.25], 1)])
     def test_block_forms_overflow_names_the_first_interval(self, durations, first):
         # A = 30000 at M = 16: the nodes stay finite (up to about 1e259 on intervals of 1/4), but
-        # the Simpson forms, which square them, overflow on every interval of 0.24 or more
+        # the Simpson forms, which square them, overflow on every interval of 0.1875 or more; in
+        # the last case intervals 3 and 5 share interval 1's form (constant data, equal lengths)
         p = sq.validate_problem(make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[1.0]],
                                              q_a=[1.0], q_b=[1.0]))
         grid = sq.grid_from_durations(np.array(durations), 0, 1)

@@ -261,6 +261,23 @@ def _reference_costate(p, half, delta, qs, p_end, dtype=float):
     return ps
 
 
+def _costate_ulp(ps, ref):
+    """The costate's largest error in ulp of 1 + the largest |ref| at its node: an entry's rounding
+    error scales with its node's largest entry, not with its own."""
+    scale = 1.0 + np.max(np.abs(ref), axis=-1, keepdims=True)
+    return float(np.max(np.abs(ps - ref) / scale) / np.finfo(float).eps)
+
+
+def _costate_ulp_bound(n):
+    """The bound on `_costate_ulp` at state size n: 2 ulp up to n = 4, then 0.1 ulp more a state, 4 at n = 24.
+
+    The dot products of length n in each RK4 stage let rounding grow linearly in n in the worst case.
+    Over n = 1..32 (test_moderate_scale.py's problems, three kinds, seeds 1-6, N = 4 and 6, M = 16,
+    the optimal and a seeded control) the largest reading was 2.02 ulp, at n = 14.
+    """
+    return 2.0 + max(0, n - 4) / 10
+
+
 def _use_reference_kernel(monkeypatch):
     """Swap stage-loop references in for the library's kernel and for its state, batch, dense-state
     and costate runs; returns a Counter of the reference calls made."""
@@ -572,8 +589,9 @@ def test_stacked_nodes_within_one_ulp_of_long_double_loop(source):
 def test_costate_nodes_within_one_ulp_of_long_double_loop(source):
     # the costate's vector run, on the table [-A^T | W (q - x)] over the reversed half grids with
     # step -delta, against the same table's stage loop in long double: the tree composes the step
-    # maps as increments, so every node is within two ulp of 1 + |ref|.  N = 8, M = 32, a seeded
-    # control.
+    # maps as increments, so every node is within two ulp of 1 + |ref|, and within
+    # `_costate_ulp_bound(n)` (two ulp at n <= 4) of 1 plus its node's largest |ref|.  N = 8, M = 32,
+    # a seeded control.
     p = _kernel_case(source)[0]
     grid = sq.uniform_grid(8, p.a, p.b)
     M = 32
@@ -583,6 +601,7 @@ def test_costate_nodes_within_one_ulp_of_long_double_loop(source):
     half, delta = transition._horizon_half_grid(grid, M)
     ref = _reference_costate(p, half, delta, traj.qs, -(p.S @ (traj.q_end - p.q_b)), np.longdouble)
     assert np.max(np.abs(ps - ref) / (1.0 + np.abs(ref))) <= 2 * np.finfo(float).eps
+    assert _costate_ulp(ps, ref) <= _costate_ulp_bound(p.n)
 
 
 def _costate_and_reference(p, grid, M):
