@@ -158,7 +158,7 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
         heads, at, rows = range(grid.N), times, slice(None)  # the intervals formed, their node times, each row's form
         if all(cf.kind == "constant" for cf in (p.A, p.B, p.omega, p.W, p.x_ref, p.R, p.v_ref)):
             first = {}  # each distinct length's first interval: the forms depend on the length alone
-            own = [first.setdefault(h, i) for i, h in enumerate(np.diff(grid.s).tolist())]
+            own = [first.setdefault(h, i) for i, h in enumerate(grid.h.tolist())]
             heads = list(first.values())
             at, rows = times[heads], np.searchsorted(heads, own)
         w = simpson_weights(at)

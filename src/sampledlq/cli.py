@@ -7,7 +7,9 @@ reruns of identical command lines are byte-identical.  A JSON file's text is
 written by `_json` from the arrays themselves: each array, and the solve's
 `steps` records, is one template of `%s` slots for its shape, filled once
 with the entries' `float.__repr__` spellings (NaN and the infinities as json
-spells them).  An `--out` path that cannot be written exits 2.
+spells them).  An `--out` path that cannot be written exits 2.  `solve
+--format json` writes `q_nodes`, whose last row is q(b) - q_b, next to
+`q_end`, the simulated q(b).
 
 `main(argv)` can be called repeatedly in one process: the argument parser is
 built on the first call and reused, and no state carries from one call to

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -368,14 +368,24 @@ def _expect_shape(name, got, want):
 
 @dataclass(frozen=True, eq=False)
 class SamplingGrid:
-    """Subdivision of [a, b]: durations h_i and sample times s_i.
+    """Subdivision of [a, b] by its sample times s, copied read-only; the durations h = np.diff(s) follow from them.
 
-    s[i+1] - s[i] == h[i] holds exactly: h is recomputed from s after the
-    final node is snapped to b.
+    s must be 1-D, of two or more finite entries (else InvalidInterval), strictly increasing (else NonPositiveDuration).
     """
 
-    h: np.ndarray
     s: np.ndarray
+    h: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        s = _readonly(self.s)
+        if s.ndim != 1 or s.shape[0] < 2 or not np.all(np.isfinite(s)):
+            raise InvalidInterval("sample times must be a 1-D array of at least two finite numbers")
+        h = np.diff(s)
+        if not np.all(h > 0):
+            raise NonPositiveDuration("sample times must be strictly increasing")
+        h.setflags(write=False)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "h", h)
 
     @property
     def N(self) -> int:
@@ -397,22 +407,13 @@ class SamplingGrid:
         """Sub-grid over [s_j, b], sharing node values bitwise."""
         if not _is_integer(j) or not 0 <= j < self.N:
             raise InvalidInterval(f"tail index {j!r} is not an integer in range for N={self.N}")
-        return SamplingGrid(h=self.h[j:], s=self.s[j:])
+        return SamplingGrid(self.s[j:])
 
 
 def check_grid(p: LQProblem, grid: SamplingGrid) -> None:
     """A grid must end at b and start no earlier than a: a grid on [a, b] or one of its tails."""
     if grid.b != p.b or grid.a < p.a:
         raise InvalidInterval(f"grid spans [{grid.a}, {grid.b}], the problem's interval is [{p.a}, {p.b}]")
-
-
-def _grid_from_nodes(s: np.ndarray) -> SamplingGrid:
-    h = np.diff(s)
-    if not np.all(h > 0):
-        raise NonPositiveDuration("sample times must be strictly increasing")
-    s.setflags(write=False)
-    h.setflags(write=False)
-    return SamplingGrid(h=h, s=s)
 
 
 def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
@@ -427,7 +428,7 @@ def uniform_grid(N: int, a: float, b: float) -> SamplingGrid:
         s = np.linspace(float(a), float(b), N + 1)
     except MemoryError:
         raise TooLarge(f"N = {N} intervals: N+1 sample times do not fit in memory") from None
-    return _grid_from_nodes(s)
+    return SamplingGrid(s)
 
 
 def grid_from_durations(h, a: float, b: float) -> SamplingGrid:
@@ -441,7 +442,7 @@ def grid_from_durations(h, a: float, b: float) -> SamplingGrid:
         raise DurationMismatch(f"durations sum to {total!r}, interval length is {span!r}")
     s = np.concatenate(([float(a)], float(a) + np.cumsum(h)))
     s[-1] = float(b)
-    return _grid_from_nodes(s)
+    return SamplingGrid(s)
 
 
 def load_problem(source) -> LQProblem:
@@ -488,14 +489,14 @@ def load_problem(source) -> LQProblem:
     if unknown:
         raise ValidationError(f"problem file has unknown fields {unknown}")
     fields = {}
-    for key, (field, shape) in table.items():
+    for key, (arg, shape) in table.items():
         if key in doc:
             value = doc[key]
             # null and objects go on to make_problem as they are, except for
             # q_a and q_b, which make_problem reads only as arrays
-            if field in ("q_a", "q_b") or not (value is None or isinstance(value, dict)):
+            if arg in ("q_a", "q_b") or not (value is None or isinstance(value, dict)):
                 value = _json_array(value, shape, key)
-            fields[field] = value
+            fields[arg] = value
     # make_problem takes m from B's columns; converted here, B has the file's m
     fields["B"] = as_coefficient(fields["B"], (n, m), "B")
     return make_problem(a, b, **fields)

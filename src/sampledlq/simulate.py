@@ -249,6 +249,8 @@ def simulate_costate(traj: Trajectory, M: int = 64) -> CostateTrajectory:
     if traj.substeps != M:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
     p = traj.problem
+    if not p.validated:
+        raise ValidationError("problem must be validated before running a costate on it")
     half, delta = _horizon_half_grid(traj.grid, M)
     ps = _costate(p, half, delta, traj.qs, -(p.S @ (traj.q_end - p.q_b)))
     return CostateTrajectory(state=traj, ps=ps)

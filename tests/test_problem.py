@@ -393,6 +393,40 @@ class TestGrids:
                 g.tail(bad)
         assert np.array_equal(g.tail(np.int64(1)).s, g.tail(1).s)
 
+    def test_grid_is_its_sample_times(self):
+        # s is the only argument, copied; h is formed from it, and s and h are read-only C-ordered
+        # float arrays whether the grid is built directly, by a helper or as a tail
+        s = np.array([0.0, 0.2, 0.5, 1.0])
+        g = sq.SamplingGrid(s)
+        s[1] = 0.9
+        assert g.s.tolist() == [0.0, 0.2, 0.5, 1.0] and g.h.tobytes() == np.diff(g.s).tobytes()
+        for grid in (g, sq.uniform_grid(4, 0.0, 1.0), sq.grid_from_durations([0.2, 0.3, 0.5], 0.0, 1.0), g.tail(1)):
+            for a, n in ((grid.s, grid.N + 1), (grid.h, grid.N)):
+                assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) == (np.float64, (n,), True, False)
+        with pytest.raises(TypeError):
+            sq.SamplingGrid(h=[0.5, 0.5], s=[0.0, 0.3, 1.0])
+        with pytest.raises(TypeError):
+            sq.SamplingGrid([0.0, 0.3, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("s, error", [
+        ([0.0, 0.7, 0.3, 1.0], NonPositiveDuration),  # once a TNotPD in the sweep, and a cost of 1.718 without error
+        ([0.0, 0.5, 0.5, 1.0], NonPositiveDuration),
+        ([0.0, np.nan, 1.0], InvalidInterval),  # once a NonFinite in the sweep
+        ([[0.0, 0.5], [0.5, 1.0]], InvalidInterval),  # once a bare TypeError
+        ([0.0], InvalidInterval),
+        ([], InvalidInterval),
+        ([0.0, np.inf], InvalidInterval),
+    ])
+    def test_malformed_sample_times_rejected(self, s, error):
+        with pytest.raises(error):
+            sq.SamplingGrid(s)
+
+    @pytest.mark.parametrize("s", [[0.0, 0.3, 1.0], [-1.0, 0.0, 0.25, 2.0], [0.0, 1e-3, 1.0]])
+    def test_averaged_constant_is_one_on_a_direct_grid(self, s):
+        # when h and s were set apart, h = [0.5, 0.5] on s = [0, 0.3, 1] averaged u = 1 to [0.6, 1.4]
+        u = sq.averaged_control(lambda t: [1.0], sq.SamplingGrid(s), M=8)
+        assert np.allclose(u.U, 1.0, rtol=0.0, atol=1e-14)
+
 
 class TestJsonLoading:
     def _doc(self):

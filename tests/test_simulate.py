@@ -449,6 +449,13 @@ class TestTypedErrors:
         with pytest.raises(ValidationError, match="validated"):
             run(p, lambda t: [0.0], 4)
 
+    def test_costate_needs_validated_problem(self):
+        # unvalidated, R = 0 reached the residual's solve through Rbar and died in numpy's LinAlgError
+        p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[2.0]], R=[[0.0]], S=[[0.0]], q_a=[1.0])
+        traj = sq.simulate_state(p, sq.PiecewiseConstantControl(sq.uniform_grid(2, 0, 1), np.ones(2)), M=8)
+        with pytest.raises(ValidationError, match="validated"):
+            sq.pmp_residual_sampled(sq.simulate_costate(traj, M=8))
+
     def test_control_dimension_checked(self, dontchev):
         grid = sq.uniform_grid(2, 0, 1)
         two = zero_control(grid, m=2)
