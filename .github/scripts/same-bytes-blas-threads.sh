@@ -21,6 +21,9 @@
 # on uniform:8 forms one, on durations:0.25,0.5,0.25 two that fill three rows, on uniform:1000 the
 # nine distinct lengths linspace leaves, converge's dontchev grids one each, and the solve of seed
 # 4 on uniform:8 four; every other case forms one per interval.
+# compare-averaged of double-integrator on durations:0.25,0.5,0.25 against fine:8 covers the fine
+# solve and the step reference's exact means: the fine optimum is averaged from its steps over the
+# pieces between both grids' sample times, with no Simpson nodes.
 set -euo pipefail
 cd "$1"
 for t in 1 2; do
@@ -40,6 +43,8 @@ for t in 1 2; do
     --format json --out "multi-control-threads$t.json" > "multi-control-threads$t.txt"
   OPENBLAS_NUM_THREADS=$t sampledlq converge --problem dontchev --grids 2,4 \
     --out "converge-threads$t.csv" > "converge-threads$t.txt"
+  OPENBLAS_NUM_THREADS=$t sampledlq compare-averaged --problem double-integrator --grid durations:0.25,0.5,0.25 \
+    --reference fine:8 --out "fine-averaged-threads$t.csv" > "fine-averaged-threads$t.txt"
   for p in double-integrator timevarying-demo; do
     OPENBLAS_NUM_THREADS=$t sampledlq solve --problem $p --grid uniform:1000 --substeps 64 \
       --format json --out "large-$p-threads$t.json" > "large-$p-threads$t.txt"
@@ -51,6 +56,8 @@ for f in solve-threads oracle-threads const-solve-threads shared-forms-threads c
   cmp "${f}1.json" "${f}2.json"
 done
 cmp converge-threads1.txt converge-threads2.txt
+cmp fine-averaged-threads1.txt fine-averaged-threads2.txt
+cmp fine-averaged-threads1.csv fine-averaged-threads2.csv
 for f in "" _trace_N2 _trace_N4; do
   cmp "converge-threads1$f.csv" "converge-threads2$f.csv"
 done

@@ -1,9 +1,9 @@
 """Optimal sampled-data (zero-order-hold) control for linear-quadratic problems.
 
-Workflow: validate an LQProblem, pick a SamplingGrid, assemble per-interval
-integral blocks, run the backward sweep, synthesize the optimal coefficients
-forward, and verify with simulation, stationarity residuals, and the dense
-QP oracle.
+Workflow: build an LQProblem (it checks its data when built), pick a
+SamplingGrid, assemble per-interval integral blocks, run the backward sweep,
+synthesize the optimal coefficients forward, and verify with simulation,
+stationarity residuals, and the dense QP oracle.
 """
 
 from .blocks import IntervalBlocks, compute_all_blocks, simpson_weights
@@ -17,7 +17,6 @@ from .problem import (
     load_problem,
     make_problem,
     uniform_grid,
-    validate_problem,
 )
 from .registry import ProblemRegistryEntry, get_problem, list_problems, random_problem
 from .riccati import (

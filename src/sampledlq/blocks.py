@@ -22,8 +22,8 @@ y, U, 1 of z as in `transition.ZView`; RV is negated, a copy):
                           ZWZOmegaX  = state_cost[y, 1]
                           WZOmegaX2  = state_cost[1, 1]
 
-The blocks hold the whole terminal cost: S, the problem's validated,
-symmetric terminal weight, beside the -q_b shift the last step carries, so
+The blocks hold the whole terminal cost: S, the problem's symmetric
+PSD terminal weight, beside the -q_b shift the last step carries, so
 the backward sweep starts from them alone.  They also keep their grid and
 the nodes they were integrated on: Ys, the [Z | Gamma | xi] values, times,
 their 2M+1 node times, and dynamics, the problem's A, B and omega objects
@@ -143,8 +143,6 @@ def compute_all_blocks(p: LQProblem, grid: SamplingGrid, M: int) -> IntervalBloc
     naming the first such interval, and stacks or forms that do not fit in
     memory `TooLarge`.
     """
-    if not p.validated:
-        raise ValidationError("problem must be validated before computing blocks")
     check_grid(p, grid)
     half, delta = _horizon_half_grid(grid, M)
     maps = _affine_maps(p, half, delta)

@@ -43,7 +43,6 @@ from .problem import (
     grid_from_durations,
     load_problem,
     uniform_grid,
-    validate_problem,
 )
 from .riccati import solve as riccati_solve
 from .simulate import (
@@ -104,7 +103,7 @@ def _resolve(args):
         entry = registry.get_problem(args.problem)
         problem, grid, label = entry.problem, None, args.problem
     elif os.path.exists(args.problem):
-        problem = validate_problem(load_problem(args.problem))
+        problem = load_problem(args.problem)
         entry, grid, label = None, None, args.problem
     else:
         raise UnknownProblem(f"unknown problem: {args.problem!r}")

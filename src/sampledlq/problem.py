@@ -8,18 +8,18 @@ controls is
 
 subject to  dq/dt = A(t) q + B(t) u + omega(t),  q(a) = q_a.
 
-Problem data has one way in: `make_problem` builds every `LQProblem`, and
-`load_problem` reshapes a JSON document's arrays and passes them to it.  A
-coefficient has one way out: `CoefficientFunction.eval_many` at an array of
-times of any shape.
+An `LQProblem` checks its data when it is built, so a problem that exists
+is valid, however it was made: `make_problem` wraps plain data, `load_problem`
+reshapes a JSON document's arrays and passes them to it, and
+`dataclasses.replace` builds a checked copy.  A coefficient has one way out:
+`CoefficientFunction.eval_many` at an array of times of any shape.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
 )
 
 TOL_PD = 1e-10
-PROBES = 33  # equally spaced times at which validate_problem checks the coefficients
+PROBES = 33  # equally spaced times at which an LQProblem checks its coefficients when built
 INTP_MAX = int(np.iinfo(np.intp).max)  # the largest array length or index
 
 
@@ -212,7 +212,18 @@ def _coefficient_object(value: dict, name: str) -> CoefficientFunction:
 
 @dataclass(frozen=True, eq=False)
 class LQProblem:
-    """Full data of one LQ problem; immutable once validated."""
+    """Full data of one LQ problem, checked when it is built: every problem in hand is valid.
+
+    `make_problem`, `load_problem`, the registry and `dataclasses.replace` all
+    build one here, and bad data raises a `ValidationError`.  Coefficients take
+    `as_coefficient`'s forms; S, q_a and q_b are copied read-only.  S, W(t) and
+    R(t) are stored symmetrized, (M + M^T)/2, and c_R is R's least probed
+    eigenvalue.  PSD/PD holds only at the PROBES equally spaced times: with
+    continuous coefficients a practical guard, not a proof.  Builtins and
+    polynomials are evaluated at all probes before any check, so a builtin that
+    raises does so first; a constant is checked once, at a, where a failing one
+    fails first.
+    """
 
     a: float
     b: float
@@ -228,8 +239,55 @@ class LQProblem:
     v_ref: CoefficientFunction
     q_a: np.ndarray
     q_b: np.ndarray
-    validated: bool = False
-    c_R: Optional[float] = None
+    c_R: float = field(init=False)
+
+    def __post_init__(self):
+        _check_interval(self.a, self.b)
+        n, m = self.n, self.m
+        coefficients = {"A": (n, n), "B": (n, m), "W": (n, n), "R": (m, m), "omega": (n,), "x_ref": (n,), "v_ref": (m,)}
+        for key, shape in coefficients.items():  # a coefficient is kept as the object it is, W and R symmetrized
+            cf = as_coefficient(getattr(self, key), shape, key.removesuffix("_ref"))
+            object.__setattr__(self, key, cf.symmetrized() if key in ("W", "R") else cf)
+        for key, shape in (("S", (n, n)), ("q_a", (n,)), ("q_b", (n,))):
+            value = _readonly(getattr(self, key))
+            if value.shape != shape:
+                raise DimensionMismatch(f"{key} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, key, value)
+        for key in ("S", "q_a", "q_b"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValidationError(f"{key} is not finite")
+        S = 0.5 * (self.S + self.S.T)
+
+        s_min = float(np.linalg.eigvalsh(S)[0])
+        if s_min < -TOL_PD:
+            raise NotPSD("S", self.a, s_min)
+
+        ts = np.linspace(self.a, self.b, PROBES)
+        vals = [cf.eval_many(ts[:1] if cf.kind == "constant" else ts)
+                for cf in (self.A, self.B, self.omega, self.x_ref, self.v_ref, self.W, self.R)]
+        bad = [~np.isfinite(v).reshape(len(v), -1).all(axis=1) for v in vals]
+        # a non-finite W or R probe is decomposed as zero: its finite check fails before its eigenvalue one
+        w_min, r_min = (
+            np.linalg.eigvalsh(np.where(b[:, None, None], 0.0, v))[:, 0] for b, v in zip(bad[5:], vals[5:])
+        )
+        # All probes are checked at once, and the error raised is the one a
+        # probe-by-probe scan meets first: the earliest failing probe, and within
+        # it the first failing check in this order.
+        names = ("A", "B", "omega", "x", "v", "W", None, "R", None)
+        fails = np.empty((PROBES, 9), dtype=bool)
+        for j, f in enumerate(bad[:6] + [w_min < -TOL_PD, bad[6], r_min <= TOL_PD]):
+            fails[:, j] = f  # a constant's one flag holds at every probe
+        if fails.any():
+            k = int(np.argmax(fails.any(axis=1)))
+            check = int(np.argmax(fails[k]))
+            t = ts[k]
+            if check == 6:
+                raise NotPSD("W", t, float(w_min[k]))
+            if check == 8:
+                raise NotPD("R", t, float(r_min[k]))
+            raise ValidationError(f"{names[check]}({t}) is not finite")
+        object.__setattr__(self, "S", _readonly(S))
+        object.__setattr__(self, "c_R", float(np.min(r_min)))
 
 
 def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None) -> LQProblem:
@@ -246,7 +304,7 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
     if isinstance(B, dict):
         B = _coefficient_object(B, "B")
     if isinstance(B, CoefficientFunction):
-        m = B.shape[1] if len(B.shape) == 2 else 1  # other shapes fail as_coefficient's (n, m) check
+        m = B.shape[1] if len(B.shape) == 2 else 1  # other shapes fail the problem's (n, m) check
     elif callable(B):
         m = np.atleast_2d(np.asarray(B(float(a)), dtype=float)).shape[1]
     else:
@@ -265,16 +323,16 @@ def make_problem(a, b, A, B, W, R, S, q_a, omega=None, x=None, v=None, q_b=None)
         b=float(b),
         n=n,
         m=m,
-        A=as_coefficient(_as_matrix(A, n), (n, n), "A"),
-        B=as_coefficient(B, (n, m), "B"),
-        W=as_coefficient(_as_matrix(W, n), (n, n), "W"),
-        R=as_coefficient(_as_matrix(R, m), (m, m), "R"),
-        S=_readonly(_as_matrix(S, n)),
-        omega=as_coefficient(omega, (n,), "omega"),
-        x_ref=as_coefficient(x, (n,), "x"),
-        v_ref=as_coefficient(v, (m,), "v"),
-        q_a=_readonly(q_a),
-        q_b=_readonly(np.zeros(n) if q_b is None else _state_vector(q_b, "q_b")),
+        A=_as_matrix(A, n),
+        B=B,
+        W=_as_matrix(W, n),
+        R=_as_matrix(R, m),
+        S=_as_matrix(S, n),
+        omega=omega,
+        x_ref=x,
+        v_ref=v,
+        q_a=q_a,
+        q_b=np.zeros(n) if q_b is None else _state_vector(q_b, "q_b"),
     )
 
 
@@ -295,75 +353,9 @@ def _as_matrix(value, n):
     return np.diag(np.full(n, float(arr))) if arr.ndim == 0 else np.atleast_2d(arr)
 
 
-def validate_problem(p: LQProblem) -> LQProblem:
-    """Check dimensions and definiteness; return the validated problem.
-
-    S, W(t), R(t) are symmetrized as (M + M^T)/2 before the checks.  PSD/PD
-    holds only at the PROBES equally spaced times; with continuous coefficients
-    this is a practical guard, not a proof.  Builtins and polynomials are
-    evaluated at all probes before any check, so a builtin that raises does so
-    first; a constant is checked once, at a, where a failing one fails first.
-    """
-    _check_interval(p.a, p.b)
-    n, m = p.n, p.m
-    _expect_shape("A", p.A.shape, (n, n))
-    _expect_shape("B", p.B.shape, (n, m))
-    _expect_shape("W", p.W.shape, (n, n))
-    _expect_shape("R", p.R.shape, (m, m))
-    _expect_shape("S", p.S.shape, (n, n))
-    _expect_shape("omega", p.omega.shape, (n,))
-    _expect_shape("x", p.x_ref.shape, (n,))
-    _expect_shape("v", p.v_ref.shape, (m,))
-    _expect_shape("q_a", p.q_a.shape, (n,))
-    _expect_shape("q_b", p.q_b.shape, (n,))
-    for name, value in (("S", p.S), ("q_a", p.q_a), ("q_b", p.q_b)):
-        if not np.all(np.isfinite(value)):
-            raise ValidationError(f"{name} is not finite")
-
-    S = 0.5 * (p.S + p.S.T)
-    W = p.W.symmetrized()
-    R = p.R.symmetrized()
-
-    s_min = float(np.linalg.eigvalsh(S)[0])
-    if s_min < -TOL_PD:
-        raise NotPSD("S", p.a, s_min)
-
-    ts = np.linspace(p.a, p.b, PROBES)
-    vals = [cf.eval_many(ts[:1] if cf.kind == "constant" else ts) for cf in (p.A, p.B, p.omega, p.x_ref, p.v_ref, W, R)]
-    bad = [~np.isfinite(v).reshape(len(v), -1).all(axis=1) for v in vals]
-    # a non-finite W or R probe is decomposed as zero: its finite check fails before its eigenvalue one
-    w_min, r_min = (
-        np.linalg.eigvalsh(np.where(b[:, None, None], 0.0, v))[:, 0] for b, v in zip(bad[5:], vals[5:])
-    )
-    # All probes are checked at once, and the error raised is the one a
-    # probe-by-probe scan meets first: the earliest failing probe, and within
-    # it the first failing check in this order.
-    names = ("A", "B", "omega", "x", "v", "W", None, "R", None)
-    fails = np.empty((PROBES, 9), dtype=bool)
-    for j, f in enumerate(bad[:6] + [w_min < -TOL_PD, bad[6], r_min <= TOL_PD]):
-        fails[:, j] = f  # a constant's one flag holds at every probe
-    if fails.any():
-        k = int(np.argmax(fails.any(axis=1)))
-        check = int(np.argmax(fails[k]))
-        t = ts[k]
-        if check == 6:
-            raise NotPSD("W", t, float(w_min[k]))
-        if check == 8:
-            raise NotPD("R", t, float(r_min[k]))
-        raise ValidationError(f"{names[check]}({t}) is not finite")
-    c_R = np.min(r_min)
-
-    return replace(p, S=_readonly(S), W=W, R=R, validated=True, c_R=float(c_R))
-
-
 def _check_interval(a, b) -> None:
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise InvalidInterval(f"need finite a < b, got a={a}, b={b}")
-
-
-def _expect_shape(name, got, want):
-    if tuple(got) != tuple(want):
-        raise DimensionMismatch(f"{name} has shape {tuple(got)}, expected {tuple(want)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +369,10 @@ class SamplingGrid:
     h: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        s = _readonly(self.s)
+        try:
+            s = _readonly(self.s)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise InvalidInterval("sample times must be a 1-D array of at least two finite numbers") from None
         if s.ndim != 1 or s.shape[0] < 2 or not np.all(np.isfinite(s)):
             raise InvalidInterval("sample times must be a 1-D array of at least two finite numbers")
         h = np.diff(s)
@@ -446,7 +441,7 @@ def grid_from_durations(h, a: float, b: float) -> SamplingGrid:
 
 
 def load_problem(source) -> LQProblem:
-    """Build an (unvalidated) problem from a JSON file path or a parsed dict.
+    """Build a problem from a JSON file path or a parsed dict.
 
     Every field takes the forms `make_problem` takes, with nested arrays
     reshaped to the field's shape first, so a flat list of 4 numbers is a

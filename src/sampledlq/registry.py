@@ -18,7 +18,6 @@ from .problem import (
     grid_from_durations,
     make_problem,
     uniform_grid,
-    validate_problem,
 )
 
 
@@ -38,39 +37,33 @@ def _build_registry() -> dict:
     entries = {}
 
     # scalar benchmark: minimize int_0^1 q^2 + u^2/2 with dq/dt = q/2 + u, q(0) = 1
-    dontchev = validate_problem(
-        make_problem(
-            a=0.0, b=1.0,
-            A=[[0.5]], B=[[1.0]],
-            W=[[2.0]], R=[[1.0]], S=[[0.0]],
-            q_a=[1.0],
-        )
+    dontchev = make_problem(
+        a=0.0, b=1.0,
+        A=[[0.5]], B=[[1.0]],
+        W=[[2.0]], R=[[1.0]], S=[[0.0]],
+        q_a=[1.0],
     )
     entries["dontchev"] = ProblemRegistryEntry(dontchev, reference_control=_dontchev_reference)
 
     # position/velocity chain, homogeneous
-    double_integrator = validate_problem(
-        make_problem(
-            a=0.0, b=1.0,
-            A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
-            W=np.eye(2), R=[[1.0]], S=np.eye(2),
-            q_a=[1.0, 0.0],
-        )
+    double_integrator = make_problem(
+        a=0.0, b=1.0,
+        A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
+        W=np.eye(2), R=[[1.0]], S=np.eye(2),
+        q_a=[1.0, 0.0],
     )
     entries["double-integrator"] = ProblemRegistryEntry(double_integrator)
 
     # nonautonomous, nonhomogeneous, forced and target-shifted: A(t) and omega(t) polynomial in t
-    timevarying = validate_problem(
-        make_problem(
-            a=0.0, b=1.0,
-            A=CoefficientFunction.poly([[[0.0], [1.0]], [[-1.0, -0.5], [0.0, -0.25]]]),
-            B=[[0.0], [1.0]],
-            W=np.eye(2), R=[[1.0]], S=np.eye(2),
-            q_a=[1.0, 0.0],
-            omega=CoefficientFunction.poly([[0.0], [0.0, 0.2]]),
-            v=[0.1],
-            q_b=[0.5, 0.0],
-        )
+    timevarying = make_problem(
+        a=0.0, b=1.0,
+        A=CoefficientFunction.poly([[[0.0], [1.0]], [[-1.0, -0.5], [0.0, -0.25]]]),
+        B=[[0.0], [1.0]],
+        W=np.eye(2), R=[[1.0]], S=np.eye(2),
+        q_a=[1.0, 0.0],
+        omega=CoefficientFunction.poly([[0.0], [0.0, 0.2]]),
+        v=[0.1],
+        q_b=[0.5, 0.0],
     )
     entries["timevarying-demo"] = ProblemRegistryEntry(timevarying)
     return entries
@@ -91,10 +84,10 @@ def list_problems() -> list:
 
 
 def random_problem(seed: int):
-    """Seeded random validated problem plus a matching grid.
+    """Seeded random problem plus a matching grid.
 
-    Weights are built as W = M^T M and R = c_R I + M^T M, so validation always
-    passes; dimensions stay desk-scale (n <= 4, m <= 3, N <= 8).  Even seeds
+    Weights are built as W = M^T M and R = c_R I + M^T M, so the problem's
+    checks always pass; dimensions stay desk-scale (n <= 4, m <= 3, N <= 8).  Even seeds
     give homogeneous problems, odd seeds forced ones; every third seed gets a
     polynomial (nonautonomous) A(t), drawn as the coefficient stack a 'poly'
     holds.  A seed that is not a non-negative integer raises ValidationError.
@@ -135,9 +128,7 @@ def random_problem(seed: int):
         v = rng.uniform(-0.5, 0.5, size=m)
         q_b = rng.uniform(-0.5, 0.5, size=n)
 
-    problem = validate_problem(
-        make_problem(a, b, A=A, B=B, W=W, R=R, S=S, q_a=q_a, omega=omega, x=x, v=v, q_b=q_b)
-    )
+    problem = make_problem(a, b, A=A, B=B, W=W, R=R, S=S, q_a=q_a, omega=omega, x=x, v=v, q_b=q_b)
     if rng.integers(0, 2):
         grid = uniform_grid(N, a, b)
     else:

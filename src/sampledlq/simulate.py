@@ -46,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .blocks import IntervalBlocks, simpson_weights
-from .errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, TooLarge, ValidationError
+from .errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, TooLarge
 from .problem import LQProblem, SamplingGrid, check_grid
 from .transition import _affine_nodes, _half_grid, _horizon_half_grid, _vector_run
 
@@ -249,8 +249,6 @@ def simulate_costate(traj: Trajectory, M: int = 64) -> CostateTrajectory:
     if traj.substeps != M:
         raise NodeMismatch(f"trajectory was stored with M={traj.substeps}, asked for M={M}")
     p = traj.problem
-    if not p.validated:
-        raise ValidationError("problem must be validated before running a costate on it")
     half, delta = _horizon_half_grid(traj.grid, M)
     ps = _costate(p, half, delta, traj.qs, -(p.S @ (traj.q_end - p.q_b)))
     return CostateTrajectory(state=traj, ps=ps)
@@ -288,8 +286,6 @@ def _dense_state(p: LQProblem, u_fn: Callable, M: int):
     [a, b] is one interval of a vector run from q_a under the coefficients
     A and B u + omega.  A run that does not fit in memory raises `TooLarge`.
     """
-    if not p.validated:
-        raise ValidationError("problem must be validated before simulating a control on it")
     half, delta = _half_grid(p.a, p.b, M)
     u_half = _eval_control_function(u_fn, half, p.m)
 
@@ -330,7 +326,19 @@ def cost_of_permanent(p: LQProblem, u_fn: Callable, M: int = 512) -> float:
 
 
 def averaged_control(u_fn: Callable, grid: SamplingGrid, M: int = 64) -> PiecewiseConstantControl:
-    """Interval means U_i = (1/h_i) int u(s) ds by composite Simpson; m is the size of u_fn's values."""
+    """Interval means U_i = (1/h_i) int u(s) ds; m is the size of u_fn's values.
+
+    A `PiecewiseConstantControl`'s are exact, M unused: its steps summed over
+    the pieces between both grids' sample times.  A callable's are by composite Simpson.
+    """
+    if isinstance(u_fn, PiecewiseConstantControl):
+        ref = u_fn.grid
+        if grid.a < ref.a or grid.b > ref.b:
+            raise InvalidInterval(f"grid spans [{grid.a}, {grid.b}], beyond the control's grid [{ref.a}, {ref.b}]")
+        t = np.union1d(grid.s, ref.s[(ref.s > grid.a) & (ref.s < grid.b)])  # the pieces' ends
+        j = np.searchsorted(ref.s, t[:-1], side="right") - 1  # each piece's interval in the control's grid
+        steps = np.diff(t)[:, None] * u_fn.U[j]  # each piece's integral
+        return PiecewiseConstantControl(grid, np.add.reduceat(steps, np.searchsorted(t, grid.s[:-1])) / grid.h[:, None])
     half, _ = _horizon_half_grid(grid, M)
     nodes = half[:, ::2]
     m = np.size(u_fn(float(nodes[0, 0])))
@@ -379,9 +387,9 @@ def costs_of_control_batch(p: LQProblem, grid: SamplingGrid, Us: np.ndarray, M: 
         flat = (grid.N, -1, n + m + 1)  # the nodes' rows stacked, for one GEMM per interval
         with np.errstate(over="ignore", invalid="ignore"):
             nodes[..., -1] = q0 - p.x_ref.eval_many(times)  # e0 in place of xi, which the march has used
-            wWY = w[..., None, None] * (p.W.symmetrized().eval_many(times) @ nodes)
+            wWY = w[..., None, None] * (p.W.eval_many(times) @ nodes)
             G = np.swapaxes(nodes.reshape(flat), 1, 2) @ wWY.reshape(flat)
-            R, v = p.R.symmetrized().eval_many(times), p.v_ref.eval_many(times)
+            R, v = p.R.eval_many(times), p.v_ref.eval_many(times)
             Rv = np.einsum("ikab,ikb->ika", R, v)
             H = G[:, :-1, :-1]
             H[:, n:, n:] += np.einsum("ik,ikab->iab", w, R)

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 import sampledlq as sq
 from sampledlq import blocks as blocks_module
 from sampledlq import transition
-from sampledlq.errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from sampledlq.errors import DimensionMismatch, IndexOutOfRange, NotPD, ValidationError
 from sampledlq.problem import make_problem
 
 
@@ -90,8 +90,8 @@ class TestScalarBenchmarkBlocks:
 
 class TestBlockStructure:
     def test_zero_W_kills_state_coupling(self):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
-                                             R=[[1.0]], S=[[1.0]], q_a=[1.0]))
+        p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
+                         R=[[1.0]], S=[[1.0]], q_a=[1.0])
         blocks = sq.compute_all_blocks(p, sq.uniform_grid(1, 0, 1), M=16)
         assert not np.any(blocks.ZWZ)
         assert not np.any(blocks.ZBWZ)
@@ -109,8 +109,8 @@ class TestBlockStructure:
         assert not np.any(blocks.RV2)
 
     def test_terminal_shift_enters_last_interval_only(self):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[0.0]],
-                                             R=[[1.0]], S=[[1.0]], q_a=[0.0], q_b=[2.0]))
+        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[0.0]],
+                         R=[[1.0]], S=[[1.0]], q_a=[0.0], q_b=[2.0])
         blocks = sq.compute_all_blocks(p, sq.uniform_grid(2, 0, 1), M=8)
         assert not np.any(blocks.ZOmega[0])
         # xi = 0 here, so the last interval carries exactly -q_b.
@@ -166,11 +166,13 @@ class TestConsistency:
         for name in ("Zstep", "ZB", "ZOmega", "ZWZ", "Rbar", "RV"):
             assert np.array_equal(getattr(full, name)[1:], getattr(tail, name))
 
-    def test_requires_validated_problem(self):
+    def test_bad_data_never_reaches_the_blocks(self):
+        # the blocks take any problem as checked: R = 0 is rejected when the problem is built
         p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[2.0]], R=[[1.0]],
                          S=[[0.0]], q_a=[1.0])
-        with pytest.raises(ValidationError):
-            sq.compute_all_blocks(p, sq.uniform_grid(1, 0, 1), M=8)
+        assert np.all(sq.compute_all_blocks(p, sq.uniform_grid(1, 0, 1), M=8).Rbar > 0)
+        with pytest.raises(NotPD):
+            replace(p, R=[[0.0]])
 
     def test_to_jsonable_roundtrips(self, dontchev):
         grid = sq.uniform_grid(1, 0, 1)

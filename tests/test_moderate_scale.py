@@ -56,8 +56,8 @@ def _moderate_problem(n, m, N, kind="poly", seed=1):
         Mw1, Mr1 = (rng.uniform(-1.0, 1.0, size=(k, k)) for k in (n, m))
         W1, R1, v1 = Mw1.T @ Mw1, 0.3 * np.eye(m) + Mr1.T @ Mr1, rng.uniform(-0.5, 0.5, size=m)
         W, R, v = (sq.CoefficientFunction.poly(np.stack((e0, e1 - e0), axis=-1)) for e0, e1 in ((W, W1), (R, R1), (v, v1)))
-    p = sq.validate_problem(sq.make_problem(
-        0.0, 1.0, A=A, B=B, W=W, R=R, S=Ms.T @ Ms, q_a=q_a, omega=omega, x=x, v=v, q_b=q_b))
+    p = sq.make_problem(
+        0.0, 1.0, A=A, B=B, W=W, R=R, S=Ms.T @ Ms, q_a=q_a, omega=omega, x=x, v=v, q_b=q_b)
     return p, sq.grid_from_durations(d / d.sum(), 0.0, 1.0)
 
 

@@ -18,8 +18,8 @@ class TestAssembly:
         assert qp.c == pytest.approx(analytic["ORACLE_C"], abs=1e-9)
 
     def test_pure_control_cost_is_block_diagonal(self):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
-                                             R=[[2.0]], S=[[0.0]], q_a=[1.0]))
+        p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
+                         R=[[2.0]], S=[[0.0]], q_a=[1.0])
         grid = sq.uniform_grid(3, 0, 1)
         qp = assemble_qp(p, grid, M=16)
         blocks = sq.compute_all_blocks(p, grid, M=16)

@@ -15,7 +15,11 @@ longer in the code.  The checks are independent of the path they check:
 - long-double: the sweep and synthesis against the same recursion in long
   double at 1e-14, on seeds 3-5 (seeds 4 and 5 have m = 3);
 - ode: time-varying blocks converge to scipy's DOP853 reference at fourth
-  order from M = 8 to 16.
+  order from M = 8 to 16;
+- riccati: the sweep's K_i and J_i converge to the classical Riccati
+  solution at second order and its gains at first order, on uniform:8, 16
+  and 32 at M = 32, on timevarying-demo and seed 7 (both forced, with
+  S q_b != 0).
 
 A defect that no check sees does not get a weaker check: it is recorded as
 an open finding.
@@ -34,7 +38,7 @@ from sampledlq.errors import SampledLQError
 
 from conftest import max_relative_residual
 from test_blocks import _ode_case, _ode_reference, _van_loan_blocks
-from test_riccati import _longdouble_solve
+from test_riccati import _assert_riccati_orders, _classical_riccati, _longdouble_solve, _riccati_source
 
 ORACLE_SEEDS = (3, 4, 5)
 
@@ -96,8 +100,20 @@ def check_ode():
         _fourth_order(errs)
 
 
+@functools.cache
+def _riccati_case(source):
+    p = _riccati_source(source)
+    return p, _classical_riccati(p)
+
+
+def check_riccati():
+    for source in ("timevarying-demo", 7):
+        p, reference = _riccati_case(source)
+        _assert_riccati_orders(p, reference, [sq.uniform_grid(N, p.a, p.b) for N in (8, 16, 32)], K_from=0, gain_from=0)
+
+
 CHECKS = {"oracle": check_oracle, "costate": check_costate, "van-loan": check_van_loan,
-          "long-double": check_long_double, "ode": check_ode}
+          "long-double": check_long_double, "ode": check_ode, "riccati": check_riccati}
 
 
 def _mutant(function, old, new):
@@ -139,6 +155,12 @@ DEFECTS = {
     # long-double
     "m2-feedback-scaled": [(riccati, "backward_sweep", (
         "np.linalg.solve(L.T, np.linalg.solve(L, f))", "np.linalg.solve(L.T, np.linalg.solve(L, f)) * (1 + 1e-13)"))],
+    # oracle, riccati: the -W x forcing of J enters the blocks with the wrong sign
+    "J-forcing-sign": [(blocks, "compute_blocks", ("Y[..., -1] -= xk", "Y[..., -1] += xk"))],
+    # oracle, costate, riccati: the last step misses the -q_b shift, so J(b) = -S q_b is lost
+    "q_b-shift-missing": [(riccati, "compute_all_blocks", ("step[-1, :, -1] -= p.q_b", "step[-1, :, -1] -= 0.0"))],
+    # oracle, costate, long-double, riccati: the blocks carry the wrong terminal weight
+    "S-wrong": [(riccati, "compute_all_blocks", ("p.S, Ys, times", "2.0 * p.S, Ys, times"))],
 }
 
 

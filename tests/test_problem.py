@@ -15,6 +15,7 @@ from sampledlq.errors import (
     NonPositiveDuration,
     NotPD,
     NotPSD,
+    SampledLQError,
     TooLarge,
     ValidationError,
 )
@@ -114,25 +115,21 @@ class TestCoefficientFunction:
 
 class TestValidation:
     def test_scalar_benchmark(self, dontchev):
-        assert dontchev.validated
         assert dontchev.c_R == pytest.approx(1.0)
         assert dontchev.n == 1 and dontchev.m == 1
 
     def test_antisymmetric_S_symmetrizes_to_zero(self):
         p = make_problem(0, 1, A=np.zeros((2, 2)), B=np.eye(2), W=np.eye(2), R=np.eye(2),
                          S=[[0.0, 1.0], [-1.0, 0.0]], q_a=[1.0, 0.0])
-        v = sq.validate_problem(p)
-        assert np.array_equal(v.S, np.zeros((2, 2)))
+        assert np.array_equal(p.S, np.zeros((2, 2)))
 
     def test_zero_R_rejected(self):
-        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[0.0]], S=[[0.0]], q_a=[1.0])
         with pytest.raises(NotPD):
-            sq.validate_problem(p)
+            make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[0.0]], S=[[0.0]], q_a=[1.0])
 
     def test_indefinite_W_rejected(self):
-        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
         with pytest.raises(NotPSD):
-            sq.validate_problem(p)
+            make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
 
     def test_definiteness_errors_are_distinct(self):
         psd, pd = NotPSD("W", 0.5, -1.0), NotPD("R", None, -2.0)
@@ -148,17 +145,15 @@ class TestValidation:
         from dataclasses import replace
 
         p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
-        p2 = replace(p, S=np.zeros((2, 2)))
         with pytest.raises(DimensionMismatch):
-            sq.validate_problem(p2)
+            replace(p, S=np.zeros((2, 2)))
 
     def test_reversed_interval(self):
-        p = make_problem(1, 0, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
         with pytest.raises(InvalidInterval):
-            sq.validate_problem(p)
+            make_problem(1, 0, A=[[0.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
 
     def test_idempotent(self, dontchev):
-        again = sq.validate_problem(dontchev)
+        again = dataclasses.replace(dontchev)
         assert np.array_equal(again.S, dontchev.S)
         for t in (0.0, 0.3, 1.0):
             assert np.array_equal(again.W(t), dontchev.W(t))
@@ -174,11 +169,10 @@ class TestValidation:
         # PD from the first probe past r_root.  R failing first must raise for
         # R even though W is checked before R within a probe; at the same
         # probe, W's check comes first.
-        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=CoefficientFunction.poly([[[0.6, -1.0]]]),
-                         R=CoefficientFunction.poly([[[r_root, -1.0]]]), S=[[0.0]], q_a=[1.0])
         ts = np.linspace(0.0, 1.0, 33)
         with pytest.raises(error) as info:
-            sq.validate_problem(p)
+            make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=CoefficientFunction.poly([[[0.6, -1.0]]]),
+                         R=CoefficientFunction.poly([[[r_root, -1.0]]]), S=[[0.0]], q_a=[1.0])
         assert info.value.name == name
         k = 13 if name == "R" else 20
         assert info.value.t == ts[k]
@@ -186,10 +180,9 @@ class TestValidation:
 
     def test_nonfinite_before_definiteness_at_same_probe(self):
         # A is not finite from t = 0.5 on and R fails PD from t = 0.5 on: A is checked first.
-        p = make_problem(0, 1, A=lambda t: np.array([[np.inf if t >= 0.5 else 0.0]]), B=[[1.0]],
-                         W=[[1.0]], R=CoefficientFunction.poly([[[0.5, -1.0]]]), S=[[0.0]], q_a=[1.0])
         with pytest.raises(ValidationError, match=r"^A\(0\.5\) is not finite$"):
-            sq.validate_problem(p)
+            make_problem(0, 1, A=lambda t: np.array([[np.inf if t >= 0.5 else 0.0]]), B=[[1.0]],
+                         W=[[1.0]], R=CoefficientFunction.poly([[[0.5, -1.0]]]), S=[[0.0]], q_a=[1.0])
 
     # Constants are probed once, at a; builtins and polynomials at every probe.
     # a = 0.25 so that "at a" is not t = 0.
@@ -198,29 +191,26 @@ class TestValidation:
         # W has a NaN entry; x turns non-finite only past t = 0.5
         W = np.eye(2)
         W[0, 1] = np.nan
-        p = make_problem(0.25, 1.25, A=np.zeros((2, 2)), B=[[0.0], [1.0]], W=W, R=[[1.0]], S=np.eye(2),
-                         q_a=[1.0, 0.0], x=lambda t: np.array([np.inf if t > 0.5 else 0.0, 0.0]))
         with pytest.raises(ValidationError, match=r"^W\(0\.25\) is not finite$"):
-            sq.validate_problem(p)
+            make_problem(0.25, 1.25, A=np.zeros((2, 2)), B=[[0.0], [1.0]], W=W, R=[[1.0]], S=np.eye(2),
+                         q_a=[1.0, 0.0], x=lambda t: np.array([np.inf if t > 0.5 else 0.0, 0.0]))
 
     def test_constant_not_pd_fails_at_a_before_a_builtin_at_probe_5(self):
         t5 = np.linspace(0.25, 1.25, 33)[5]
-        p = make_problem(0.25, 1.25, A=lambda t: np.array([[np.inf if t == t5 else 0.0]]), B=[[1.0, 0.0]],
-                         W=[[1.0]], R=[[1.0, 2.0], [2.0, 1.0]], S=[[0.0]], q_a=[1.0])
         with pytest.raises(NotPD) as info:
-            sq.validate_problem(p)
+            make_problem(0.25, 1.25, A=lambda t: np.array([[np.inf if t == t5 else 0.0]]), B=[[1.0, 0.0]],
+                         W=[[1.0]], R=[[1.0, 2.0], [2.0, 1.0]], S=[[0.0]], q_a=[1.0])
         assert (info.value.name, info.value.t) == ("R", 0.25)
         assert info.value.eigenvalue == pytest.approx(-1.0)
 
     def test_constants_keep_the_check_order_within_a_probe(self):
-        p = make_problem(0.25, 1.25, A=[[np.inf]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
         with pytest.raises(ValidationError, match=r"^A\(0\.25\) is not finite$"):
-            sq.validate_problem(p)
+            make_problem(0.25, 1.25, A=[[np.inf]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0])
 
     def test_c_R_of_a_constant_is_its_eigenvalue(self):
         R = np.array([[2.0, 0.3, -0.1], [0.1, 1.5, 0.2], [0.4, -0.2, 1.1]])
         p = make_problem(0.25, 1.25, A=np.zeros((3, 3)), B=np.eye(3), W=np.eye(3), R=R, S=np.eye(3), q_a=np.ones(3))
-        assert sq.validate_problem(p).c_R == float(np.linalg.eigvalsh(0.5 * (R + R.T))[0])
+        assert p.c_R == float(np.linalg.eigvalsh(0.5 * (R + R.T))[0])
 
     def test_builtin_is_evaluated_at_every_probe_first(self):
         # W fails at a, but x is evaluated at all 33 probes before any check
@@ -230,10 +220,34 @@ class TestValidation:
             ts.append(t)
             return np.zeros(1)
 
-        p = make_problem(0.25, 1.25, A=[[0.0]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0], x=x)
         with pytest.raises(NotPSD):
-            sq.validate_problem(p)
+            make_problem(0.25, 1.25, A=[[0.0]], B=[[1.0]], W=[[-1.0]], R=[[1.0]], S=[[0.0]], q_a=[1.0], x=x)
         assert np.array_equal(ts, np.linspace(0.25, 1.25, 33))
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("S", [[-0.5]], NotPSD, r"^S is not positive semidefinite at t=0\.0"),
+        ("W", [[-0.3]], NotPSD, r"^W is not positive semidefinite at t=0\.0"),
+        ("R", [[np.nan]], ValidationError, r"^R\(0\.0\) is not finite$"),
+        ("q_a", [1.0, 2.0], DimensionMismatch, r"^q_a has shape \(2,\), expected \(1,\)$"),
+        ("B", [[1.0, 0.0]], DimensionMismatch, r"^B has shape \(1, 2\), expected \(1, 1\)$"),
+    ])
+    def test_replace_checks_the_new_data(self, dontchev, field, value, error, message):
+        # once a copied flag let these through: S = -0.5 solved to a cost of 0.711, W = -0.3 to -0.309
+        with pytest.raises(error, match=message):
+            dataclasses.replace(dontchev, **{field: value})
+
+    def test_replace_keeps_the_coefficient_objects(self, dontchev):
+        # the blocks' nodes stay reusable for a problem that differs in q_a alone
+        moved = dataclasses.replace(dontchev, q_a=[2.0])
+        for name in ("A", "B", "omega", "W", "R", "x_ref", "v_ref"):
+            assert getattr(moved, name) is getattr(dontchev, name)
+        assert moved.S.tobytes() == dontchev.S.tobytes() and moved.c_R == dontchev.c_R
+        assert moved.q_a.tolist() == [2.0] and not moved.q_a.flags.writeable
+
+    @pytest.mark.parametrize("field", ["validated", "c_R"])
+    def test_record_takes_no_check_result(self, dontchev, field):
+        with pytest.raises((TypeError, ValueError)):
+            dataclasses.replace(dontchev, **{field: True})
 
     def test_c_R_quantified(self):
         rng = np.random.default_rng(5)
@@ -263,7 +277,7 @@ class TestNonFiniteAndMisSizedData:
     ])
     def test_nonfinite_constant_data(self, field, value, error):
         with pytest.raises(error, match="finite"):
-            sq.validate_problem(self._base(**{field: value}))
+            self._base(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("q_a", None),
@@ -416,6 +430,9 @@ class TestGrids:
         ([0.0], InvalidInterval),
         ([], InvalidInterval),
         ([0.0, np.inf], InvalidInterval),
+        ([[0.0, 0.5], [1.0]], InvalidInterval),  # ragged: once numpy's bare ValueError
+        ("abc", InvalidInterval),  # once numpy's bare ValueError
+        ({0.0: 1.0}, InvalidInterval),  # once numpy's bare TypeError
     ])
     def test_malformed_sample_times_rejected(self, s, error):
         with pytest.raises(error):
@@ -439,7 +456,7 @@ class TestJsonLoading:
     def test_constant_problem_roundtrip(self, tmp_path, analytic):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(self._doc()))
-        p = sq.validate_problem(sq.load_problem(str(path)))
+        p = sq.load_problem(str(path))
         _, _, sol = sq.solve(p, sq.uniform_grid(1, 0, 1), 64)
         assert sol.U[0, 0] == pytest.approx(analytic["U0"], abs=1e-9)
 
@@ -600,9 +617,9 @@ _ATTR = {"x": "x_ref", "v": "v_ref"}
 def _check_case(build, field, expected):
     if isinstance(expected, type):
         with pytest.raises(expected):
-            sq.validate_problem(build())
+            build()
         return
-    p = sq.validate_problem(build())
+    p = build()
     value = getattr(p, _ATTR.get(field, field))
     if isinstance(value, CoefficientFunction):
         value = value.eval_many(np.array([0.5]))[0]
@@ -673,12 +690,31 @@ _REGISTRY_DATA = [
 ]
 
 
-@pytest.mark.parametrize("data", [_random_data(seed) for seed in range(30)] + _REGISTRY_DATA)
+def _gram(data):
+    """data with W, R and S replaced by Gram matrices, which pass the PSD and PD checks."""
+    return {**data, "W": data["W"].T @ data["W"], "R": data["R"].T @ data["R"] + np.eye(len(data["R"])),
+            "S": data["S"].T @ data["S"]}
+
+
+def _outcome(build):
+    """The problem build() returns, or the type and message of the error it raises."""
+    try:
+        return build()
+    except SampledLQError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("data", [_random_data(seed) for seed in range(30)]
+                         + [_gram(_random_data(seed)) for seed in range(30)] + _REGISTRY_DATA)
 def test_load_problem_equals_make_problem(data):
     doc = {_FILE_KEYS.get(k, k): np.asarray(v).tolist() if isinstance(v, (list, np.ndarray)) else v
            for k, v in data.items()}
     doc.update(n=len(data["q_a"]), m=np.shape(data["B"])[1])
-    loaded, made = sq.load_problem(json.loads(json.dumps(doc))), make_problem(**data)
+    loaded = _outcome(lambda: sq.load_problem(json.loads(json.dumps(doc))))
+    made = _outcome(lambda: make_problem(**data))
+    if isinstance(made, tuple):  # both paths reject the data alike
+        assert loaded == made
+        return
     for f in dataclasses.fields(made):
         x, y = getattr(loaded, f.name), getattr(made, f.name)
         if isinstance(y, CoefficientFunction):
@@ -718,7 +754,7 @@ def _problem_digest(seeds) -> str:
 class TestRandomProblem:
     def test_workload_problems_are_pinned(self):
         # K = 0..599 are the oracle-random workload's problems at workload seed 0
-        assert _problem_digest(range(600)) == "56a40df943a694af72f85315d6fde0e2cdcf9064a6b00b5195bbb6bcde509ccb"
+        assert _problem_digest(range(600)) == "ae2be65ca4cfa48a03d3b39e8dd0430fe2ab8c63dac2e48438efff96dc886d68"
 
     @pytest.mark.parametrize("seed", [1.5, True, "3", None, 2.0])
     def test_seed_must_be_an_integer(self, seed):

@@ -66,8 +66,8 @@ class TestRecursionAlgebra:
             assert np.allclose(sweep.offset[i], -TinvH, atol=1e-12)
 
     def test_no_running_or_terminal_weight(self):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
-                                             R=[[1.0]], S=[[0.0]], q_a=[1.0]))
+        p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[0.0]],
+                         R=[[1.0]], S=[[0.0]], q_a=[1.0])
         blocks, sweep, sol = sq.solve(p, sq.uniform_grid(3, 0, 1), M=16)
         assert not np.any(sweep.K)
         assert np.array_equal(sweep.T, blocks.Rbar)
@@ -87,13 +87,13 @@ class TestRecursionAlgebra:
     def test_quadratic_terms_ignore_inhomogeneous_data(self, timevarying):
         grid = sq.uniform_grid(3, 0, 1)
         _, sweep_full, _ = sq.solve(timevarying, grid, M=16)
-        bare = sq.validate_problem(replace(
+        bare = replace(
             timevarying,
             omega=sq.CoefficientFunction.zeros((2,)),
             x_ref=sq.CoefficientFunction.zeros((2,)),
             v_ref=sq.CoefficientFunction.zeros((1,)),
             q_b=np.zeros(2),
-        ))
+        )
         _, sweep_bare, _ = sq.solve(bare, grid, M=16)
         for name in ("K", "P", "Q", "T", "gain"):
             assert np.array_equal(getattr(sweep_full, name), getattr(sweep_bare, name))
@@ -160,8 +160,8 @@ class TestSynthesis:
 
     def test_sweep_records_its_blocks_and_their_terminal_weight(self):
         # S = [[2, 1], [0, 2]] validates to its symmetric part; the blocks hold that S, and V_N is it bitwise
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
-                                             R=[[1.0]], S=[[2.0, 1.0], [0.0, 2.0]], q_a=[1.0, 0.0]))
+        p = make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
+                         R=[[1.0]], S=[[2.0, 1.0], [0.0, 2.0]], q_a=[1.0, 0.0])
         blocks, sweep, _ = sq.solve(p, sq.uniform_grid(3, 0, 1), M=8)
         assert sweep.blocks is blocks
         assert blocks.S.tobytes() == p.S.tobytes()
@@ -187,8 +187,8 @@ class TestTailConsistency:
 
     @staticmethod
     def _double_integrator(m):
-        return sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2)[:, :m], W=np.eye(2),
-                                                R=np.eye(m), S=np.eye(2), q_a=[1.0, 0.0]))
+        return make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=np.eye(2)[:, :m], W=np.eye(2),
+                            R=np.eye(m), S=np.eye(2), q_a=[1.0, 0.0])
 
     @pytest.mark.parametrize("j", [1, 2])
     @pytest.mark.parametrize("kind, m", [("indefinite", 2), ("zero", 2), ("indefinite", 1), ("zero", 1)],
@@ -467,8 +467,8 @@ def _longdouble_solve(blocks, S, q_a):
 
 def _double_integrator_case(R=1.0, ratio=None):
     """double-integrator at control weight R, on uniform:8 or on 8 durations alternating 1 : ratio."""
-    p = sq.validate_problem(make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
-                                         R=[[R]], S=np.eye(2), q_a=[1.0, 0.0]))
+    p = make_problem(0, 1, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], W=np.eye(2),
+                     R=[[R]], S=np.eye(2), q_a=[1.0, 0.0])
     if ratio is None:
         return p, sq.uniform_grid(8, 0, 1)
     d = np.tile([1.0, ratio], 4)
@@ -489,3 +489,94 @@ def test_sweep_and_synthesis_within_long_double_reference(kind, value):
     ref_U, ref_cost = _longdouble_solve(blocks, p.S, p.q_a)
     assert np.max(np.abs(sol.U - ref_U)) <= 1e-14 * (1.0 + np.max(np.abs(ref_U)))
     assert abs(sol.predicted_cost - ref_cost) <= 1e-14 * (1.0 + abs(ref_cost))
+
+
+def _classical_riccati(p):
+    """Test-only reference: the permanent problem's Riccati solution by scipy's DOP853 at rtol 1e-13.
+
+    The permanent value function is 1/2 <K q, q> + <J, q> + const, with
+
+        -K' = A^T K + K A - K B R^{-1} B^T K + W,                 K(b) = S
+        -J' = (A - B R^{-1} B^T K)^T J + K (B v + omega) - W x,   J(b) = -S q_b
+
+    integrated backward from b once.  Returns a function of an array of
+    times giving K, J and the permanent gain -R^{-1} B^T K there.
+    """
+    from scipy.integrate import solve_ivp
+
+    n = p.n
+
+    def rhs(t, z):
+        K, J = z[: n * n].reshape(n, n), z[n * n :]
+        A, B, W = p.A(t), p.B(t), p.W(t)
+        BRB = B @ np.linalg.solve(p.R(t), B.T)
+        dK = A.T @ K + K @ A - K @ BRB @ K + W
+        dJ = (A - BRB @ K).T @ J + K @ (B @ p.v_ref(t) + p.omega(t)) - W @ p.x_ref(t)
+        return -np.concatenate((dK.ravel(), dJ))
+
+    run = solve_ivp(rhs, (p.b, p.a), np.concatenate((p.S.ravel(), -p.S @ p.q_b)), method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+
+    def at(times):
+        Z = run.sol(times).T
+        K = Z[:, : n * n].reshape(-1, n, n)
+        gain = np.stack([-np.linalg.solve(p.R(t), p.B(t).T @ k) for t, k in zip(times, K)])
+        return K, Z[:, n * n :], gain
+
+    return at
+
+
+def _riccati_errors(p, reference, grids, M=32):
+    """Rows [K, J, gain] per grid: the sweep's K_i, J_i and gain_i against the classical ones at s_i, i < N.
+
+    Each error is the largest entry's, relative to 1 + max |classical value|.
+    """
+    errors = []
+    for grid in grids:
+        _, sweep, _ = sq.solve(p, grid, M)
+        pairs = zip((sweep.K[:-1], sweep.J[:-1], sweep.gain), reference(grid.s[:-1]))
+        errors.append([np.max(np.abs(got - ref)) / (1.0 + np.max(np.abs(ref))) for got, ref in pairs])
+    return np.array(errors)
+
+
+def _halved_durations(p, levels):
+    """Grids on durations 0.2, 0.5, 0.3 of [a, b], each next one halving every duration of the last."""
+    d = np.array([0.2, 0.5, 0.3]) * (p.b - p.a)
+    grids = []
+    for _ in range(levels):
+        grids.append(sq.grid_from_durations(d, p.a, p.b))
+        d = np.repeat(d / 2.0, 2)
+    return grids
+
+
+def _riccati_source(source):
+    return sq.get_problem(source).problem if isinstance(source, str) else sq.random_problem(source)[0]
+
+
+def _assert_riccati_orders(p, reference, grids, K_from=2, gain_from=3):
+    """K_i and J_i converge at O(h^2) and the gains at O(h) on grids that halve h each time.
+
+    The errors fall by [3.8, 4.2] per halving from grid K_from on and the
+    gains' by [1.8, 2.1] from grid gain_from on.  A J that is zero in the
+    classical solution must be exactly zero in the sweep.
+    """
+    errors = _riccati_errors(p, reference, grids)
+    J_zero = not np.any(reference(grids[-1].s)[1])
+    if J_zero:
+        assert not np.any(errors[:, 1]), errors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = errors[:-1] / errors[1:]
+    for column in (0,) if J_zero else (0, 1):
+        assert np.all((3.8 <= ratios[K_from:, column]) & (ratios[K_from:, column] <= 4.2)), (column, ratios)
+    assert np.all((1.8 <= ratios[gain_from:, 2]) & (ratios[gain_from:, 2] <= 2.1)), ratios
+
+
+@pytest.mark.parametrize("source", ["dontchev", "double-integrator", "timevarying-demo", 3, 4, 7])
+def test_sweep_converges_to_the_classical_riccati_solution(source):
+    # the sampled value function tends to the permanent one as ||h|| -> 0: from N = 64 to 128 the
+    # ratios read 4.00-4.02 for K and J and 1.98-2.00 for the gains; the durations family
+    # (N = 3 ... 96) reads 3.99-4.06 for K and J from N = 12 and 1.93-1.99 for the gains from N = 24
+    p = _riccati_source(source)
+    reference = _classical_riccati(p)
+    _assert_riccati_orders(p, reference, [sq.uniform_grid(N, p.a, p.b) for N in (4, 8, 16, 32, 64, 128)])
+    _assert_riccati_orders(p, reference, _halved_durations(p, 6))

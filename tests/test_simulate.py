@@ -8,7 +8,15 @@ import sampledlq as sq
 from sampledlq import blocks as blocks_module
 from sampledlq import simulate as simulate_module
 from sampledlq import transition
-from sampledlq.errors import DimensionMismatch, InvalidInterval, NodeMismatch, NonFinite, TooLarge, ValidationError
+from sampledlq.errors import (
+    DimensionMismatch,
+    InvalidInterval,
+    NodeMismatch,
+    NonFinite,
+    NotPD,
+    TooLarge,
+    ValidationError,
+)
 from sampledlq.problem import make_problem
 
 E = np.e
@@ -190,8 +198,8 @@ class TestCost:
         assert cost == pytest.approx(sol.predicted_cost, abs=1e-10)
 
     def test_terminal_cost(self):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[0.0]],
-                                             R=[[1.0]], S=[[3.0]], q_a=[0.0], q_b=[1.0]))
+        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[0.0]],
+                         R=[[1.0]], S=[[3.0]], q_a=[0.0], q_b=[1.0])
         assert sq.terminal_cost(p, np.array([4.0])) == pytest.approx(0.5 * 3.0 * 9.0)
         assert sq.terminal_cost(p, np.array([1.0])) == 0.0
 
@@ -223,7 +231,7 @@ class TestCost:
         cases = [(p, sq.grid_from_durations(np.array([0.2, 0.5, 0.3]) * (p.b - p.a), p.a, p.b))
                  for p in (sq.get_problem(name).problem for name in sq.list_problems())]
         cases += [sq.random_problem(seed) for seed in range(30)]
-        # unvalidated: W keeps a skew part, which no quadratic cost sees
+        # W has a skew part, which no quadratic cost sees; the problem stores its symmetric part
         skew = make_problem(0.0, 1.0, A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]], W=[[1.0, 0.5], [-0.5, 1.0]],
                             R=[[2.0]], S=np.eye(2), q_a=[1.0, 0.0], x=[0.5, 0.0], v=[0.1])
         cases.append((skew, sq.grid_from_durations([0.2, 0.5, 0.3], 0.0, 1.0)))
@@ -244,9 +252,9 @@ class TestCost:
         Us = np.random.default_rng(1).normal(size=(5, grid.N, 1))
 
         def costs(X):
-            p = sq.validate_problem(make_problem(0.0, 1.0, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
-                                                 W=np.eye(2), R=[[1.0]], S=np.eye(2),
-                                                 q_a=[X, 0.0], x=[X, 0.0], q_b=[X, 0.0]))
+            p = make_problem(0.0, 1.0, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
+                             W=np.eye(2), R=[[1.0]], S=np.eye(2),
+                             q_a=[X, 0.0], x=[X, 0.0], q_b=[X, 0.0])
             return sq.costs_of_control_batch(p, grid, Us, M=32)
 
         base = costs(0.0)
@@ -342,8 +350,8 @@ class TestPermanentControl:
     def test_subnormal_dense_step_rejected(self):
         # on [0, 1e-305] at M = 512 the step is 9.8e-309, below the smallest normal float,
         # as on the sampled runs; at M = 1 it is 5e-306
-        tiny = sq.validate_problem(make_problem(0, 1e-305, A=[[0.5]], B=[[1.0]], W=[[1.0]],
-                                                R=[[1.0]], S=[[0.0]], q_a=[1.0]))
+        tiny = make_problem(0, 1e-305, A=[[0.5]], B=[[1.0]], W=[[1.0]],
+                            R=[[1.0]], S=[[0.0]], q_a=[1.0])
 
         def zero(t):
             return np.zeros(1)
@@ -387,6 +395,47 @@ class TestAveragedControl:
     def test_value_size_change_rejected(self):
         with pytest.raises(DimensionMismatch):
             sq.averaged_control(lambda t: np.zeros(1 if t < 0.5 else 2), sq.uniform_grid(2, 0, 1), M=4)
+
+    @staticmethod
+    def _optimum(name, grid):
+        p = sq.get_problem(name).problem
+        return sq.PiecewiseConstantControl(grid, sq.solve(p, grid, M=16)[2].U)
+
+    @staticmethod
+    def _overlap_means(u, grid):
+        """Interval means of the step control u on grid, from the overlap of every pair of intervals."""
+        r, s = u.grid.s, grid.s
+        overlap = np.minimum(s[1:, None], r[None, 1:]) - np.maximum(s[:-1, None], r[None, :-1])
+        return (np.maximum(overlap, 0.0) @ u.U) / grid.h[:, None]
+
+    @pytest.mark.parametrize("M", [16, 64])
+    @pytest.mark.parametrize("name", ["dontchev", "double-integrator", "timevarying-demo"])
+    @pytest.mark.parametrize("grid", [sq.uniform_grid(4, 0, 1), sq.grid_from_durations([0.1, 0.6, 0.3], 0, 1)],
+                             ids=["uniform:4", "durations"])
+    def test_step_control_on_its_own_grid_is_itself(self, name, grid, M):
+        # by Simpson across the jumps, dontchev's uniform:4 optimum missed itself by 5.5e-3 at M = 16
+        u = self._optimum(name, grid)
+        U = sq.averaged_control(u, grid, M).U
+        assert np.all(np.abs(U - u.U) <= 2 * np.spacing(1.0 + np.abs(u.U)))
+
+    @pytest.mark.parametrize("M", [16, 64])
+    @pytest.mark.parametrize("fine, coarse", [(3, 2), (8, 4)])
+    def test_fine_reference_means_are_overlap_sums(self, fine, coarse, M):
+        # fine:3 onto uniform:2 was off by 6.8e-3 at M = 16 and 1.7e-3 at M = 64
+        u = self._optimum("dontchev", sq.uniform_grid(fine, 0, 1))
+        grid = sq.uniform_grid(coarse, 0, 1)
+        exact = self._overlap_means(u, grid)
+        assert np.allclose(sq.averaged_control(u, grid, M).U, exact, rtol=1e-15, atol=0.0)
+
+    def test_step_control_onto_a_tail_and_an_unequal_grid(self):
+        u = self._optimum("double-integrator", sq.grid_from_durations([0.3, 0.2, 0.5], 0, 1))
+        for grid in (sq.uniform_grid(5, 0, 1).tail(2), sq.grid_from_durations([0.25, 0.35, 0.4], 0, 1)):
+            assert np.allclose(sq.averaged_control(u, grid).U, self._overlap_means(u, grid), rtol=1e-15, atol=0.0)
+
+    def test_step_control_must_cover_the_grid(self):
+        u = self._optimum("dontchev", sq.uniform_grid(2, 0, 1))
+        with pytest.raises(InvalidInterval):
+            sq.averaged_control(u, sq.SamplingGrid([0.0, 0.5, 1.5]))
 
     def test_averaging_beats_nothing_but_not_optimal(self, dontchev, dontchev_entry):
         # One sandwich instance: C(u_ref) <= C(sampled optimal) <= C(averaged u_ref).
@@ -442,18 +491,20 @@ class TestTypedErrors:
         assert sq.solve(dontchev, u.grid, np.int32(4))[2].U.tobytes() == sq.solve(dontchev, u.grid, 4)[2].U.tobytes()
 
     @pytest.mark.parametrize("run", [sq.cost_of_permanent, sq.pmp_residual_permanent])
-    @pytest.mark.parametrize("interval, R", [((1.0, 0.0), 1.0), ((0.0, 1.0), -1.0)])
-    def test_dense_run_needs_validated_problem(self, run, interval, R):
-        # unvalidated, a backward interval gave a negative cost and R = -1 a residual of 3.44
-        p = make_problem(*interval, A=0.5, B=1.0, W=2.0, R=R, S=0.0, q_a=[1.0])
-        with pytest.raises(ValidationError, match="validated"):
+    @pytest.mark.parametrize("interval, R, error", [((1.0, 0.0), 1.0, InvalidInterval), ((0.0, 1.0), -1.0, NotPD)])
+    def test_dense_run_data_rejected_when_built(self, run, interval, R, error):
+        # once a problem could skip its checks: a backward interval gave a negative cost,
+        # and R = -1 a residual of 3.44
+        with pytest.raises(error):
+            p = make_problem(*interval, A=0.5, B=1.0, W=2.0, R=R, S=0.0, q_a=[1.0])
             run(p, lambda t: [0.0], 4)
 
-    def test_costate_needs_validated_problem(self):
-        # unvalidated, R = 0 reached the residual's solve through Rbar and died in numpy's LinAlgError
-        p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[2.0]], R=[[0.0]], S=[[0.0]], q_a=[1.0])
-        traj = sq.simulate_state(p, sq.PiecewiseConstantControl(sq.uniform_grid(2, 0, 1), np.ones(2)), M=8)
-        with pytest.raises(ValidationError, match="validated"):
+    def test_costate_data_rejected_when_built(self):
+        # once a problem could skip its checks: R = 0 reached the residual's solve through Rbar
+        # and died in numpy's LinAlgError
+        with pytest.raises(NotPD):
+            p = make_problem(0, 1, A=[[0.5]], B=[[1.0]], W=[[2.0]], R=[[0.0]], S=[[0.0]], q_a=[1.0])
+            traj = sq.simulate_state(p, sq.PiecewiseConstantControl(sq.uniform_grid(2, 0, 1), np.ones(2)), M=8)
             sq.pmp_residual_sampled(sq.simulate_costate(traj, M=8))
 
     def test_control_dimension_checked(self, dontchev):
@@ -486,8 +537,8 @@ class TestTypedErrors:
         # A = 30000 over steps of 1/32 or 1/16: the RK4 step maps and their
         # products overflow, which must surface as NonFinite, not a RuntimeWarning.
         def scalar(A):
-            return sq.validate_problem(make_problem(0, 1, A=[[A]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
-                                                    S=[[1.0]], q_a=[1.0], q_b=[1.0]))
+            return make_problem(0, 1, A=[[A]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
+                                S=[[1.0]], q_a=[1.0], q_b=[1.0])
         grid = sq.uniform_grid(4, 0, 1)
         u = zero_control(grid)
         p = scalar(30000.0)
@@ -511,8 +562,8 @@ class TestTypedErrors:
         # A = 30000 at M = 16: the nodes stay finite (up to about 1e259 on intervals of 1/4), but
         # the Simpson forms, which square them, overflow on every interval of 0.1875 or more; in
         # the last case intervals 3 and 5 share interval 1's form (constant data, equal lengths)
-        p = sq.validate_problem(make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[1.0]],
-                                             q_a=[1.0], q_b=[1.0]))
+        p = make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]], S=[[1.0]],
+                         q_a=[1.0], q_b=[1.0])
         grid = sq.grid_from_durations(np.array(durations), 0, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -543,7 +594,7 @@ class TestTypedErrors:
     @staticmethod
     def _growing(q_a, q_b):
         # A = 5 on intervals of 1/4: every interval's nodes stay below e^1.25
-        return sq.validate_problem(make_problem(0, 1, A=5.0, B=1.0, W=1.0, R=1.0, S=1.0, q_a=[q_a], q_b=[q_b]))
+        return make_problem(0, 1, A=5.0, B=1.0, W=1.0, R=1.0, S=1.0, q_a=[q_a], q_b=[q_b])
 
     def test_state_overflow_mid_horizon(self):
         # q_a = 1e307 grows by e^1.25 an interval and leaves the float range on the third

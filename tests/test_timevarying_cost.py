@@ -63,8 +63,8 @@ def timevarying_cost_problem(seed):
         x = _poly(rng.uniform(-0.5, 0.5, size=(3, n)))
         v = _poly(rng.uniform(-0.5, 0.5, size=(3, m)))
         q_b = rng.uniform(-0.5, 0.5, size=n)
-    p = sq.validate_problem(sq.make_problem(a, b, A=A, B=B, W=W, R=R, S=Ms.T @ Ms, q_a=q_a,
-                                            omega=omega, x=x, v=v, q_b=q_b))
+    p = sq.make_problem(a, b, A=A, B=B, W=W, R=R, S=Ms.T @ Ms, q_a=q_a,
+                        omega=omega, x=x, v=v, q_b=q_b)
     d = rng.uniform(0.5, 1.5, size=N)
     return p, sq.grid_from_durations(d / d.sum() * (b - a), a, b)
 

@@ -30,8 +30,8 @@ def _propagate(p, grid, i, M):
 
 class TestPropagateInterval:
     def test_zero_dynamics_identity(self):
-        p = sq.validate_problem(make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[1.0]],
-                                             R=[[1.0]], S=[[0.0]], q_a=[1.0]))
+        p = make_problem(0, 1, A=[[0.0]], B=[[1.0]], W=[[1.0]],
+                         R=[[1.0]], S=[[0.0]], q_a=[1.0])
         times, Zs, Gammas, Xis = _propagate(p, sq.uniform_grid(1, 0, 1), 0, M=8)
         for Z in Zs:
             assert np.allclose(Z, np.eye(1), atol=1e-14)
@@ -348,9 +348,9 @@ def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
     # RK4's real-axis stability limit (about 2.785).  M = 8 on [0, 1]: delta = 1/16.
     M = 8
     lam = lam_delta * 2 * M
-    p = sq.validate_problem(make_problem(0, 1, A=[[-lam, 1.0], [0.0, -0.5 * lam]], B=[[1.0], [1.0]],
-                                         W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
-                                         omega=[0.5, -0.5]))
+    p = make_problem(0, 1, A=[[-lam, 1.0], [0.0, -0.5 * lam]], B=[[1.0], [1.0]],
+                     W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
+                     omega=[0.5, -0.5])
     grid = sq.uniform_grid(1, 0, 1)
     got = _propagate(p, grid, 0, M)[1:]
     with monkeypatch.context() as mp:
@@ -375,9 +375,9 @@ def test_stiff_steps_near_rk4_real_axis_limit(lam_delta, monkeypatch):
 def _long_horizon_case(source):
     if isinstance(source, tuple):
         # upper-triangular A with the given eigenvalues
-        p = sq.validate_problem(make_problem(0, 1, A=[[source[0], 1.0], [0.0, source[1]]], B=[[1.0], [1.0]],
-                                             W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
-                                             omega=[0.5, -0.5]))
+        p = make_problem(0, 1, A=[[source[0], 1.0], [0.0, source[1]]], B=[[1.0], [1.0]],
+                         W=np.eye(2), R=[[1.0]], S=np.zeros((2, 2)), q_a=[1.0, 1.0],
+                         omega=[0.5, -0.5])
     elif isinstance(source, int):
         p = sq.random_problem(source)[0]
     else:
@@ -521,8 +521,8 @@ def test_step_maps_out_of_memory_raise_too_large(source, monkeypatch):
 def test_blocks_name_the_interval_whose_nodes_overflow():
     # A = 30000 at M = 32: steps of 1/64000 on the first interval stay finite, steps of 0.999/64
     # on the second overflow; the recurrence of interval 1 raises, with no RuntimeWarning
-    p = sq.validate_problem(make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
-                                         S=[[1.0]], q_a=[1.0]))
+    p = make_problem(0, 1, A=[[30000.0]], B=[[1.0]], W=[[1.0]], R=[[1.0]],
+                     S=[[1.0]], q_a=[1.0])
     grid = sq.grid_from_durations([0.001, 0.999], 0.0, 1.0)
     with pytest.raises(NonFinite, match="propagation diverged on interval 1"):
         sq.compute_all_blocks(p, grid, 32)
